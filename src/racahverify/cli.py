@@ -14,40 +14,26 @@ import itertools
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable
 
 from . import howe, liealg, oracle, racah, reduction
-from .report import RelationReport, ReportEntry
+from .report import RelationReport, ReportEntry, check, run_checks
 from .weyl import AlgebraSignature, Operator, Polynomial, commutator, parse_operator
 
 SUITE_ORDER = ("o2n", "su11", "howe", "racah", "reduction", "oracle")
 
 
-def _entry(relation: str, indices: tuple[int, ...], residual: Operator, ms: float, note: str = "") -> ReportEntry:
-    return ReportEntry(
-        relation=relation,
-        indices=indices,
-        passed=residual.is_zero(),
-        residual_terms=residual.term_count(),
-        ms=ms,
-        note=note,
-    )
-
-
-def _verdict_entry(relation: str, indices: tuple[int, ...], ok: bool, ms: float, note: str = "") -> ReportEntry:
-    return ReportEntry(
-        relation=relation,
-        indices=indices,
-        passed=ok,
-        residual_terms=0 if ok else -1,
-        ms=ms,
-        note=note,
-    )
+def _numbered(relation: str, residuals: list[tuple[str, Operator]], prefix: tuple[int, ...] = ()) -> RelationReport:
+    """One entry per (note, residual) pair, indexed prefix + (position,)."""
+    report = RelationReport()
+    for pos, (note, residual) in enumerate(residuals, start=1):
+        report.add(check(relation, (*prefix, pos), lambda _, r=residual: r, note))
+    return report
 
 
 def _engine_suite(config: argparse.Namespace) -> RelationReport:
     """Fixed self-checks of the operator engine, run before everything."""
-    report = RelationReport()
     plain = AlgebraSignature(2)
     local = AlgebraSignature(1, localized=frozenset({1}))
     x1, d1 = Operator.x(plain, 1), Operator.d(plain, 1)
@@ -76,13 +62,7 @@ def _engine_suite(config: argparse.Namespace) -> RelationReport:
     a_op, b_op = x1 * d1 * d2, x2 * x2 * d1
     leib = (a_op * b_op).apply(g) - a_op.apply(b_op.apply(g))
     checks.append(("composition action", Operator.zero(plain) if leib.is_zero() else Operator.constant(plain, 1)))
-
-    for idx, (note, residual) in enumerate(checks, start=1):
-        t0 = time.perf_counter()
-        passed = residual.is_zero()
-        ms = (time.perf_counter() - t0) * 1000
-        report.add(ReportEntry("engine", (idx,), passed, residual.term_count(), ms, note))
-    return report
+    return _numbered("engine", checks)
 
 
 def _o2n_suite(config: argparse.Namespace) -> RelationReport:
@@ -94,16 +74,12 @@ def _o2n_suite(config: argparse.Namespace) -> RelationReport:
 
 def _su11_suite(config: argparse.Namespace) -> RelationReport:
     ctx = liealg.SO2nContext(config.n)
+    expected = Operator.constant(ctx.signature, Fraction(-3, 16))
     report = RelationReport()
     for mu in range(1, ctx.num_vars + 1):
-        t0 = time.perf_counter()
         triple = liealg.make_metaplectic(ctx, mu)
-        for ridx, (note, residual) in enumerate(triple.relation_residuals(), start=1):
-            report.add(_entry("su11", (mu, ridx), residual, 0.0, note))
-        cas = liealg.casimir_of(triple)
-        expected = Operator.constant(ctx.signature, Fraction(-3, 16))
-        ms = (time.perf_counter() - t0) * 1000
-        report.add(_entry("su11-casimir", (mu,), cas - expected, ms, "value -3/16"))
+        report.merge(_numbered("su11", triple.relation_residuals(), (mu,)))
+        report.add(check("su11-casimir", (mu,), lambda _: liealg.casimir_of(triple) - expected, "value -3/16"))
     return report
 
 
@@ -121,12 +97,9 @@ def _racah_suite(config: argparse.Namespace) -> RelationReport:
     basis = racah.CommutantBasis(ctx)
     report = racah.check_commutant_property(ctx, jobs=config.jobs, basis=basis)
     report.merge(racah.verify_racah_relations(ctx, jobs=config.jobs, basis=basis))
-    for size in range(2, ctx.n + 1):
-        for subset in itertools.combinations(range(1, ctx.n + 1), size):
-            t0 = time.perf_counter()
-            ok = racah.verify_dependency(ctx, subset, basis=basis)
-            ms = (time.perf_counter() - t0) * 1000
-            report.add(_verdict_entry("dependency", subset, ok, ms))
+    factors = range(1, ctx.n + 1)
+    subsets = [s for size in range(2, ctx.n + 1) for s in itertools.combinations(factors, size)]
+    report.merge(run_checks("dependency", subsets, lambda t: racah.dependency_residual(ctx, t, basis), config.jobs))
     return report
 
 
@@ -134,30 +107,18 @@ def _reduction_suite(config: argparse.Namespace) -> RelationReport:
     ctx = reduction.ReducedContext(config.n)
     report = RelationReport()
     for i in range(1, ctx.n + 1):
-        t0 = time.perf_counter()
-        triple = reduction.make_reduced_J(ctx, i)
-        for ridx, (note, residual) in enumerate(triple.relation_residuals(), start=1):
-            report.add(_entry("reduced-su11", (i, ridx), residual, 0.0, note))
-        cas = reduction.reduced_casimir_single(ctx, i)
+        report.merge(_numbered("reduced-su11", reduction.make_reduced_J(ctx, i).relation_residuals(), (i,)))
         expected = Operator.constant(ctx.signature, (ctx.param(i) + Fraction(3, 4)) * Fraction(-1, 4))
-        ms = (time.perf_counter() - t0) * 1000
-        report.add(_entry("reduced-casimir-single", (i,), cas - expected, ms))
+        report.add(
+            check("reduced-casimir-single", (i,), lambda t: reduction.reduced_casimir_single(ctx, *t) - expected)
+        )
     for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
-        t0 = time.perf_counter()
         c = reduction.reduced_casimir_pair(ctx, i, j, verify=False)
         shift = Operator.constant(ctx.signature, ctx.param(i) + ctx.param(j) + 1)
         closed = (reduction.pair_invariant(ctx, i, j) + shift) * Fraction(-1, 4)
-        ms = (time.perf_counter() - t0) * 1000
-        report.add(_entry("reduced-casimir-pair", (i, j), c - closed, ms))
-        t0 = time.perf_counter()
-        q = reduction.make_Q(ctx, i, j)
-        affine = q + 4 * c + shift
-        ms = (time.perf_counter() - t0) * 1000
-        report.add(_entry("q-affine", (i, j), affine, ms))
-    t0 = time.perf_counter()
-    ok = reduction.total_casimir_identity(ctx)
-    ms = (time.perf_counter() - t0) * 1000
-    report.add(_verdict_entry("total-casimir", (ctx.n,), ok, ms))
+        report.add(check("reduced-casimir-pair", (i, j), lambda _: c - closed))
+        report.add(check("q-affine", (i, j), lambda t: reduction.make_Q(ctx, *t) + 4 * c + shift))
+    report.add(check("total-casimir", (ctx.n,), lambda _: reduction.total_casimir_residual(ctx)))
     report.merge(reduction.check_q_symmetry(ctx, jobs=config.jobs))
     report.merge(reduction.verify_reduced_racah(ctx, jobs=config.jobs))
     return report
@@ -191,9 +152,9 @@ def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
         ("relation-b", commutator(basis.p(2, 3), basis.f(1, 2, 3)),
          basis.p(1, 3) * basis.p(2, 3) - basis.p(2, 3) * basis.p(1, 2)
          + 2 * (basis.p(1, 3) * basis.c(2)) - 2 * (basis.p(1, 2) * basis.c(3))),
-        ("coupled-casimir-closed-form", howe.casimir_CA(ctx, union12, verify=False),
+        ("coupled-casimir-closed-form", howe.casimir_CA(ctx, union12),
          howe.casimir_closed_form(ctx, union12)),
-        ("correspondence-pair", howe.casimir_CA(ctx, union12, verify=False),
+        ("correspondence-pair", howe.casimir_CA(ctx, union12),
          basis.K[(1, 2)] * Fraction(-1, 4)),
         ("dependency", racah.direct_subset_casimir(ctx, (1, 2, 3)),
          basis.C2[(1, 2)] + basis.C2[(1, 3)] + basis.C2[(2, 3)]
@@ -208,25 +169,27 @@ def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
 
 
 def _oracle_suite(config: argparse.Namespace) -> RelationReport:
-    report = RelationReport()
-    for idx, (name, lhs, rhs) in enumerate(identity_catalog(min(config.n, 3)), start=1):
-        t0 = time.perf_counter()
-        ok = oracle.oracle_equiv(lhs, rhs, trials=config.trials, seed=config.seed + idx)
-        ms = (time.perf_counter() - t0) * 1000
-        report.add(_verdict_entry("oracle", (idx,), ok, ms, name))
+    """Numeric verdicts: no symbolic residual, so a failure reports -1 terms."""
+    trials, seed = config.trials, config.seed
+    verdicts = [
+        ("oracle", idx, name, partial(oracle.oracle_equiv, lhs, rhs, trials=trials, seed=seed + idx))
+        for idx, (name, lhs, rhs) in enumerate(identity_catalog(min(config.n, 3)), start=1)
+    ]
     ctx = liealg.SO2nContext(3)
-    k12 = racah.make_K(ctx, 1, 2)
-    k23 = racah.make_K(ctx, 2, 3)
-    t0 = time.perf_counter()
-    ok = oracle.oracle_apply_check(k12, k23, trials=10 * config.trials, seed=config.seed)
-    ms = (time.perf_counter() - t0) * 1000
-    report.add(_verdict_entry("oracle-composition", (1,), ok, ms, f"{10 * config.trials} trials"))
-    rctx = reduction.ReducedContext(2)
-    r1 = reduction.make_reduced_J(rctx, 1)
-    t0 = time.perf_counter()
-    ok = oracle.oracle_apply_check(r1.Jm, r1.Jp, trials=10 * config.trials, seed=config.seed + 1)
-    ms = (time.perf_counter() - t0) * 1000
-    report.add(_verdict_entry("oracle-composition", (2,), ok, ms, "localized with parameters"))
+    k12, k23 = racah.make_K(ctx, 1, 2), racah.make_K(ctx, 2, 3)
+    r1 = reduction.make_reduced_J(reduction.ReducedContext(2), 1)
+    verdicts += [
+        ("oracle-composition", 1, f"{10 * trials} trials",
+         partial(oracle.oracle_apply_check, k12, k23, trials=10 * trials, seed=seed)),
+        ("oracle-composition", 2, "localized with parameters",
+         partial(oracle.oracle_apply_check, r1.Jm, r1.Jp, trials=10 * trials, seed=seed + 1)),
+    ]
+    report = RelationReport()
+    for relation, idx, note, verdict in verdicts:
+        t0 = time.perf_counter()
+        ok = verdict()
+        ms = (time.perf_counter() - t0) * 1000
+        report.add(ReportEntry(relation, (idx,), ok, 0 if ok else -1, ms, note))
     return report
 
 

@@ -22,15 +22,13 @@ Casimirs, and the correspondence with the commutant generators.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from ._parallel import run_tasks
 from .liealg import SO2nContext, SU11Triple, casimir_of, make_L, make_metaplectic, sum_triples
 from .racah import make_G, make_K
-from .report import RelationReport, ReportEntry
+from .report import RelationReport, run_checks
 from .weyl import Operator, commutator
 
 
@@ -89,75 +87,49 @@ def casimir_closed_form(ctx: SO2nContext, union: PairUnion) -> Operator:
     return total
 
 
-def casimir_CA(ctx: SO2nContext, union: PairUnion, verify: bool = True) -> Operator:
-    """Casimir of the coupled triple; optionally checked against the closed form."""
-    c = casimir_of(make_JA(ctx, union))
-    if verify and not (c - casimir_closed_form(ctx, union)).is_zero():
-        raise ValueError(f"closed form mismatch for pair union {union.pairs}")
-    return c
+def casimir_CA(ctx: SO2nContext, union: PairUnion) -> Operator:
+    """Casimir of the coupled triple (check_casimir_forms checks its closed form)."""
+    return casimir_of(make_JA(ctx, union))
 
 
-def verify_decomposition(ctx: SO2nContext, union: PairUnion) -> bool:
+def decomposition_residual(ctx: SO2nContext, union: PairUnion) -> Operator:
     """Any coupled Casimir decomposes through one- and two-pair ones:
 
         C^A = sum_{pairs a<b in A} C^{(a)(b)} - ((|A|-4)/2) sum_{a in A} C^{(a)}
 
-    checked exactly; needs at least two pairs.
+    returns left side minus right side; needs at least two pairs.
     """
-    _check_union(ctx, union)
     if len(union.pairs) < 2:
         raise ValueError("decomposition needs at least two pairs")
-    lhs = casimir_CA(ctx, union, verify=False)
+    lhs = casimir_CA(ctx, union)
     rhs = Operator.zero(ctx.signature)
     for a, b in itertools.combinations(union.pairs, 2):
-        rhs = rhs + casimir_CA(ctx, PairUnion((a, b)), verify=False)
+        rhs = rhs + casimir_CA(ctx, PairUnion((a, b)))
     weight = Fraction(union.size - 4, 2)
     if weight:
         for a in union.pairs:
-            rhs = rhs - casimir_CA(ctx, PairUnion((a,)), verify=False) * weight
-    return (lhs - rhs).is_zero()
+            rhs = rhs - casimir_CA(ctx, PairUnion((a,))) * weight
+    return lhs - rhs
 
 
 def check_casimir_forms(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     """Closed form against the directly computed Casimir, every pair union."""
-    unions = all_pair_unions(ctx)
-
-    def check(union: PairUnion) -> ReportEntry:
-        t0 = time.perf_counter()
-        residual = casimir_CA(ctx, union, verify=False) - casimir_closed_form(ctx, union)
-        ms = (time.perf_counter() - t0) * 1000
-        return ReportEntry(
-            relation="casimir-closed-form",
-            indices=union.pairs,
-            passed=residual.is_zero(),
-            residual_terms=residual.term_count(),
-            ms=ms,
-        )
-
-    report = RelationReport()
-    report.extend(run_tasks(check, unions, jobs))
-    return report
+    return run_checks(
+        "casimir-closed-form",
+        [u.pairs for u in all_pair_unions(ctx)],
+        lambda t: casimir_CA(ctx, PairUnion(t)) - casimir_closed_form(ctx, PairUnion(t)),
+        jobs,
+    )
 
 
 def check_decompositions(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     """Decomposition identity for every union of two or more pairs."""
-    unions = all_pair_unions(ctx, min_pairs=2)
-
-    def check(union: PairUnion) -> ReportEntry:
-        t0 = time.perf_counter()
-        ok = verify_decomposition(ctx, union)
-        ms = (time.perf_counter() - t0) * 1000
-        return ReportEntry(
-            relation="casimir-decomposition",
-            indices=union.pairs,
-            passed=ok,
-            residual_terms=0 if ok else -1,
-            ms=ms,
-        )
-
-    report = RelationReport()
-    report.extend(run_tasks(check, unions, jobs))
-    return report
+    return run_checks(
+        "casimir-decomposition",
+        [u.pairs for u in all_pair_unions(ctx, min_pairs=2)],
+        lambda t: decomposition_residual(ctx, PairUnion(t)),
+        jobs,
+    )
 
 
 def verify_commutant_correspondence(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
@@ -168,49 +140,29 @@ def verify_commutant_correspondence(ctx: SO2nContext, jobs: int = 1) -> Relation
     """
     one = Operator.constant(ctx.signature, 1)
     quarter = Fraction(1, 4)
-    tasks: list[tuple[tuple[int, ...], Operator]] = []
-    for i in range(1, ctx.n + 1):
-        target = (make_G(ctx, i) + one) * quarter
-        tasks.append(((i,), casimir_CA(ctx, PairUnion((i,)), verify=False) + target))
-    for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
-        target = make_K(ctx, i, j) * quarter
-        tasks.append(((i, j), casimir_CA(ctx, PairUnion((i, j)), verify=False) + target))
-
-    def check(task: tuple[tuple[int, ...], Operator]) -> ReportEntry:
-        indices, residual = task
-        t0 = time.perf_counter()
-        passed = residual.is_zero()
-        ms = (time.perf_counter() - t0) * 1000
-        return ReportEntry(
-            relation="correspondence-single" if len(indices) == 1 else "correspondence-pair",
-            indices=indices,
-            passed=passed,
-            residual_terms=residual.term_count(),
-            ms=ms,
+    report = run_checks(
+        "correspondence-single",
+        [(i,) for i in range(1, ctx.n + 1)],
+        lambda t: casimir_CA(ctx, PairUnion(t)) + (make_G(ctx, *t) + one) * quarter,
+        jobs,
+    )
+    report.merge(
+        run_checks(
+            "correspondence-pair",
+            list(itertools.combinations(range(1, ctx.n + 1), 2)),
+            lambda t: casimir_CA(ctx, PairUnion(t)) + make_K(ctx, *t) * quarter,
+            jobs,
         )
-
-    report = RelationReport()
-    report.extend(run_tasks(check, tasks, jobs))
+    )
     return report
 
 
 def check_intermediate_centrality(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     """[C^A, C^{[n]}] = 0 for every pair union A."""
-    total = casimir_CA(ctx, PairUnion(range(1, ctx.n + 1)), verify=False)
-    unions = all_pair_unions(ctx)
-
-    def check(union: PairUnion) -> ReportEntry:
-        t0 = time.perf_counter()
-        residual = commutator(casimir_CA(ctx, union, verify=False), total)
-        ms = (time.perf_counter() - t0) * 1000
-        return ReportEntry(
-            relation="intermediate-central",
-            indices=union.pairs,
-            passed=residual.is_zero(),
-            residual_terms=residual.term_count(),
-            ms=ms,
-        )
-
-    report = RelationReport()
-    report.extend(run_tasks(check, unions, jobs))
-    return report
+    total = casimir_CA(ctx, PairUnion(range(1, ctx.n + 1)))
+    return run_checks(
+        "intermediate-central",
+        [u.pairs for u in all_pair_unions(ctx)],
+        lambda t: commutator(casimir_CA(ctx, PairUnion(t)), total),
+        jobs,
+    )

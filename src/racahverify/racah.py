@@ -43,13 +43,11 @@ order-sensitive.
 from __future__ import annotations
 
 import itertools
-import time
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from ._parallel import run_tasks
 from .liealg import SO2nContext, casimir_of, make_L, make_metaplectic, sum_triples
-from .report import RelationReport, ReportEntry
+from .report import RelationReport, ReportEntry, run_checks
 from .weyl import Operator, commutator
 
 RELATION_ARITY = {"a": 3, "b": 3, "c": 4, "d": 4, "e": 5}
@@ -201,32 +199,10 @@ def sweep_relations(
     report = RelationReport()
     for rel in relations:
         tuples = list(itertools.permutations(range(1, n + 1), RELATION_ARITY[rel]))
-        if not tuples:
-            report.add(
-                ReportEntry(
-                    relation=rel,
-                    indices=(),
-                    passed=True,
-                    residual_terms=0,
-                    ms=0.0,
-                    note="skipped: no admissible index tuples at this rank",
-                )
-            )
-            continue
-
-        def check(t: tuple[int, ...], rel: str = rel) -> ReportEntry:
-            t0 = time.perf_counter()
-            residual = relation_residual(rel, t, p, f, c)
-            ms = (time.perf_counter() - t0) * 1000
-            return ReportEntry(
-                relation=rel,
-                indices=t,
-                passed=residual.is_zero(),
-                residual_terms=residual.term_count(),
-                ms=ms,
-            )
-
-        report.extend(run_tasks(check, tuples, jobs))
+        if tuples:
+            report.merge(run_checks(rel, tuples, lambda t, rel=rel: relation_residual(rel, t, p, f, c), jobs))
+        else:
+            report.add(ReportEntry(rel, (), True, 0, 0.0, "skipped: no admissible index tuples at this rank"))
     return report
 
 
@@ -254,31 +230,13 @@ def check_commutant_property(
     if basis is None:
         basis = CommutantBasis(ctx)
     rotations = {s: make_L(ctx, *_pair_vars(s)) for s in range(1, ctx.n + 1)}
-    tasks: list[tuple[tuple[int, ...], Operator]] = []
-    for i, g in basis.G.items():
-        for s in rotations:
-            tasks.append(((i, s), g))
-    for (i, j), k in basis.K.items():
-        for s in rotations:
-            tasks.append(((i, j, s), k))
-
-    def check(task: tuple[tuple[int, ...], Operator]) -> ReportEntry:
-        indices, op = task
-        s = indices[-1]
-        t0 = time.perf_counter()
-        residual = commutator(op, rotations[s])
-        ms = (time.perf_counter() - t0) * 1000
-        return ReportEntry(
-            relation="commutant",
-            indices=indices,
-            passed=residual.is_zero(),
-            residual_terms=residual.term_count(),
-            ms=ms,
-        )
-
-    report = RelationReport()
-    report.extend(run_tasks(check, tasks, jobs))
-    return report
+    invariants = {(i,): g for i, g in basis.G.items()} | basis.K
+    return run_checks(
+        "commutant",
+        [ij + (s,) for ij in invariants for s in rotations],
+        lambda t: commutator(invariants[t[:-1]], rotations[t[-1]]),
+        jobs,
+    )
 
 
 def direct_subset_casimir(ctx: SO2nContext, subset: Sequence[int]) -> Operator:
@@ -300,17 +258,17 @@ def direct_subset_casimir(ctx: SO2nContext, subset: Sequence[int]) -> Operator:
     return casimir_of(sum_triples(triples))
 
 
-def verify_dependency(
+def dependency_residual(
     ctx: SO2nContext,
     subset: Sequence[int],
     basis: CommutantBasis | None = None,
-) -> bool:
+) -> Operator:
     """The subset Casimir is a linear combination of one- and two-factor ones:
 
         C^A = sum_{{i,j} in A} C2^{ij} - (|A| - 2) * sum_{i in A} C1^i
 
-    checked exactly, with the left side computed independently through
-    the coproduct triple (not through C1/C2).
+    returns left side minus right side, with the left side computed
+    independently through the coproduct triple (not through C1/C2).
     """
     factors = sorted(set(subset))
     if len(factors) < 2:
@@ -327,4 +285,9 @@ def verify_dependency(
     if weight:
         for i in factors:
             rhs = rhs - weight * basis.C1[i]
-    return (lhs - rhs).is_zero()
+    return lhs - rhs
+
+
+def verify_dependency(ctx: SO2nContext, subset: Sequence[int], basis: CommutantBasis | None = None) -> bool:
+    """Whether the dependency identity holds (its residual is zero)."""
+    return dependency_residual(ctx, subset, basis).is_zero()

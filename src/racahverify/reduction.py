@@ -38,15 +38,13 @@ choice.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._parallel import run_tasks
 from .coeff import ParamPoly
 from .liealg import SU11Triple, casimir_of, sum_triples
 from .racah import sweep_relations
-from .report import RelationReport, ReportEntry
+from .report import RelationReport, run_checks
 from .weyl import AlgebraSignature, Operator, commutator
 
 
@@ -149,8 +147,8 @@ def total_casimir(ctx: ReducedContext) -> Operator:
     return casimir_of(reduced_coproduct(ctx))
 
 
-def total_casimir_identity(ctx: ReducedContext) -> bool:
-    """The total Casimir matches its closed form exactly:
+def total_casimir_residual(ctx: ReducedContext) -> Operator:
+    """The total Casimir minus its closed form
 
         C^{[n]} = -(1/4) sum_{i<j} R_{ij}^2
                   - (1/4)(sum x_i^2)(sum a_j / x_j^2) + n(n-4)/16.
@@ -167,7 +165,12 @@ def total_casimir_identity(ctx: ReducedContext) -> bool:
         radius = radius + Operator.x(sig, i, 2)
         potential = potential + Operator.x(sig, i, -2) * ctx.param(i)
     rhs = rhs - (radius * potential) * Fraction(1, 4)
-    return (lhs - rhs).is_zero()
+    return lhs - rhs
+
+
+def total_casimir_identity(ctx: ReducedContext) -> bool:
+    """Whether the total Casimir matches its closed form exactly."""
+    return total_casimir_residual(ctx).is_zero()
 
 
 def make_Q(ctx: ReducedContext, i: int, j: int) -> Operator:
@@ -190,24 +193,12 @@ def make_Q(ctx: ReducedContext, i: int, j: int) -> Operator:
 def check_q_symmetry(ctx: ReducedContext, jobs: int = 1) -> RelationReport:
     """[Q_{ij}, C^{[n]}] = 0 for every i < j, as exact operators."""
     total = total_casimir(ctx)
-    pairs = list(itertools.combinations(range(1, ctx.n + 1), 2))
-
-    def check(pair: tuple[int, int]) -> ReportEntry:
-        i, j = pair
-        t0 = time.perf_counter()
-        residual = commutator(make_Q(ctx, i, j), total)
-        ms = (time.perf_counter() - t0) * 1000
-        return ReportEntry(
-            relation="q-symmetry",
-            indices=pair,
-            passed=residual.is_zero(),
-            residual_terms=residual.term_count(),
-            ms=ms,
-        )
-
-    report = RelationReport()
-    report.extend(run_tasks(check, pairs, jobs))
-    return report
+    return run_checks(
+        "q-symmetry",
+        list(itertools.combinations(range(1, ctx.n + 1), 2)),
+        lambda t: commutator(make_Q(ctx, *t), total),
+        jobs,
+    )
 
 
 class ReducedBasis:

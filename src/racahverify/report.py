@@ -1,17 +1,23 @@
-"""Structured results for identity sweeps.
+"""Structured results for identity sweeps, and the one way to check.
 
-Every verification pass produces one ReportEntry per checked instance:
-which relation, which index tuple, whether the residual vanished, how
-many terms survived, and how long the check took.  Reports merge and
-sort deterministically so parallel runs print identically to serial
-ones.
+A symbolic check is (relation, index tuple) -> residual operator, left
+side minus right side.  ``check`` times the residual function and
+records whether the residual vanished and how many terms survived;
+``run_checks`` does that for every tuple of a sweep, in input order, so
+parallel runs print identically to serial ones.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
+
+from ._parallel import run_tasks
+from .weyl import Operator
+
+ResidualFn = Callable[[tuple[int, ...]], Operator]
 
 
 @dataclass(frozen=True)
@@ -52,16 +58,8 @@ class RelationReport:
     def add(self, entry: ReportEntry) -> None:
         self.entries.append(entry)
 
-    def extend(self, entries: Iterable[ReportEntry]) -> None:
-        self.entries.extend(entries)
-
     def merge(self, other: RelationReport) -> None:
         self.entries.extend(other.entries)
-
-    def sorted(self) -> RelationReport:
-        return RelationReport(
-            sorted(self.entries, key=lambda e: (e.relation, e.indices))
-        )
 
     def all_passed(self) -> bool:
         return all(e.passed for e in self.entries)
@@ -83,3 +81,25 @@ class RelationReport:
     def text_lines(self) -> Iterator[str]:
         for e in self.entries:
             yield e.to_text()
+
+
+def check(relation: str, indices: tuple[int, ...], residual_fn: ResidualFn, note: str = "") -> ReportEntry:
+    """Time residual_fn(indices) and report the residual it returns.
+
+    An exception from residual_fn is re-raised as a RuntimeError naming
+    the relation and the index tuple, also from a forked worker.
+    """
+    t0 = time.perf_counter()
+    try:
+        residual = residual_fn(indices)
+    except Exception as exc:
+        raise RuntimeError(f"check {relation} {indices} raised {exc!r}") from exc
+    ms = (time.perf_counter() - t0) * 1000
+    return ReportEntry(relation, indices, residual.is_zero(), residual.term_count(), ms, note)
+
+
+def run_checks(
+    relation: str, tuples: Iterable[tuple[int, ...]], residual_of: ResidualFn, jobs: int = 1, note: str = ""
+) -> RelationReport:
+    """check() every index tuple in order; jobs > 1 forks workers."""
+    return RelationReport(run_tasks(lambda t: check(relation, t, residual_of, note), tuples, jobs))

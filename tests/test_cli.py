@@ -1,12 +1,16 @@
 """Command-line runner: argument handling, output formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import racahverify.cli as cli
 from racahverify.cli import SUITE_ORDER, _resolve_suites, build_parser, identity_catalog, main
 from racahverify.report import RelationReport, ReportEntry
+from racahverify.weyl import Operator
+
+GOLDEN_N3 = Path(__file__).parent / "data" / "cli_n3.jsonl"
 
 
 def run_main(args, capsys):
@@ -113,6 +117,26 @@ def test_identity_catalog_entries_are_true_identities():
     assert len(set(names)) == len(names)
     for name, lhs, rhs in catalog:
         assert (lhs - rhs).is_zero(), name
+
+
+def test_all_suites_match_golden_lines(capsys):
+    code, lines = run_main(["--n", "3", "--json", "--trials", "3"], capsys)
+    assert code == 0
+    golden = [json.loads(ln) for ln in GOLDEN_N3.read_text().splitlines()]
+    assert _strip_times(json.loads(ln) for ln in lines) == golden
+
+
+def test_dependency_failure_reports_residual_terms(monkeypatch, capsys):
+    def two_terms(ctx, subset, basis=None):
+        return Operator.x(ctx.signature, 1) + Operator.constant(ctx.signature, 1)
+
+    monkeypatch.setattr(cli.racah, "dependency_residual", two_terms)
+    code, lines = run_main(["--suite", "racah", "--json"], capsys)
+    assert code == 1
+    rows = [json.loads(ln) for ln in lines[:-1]]
+    dependency = [row for row in rows if row["relation"] == "dependency"]
+    assert len(dependency) == 4
+    assert all(not row["passed"] and row["residual_terms"] == 2 for row in dependency)
 
 
 def test_failures_set_exit_code(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from racahverify.racah import (
     RELATION_ARITY,
     CommutantBasis,
     check_commutant_property,
+    dependency_residual,
     direct_subset_casimir,
     make_G,
     make_K,
@@ -138,6 +139,18 @@ def test_dependency_identity():
         verify_dependency(CTX3, (1,), basis=BASIS3)
     with pytest.raises(ValueError):
         verify_dependency(CTX3, (1, 4), basis=BASIS3)
+
+
+def test_dependency_residual_counts_wrong_shift():
+    # C1 = -G/4 + 1/4 sits 1/2 above -(G + 1)/4; the weight-one C1 sum
+    # of a three-factor subset then leaves exactly the constant 3/2
+    basis = CommutantBasis(CTX3)
+    quarter = Operator.constant(CTX3.signature, Fraction(1, 4))
+    basis.C1 = {i: g * Fraction(-1, 4) + quarter for i, g in basis.G.items()}
+    residual = dependency_residual(CTX3, (1, 2, 3), basis)
+    assert residual == Operator.constant(CTX3.signature, Fraction(3, 2))
+    assert residual.term_count() == 1
+    assert dependency_residual(CTX3, (1, 2, 3), BASIS3).is_zero()
 
 
 def test_dependency_expands_to_pair_sums():
