@@ -138,7 +138,20 @@ class ParamPoly:
         return p
 
     def __sub__(self, other: ScalarLike) -> ParamPoly:
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e)
+            if s is None:
+                out[e] = -c
+            elif s == c:
+                del out[e]
+            else:
+                out[e] = s - c
+        p = ParamPoly.__new__(ParamPoly)
+        p.nparams = self.nparams
+        p.terms = out
+        return p
 
     def __rsub__(self, other: ScalarLike) -> ParamPoly:
         return (-self) + other

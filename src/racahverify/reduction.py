@@ -176,18 +176,15 @@ def total_casimir_identity(ctx: ReducedContext) -> bool:
 def make_Q(ctx: ReducedContext, i: int, j: int) -> Operator:
     """The conserved quantity Q_{ij}; affinely tied to the pair Casimir:
 
-        Q_{ij} = -4 C^{ij} - (a_i + a_j + 1),   checked exactly.
+        Q_{ij} = -4 C^{ij} - (a_i + a_j + 1),
+
+    which the reduction suite reports as its ``q-affine`` entries.
     """
     if i == j:
         raise ValueError("conserved quantity needs two distinct factors")
     _check_factor(ctx, i)
     _check_factor(ctx, j)
-    q = pair_invariant(ctx, i, j)
-    c = reduced_casimir_pair(ctx, i, j, verify=False)
-    shift = Operator.constant(ctx.signature, ctx.param(i) + ctx.param(j) + 1)
-    if not (q + 4 * c + shift).is_zero():
-        raise RuntimeError(f"conserved quantity is not affine in the pair Casimir for ({i}, {j})")
-    return q
+    return pair_invariant(ctx, i, j)
 
 
 def check_q_symmetry(ctx: ReducedContext, jobs: int = 1) -> RelationReport:
@@ -215,7 +212,7 @@ class ReducedBasis:
         n = ctx.n
         self.C1 = {i: reduced_casimir_single(ctx, i) for i in range(1, n + 1)}
         self.C2 = {
-            (i, j): reduced_casimir_pair(ctx, i, j)
+            (i, j): reduced_casimir_pair(ctx, i, j, verify=False)
             for i in range(1, n + 1)
             for j in range(i + 1, n + 1)
         }

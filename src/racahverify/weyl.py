@@ -19,6 +19,14 @@ variables commute.  Because the representation is canonical (no zero
 terms, exponent-vector keys), operator equality is decidable by
 subtraction.
 
+The product kernel runs on integers: each factor's coefficients are
+rewritten as integer numerators over the lcm of their denominators (a
+common-denominator form, as FLINT's fmpq_poly keeps it), the pair sweep
+multiplies and accumulates plain ints, and each surviving coefficient is
+turned back into a normalized Fraction by one division by the product of
+the two denominators.  The result is the same term map, in the same
+order, as Fraction arithmetic throughout would give.
+
 Application of an operator to a (Laurent) polynomial test function is
 implemented by direct differentiation, deliberately independent of the
 multiplication kernel, so the two can cross-check each other.
@@ -30,7 +38,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .coeff import ParamPoly
@@ -107,6 +116,23 @@ def _reorder_options(b: int, k: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _int_terms(terms: Mapping[tuple, ParamPoly]) -> tuple[int, list[tuple[tuple, list[tuple[tuple, int]]]]]:
+    """A term map as integer numerators over the lcm of its denominators.
+
+    Returns (den, [(mono, [(pexp, num), ...]), ...]) in the map's order,
+    with every coefficient equal to num / den.
+    """
+    den = 1
+    for c in terms.values():
+        for q in c.terms.values():
+            if den % q.denominator:
+                den = lcm(den, q.denominator)
+    return den, [
+        (mono, [(pe, q.numerator * (den // q.denominator)) for pe, q in c.terms.items()])
+        for mono, c in terms.items()
+    ]
+
+
 def _mul_terms(
     m: int,
     aterms: Mapping[tuple, ParamPoly],
@@ -114,41 +140,54 @@ def _mul_terms(
 ) -> dict[tuple, dict[tuple, Fraction]]:
     """Multiply two canonical term maps; returns mono -> {pexp: coeff}.
 
-    Accumulates into a flat dict keyed by (monomial, parameter exponent)
-    so the massive cancellations in commutators happen during the sweep,
-    not in a post-pass.
+    Each operand is first brought to integer numerators over its own lcm
+    denominator, so the pair sweep multiplies and adds plain ints; every
+    surviving (monomial, parameter exponent) entry is divided once by
+    den_a * den_b at the end.  Accumulating into one flat dict keyed by
+    (monomial, parameter exponent) lets the massive cancellations in
+    commutators happen during the sweep, not in a post-pass.
     """
-    acc: dict[tuple, Fraction] = {}
+    den_a, aitems = _int_terms(aterms)
+    den_b, bitems = _int_terms(bterms)
+    acc: dict[tuple, int] = {}
     acc_get = acc.get
-    bitems = list(bterms.items())
-    for ma, ca in aterms.items():
+    for ma, ca in aitems:
         da_nonzero = [i for i in range(m) if ma[m + i]]
-        ca_items = list(ca.terms.items())
+        single_a = len(ca) == 1
         for mb, cb in bitems:
             # cross products of the two coefficient polynomials
-            if len(ca_items) == 1 and len(cb.terms) == 1:
-                (pa, fa), = ca_items
-                (pb, fb), = cb.terms.items()
+            if single_a and len(cb) == 1:
+                (pa, fa), = ca
+                (pb, fb), = cb
                 if any(pa) or any(pb):
-                    pa = tuple(x + y for x, y in zip(pa, pb))
+                    pa = tuple(map(add, pa, pb))
                 cpairs = ((pa, fa * fb),)
             else:
-                cross: dict[tuple, Fraction] = {}
-                for pa, fa in ca_items:
-                    for pb, fb in cb.terms.items():
-                        pe = tuple(x + y for x, y in zip(pa, pb))
-                        v = cross.get(pe)
-                        cross[pe] = fa * fb if v is None else v + fa * fb
+                cross: dict[tuple, int] = {}
+                for pa, fa in ca:
+                    for pb, fb in cb:
+                        pe = tuple(map(add, pa, pb))
+                        cross[pe] = cross.get(pe, 0) + fa * fb
                 cpairs = tuple(cross.items())
 
-            base = [x + y for x, y in zip(ma, mb)]
             active = [i for i in da_nonzero if mb[i]]
             if not active:
-                mono = tuple(base)
+                mono = tuple(map(add, ma, mb))
                 for pe, q in cpairs:
                     key = (mono, pe)
-                    v = acc_get(key)
-                    acc[key] = q if v is None else v + q
+                    acc[key] = acc_get(key, 0) + q
+                continue
+            base = list(map(add, ma, mb))
+            if len(active) == 1:
+                i = active[0]
+                for s, f in _reorder_options(ma[m + i], mb[i]):
+                    mono_list = base[:]
+                    mono_list[i] -= s
+                    mono_list[m + i] -= s
+                    mono = tuple(mono_list)
+                    for pe, q in cpairs:
+                        key = (mono, pe)
+                        acc[key] = acc_get(key, 0) + q * f
                 continue
             option_lists = [_reorder_options(ma[m + i], mb[i]) for i in active]
             for combo in itertools.product(*option_lists):
@@ -162,12 +201,16 @@ def _mul_terms(
                 mono = tuple(mono_list)
                 for pe, q in cpairs:
                     key = (mono, pe)
-                    v = acc_get(key)
-                    acc[key] = q * factor if v is None else v + q * factor
+                    acc[key] = acc_get(key, 0) + q * factor
+    den = den_a * den_b
     grouped: dict[tuple, dict[tuple, Fraction]] = {}
+    values: dict[int, Fraction] = {}  # equal numerators share one normalized Fraction
     for (mono, pe), q in acc.items():
         if q:
-            grouped.setdefault(mono, {})[pe] = q
+            v = values.get(q)
+            if v is None:
+                v = values[q] = Fraction(q, den)
+            grouped.setdefault(mono, {})[pe] = v
     return grouped
 
 
@@ -292,7 +335,22 @@ class Operator:
         return op
 
     def __sub__(self, other: Operator) -> Operator:
-        return self + (-other)
+        if not isinstance(other, Operator):
+            return NotImplemented
+        self._check_sig(other)
+        out = dict(self.terms)
+        for mo, c in other.terms.items():
+            s = out.get(mo)
+            if s is None:
+                out[mo] = -c
+            elif s.terms == c.terms:  # canonical coefficients: equal iff s - c == 0
+                del out[mo]
+            else:
+                out[mo] = s - c
+        op = Operator.__new__(Operator)
+        op.sig = self.sig
+        op.terms = out
+        return op
 
     def __mul__(self, other: Union[Operator, CoeffLike]) -> Operator:
         if isinstance(other, Operator):

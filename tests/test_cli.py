@@ -150,3 +150,18 @@ def test_failures_set_exit_code(monkeypatch, capsys):
     assert code == 1
     assert any(ln.startswith("[ FAIL ]") for ln in lines)
     assert "failed=1" in lines[-1]
+
+
+def test_q_affine_failure_reports_residual_terms(monkeypatch, capsys):
+    original = cli.reduction.pair_invariant
+
+    def off_by_x1(ctx, i, j):
+        return original(ctx, i, j) + Operator.x(ctx.signature, 1)
+
+    monkeypatch.setattr(cli.reduction, "pair_invariant", off_by_x1)
+    code, lines = run_main(["--suite", "reduction", "--json"], capsys)
+    assert code == 1
+    rows = [json.loads(ln) for ln in lines[:-1]]
+    q_affine = [row for row in rows if row["relation"] == "q-affine"]
+    assert [row["tuple"] for row in q_affine] == [[1, 2], [1, 3], [2, 3]]
+    assert all(not row["passed"] and row["residual_terms"] == 1 for row in q_affine)

@@ -34,10 +34,18 @@ def _min_exp(sig, i, laurent):
     return -2 if laurent and (i + 1) in sig.localized else 0
 
 
-def operators(sig, laurent=False):
+def param_polys(nparams):
+    """Multi-term parameter polynomials with mixed denominators."""
+    pexp = st.tuples(*[st.integers(0, 2)] * nparams)
+    return st.lists(st.tuples(pexp, small_fractions), min_size=1, max_size=3).map(
+        lambda ts: ParamPoly.from_terms(nparams, ts)
+    )
+
+
+def operators(sig, laurent=False, coeffs=small_fractions):
     xexp = st.tuples(*[st.integers(_min_exp(sig, i, laurent), 3) for i in range(sig.num_vars)])
     dexp = st.tuples(*[st.integers(0, 3)] * sig.num_vars)
-    term = st.tuples(xexp, dexp, small_fractions)
+    term = st.tuples(xexp, dexp, coeffs)
     return st.lists(term, max_size=3).map(lambda ts: _mk_op(sig, ts))
 
 
@@ -54,8 +62,10 @@ def polynomials(sig, laurent=False):
 
 ops2 = operators(SIG2)
 opsL = operators(LOC2, laurent=True)
+opsP = operators(PSIG, laurent=True, coeffs=param_polys(PSIG.nparams))
 polys2 = polynomials(SIG2)
 polysL = polynomials(LOC2, laurent=True)
+polysP = polynomials(PSIG, laurent=True)
 
 
 def test_signature_validation():
@@ -195,20 +205,39 @@ def test_product_associative(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
+@given(opsP, opsP, opsP)
+def test_product_associative_with_parameters(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
 @given(ops2, ops2, ops2)
 def test_product_distributive(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
 
 
-@given(ops2, ops2, ops2)
-def test_jacobi_identity(a, b, c):
-    total = (
+@given(opsP, opsP, opsP)
+def test_product_distributive_with_parameters(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+
+
+def _jacobi_sum(a, b, c):
+    return (
         commutator(a, commutator(b, c))
         + commutator(b, commutator(c, a))
         + commutator(c, commutator(a, b))
     )
-    assert total.is_zero()
+
+
+@given(ops2, ops2, ops2)
+def test_jacobi_identity(a, b, c):
+    assert _jacobi_sum(a, b, c).is_zero()
+
+
+@given(opsP, opsP, opsP)
+def test_jacobi_identity_with_parameters(a, b, c):
+    assert _jacobi_sum(a, b, c).is_zero()
 
 
 @given(ops2, ops2)
@@ -241,6 +270,12 @@ def test_composition_matches_action(a, b, f):
 @settings(max_examples=60)
 @given(opsL, opsL, polysL)
 def test_composition_matches_action_localized(a, b, f):
+    assert (a * b).apply(f) == a.apply(b.apply(f))
+
+
+@settings(max_examples=60)
+@given(opsP, opsP, polysP)
+def test_composition_matches_action_with_parameters(a, b, f):
     assert (a * b).apply(f) == a.apply(b.apply(f))
 
 
