@@ -71,7 +71,7 @@ def all_pair_unions(ctx: SO2nContext, min_pairs: int = 1) -> list[PairUnion]:
 
 
 def make_JA(ctx: SO2nContext, union: PairUnion) -> SU11Triple:
-    """The coproduct triple over all variables of the union (relations checked)."""
+    """The coproduct triple over all variables of the union."""
     _check_union(ctx, union)
     return sum_triples([make_metaplectic(ctx, mu) for mu in union.variables()])
 

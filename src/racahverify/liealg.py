@@ -10,7 +10,10 @@ with bracket [L_{mu,nu}, L_{rho,sigma}] = delta_{nu,rho} L_{mu,sigma}
 sweeps the bracket relations, constructs the quadratic invariant
 sum_{mu<nu} L_{mu,nu}^2, and houses the su(1,1) triples (one
 single-variable copy per oscillator variable) whose coproducts drive
-everything downstream.
+everything downstream.  Triples and their Casimirs are built without
+being checked: the su11 and reduction suites report each triple's
+relations once, and centrality of the Casimir follows from those
+relations (see casimir_of).
 
 A pitfall worth stating once: the quadratic invariant is central only
 when the sum runs over ALL coordinate pairs, 1 <= mu < nu <= 2n.
@@ -138,18 +141,13 @@ class SU11Triple:
 
         [J0, Jp] = Jp,   [J0, Jm] = -Jm,   [Jp, Jm] = -2 J0.
 
-    The relations are verified at construction time, so holding an
-    SU11Triple is proof the realization closes.
+    Construction checks nothing; relation_residuals gives the three
+    left-minus-right operators, all zero exactly when the triple closes.
     """
 
     Jp: Operator
     Jm: Operator
     J0: Operator
-
-    def __post_init__(self):
-        for label, residual in self.relation_residuals():
-            if not residual.is_zero():
-                raise ValueError(f"triple violates {label}: residual {residual}")
 
     def relation_residuals(self) -> list[tuple[str, Operator]]:
         return [
@@ -160,7 +158,11 @@ class SU11Triple:
 
 
 def sum_triples(triples: list[SU11Triple]) -> SU11Triple:
-    """Coproduct sum of triples over pairwise disjoint variables; only the sum is verified."""
+    """Coproduct sum of triples over pairwise disjoint variables.
+
+    Triples in disjoint variables commute, so the sum of closing triples
+    closes; the sum itself is not checked here.
+    """
     if not triples:
         raise ValueError("need at least one triple")
     first, *rest = triples
@@ -188,9 +190,16 @@ def make_metaplectic(ctx: SO2nContext, mu: int) -> SU11Triple:
 
 
 def casimir_of(t: SU11Triple) -> Operator:
-    """J0^2 - J+ J- - J0; verified to commute with all three members."""
-    c = t.J0 * t.J0 - t.Jp * t.Jm - t.J0
-    for member in (t.Jp, t.Jm, t.J0):
-        if not commutator(c, member).is_zero():
-            raise RuntimeError("computed element is not central in its triple")
-    return c
+    """C = J0^2 - J+ J- - J0, central whenever the triple closes.
+
+    Only the triple's relations [J0,J+] = J+, [J0,J-] = -J- and
+    [J+,J-] = -2 J0 are needed:
+
+        [J0, C] = -[J0,J+] J- - J+ [J0,J-] = -J+ J- + J+ J- = 0,
+        [J+, C] = -(J+ J0 + J0 J+) + 2 J+ J0 + J+ = -[J0,J+] + J+ = 0,
+        [J-, C] = (J- J0 + J0 J-) - 2 J0 J- - J- = -[J0,J-] - J- = 0.
+
+    So centrality is not re-checked here; the relations are reported
+    once per triple, and the Casimir's value by the closed-form entries.
+    """
+    return t.J0 * t.J0 - t.Jp * t.Jm - t.J0

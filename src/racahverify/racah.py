@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .liealg import SO2nContext, casimir_of, make_L, make_metaplectic, sum_triples
 from .report import RelationReport, ReportEntry, run_checks
@@ -179,26 +179,20 @@ def sweep_relations(
     f: FAccessor,
     c: CAccessor,
     jobs: int = 1,
-    relations: Iterable[str] = ("a", "b", "c", "d", "e"),
 ) -> RelationReport:
-    """Check each relation over every tuple of pairwise distinct indices.
+    """Check all five relations over every tuple of pairwise distinct indices.
 
     Relations whose arity exceeds n get a single 'skipped' entry: they
     have no admissible tuples at that rank.  The F accessor is warmed
     over all ordered triples before dispatch so parallel workers share
     the memoized operators instead of recomputing them.
     """
-    relations = list(relations)
-    for rel in relations:
-        if rel not in RELATION_ARITY:
-            raise ValueError(f"unknown relation {rel!r}")
-    if n >= 3 and any(RELATION_ARITY[rel] <= n for rel in relations):
-        for t in itertools.permutations(range(1, n + 1), 3):
-            f(*t)
+    for t in itertools.permutations(range(1, n + 1), 3):
+        f(*t)
 
     report = RelationReport()
-    for rel in relations:
-        tuples = list(itertools.permutations(range(1, n + 1), RELATION_ARITY[rel]))
+    for rel, arity in RELATION_ARITY.items():
+        tuples = list(itertools.permutations(range(1, n + 1), arity))
         if tuples:
             report.merge(run_checks(rel, tuples, lambda t, rel=rel: relation_residual(rel, t, p, f, c), jobs))
         else:
@@ -207,15 +201,12 @@ def sweep_relations(
 
 
 def verify_racah_relations(
-    ctx: SO2nContext,
-    jobs: int = 1,
-    relations: Iterable[str] = ("a", "b", "c", "d", "e"),
-    basis: CommutantBasis | None = None,
+    ctx: SO2nContext, jobs: int = 1, basis: CommutantBasis | None = None
 ) -> RelationReport:
     """Full relation sweep in the commutant realization."""
     if basis is None:
         basis = CommutantBasis(ctx)
-    return sweep_relations(ctx.n, basis.p, basis.f, basis.c, jobs=jobs, relations=relations)
+    return sweep_relations(ctx.n, basis.p, basis.f, basis.c, jobs=jobs)
 
 
 def check_commutant_property(

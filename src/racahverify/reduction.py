@@ -115,12 +115,12 @@ def _ratio(ctx: ReducedContext, num: int, den: int) -> Operator:
 
 
 def reduced_casimir_single(ctx: ReducedContext, i: int) -> Operator:
-    """Casimir of the single-variable triple; equals -(a_i + 3/4)/4 exactly."""
-    c = casimir_of(make_reduced_J(ctx, i))
-    expected = (ctx.param(i) + Fraction(3, 4)) * Fraction(-1, 4)
-    if not (c - Operator.constant(ctx.signature, expected)).is_zero():
-        raise RuntimeError(f"single-factor Casimir is not the expected constant: {c}")
-    return c
+    """Casimir of the single-variable triple, the constant -(a_i + 3/4)/4.
+
+    The value is not checked here; the reduction suite reports it as the
+    ``reduced-casimir-single`` entries.
+    """
+    return casimir_of(make_reduced_J(ctx, i))
 
 
 def pair_invariant(ctx: ReducedContext, i: int, j: int) -> Operator:
@@ -129,16 +129,19 @@ def pair_invariant(ctx: ReducedContext, i: int, j: int) -> Operator:
     return r * r + _ratio(ctx, j, i) * ctx.param(i) + _ratio(ctx, i, j) * ctx.param(j)
 
 
+def pair_casimir_closed_form(ctx: ReducedContext, i: int, j: int) -> Operator:
+    """-(1/4)(R_{ij}^2 + a_i x_j^2/x_i^2 + a_j x_i^2/x_j^2 + a_i + a_j + 1)."""
+    constant = ctx.param(i) + ctx.param(j) + 1
+    return (pair_invariant(ctx, i, j) + Operator.constant(ctx.signature, constant)) * Fraction(-1, 4)
+
+
 def reduced_casimir_pair(ctx: ReducedContext, i: int, j: int, verify: bool = True) -> Operator:
-    """Casimir of the two-variable coproduct triple, with its closed form checked."""
+    """Casimir of the two-variable coproduct triple; verify=True also checks its closed form."""
     if i == j:
         raise ValueError("pair Casimir needs two distinct factors")
     c = casimir_of(reduced_coproduct(ctx, (i, j)))
-    if verify:
-        constant = ctx.param(i) + ctx.param(j) + 1
-        closed = (pair_invariant(ctx, i, j) + Operator.constant(ctx.signature, constant)) * Fraction(-1, 4)
-        if not (c - closed).is_zero():
-            raise RuntimeError(f"pair Casimir closed form fails for ({i}, {j})")
+    if verify and not (c - pair_casimir_closed_form(ctx, i, j)).is_zero():
+        raise RuntimeError(f"pair Casimir closed form fails for ({i}, {j})")
     return c
 
 
@@ -243,14 +246,11 @@ class ReducedBasis:
 
 
 def verify_reduced_racah(
-    ctx: ReducedContext,
-    jobs: int = 1,
-    relations: tuple[str, ...] = ("a", "b", "c", "d", "e"),
-    basis: ReducedBasis | None = None,
+    ctx: ReducedContext, jobs: int = 1, basis: ReducedBasis | None = None
 ) -> RelationReport:
     """The five quadratic relations in the radial realization, generic a_i."""
     if ctx.n < 3:
         raise ValueError("the relation sweep needs at least three factors")
     if basis is None:
         basis = ReducedBasis(ctx)
-    return sweep_relations(ctx.n, basis.p, basis.f, basis.c, jobs=jobs, relations=relations)
+    return sweep_relations(ctx.n, basis.p, basis.f, basis.c, jobs=jobs)

@@ -1,6 +1,7 @@
 """Command-line runner: argument handling, output formats, exit codes."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from racahverify.report import RelationReport, ReportEntry
 from racahverify.weyl import Operator
 
 GOLDEN_N3 = Path(__file__).parent / "data" / "cli_n3.jsonl"
+GOLDEN_N4_SYMBOLIC = Path(__file__).parent / "data" / "cli_n4_symbolic.jsonl"
 
 
 def run_main(args, capsys):
@@ -126,6 +128,13 @@ def test_all_suites_match_golden_lines(capsys):
     assert _strip_times(json.loads(ln) for ln in lines) == golden
 
 
+def test_symbolic_suites_match_golden_lines_at_rank_four(capsys):
+    code, lines = run_main(["--n", "4", "--suite", "o2n,su11,howe,racah,reduction", "--json"], capsys)
+    assert code == 0
+    golden = [json.loads(ln) for ln in GOLDEN_N4_SYMBOLIC.read_text().splitlines()]
+    assert _strip_times(json.loads(ln) for ln in lines) == golden
+
+
 def test_dependency_failure_reports_residual_terms(monkeypatch, capsys):
     def two_terms(ctx, subset, basis=None):
         return Operator.x(ctx.signature, 1) + Operator.constant(ctx.signature, 1)
@@ -165,3 +174,36 @@ def test_q_affine_failure_reports_residual_terms(monkeypatch, capsys):
     q_affine = [row for row in rows if row["relation"] == "q-affine"]
     assert [row["tuple"] for row in q_affine] == [[1, 2], [1, 3], [2, 3]]
     assert all(not row["passed"] and row["residual_terms"] == 1 for row in q_affine)
+
+
+def test_single_casimir_failure_reports_residual_terms(monkeypatch, capsys):
+    original = cli.reduction.casimir_of
+
+    def off_by_x1(triple):
+        return original(triple) + Operator.x(triple.Jp.sig, 1)
+
+    monkeypatch.setattr(cli.reduction, "casimir_of", off_by_x1)
+    code, lines = run_main(["--suite", "reduction", "--json"], capsys)
+    assert code == 1
+    rows = [json.loads(ln) for ln in lines[:-1]]
+    single = [row for row in rows if row["relation"] == "reduced-casimir-single"]
+    assert [row["tuple"] for row in single] == [[1], [2], [3]]
+    assert all(not row["passed"] and row["residual_terms"] == 1 for row in single)
+
+
+def test_bad_metaplectic_triple_reports_residual_terms(monkeypatch, capsys):
+    original = cli.liealg.make_metaplectic
+
+    def no_quarter(ctx, mu):
+        t = original(ctx, mu)
+        sig = ctx.signature
+        return cli.liealg.SU11Triple(t.Jp, t.Jm, Operator.x(sig, mu) * Operator.d(sig, mu) * Fraction(1, 2))
+
+    monkeypatch.setattr(cli.liealg, "make_metaplectic", no_quarter)
+    code, lines = run_main(["--suite", "su11", "--json"], capsys)
+    assert code == 1
+    rows = {(row["relation"], tuple(row["tuple"])): row for row in map(json.loads, lines[:-1])}
+    for mu in range(1, 7):
+        assert rows[("su11", (mu, 1))]["passed"] and rows[("su11", (mu, 2))]["passed"]
+        assert not rows[("su11", (mu, 3))]["passed"]
+        assert rows[("su11", (mu, 3))]["residual_terms"] == 1

@@ -16,9 +16,19 @@ from racahverify.liealg import (
     quadratic_casimir,
     sum_triples,
 )
+from racahverify import howe, reduction
 from racahverify.weyl import Operator, commutator
 
 CTX3 = SO2nContext(3)
+
+# Coproduct triples: over one union of two variable pairs, and over two
+# radial factors with free parameters.
+COPRODUCTS = {
+    "pair-union": lambda: howe.make_JA(CTX3, howe.PairUnion((1, 2))),
+    "radial-pair": lambda: reduction.reduced_coproduct(reduction.ReducedContext(3), (1, 2)),
+}
+TRIPLES = {"metaplectic": lambda: make_metaplectic(CTX3, 2), **COPRODUCTS}
+SUMS = {"all-variables": lambda: sum_triples([make_metaplectic(CTX3, mu) for mu in range(1, 7)]), **COPRODUCTS}
 
 
 def test_context_validation():
@@ -123,11 +133,14 @@ def test_metaplectic_copies_commute():
     assert commutator(t1.Jm, t2.J0).is_zero()
 
 
-def test_triple_constructor_rejects_bad_triple():
+def test_bad_triple_constructs_with_nonzero_residuals():
     sig = CTX3.signature
     x1 = Operator.x(sig, 1)
-    with pytest.raises(ValueError):
-        SU11Triple(x1, x1, x1)
+    t = SU11Triple(x1, x1, x1)
+    residuals = dict(t.relation_residuals())
+    assert residuals["[J0, J+] - J+"] == -x1
+    assert residuals["[J0, J-] + J-"] == x1
+    assert residuals["[J+, J-] + 2*J0"] == 2 * x1
 
 
 def test_metaplectic_casimir_value():
@@ -136,10 +149,12 @@ def test_metaplectic_casimir_value():
     assert c == Operator.constant(CTX3.signature, Fraction(-3, 16))
 
 
-def test_casimir_commutes_with_triple():
-    t = make_metaplectic(CTX3, 2)
+@pytest.mark.parametrize("kind", sorted(TRIPLES))
+def test_casimir_commutes_with_triple(kind):
+    t = TRIPLES[kind]()
     c = casimir_of(t)
-    assert commutator(c, t.J0).is_zero()
+    for member in (t.Jp, t.Jm, t.J0):
+        assert commutator(c, member).is_zero()
 
 
 def test_pair_casimir_closed_form():
@@ -151,9 +166,9 @@ def test_pair_casimir_closed_form():
     assert c == (l * l + one) * Fraction(-1, 4)
 
 
-def test_triple_sum_relations_hold():
-    t = sum_triples([make_metaplectic(CTX3, mu) for mu in range(1, 7)])
-    for _, residual in t.relation_residuals():
+@pytest.mark.parametrize("kind", sorted(SUMS))
+def test_triple_sum_relations_hold(kind):
+    for _, residual in SUMS[kind]().relation_residuals():
         assert residual.is_zero()
 
 

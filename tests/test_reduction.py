@@ -11,6 +11,7 @@ from racahverify.reduction import (
     check_q_symmetry,
     make_Q,
     make_reduced_J,
+    pair_casimir_closed_form,
     pair_invariant,
     reduced_casimir_pair,
     reduced_casimir_single,
@@ -90,7 +91,7 @@ def test_pair_casimir_closed_form_checked_on_build():
     c = reduced_casimir_pair(CTX2, 1, 2)
     shift = CTX2.param(1) + CTX2.param(2) + 1
     closed = (pair_invariant(CTX2, 1, 2) + Operator.constant(CTX2.signature, shift)) * Fraction(-1, 4)
-    assert c == closed
+    assert c == closed == pair_casimir_closed_form(CTX2, 1, 2)
     with pytest.raises(ValueError):
         reduced_casimir_pair(CTX2, 1, 1)
 
