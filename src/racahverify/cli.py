@@ -105,21 +105,19 @@ def _racah_suite(config: argparse.Namespace) -> RelationReport:
 
 def _reduction_suite(config: argparse.Namespace) -> RelationReport:
     ctx = reduction.ReducedContext(config.n)
+    basis = reduction.ReducedBasis(ctx)
     report = RelationReport()
     for i in range(1, ctx.n + 1):
         report.merge(_numbered("reduced-su11", reduction.make_reduced_J(ctx, i).relation_residuals(), (i,)))
         expected = Operator.constant(ctx.signature, (ctx.param(i) + Fraction(3, 4)) * Fraction(-1, 4))
-        report.add(
-            check("reduced-casimir-single", (i,), lambda t: reduction.reduced_casimir_single(ctx, *t) - expected)
-        )
+        report.add(check("reduced-casimir-single", (i,), lambda t: basis.c(*t) - expected))
     for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
-        c = reduction.reduced_casimir_pair(ctx, i, j, verify=False)
         shift = Operator.constant(ctx.signature, ctx.param(i) + ctx.param(j) + 1)
-        report.add(check("reduced-casimir-pair", (i, j), lambda t: c - reduction.pair_casimir_closed_form(ctx, *t)))
-        report.add(check("q-affine", (i, j), lambda t: reduction.make_Q(ctx, *t) + 4 * c + shift))
+        report.add(check("reduced-casimir-pair", (i, j), lambda t: basis.C2[t] - reduction.pair_casimir_closed_form(ctx, *t)))
+        report.add(check("q-affine", (i, j), lambda t: reduction.make_Q(ctx, *t) + 4 * basis.C2[t] + shift))
     report.add(check("total-casimir", (ctx.n,), lambda _: reduction.total_casimir_residual(ctx)))
     report.merge(reduction.check_q_symmetry(ctx, jobs=config.jobs))
-    report.merge(reduction.verify_reduced_racah(ctx, jobs=config.jobs))
+    report.merge(reduction.verify_reduced_racah(ctx, jobs=config.jobs, basis=basis))
     return report
 
 
@@ -247,6 +245,8 @@ def _resolve_suites(raw: Iterable[str] | None, parser: argparse.ArgumentParser) 
                 wanted.add(name)
             else:
                 parser.error(f"unknown suite {name!r} (choose from {', '.join(SUITE_ORDER)}, all)")
+    if not wanted:
+        parser.error(f"--suite names no suite (choose from {', '.join(SUITE_ORDER)}, all)")
     return [name for name in SUITE_ORDER if name in wanted]
 
 

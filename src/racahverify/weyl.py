@@ -5,10 +5,16 @@ An operator in m variables is a sparse sum of normal-ordered monomials
     x1^a1 .. xm^am  d1^b1 .. dm^bm        (all positions left of all
                                            derivatives, indices ascending)
 
-stored as a dict from the concatenated exponent tuple (a1..am, b1..bm) to a
-ParamPoly coefficient.  Derivative exponents are non-negative.  Position
-exponents may be negative for variables declared localized in the
-signature; that is what makes 1/x^2 potential terms first-class citizens.
+stored as a flat dict from (exponent tuple (a1..am, b1..bm), parameter
+exponent tuple) to a nonzero integer numerator, over one positive
+denominator per operator: every coefficient is num / den, in lowest terms
+(gcd(den, *nums) == 1, and den == 1 for zero).  This is the
+common-denominator form FLINT's fmpq_poly keeps.  Derivative exponents
+are non-negative.  Position exponents may be negative for variables
+declared localized in the signature; that is what makes 1/x^2 potential
+terms first-class citizens.  ParamPoly is the coefficient type at the
+edges: constructors take it, ``coefficients()`` returns it (for printing
+and callers), and ``scale`` multiplies with it.
 
 Multiplication renormal-orders with the per-variable rule
 
@@ -16,16 +22,15 @@ Multiplication renormal-orders with the per-variable rule
 
 whose falling factorial is valid for negative k as well; distinct
 variables commute.  Because the representation is canonical (no zero
-terms, exponent-vector keys), operator equality is decidable by
-subtraction.
+terms, exponent-vector keys, reduced denominator), operator equality is
+decidable by subtraction.
 
-The product kernel runs on integers: each factor's coefficients are
-rewritten as integer numerators over the lcm of their denominators (a
-common-denominator form, as FLINT's fmpq_poly keeps it), the pair sweep
-multiplies and accumulates plain ints, and each surviving coefficient is
-turned back into a normalized Fraction by one division by the product of
-the two denominators.  The result is the same term map, in the same
-order, as Fraction arithmetic throughout would give.
+The product kernel and the sums run on integers: the pair sweep
+multiplies and accumulates numerators, the product's denominator is
+den_a * den_b reduced once by a gcd, and a sum or difference merges the
+numerators over lcm(den_a, den_b).  In a commutator ab - ba both
+products have the same denominator, so the subtraction is pure integer
+arithmetic.
 
 Application of an operator to a (Laurent) polynomial test function is
 implemented by direct differentiation, deliberately independent of the
@@ -38,9 +43,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .coeff import ParamPoly
 
@@ -116,39 +121,24 @@ def _reorder_options(b: int, k: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _int_terms(terms: Mapping[tuple, ParamPoly]) -> tuple[int, list[tuple[tuple, list[tuple[tuple, int]]]]]:
-    """A term map as integer numerators over the lcm of its denominators.
+def _by_monomial(terms: Mapping[tuple, int]) -> list[tuple[tuple, list[tuple[tuple, int]]]]:
+    """Flat entries grouped by monomial: [(mono, [(pexp, num), ...]), ...]."""
+    grouped: dict[tuple, list[tuple[tuple, int]]] = {}
+    for (mono, pe), q in terms.items():
+        grouped.setdefault(mono, []).append((pe, q))
+    return list(grouped.items())
 
-    Returns (den, [(mono, [(pexp, num), ...]), ...]) in the map's order,
-    with every coefficient equal to num / den.
+
+def _mul_terms(m: int, aterms: Mapping[tuple, int], bterms: Mapping[tuple, int]) -> dict[tuple, int]:
+    """Multiply two flat numerator maps; returns the nonzero (mono, pexp) -> num.
+
+    The result is over den_a * den_b.  Accumulating into one flat dict
+    keyed by (monomial, parameter exponent) lets the massive
+    cancellations in commutators happen during the sweep, not in a
+    post-pass.
     """
-    den = 1
-    for c in terms.values():
-        for q in c.terms.values():
-            if den % q.denominator:
-                den = lcm(den, q.denominator)
-    return den, [
-        (mono, [(pe, q.numerator * (den // q.denominator)) for pe, q in c.terms.items()])
-        for mono, c in terms.items()
-    ]
-
-
-def _mul_terms(
-    m: int,
-    aterms: Mapping[tuple, ParamPoly],
-    bterms: Mapping[tuple, ParamPoly],
-) -> dict[tuple, dict[tuple, Fraction]]:
-    """Multiply two canonical term maps; returns mono -> {pexp: coeff}.
-
-    Each operand is first brought to integer numerators over its own lcm
-    denominator, so the pair sweep multiplies and adds plain ints; every
-    surviving (monomial, parameter exponent) entry is divided once by
-    den_a * den_b at the end.  Accumulating into one flat dict keyed by
-    (monomial, parameter exponent) lets the massive cancellations in
-    commutators happen during the sweep, not in a post-pass.
-    """
-    den_a, aitems = _int_terms(aterms)
-    den_b, bitems = _int_terms(bterms)
+    aitems = _by_monomial(aterms)
+    bitems = _by_monomial(bterms)
     acc: dict[tuple, int] = {}
     acc_get = acc.get
     for ma, ca in aitems:
@@ -202,40 +192,43 @@ def _mul_terms(
                 for pe, q in cpairs:
                     key = (mono, pe)
                     acc[key] = acc_get(key, 0) + q * factor
-    den = den_a * den_b
-    grouped: dict[tuple, dict[tuple, Fraction]] = {}
-    values: dict[int, Fraction] = {}  # equal numerators share one normalized Fraction
-    for (mono, pe), q in acc.items():
-        if q:
-            v = values.get(q)
-            if v is None:
-                v = values[q] = Fraction(q, den)
-            grouped.setdefault(mono, {})[pe] = v
-    return grouped
+    return {key: q for key, q in acc.items() if q}
 
 
-def _wrap_terms(nparams: int, grouped: dict[tuple, dict[tuple, Fraction]]) -> dict[tuple, ParamPoly]:
-    out = {}
-    for mono, d in grouped.items():
-        p = ParamPoly.__new__(ParamPoly)
-        p.nparams = nparams
-        p.terms = d
-        out[mono] = p
-    return out
+def _make(sig: AlgebraSignature, terms: dict[tuple, int], den: int) -> Operator:
+    """An Operator from nonzero numerators over den, reduced to lowest terms."""
+    if den != 1:
+        g = gcd(den, *terms.values())  # den itself when terms is empty
+        if g != 1:
+            den //= g
+            terms = {key: q // g for key, q in terms.items()}
+    op = Operator.__new__(Operator)
+    op.sig = sig
+    op.terms = terms
+    op.den = den
+    return op
 
 
 class Operator:
     """Immutable sparse operator in canonical normal-ordered form.
 
-    ``terms`` maps the concatenated exponent tuple to a nonzero ParamPoly;
-    callers must never mutate it.
+    ``terms`` maps (monomial, parameter exponent) to a nonzero integer
+    numerator and ``den`` is the common positive denominator, in lowest
+    terms; callers must never mutate them.  ``coefficients()`` gives the
+    same operator as monomial -> ParamPoly.
     """
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ("sig", "terms", "den")
 
     def __init__(self, sig: AlgebraSignature, terms: Mapping[tuple, ParamPoly] | None = None):
+        # Normalized Fractions over the lcm of their denominators are in lowest terms.
+        terms = terms or {}
+        den = lcm(*(q.denominator for c in terms.values() for q in c.terms.values()))
         self.sig = sig
-        self.terms = {mo: c for mo, c in terms.items() if c} if terms else {}
+        self.den = den
+        self.terms = {
+            (mono, pe): q.numerator * (den // q.denominator) for mono, c in terms.items() for pe, q in c.terms.items()
+        }
 
     # -- constructors ------------------------------------------------------
 
@@ -287,20 +280,28 @@ class Operator:
         return bool(self.terms)
 
     def term_count(self) -> int:
-        return len(self.terms)
+        """Number of monomials (not of (monomial, parameter exponent) entries)."""
+        return len({mono for mono, _ in self.terms})
 
     def derivative_degree(self) -> int:
         """Largest total derivative degree over all terms (0 for zero)."""
         m = self.sig.num_vars
-        return max((sum(mo[m:]) for mo in self.terms), default=0)
+        return max((sum(mo[m:]) for mo, _ in self.terms), default=0)
+
+    def coefficients(self) -> dict[tuple, ParamPoly]:
+        """The operator as monomial -> nonzero ParamPoly coefficient."""
+        grouped: dict[tuple, dict[tuple, Fraction]] = {}
+        for (mono, pe), q in self.terms.items():
+            grouped.setdefault(mono, {})[pe] = Fraction(q, self.den)
+        return {mono: ParamPoly(self.sig.nparams, d) for mono, d in grouped.items()}
 
     def constant_value(self) -> ParamPoly:
         """Coefficient of the identity monomial (the rest must vanish)."""
         ident = (0,) * (2 * self.sig.num_vars)
-        for mo in self.terms:
-            if mo != ident:
-                raise ValueError(f"operator is not a multiple of the identity: {self}")
-        return self.terms.get(ident, ParamPoly(self.sig.nparams))
+        coefficients = self.coefficients()
+        if any(mo != ident for mo in coefficients):
+            raise ValueError(f"operator is not a multiple of the identity: {self}")
+        return coefficients.get(ident, ParamPoly(self.sig.nparams))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -308,58 +309,37 @@ class Operator:
         if self.sig != other.sig:
             raise ValueError("operators live in different algebra signatures")
 
+    def _merge(self, other: Operator, sign: int) -> Operator:
+        """self + sign * other, merged as numerators over lcm(den_a, den_b)."""
+        self._check_sig(other)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = {key: q * fa for key, q in self.terms.items()} if fa != 1 else dict(self.terms)
+        for key, q in other.terms.items():
+            s = out.get(key, 0) + q * fb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return _make(self.sig, out, den)
+
     def __add__(self, other: Operator) -> Operator:
         if not isinstance(other, Operator):
             return NotImplemented
-        self._check_sig(other)
-        out = dict(self.terms)
-        for mo, c in other.terms.items():
-            s = out.get(mo)
-            if s is None:
-                out[mo] = c
-            else:
-                s = s + c
-                if s:
-                    out[mo] = s
-                else:
-                    del out[mo]
-        op = Operator.__new__(Operator)
-        op.sig = self.sig
-        op.terms = out
-        return op
+        return self._merge(other, 1)
 
     def __neg__(self) -> Operator:
-        op = Operator.__new__(Operator)
-        op.sig = self.sig
-        op.terms = {mo: -c for mo, c in self.terms.items()}
-        return op
+        return _make(self.sig, {key: -q for key, q in self.terms.items()}, self.den)
 
     def __sub__(self, other: Operator) -> Operator:
         if not isinstance(other, Operator):
             return NotImplemented
-        self._check_sig(other)
-        out = dict(self.terms)
-        for mo, c in other.terms.items():
-            s = out.get(mo)
-            if s is None:
-                out[mo] = -c
-            elif s.terms == c.terms:  # canonical coefficients: equal iff s - c == 0
-                del out[mo]
-            else:
-                out[mo] = s - c
-        op = Operator.__new__(Operator)
-        op.sig = self.sig
-        op.terms = out
-        return op
+        return self._merge(other, -1)
 
     def __mul__(self, other: Union[Operator, CoeffLike]) -> Operator:
         if isinstance(other, Operator):
             self._check_sig(other)
-            grouped = _mul_terms(self.sig.num_vars, self.terms, other.terms)
-            op = Operator.__new__(Operator)
-            op.sig = self.sig
-            op.terms = _wrap_terms(self.sig.nparams, grouped)
-            return op
+            return _make(self.sig, _mul_terms(self.sig.num_vars, self.terms, other.terms), self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other: CoeffLike) -> Operator:
@@ -370,9 +350,7 @@ class Operator:
 
     def scale(self, value: CoeffLike) -> Operator:
         c = self.sig.coeff(value)
-        if not c:
-            return Operator(self.sig)
-        return Operator(self.sig, {mo: co * c for mo, co in self.terms.items()})
+        return Operator(self.sig, {mo: co * c for mo, co in self.coefficients().items()})
 
     def __pow__(self, n: int) -> Operator:
         if n < 0:
@@ -400,15 +378,9 @@ class Operator:
         if len(values) != self.sig.nparams:
             raise ValueError("need one value per parameter")
         new_sig = AlgebraSignature(self.sig.num_vars, self.sig.localized, ())
-        out: dict[tuple, ParamPoly] = {}
-        for mo, c in self.terms.items():
-            v = c.evaluate(values)
-            if v:
-                out[mo] = ParamPoly.const(0, v)
-        op = Operator.__new__(Operator)
-        op.sig = new_sig
-        op.terms = out
-        return op
+        return Operator(
+            new_sig, {mo: ParamPoly.const(0, c.evaluate(values)) for mo, c in self.coefficients().items()}
+        )
 
     # -- action on test functions -------------------------------------------
 
@@ -416,13 +388,15 @@ class Operator:
         """Act on a (Laurent) polynomial by direct differentiation.
 
         Independent of the multiplication kernel on purpose: this is the
-        semantic oracle the normal-ordering rule is checked against.
+        semantic oracle the normal-ordering rule is checked against.  The
+        operator's integer numerators scale the test function's Fraction
+        coefficients, and each output coefficient is divided by den once.
         """
         if self.sig != f.sig:
             raise ValueError("operator and polynomial signatures differ")
         m = self.sig.num_vars
         acc: dict[tuple, Fraction] = {}
-        for mo, ca in self.terms.items():
+        for (mo, pa), na in self.terms.items():
             xa, da = mo[:m], mo[m:]
             dvars = [i for i in range(m) if da[i]]
             for k, cf in f.terms.items():
@@ -434,18 +408,18 @@ class Operator:
                 if not factor:
                     continue
                 newexp = tuple(k[i] - da[i] + xa[i] for i in range(m))
-                for pa, fa in ca.terms.items():
-                    for pb, fb in cf.terms.items():
-                        pe = tuple(x + y for x, y in zip(pa, pb)) if (any(pa) or any(pb)) else pa
-                        key = (newexp, pe)
-                        v = acc.get(key)
-                        q = fa * fb * factor
-                        acc[key] = q if v is None else v + q
+                for pb, fb in cf.terms.items():
+                    pe = tuple(x + y for x, y in zip(pa, pb)) if (any(pa) or any(pb)) else pa
+                    key = (newexp, pe)
+                    v = acc.get(key)
+                    q = fb * (na * factor)
+                    acc[key] = q if v is None else v + q
         grouped: dict[tuple, dict[tuple, Fraction]] = {}
         for (xe, pe), q in acc.items():
             if q:
-                grouped.setdefault(xe, {})[pe] = q
-        return Polynomial(self.sig, _wrap_terms(self.sig.nparams, grouped), _trusted=True)
+                grouped.setdefault(xe, {})[pe] = q / self.den
+        nparams = self.sig.nparams
+        return Polynomial(self.sig, {xe: ParamPoly(nparams, d) for xe, d in grouped.items()}, _trusted=True)
 
     # -- printing ------------------------------------------------------------
 
@@ -453,9 +427,10 @@ class Operator:
         if not self.terms:
             return "0"
         m = self.sig.num_vars
+        coefficients = self.coefficients()
         parts = []
-        for mo in sorted(self.terms, key=lambda mo: (sum(mo), mo), reverse=True):
-            factors = [_coeff_str(self.terms[mo])]
+        for mo in sorted(coefficients, key=lambda mo: (sum(mo), mo), reverse=True):
+            factors = [_coeff_str(coefficients[mo])]
             for i in range(m):
                 if mo[i]:
                     factors.append(f"x{i + 1}" + (f"^{mo[i]}" if mo[i] != 1 else ""))
@@ -466,7 +441,7 @@ class Operator:
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"Operator({self.sig.num_vars} vars, {len(self.terms)} terms)"
+        return f"Operator({self.sig.num_vars} vars, {self.term_count()} terms)"
 
 
 def _check_index(sig: AlgebraSignature, index: int) -> int:

@@ -40,6 +40,8 @@ def test_usage_errors_exit_two():
         ["--n", "2"],
         ["--n", "7"],
         ["--suite", "bogus"],
+        ["--suite", ","],
+        ["--suite", ""],
         ["--jobs", "0"],
         ["--trials", "0"],
     )
@@ -207,3 +209,19 @@ def test_bad_metaplectic_triple_reports_residual_terms(monkeypatch, capsys):
         assert rows[("su11", (mu, 1))]["passed"] and rows[("su11", (mu, 2))]["passed"]
         assert not rows[("su11", (mu, 3))]["passed"]
         assert rows[("su11", (mu, 3))]["residual_terms"] == 1
+
+
+def test_reduction_suite_builds_each_casimir_once(monkeypatch, capsys):
+    original = cli.reduction.casimir_of
+    calls = []
+
+    def counted(triple):
+        calls.append(triple)
+        return original(triple)
+
+    monkeypatch.setattr(cli.reduction, "casimir_of", counted)
+    code, _ = run_main(["--n", "4", "--suite", "reduction", "--json"], capsys)
+    assert code == 0
+    # 4 single and 6 pair Casimirs from one ReducedBasis, plus the total
+    # Casimir once in total_casimir_residual and once in check_q_symmetry.
+    assert len(calls) == 12

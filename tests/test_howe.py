@@ -131,4 +131,4 @@ def test_closed_form_constant_term():
     union = PairUnion((1, 2, 3))
     closed = casimir_closed_form(CTX3, union)
     ident = (0,) * 12
-    assert closed.terms[ident].constant_value() == Fraction(6 * 2, 16)
+    assert closed.coefficients()[ident].constant_value() == Fraction(6 * 2, 16)

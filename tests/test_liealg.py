@@ -84,7 +84,7 @@ def test_quadratic_casimir_contains_expected_term():
     cas = quadratic_casimir(CTX3)
     # L_{12}^2 contributes x1^2 d2^2 with coefficient 1
     mono = (2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0)
-    assert cas.terms[mono].constant_value() == 1
+    assert cas.coefficients()[mono].constant_value() == 1
     assert commutator(cas, cas).is_zero()
 
 

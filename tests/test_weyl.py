@@ -1,11 +1,13 @@
 """The operator engine: normal ordering, action, printing, axioms."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from racahverify.coeff import ParamPoly
+from racahverify.report import check
 from racahverify.weyl import (
     AlgebraSignature,
     Operator,
@@ -200,6 +202,60 @@ def test_parse_rejects_bad_input():
         parse_operator("(1 * x1", SIG2)
 
 
+def _assert_lowest_terms(op):
+    """Nonzero integer numerators over a positive denominator, gcd 1 (so den 1 for zero)."""
+    assert op.den >= 1
+    assert all(type(q) is int and q for q in op.terms.values())
+    assert gcd(op.den, *op.terms.values()) == 1
+
+
+STORED_FORMS = {
+    "plain": (SIG2, ops2, small_fractions),
+    "laurent": (LOC2, opsL, small_fractions),
+    "params": (PSIG, opsP, param_polys(PSIG.nparams)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STORED_FORMS))
+@given(data=st.data())
+def test_every_result_is_in_lowest_terms(kind, data):
+    sig, ops, coeffs = STORED_FORMS[kind]
+    a, b = data.draw(ops), data.draw(ops)
+    c = data.draw(coeffs)
+    mono = (0,) * (2 * sig.num_vars)
+    built = [
+        Operator.zero(sig),
+        Operator.constant(sig, c),
+        Operator.monomial(sig, (1, 0), (0, 2), c),
+        Operator(sig, {mono: sig.coeff(c)}),
+        Operator.x(sig, 1),
+        Operator.d(sig, 2),
+    ]
+    results = [a + b, a - b, a - a, -a, a * b, b * a, a.scale(c), a.scale(0), a * c]
+    for op in built + results:
+        _assert_lowest_terms(op)
+
+
+def test_halves_sum_to_denominator_one():
+    x1 = Operator.x(SIG2, 1)
+    half = x1 * Fraction(1, 2)
+    assert half.den == 2
+    total = half + half
+    assert total.den == 1
+    assert total == x1
+    assert (total.terms, total.den) == (x1.terms, x1.den)
+
+
+def test_term_count_counts_monomials_not_parameter_entries():
+    a1, a2 = PSIG.param(1), PSIG.param(2)
+    op = Operator.x(PSIG, 1) * (a1 + a2)
+    assert len(op.terms) == 2
+    assert op.term_count() == 1
+    assert repr(op) == "Operator(2 vars, 1 terms)"
+    entry = check("r", (1,), lambda _: op)
+    assert not entry.passed and entry.residual_terms == 1
+
+
 @given(ops2, ops2, ops2)
 def test_product_associative(a, b, c):
     assert (a * b) * c == a * (b * c)
@@ -256,7 +312,7 @@ def test_derivative_degree_bound(a, b):
 def test_no_negative_positions_without_localization(a):
     square = a * a
     m = SIG2.num_vars
-    for mono in square.terms:
+    for mono in square.coefficients():
         assert all(e >= 0 for e in mono[:m])
         assert all(e >= 0 for e in mono[m:])
 
