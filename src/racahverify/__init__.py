@@ -26,7 +26,6 @@ from .weyl import (
     AlgebraSignature,
     Operator,
     Polynomial,
-    anticommutator,
     commutator,
     parse_operator,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "ParamPoly",
     "Polynomial",
     "Rational",
-    "anticommutator",
     "commutator",
     "parse_operator",
     "rational",

@@ -6,7 +6,9 @@ deserves an independent witness: apply both operators to random
 rational points.  Application goes through direct differentiation
 (Operator.apply), which never invokes the multiplication kernel, so
 agreement here is evidence the kernel's reordering rule is right and
-not a self-consistent artifact.
+not a self-consistent artifact.  Test functions are built directly in
+the integer-numerator form polynomials store; apply and evaluate run on
+integers and build a Fraction only for each final value.
 
 Trial streams are deterministic: trial t of seed s uses its own
 random.Random(s * 1000003 + t), so serial and parallel runs, and
@@ -18,8 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .coeff import ParamPoly
 from .weyl import Operator, Polynomial
 
 _STRIDE = 1_000_003
@@ -66,10 +68,10 @@ def random_polynomial(sig, rng: random.Random, max_exp: int = 4, max_terms: int 
         )
         c = Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3))
         acc[xe] = acc.get(xe, Fraction(0)) + c
-    terms = {xe: ParamPoly.const(sig.nparams, c) for xe, c in acc.items() if c}
-    if not terms:
-        terms = {(0,) * sig.num_vars: ParamPoly.const(sig.nparams, 1)}
-    return Polynomial(sig, terms, _trusted=True)
+    acc = {xe: c for xe, c in acc.items() if c} or {(0,) * sig.num_vars: Fraction(1)}
+    den = lcm(*(c.denominator for c in acc.values()))
+    pe = (0,) * sig.nparams
+    return Polynomial._make(sig, {(xe, pe): c.numerator * (den // c.denominator) for xe, c in acc.items()}, den)
 
 
 def _exponent_bound(*ops: Operator) -> int:

@@ -12,9 +12,11 @@ denominator per operator: every coefficient is num / den, in lowest terms
 common-denominator form FLINT's fmpq_poly keeps.  Derivative exponents
 are non-negative.  Position exponents may be negative for variables
 declared localized in the signature; that is what makes 1/x^2 potential
-terms first-class citizens.  ParamPoly is the coefficient type at the
-edges: constructors take it, ``coefficients()`` returns it (for printing
-and callers), and ``scale`` multiplies with it.
+terms first-class citizens.  The (Laurent) polynomials operators act on
+are stored the same way, keyed by (position exponents, parameter
+exponent).  ParamPoly is the coefficient type at the edges: constructors
+take it, ``coefficients()`` returns it (for printing and callers), and
+``scale`` multiplies with it.
 
 Multiplication renormal-orders with the per-variable rule
 
@@ -22,8 +24,8 @@ Multiplication renormal-orders with the per-variable rule
 
 whose falling factorial is valid for negative k as well; distinct
 variables commute.  Because the representation is canonical (no zero
-terms, exponent-vector keys, reduced denominator), operator equality is
-decidable by subtraction.
+terms, exponent-vector keys, reduced denominator), equality compares the
+stored maps.
 
 The product kernel and the sums run on integers: the pair sweep
 multiplies and accumulates numerators, the product's denominator is
@@ -32,9 +34,13 @@ numerators over lcm(den_a, den_b).  In a commutator ab - ba both
 products have the same denominator, so the subtraction is pure integer
 arithmetic.
 
-Application of an operator to a (Laurent) polynomial test function is
+Application of an operator to a polynomial (``Operator.apply``) is
 implemented by direct differentiation, deliberately independent of the
-multiplication kernel, so the two can cross-check each other.
+multiplication kernel, so the two can cross-check each other.  It and
+``Polynomial.evaluate`` run on integers too: apply multiplies numerators
+by falling factorials over den_op * den_f, and evaluate sums integer
+terms built from cached powers of each coordinate's numerator and
+denominator, building one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -195,27 +201,14 @@ def _mul_terms(m: int, aterms: Mapping[tuple, int], bterms: Mapping[tuple, int])
     return {key: q for key, q in acc.items() if q}
 
 
-def _make(sig: AlgebraSignature, terms: dict[tuple, int], den: int) -> Operator:
-    """An Operator from nonzero numerators over den, reduced to lowest terms."""
-    if den != 1:
-        g = gcd(den, *terms.values())  # den itself when terms is empty
-        if g != 1:
-            den //= g
-            terms = {key: q // g for key, q in terms.items()}
-    op = Operator.__new__(Operator)
-    op.sig = sig
-    op.terms = terms
-    op.den = den
-    return op
+class _FlatTerms:
+    """The storage Operator and Polynomial share.
 
-
-class Operator:
-    """Immutable sparse operator in canonical normal-ordered form.
-
-    ``terms`` maps (monomial, parameter exponent) to a nonzero integer
-    numerator and ``den`` is the common positive denominator, in lowest
-    terms; callers must never mutate them.  ``coefficients()`` gives the
-    same operator as monomial -> ParamPoly.
+    ``terms`` maps (exponent tuple, parameter exponent) to a nonzero
+    integer numerator and ``den`` is the common positive denominator, in
+    lowest terms; callers must never mutate them.  The form is canonical,
+    so equality compares the stored maps.  ``coefficients()`` gives the
+    same value as exponent tuple -> ParamPoly.
     """
 
     __slots__ = ("sig", "terms", "den")
@@ -229,6 +222,85 @@ class Operator:
         self.terms = {
             (mono, pe): q.numerator * (den // q.denominator) for mono, c in terms.items() for pe, q in c.terms.items()
         }
+
+    @classmethod
+    def _make(cls, sig: AlgebraSignature, terms: dict[tuple, int], den: int):
+        """An instance from nonzero numerators over den, reduced to lowest terms."""
+        if den != 1:
+            g = gcd(den, *terms.values())  # den itself when terms is empty
+            if g != 1:
+                den //= g
+                terms = {key: q // g for key, q in terms.items()}
+        out = cls.__new__(cls)
+        out.sig = sig
+        out.terms = terms
+        out.den = den
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def term_count(self) -> int:
+        """Number of monomials (not of (monomial, parameter exponent) entries)."""
+        return len({mono for mono, _ in self.terms})
+
+    def coefficients(self) -> dict[tuple, ParamPoly]:
+        """Monomial -> nonzero ParamPoly coefficient."""
+        grouped: dict[tuple, dict[tuple, Fraction]] = {}
+        for (mono, pe), q in self.terms.items():
+            grouped.setdefault(mono, {})[pe] = Fraction(q, self.den)
+        return {mono: ParamPoly(self.sig.nparams, d) for mono, d in grouped.items()}
+
+    def _check_sig(self, other: _FlatTerms) -> None:
+        if self.sig != other.sig:
+            raise ValueError("operands live in different algebra signatures")
+
+    def _merge(self, other: _FlatTerms, sign: int):
+        """self + sign * other, merged as numerators over lcm(den_a, den_b)."""
+        self._check_sig(other)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = {key: q * fa for key, q in self.terms.items()} if fa != 1 else dict(self.terms)
+        for key, q in other.terms.items():
+            s = out.get(key, 0) + q * fb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return self._make(self.sig, out, den)
+
+    def _negated(self):
+        return self._make(self.sig, {key: -q for key, q in self.terms.items()}, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.sig == other.sig and self.den == other.den and self.terms == other.terms
+
+    __hash__ = None
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        coefficients = self.coefficients()
+        return " + ".join(
+            " * ".join([_coeff_str(coefficients[mo]), *self._factors(mo)])
+            for mo in sorted(coefficients, key=lambda mo: (sum(mo), mo), reverse=True)
+        )
+
+
+class Operator(_FlatTerms):
+    """Immutable sparse operator in canonical normal-ordered form.
+
+    The keys of ``terms`` are (monomial, parameter exponent), the
+    monomial being the position exponents followed by the derivative
+    exponents.
+    """
+
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -273,27 +345,10 @@ class Operator:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def term_count(self) -> int:
-        """Number of monomials (not of (monomial, parameter exponent) entries)."""
-        return len({mono for mono, _ in self.terms})
-
     def derivative_degree(self) -> int:
         """Largest total derivative degree over all terms (0 for zero)."""
         m = self.sig.num_vars
         return max((sum(mo[m:]) for mo, _ in self.terms), default=0)
-
-    def coefficients(self) -> dict[tuple, ParamPoly]:
-        """The operator as monomial -> nonzero ParamPoly coefficient."""
-        grouped: dict[tuple, dict[tuple, Fraction]] = {}
-        for (mono, pe), q in self.terms.items():
-            grouped.setdefault(mono, {})[pe] = Fraction(q, self.den)
-        return {mono: ParamPoly(self.sig.nparams, d) for mono, d in grouped.items()}
 
     def constant_value(self) -> ParamPoly:
         """Coefficient of the identity monomial (the rest must vanish)."""
@@ -305,31 +360,13 @@ class Operator:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_sig(self, other: Operator) -> None:
-        if self.sig != other.sig:
-            raise ValueError("operators live in different algebra signatures")
-
-    def _merge(self, other: Operator, sign: int) -> Operator:
-        """self + sign * other, merged as numerators over lcm(den_a, den_b)."""
-        self._check_sig(other)
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        out = {key: q * fa for key, q in self.terms.items()} if fa != 1 else dict(self.terms)
-        for key, q in other.terms.items():
-            s = out.get(key, 0) + q * fb
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return _make(self.sig, out, den)
-
     def __add__(self, other: Operator) -> Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         return self._merge(other, 1)
 
     def __neg__(self) -> Operator:
-        return _make(self.sig, {key: -q for key, q in self.terms.items()}, self.den)
+        return self._negated()
 
     def __sub__(self, other: Operator) -> Operator:
         if not isinstance(other, Operator):
@@ -339,35 +376,15 @@ class Operator:
     def __mul__(self, other: Union[Operator, CoeffLike]) -> Operator:
         if isinstance(other, Operator):
             self._check_sig(other)
-            return _make(self.sig, _mul_terms(self.sig.num_vars, self.terms, other.terms), self.den * other.den)
+            return Operator._make(self.sig, _mul_terms(self.sig.num_vars, self.terms, other.terms), self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other: CoeffLike) -> Operator:
         return self.scale(other)
 
-    def __truediv__(self, other: int | Fraction) -> Operator:
-        return self.scale(Fraction(1, 1) / other)
-
     def scale(self, value: CoeffLike) -> Operator:
         c = self.sig.coeff(value)
         return Operator(self.sig, {mo: co * c for mo, co in self.coefficients().items()})
-
-    def __pow__(self, n: int) -> Operator:
-        if n < 0:
-            raise ValueError("negative operator powers are not defined")
-        out = Operator.constant(self.sig, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Operator):
-            return NotImplemented
-        if self.sig != other.sig:
-            return False
-        return (self - other).is_zero()
-
-    __hash__ = None
 
     def specialize_params(self, values: Sequence[Fraction | int]) -> Operator:
         """Substitute numbers for the coefficient parameters.
@@ -388,57 +405,43 @@ class Operator:
         """Act on a (Laurent) polynomial by direct differentiation.
 
         Independent of the multiplication kernel on purpose: this is the
-        semantic oracle the normal-ordering rule is checked against.  The
-        operator's integer numerators scale the test function's Fraction
-        coefficients, and each output coefficient is divided by den once.
+        semantic oracle the normal-ordering rule is checked against.  It
+        runs on integers: d^b x^k = falling(k, b) x^(k-b), so each output
+        numerator accumulates num_op * num_f * (product of falling
+        factorials), over den_op * den_f reduced once by a gcd.
         """
         if self.sig != f.sig:
             raise ValueError("operator and polynomial signatures differ")
         m = self.sig.num_vars
-        acc: dict[tuple, Fraction] = {}
-        for (mo, pa), na in self.terms.items():
-            xa, da = mo[:m], mo[m:]
-            dvars = [i for i in range(m) if da[i]]
-            for k, cf in f.terms.items():
+        zero = (0,) * self.sig.nparams
+        fitems = _by_monomial(f.terms)
+        acc: dict[tuple, int] = {}
+        acc_get = acc.get
+        for mo, ca in _by_monomial(self.terms):
+            dvars = [(i, mo[m + i]) for i in range(m) if mo[m + i]]
+            shift = [mo[i] - mo[m + i] for i in range(m)]
+            for k, cb in fitems:
                 factor = 1
-                for i in dvars:
-                    factor *= _falling(k[i], da[i])
+                for i, b in dvars:
+                    factor *= _falling(k[i], b)
                     if not factor:
                         break
                 if not factor:
                     continue
-                newexp = tuple(k[i] - da[i] + xa[i] for i in range(m))
-                for pb, fb in cf.terms.items():
-                    pe = tuple(x + y for x, y in zip(pa, pb)) if (any(pa) or any(pb)) else pa
-                    key = (newexp, pe)
-                    v = acc.get(key)
-                    q = fb * (na * factor)
-                    acc[key] = q if v is None else v + q
-        grouped: dict[tuple, dict[tuple, Fraction]] = {}
-        for (xe, pe), q in acc.items():
-            if q:
-                grouped.setdefault(xe, {})[pe] = q / self.den
-        nparams = self.sig.nparams
-        return Polynomial(self.sig, {xe: ParamPoly(nparams, d) for xe, d in grouped.items()}, _trusted=True)
+                xe = tuple(map(add, k, shift))
+                for pa, na in ca:
+                    nf = na * factor
+                    for pb, nb in cb:
+                        pe = pb if pa == zero else pa if pb == zero else tuple(map(add, pa, pb))
+                        key = (xe, pe)
+                        acc[key] = acc_get(key, 0) + nf * nb
+        return Polynomial._make(self.sig, {key: q for key, q in acc.items() if q}, self.den * f.den)
 
     # -- printing ------------------------------------------------------------
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
+    def _factors(self, mo: tuple) -> list[str]:
         m = self.sig.num_vars
-        coefficients = self.coefficients()
-        parts = []
-        for mo in sorted(coefficients, key=lambda mo: (sum(mo), mo), reverse=True):
-            factors = [_coeff_str(coefficients[mo])]
-            for i in range(m):
-                if mo[i]:
-                    factors.append(f"x{i + 1}" + (f"^{mo[i]}" if mo[i] != 1 else ""))
-            for i in range(m):
-                if mo[m + i]:
-                    factors.append(f"d{i + 1}" + (f"^{mo[m + i]}" if mo[m + i] != 1 else ""))
-            parts.append(" * ".join(factors))
-        return " + ".join(parts)
+        return _powers("x", mo[:m]) + _powers("d", mo[m:])
 
     def __repr__(self) -> str:
         return f"Operator({self.sig.num_vars} vars, {self.term_count()} terms)"
@@ -457,36 +460,29 @@ def _coeff_str(c: ParamPoly) -> str:
     return f"({c})"
 
 
+def _powers(name: str, exps: Sequence[int]) -> list[str]:
+    """The printed factors name1^e1 .. of the nonzero exponents."""
+    return [f"{name}{i + 1}" + (f"^{k}" if k != 1 else "") for i, k in enumerate(exps) if k]
+
+
 def commutator(a: Operator, b: Operator) -> Operator:
     """[a, b] = ab - ba."""
     return a * b - b * a
 
 
-def anticommutator(a: Operator, b: Operator) -> Operator:
-    """{a, b} = ab + ba."""
-    return a * b + b * a
-
-
-class Polynomial:
-    """(Laurent) polynomial in the position variables, ParamPoly coefficients.
+class Polynomial(_FlatTerms):
+    """(Laurent) polynomial in the position variables, parameter coefficients.
 
     The value type operators act on; also the oracle's test functions.
+    The keys of ``terms`` are (position exponents, parameter exponent).
     """
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        sig: AlgebraSignature,
-        terms: Mapping[tuple, ParamPoly] | None = None,
-        _trusted: bool = False,
-    ):
-        self.sig = sig
-        if terms and not _trusted:
-            for xe in terms:
-                sig.check_monomial(xe, (0,) * sig.num_vars)
-            terms = {xe: c for xe, c in terms.items() if c}
-        self.terms = dict(terms) if terms else {}
+    def __init__(self, sig: AlgebraSignature, terms: Mapping[tuple, ParamPoly] | None = None):
+        for xe in terms or ():
+            sig.check_monomial(xe, (0,) * sig.num_vars)
+        super().__init__(sig, terms)
 
     @classmethod
     def zero(cls, sig: AlgebraSignature) -> Polynomial:
@@ -494,70 +490,72 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, sig: AlgebraSignature, xexp: Sequence[int], coeff: CoeffLike = 1) -> Polynomial:
-        c = sig.coeff(coeff)
-        xe = tuple(xexp)
-        sig.check_monomial(xe, (0,) * sig.num_vars)
-        return cls(sig, {xe: c} if c else {}, _trusted=True)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls(sig, {tuple(xexp): sig.coeff(coeff)})
 
     def __add__(self, other: Polynomial) -> Polynomial:
-        if self.sig != other.sig:
-            raise ValueError("polynomials live in different signatures")
-        out = dict(self.terms)
-        for xe, c in other.terms.items():
-            s = out.get(xe)
-            if s is None:
-                out[xe] = c
-            else:
-                s = s + c
-                if s:
-                    out[xe] = s
-                else:
-                    del out[xe]
-        return Polynomial(self.sig, out, _trusted=True)
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial(self.sig, {xe: -c for xe, c in self.terms.items()}, _trusted=True)
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
-
-    def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.sig == other.sig and (self - other).is_zero()
+        return self._merge(other, 1)
 
-    __hash__ = None
+    def __neg__(self) -> Polynomial:
+        return self._negated()
+
+    def __sub__(self, other: Polynomial) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self._merge(other, -1)
 
     def evaluate(self, coords: Sequence[Fraction], params: Sequence[Fraction] = ()) -> Fraction:
-        """Exact value at a rational point; localized coordinates must be nonzero."""
-        if len(coords) != self.sig.num_vars:
-            raise ValueError("coordinate count differs from num_vars")
-        total = Fraction(0)
-        for xe, c in self.terms.items():
-            v = c.evaluate(params)
-            for x, k in zip(coords, xe):
-                if k:
-                    v = v * Fraction(x) ** k
-            total += v
-        return total
+        """Exact value at a rational point; localized coordinates must be nonzero.
 
-    def __str__(self) -> str:
+        Runs on integers.  Write each coordinate and parameter as u/w and
+        let lo..hi be the range of its exponents over the terms: then
+        (u/w)^e = u^(e-lo) w^(hi-e) * u^lo w^-hi, the first factor an
+        integer from a table of cached powers.  The value is the sum of
+        the integer terms times prod u^lo w^-hi / den, one Fraction built
+        at the end (ZeroDivisionError when lo < 0 meets u = 0).
+        """
+        sig = self.sig
+        if len(coords) != sig.num_vars:
+            raise ValueError("coordinate count differs from num_vars")
+        if len(params) != sig.nparams:
+            raise ValueError(f"expected {sig.nparams} parameter values, got {len(params)}")
         if not self.terms:
-            return "0"
-        parts = []
-        for xe in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            factors = [_coeff_str(self.terms[xe])]
-            for i, k in enumerate(xe):
-                if k:
-                    factors.append(f"x{i + 1}" + (f"^{k}" if k != 1 else ""))
-            parts.append(" * ".join(factors))
-        return " + ".join(parts)
+            return Fraction(0)
+        keys = [xe + pe for xe, pe in self.terms]
+        num, den = 1, self.den
+        tables = []
+        for j, (value, exps) in enumerate(zip((*coords, *params), zip(*keys))):
+            lo, hi = min(exps), max(exps)
+            value = Fraction(value)
+            u, w = value.numerator, value.denominator
+            if lo < 0:
+                den *= u ** -lo
+            else:
+                num *= u ** lo
+            if hi > 0:
+                den *= w ** hi
+            else:
+                num *= w ** -hi
+            if lo != hi:
+                span = hi - lo
+                upow, wpow = [1], [1]
+                for _ in range(span):
+                    upow.append(upow[-1] * u)
+                    wpow.append(wpow[-1] * w)
+                tables.append((j, lo, [upow[t] * wpow[span - t] for t in range(span + 1)]))
+        total = 0
+        for key, q in zip(keys, self.terms.values()):
+            for j, lo, table in tables:
+                q *= table[key[j] - lo]
+            total += q
+        return Fraction(total * num, den)
+
+    def _factors(self, xe: tuple) -> list[str]:
+        return _powers("x", xe)
 
     def __repr__(self) -> str:
-        return f"Polynomial({self.sig.num_vars} vars, {len(self.terms)} terms)"
+        return f"Polynomial({self.sig.num_vars} vars, {self.term_count()} terms)"
 
 
 # -- parsing -----------------------------------------------------------------

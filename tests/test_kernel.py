@@ -1,4 +1,4 @@
-"""The integer-numerator product kernel against the Fraction reference.
+"""The integer fast paths against their Fraction references.
 
 ``_reference_mul_terms`` below is the product kernel written directly in
 ``Fraction`` arithmetic, kept verbatim as a test oracle.  The production
@@ -8,6 +8,12 @@ operand's denominator; every numerator it returns, divided by
 den_a * den_b, must equal the reference coefficient exactly, key for
 key, so every printed operator and every report built from it stays bit
 for bit the same.
+
+``_reference_apply`` and ``_reference_evaluate`` are ``Operator.apply``
+and ``Polynomial.evaluate`` as they were written in Fraction arithmetic
+over ``exponent -> ParamPoly`` test functions, kept the same way: the
+integer versions must give the same coefficients, the same values and
+the same value types, so every oracle verdict stays the same.
 """
 
 import itertools
@@ -20,9 +26,9 @@ from hypothesis import given, settings, strategies as st
 from racahverify import racah
 from racahverify.coeff import ParamPoly
 from racahverify.liealg import SO2nContext
-from racahverify.weyl import Operator, _mul_terms, _reorder_options, commutator
+from racahverify.weyl import AlgebraSignature, Operator, Polynomial, _falling, _mul_terms, _reorder_options, commutator
 
-from test_weyl import PSIG, ops2, opsL, opsP
+from test_weyl import LOC2, PSIG, SIG2, ops2, opsL, opsP, polys2, polysL, polysP, small_fractions
 
 
 def _reference_mul_terms(
@@ -150,3 +156,123 @@ def test_n4_f_product_and_bracket_match_reference():
     assert len(_assert_kernels_agree(f234, f123)) == 4534
     assert (f123 * f234).term_count() == 4534
     assert commutator(f123, f234).term_count() == 2072
+
+
+def _reference_apply(op: Operator, fterms: Mapping[tuple, ParamPoly]) -> dict[tuple, ParamPoly]:
+    """Act on a (Laurent) polynomial by direct differentiation.
+
+    Independent of the multiplication kernel on purpose: this is the
+    semantic oracle the normal-ordering rule is checked against.  The
+    operator's integer numerators scale the test function's Fraction
+    coefficients, and each output coefficient is divided by den once.
+    """
+    m = op.sig.num_vars
+    acc: dict[tuple, Fraction] = {}
+    for (mo, pa), na in op.terms.items():
+        xa, da = mo[:m], mo[m:]
+        dvars = [i for i in range(m) if da[i]]
+        for k, cf in fterms.items():
+            factor = 1
+            for i in dvars:
+                factor *= _falling(k[i], da[i])
+                if not factor:
+                    break
+            if not factor:
+                continue
+            newexp = tuple(k[i] - da[i] + xa[i] for i in range(m))
+            for pb, fb in cf.terms.items():
+                pe = tuple(x + y for x, y in zip(pa, pb)) if (any(pa) or any(pb)) else pa
+                key = (newexp, pe)
+                v = acc.get(key)
+                q = fb * (na * factor)
+                acc[key] = q if v is None else v + q
+    grouped: dict[tuple, dict[tuple, Fraction]] = {}
+    for (xe, pe), q in acc.items():
+        if q:
+            grouped.setdefault(xe, {})[pe] = q / op.den
+    nparams = op.sig.nparams
+    return {xe: ParamPoly(nparams, d) for xe, d in grouped.items()}
+
+
+def _reference_evaluate(sig, fterms: Mapping[tuple, ParamPoly], coords, params=()) -> Fraction:
+    """Exact value at a rational point; localized coordinates must be nonzero."""
+    if len(coords) != sig.num_vars:
+        raise ValueError("coordinate count differs from num_vars")
+    total = Fraction(0)
+    for xe, c in fterms.items():
+        v = c.evaluate(params)
+        for x, k in zip(coords, xe):
+            if k:
+                v = v * Fraction(x) ** k
+        total += v
+    return total
+
+
+def _outcome(fn, *args):
+    """(value, type) of fn(*args), or the type of the exception it raises."""
+    try:
+        value = fn(*args)
+    except ZeroDivisionError as exc:
+        return type(exc)
+    return value, type(value)
+
+
+def _assert_evaluations_agree(f, coords, params=()):
+    got = _outcome(f.evaluate, coords, params)
+    assert got == _outcome(_reference_evaluate, f.sig, f.coefficients(), coords, params)
+    return got
+
+
+POLY_STRATEGIES = {"plain": (ops2, polys2), "laurent": (opsL, polysL), "params": (opsP, polysP)}
+
+
+@pytest.mark.parametrize("kind", sorted(POLY_STRATEGIES))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_apply_and_evaluate_match_reference(kind, data):
+    ops, polys = POLY_STRATEGIES[kind]
+    a, f = data.draw(ops), data.draw(polys)
+    sig = a.sig
+    # zero coordinates included: a negative exponent there must raise in both paths
+    coords = data.draw(st.tuples(*[small_fractions] * sig.num_vars))
+    params = data.draw(st.tuples(*[small_fractions] * sig.nparams))
+    g = a.apply(f)
+    assert g.coefficients() == _reference_apply(a, f.coefficients())
+    assert all(type(q) is int for q in g.terms.values())
+    _assert_evaluations_agree(f, coords, params)
+    _assert_evaluations_agree(g, coords, params)
+    _assert_evaluations_agree(a.apply(g), coords, params)
+
+
+def test_evaluate_all_negative_exponents():
+    a1, a2 = PSIG.param(1), PSIG.param(2)
+    f = Polynomial.monomial(PSIG, (-2, -1), a1 * Fraction(2, 3) + a2 * a2 - 5) + Polynomial.monomial(
+        PSIG, (-1, -3), a1 * Fraction(-1, 4)
+    )
+    assert max(max(xe) for xe in f.coefficients()) < 0
+    coords, params = (Fraction(-3, 2), Fraction(2, 7)), (Fraction(1, 2), Fraction(-3))
+    value, kind = _assert_evaluations_agree(f, coords, params)
+    assert kind is Fraction and value.denominator > 1
+    d1 = Operator.d(PSIG, 1)
+    assert d1.apply(f).coefficients() == _reference_apply(d1, f.coefficients())
+
+
+def test_zero_polynomial_evaluates_and_applies_to_zero():
+    for sig in (SIG2, LOC2, PSIG):
+        zero = Polynomial.zero(sig)
+        coords, params = (Fraction(0),) * sig.num_vars, (Fraction(5, 2),) * sig.nparams
+        assert _assert_evaluations_agree(zero, coords, params) == (Fraction(0), Fraction)
+        assert (zero.terms, zero.den) == ({}, 1)
+        assert Operator.d(sig, 1).apply(zero) == zero
+        assert Operator.zero(sig).apply(Polynomial.monomial(sig, (1, 1))) == zero
+
+
+def test_negative_exponent_at_a_zero_localized_coordinate_raises():
+    sig = AlgebraSignature(2, localized=frozenset({1}))
+    f = Polynomial.monomial(sig, (-1, 2), Fraction(3, 2)) + Polynomial.monomial(sig, (1, 0))
+    assert _assert_evaluations_agree(f, (Fraction(0), Fraction(1, 3))) is ZeroDivisionError
+    with pytest.raises(ZeroDivisionError):
+        f.evaluate((Fraction(0), Fraction(1, 3)))
+    # a zero coordinate under non-negative exponents only is an ordinary point
+    g = Polynomial.monomial(sig, (0, 2), Fraction(3, 2)) + Polynomial.monomial(sig, (1, 0))
+    assert _assert_evaluations_agree(g, (Fraction(0), Fraction(1, 3))) == (Fraction(1, 6), Fraction)

@@ -32,7 +32,7 @@ def test_random_polynomial_respects_localization():
     rng = random.Random(11)
     for _ in range(50):
         f = random_polynomial(LOC, rng)
-        for xe in f.terms:
+        for xe in f.coefficients():
             assert xe[0] >= -2
             assert xe[1] >= 0
 

@@ -1,5 +1,6 @@
 """The operator engine: normal ordering, action, printing, axioms."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from racahverify.coeff import ParamPoly
+from racahverify.oracle import random_polynomial
 from racahverify.report import check
 from racahverify.weyl import (
     AlgebraSignature,
     Operator,
     Polynomial,
-    anticommutator,
     commutator,
     parse_operator,
 )
@@ -51,9 +52,9 @@ def operators(sig, laurent=False, coeffs=small_fractions):
     return st.lists(term, max_size=3).map(lambda ts: _mk_op(sig, ts))
 
 
-def polynomials(sig, laurent=False):
+def polynomials(sig, laurent=False, coeffs=small_fractions):
     xexp = st.tuples(*[st.integers(_min_exp(sig, i, laurent), 4) for i in range(sig.num_vars)])
-    term = st.tuples(xexp, small_fractions)
+    term = st.tuples(xexp, coeffs)
     return st.lists(term, min_size=1, max_size=4).map(
         lambda ts: sum(
             (Polynomial.monomial(sig, xe, c) for xe, c in ts),
@@ -67,7 +68,7 @@ opsL = operators(LOC2, laurent=True)
 opsP = operators(PSIG, laurent=True, coeffs=param_polys(PSIG.nparams))
 polys2 = polynomials(SIG2)
 polysL = polynomials(LOC2, laurent=True)
-polysP = polynomials(PSIG, laurent=True)
+polysP = polynomials(PSIG, laurent=True, coeffs=param_polys(PSIG.nparams))
 
 
 def test_signature_validation():
@@ -173,15 +174,6 @@ def test_specialize_params():
         op.specialize_params((Fraction(1),))
 
 
-def test_pow():
-    x1 = Operator.x(SIG2, 1)
-    d1 = Operator.d(SIG2, 1)
-    assert (x1 + d1) ** 0 == Operator.constant(SIG2, 1)
-    assert (x1 * d1) ** 2 == x1 * d1 * x1 * d1
-    with pytest.raises(ValueError):
-        x1 ** -1
-
-
 def test_str_and_parse_examples():
     x1, d2 = Operator.x(SIG2, 1), Operator.d(SIG2, 2)
     op = x1 * d2 - Operator.x(SIG2, 2) * Operator.d(SIG2, 1)
@@ -202,25 +194,26 @@ def test_parse_rejects_bad_input():
         parse_operator("(1 * x1", SIG2)
 
 
-def _assert_lowest_terms(op):
+def _assert_lowest_terms(value):
     """Nonzero integer numerators over a positive denominator, gcd 1 (so den 1 for zero)."""
-    assert op.den >= 1
-    assert all(type(q) is int and q for q in op.terms.values())
-    assert gcd(op.den, *op.terms.values()) == 1
+    assert value.den >= 1
+    assert all(type(q) is int and q for q in value.terms.values())
+    assert gcd(value.den, *value.terms.values()) == 1
 
 
 STORED_FORMS = {
-    "plain": (SIG2, ops2, small_fractions),
-    "laurent": (LOC2, opsL, small_fractions),
-    "params": (PSIG, opsP, param_polys(PSIG.nparams)),
+    "plain": (SIG2, ops2, polys2, small_fractions),
+    "laurent": (LOC2, opsL, polysL, small_fractions),
+    "params": (PSIG, opsP, polysP, param_polys(PSIG.nparams)),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(STORED_FORMS))
 @given(data=st.data())
 def test_every_result_is_in_lowest_terms(kind, data):
-    sig, ops, coeffs = STORED_FORMS[kind]
+    sig, ops, polys, coeffs = STORED_FORMS[kind]
     a, b = data.draw(ops), data.draw(ops)
+    f, g = data.draw(polys), data.draw(polys)
     c = data.draw(coeffs)
     mono = (0,) * (2 * sig.num_vars)
     built = [
@@ -230,10 +223,15 @@ def test_every_result_is_in_lowest_terms(kind, data):
         Operator(sig, {mono: sig.coeff(c)}),
         Operator.x(sig, 1),
         Operator.d(sig, 2),
+        Polynomial.zero(sig),
+        Polynomial.monomial(sig, (1, 2), c),
+        Polynomial(sig, {(2, 0): sig.coeff(c), (0, 1): sig.coeff(Fraction(1, 6))}),
+        random_polynomial(sig, random.Random(data.draw(st.integers(0, 10**6)))),
     ]
     results = [a + b, a - b, a - a, -a, a * b, b * a, a.scale(c), a.scale(0), a * c]
-    for op in built + results:
-        _assert_lowest_terms(op)
+    results += [f + g, f - g, f - f, -f, a.apply(f), (a - a).apply(f), a.apply(f - f)]
+    for value in built + results:
+        _assert_lowest_terms(value)
 
 
 def test_halves_sum_to_denominator_one():
@@ -252,6 +250,10 @@ def test_term_count_counts_monomials_not_parameter_entries():
     assert len(op.terms) == 2
     assert op.term_count() == 1
     assert repr(op) == "Operator(2 vars, 1 terms)"
+    f = Polynomial.monomial(PSIG, (1, 0), a1 + a2)
+    assert len(f.terms) == 2
+    assert f.term_count() == 1
+    assert repr(f) == "Polynomial(2 vars, 1 terms)"
     entry = check("r", (1,), lambda _: op)
     assert not entry.passed and entry.residual_terms == 1
 
@@ -299,7 +301,6 @@ def test_jacobi_identity_with_parameters(a, b, c):
 @given(ops2, ops2)
 def test_commutator_antisymmetric(a, b):
     assert commutator(a, b) == -commutator(b, a)
-    assert anticommutator(a, b) == anticommutator(b, a)
 
 
 @given(ops2, ops2)
@@ -350,3 +351,13 @@ def test_polynomial_evaluate_additive(f, pt):
     coords = tuple(c if c else Fraction(1) for c in pt)
     g = f + f
     assert g.evaluate(coords) == 2 * f.evaluate(coords)
+
+
+def test_evaluate_checks_the_parameter_count_of_the_zero_polynomial():
+    sig = AlgebraSignature(2, params=("a1",))
+    coords = (Fraction(1, 2), Fraction(3))
+    with pytest.raises(ValueError, match="expected 1 parameter values, got 0"):
+        Polynomial.monomial(sig, (1, 0)).evaluate(coords, ())
+    with pytest.raises(ValueError, match="expected 1 parameter values, got 0"):
+        Polynomial.zero(sig).evaluate(coords, ())
+    assert Polynomial.zero(sig).evaluate(coords, (Fraction(2),)) == 0
