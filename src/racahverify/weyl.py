@@ -15,8 +15,8 @@ declared localized in the signature; that is what makes 1/x^2 potential
 terms first-class citizens.  The (Laurent) polynomials operators act on
 are stored the same way, keyed by (position exponents, parameter
 exponent).  ParamPoly is the coefficient type at the edges: constructors
-take it, ``coefficients()`` returns it (for printing and callers), and
-``scale`` multiplies with it.
+and ``scale`` take it, and ``coefficients()`` returns it (for printing
+and callers).
 
 Multiplication renormal-orders with the per-variable rule
 
@@ -30,9 +30,12 @@ stored maps.
 The product kernel and the sums run on integers: the pair sweep
 multiplies and accumulates numerators, the product's denominator is
 den_a * den_b reduced once by a gcd, and a sum or difference merges the
-numerators over lcm(den_a, den_b).  In a commutator ab - ba both
-products have the same denominator, so the subtraction is pure integer
-arithmetic.
+numerators over lcm(den_a, den_b).  A commutator [a, b] is one sweep
+over the same monomial pairs that never builds ab or ba: the s=0 terms
+of ma * mb and mb * ma are equal and never emitted, so only the s >= 1
+reorder terms of the two directions are accumulated, with opposite
+signs, over den_a * den_b.  ``scale`` is the product with a constant
+operator, so it runs on the same kernel.
 
 Application of an operator to a polynomial (``Operator.apply``) is
 implemented by direct differentiation, deliberately independent of the
@@ -135,69 +138,114 @@ def _by_monomial(terms: Mapping[tuple, int]) -> list[tuple[tuple, list[tuple[tup
     return list(grouped.items())
 
 
+def _cross(ca: list[tuple[tuple, int]], cb: list[tuple[tuple, int]]) -> tuple[tuple[tuple, int], ...]:
+    """The product of two coefficient polynomials as (pexp, num) pairs.
+
+    It is symmetric in its arguments, which is what lets a commutator
+    share it between ab and ba.
+    """
+    if len(ca) == 1 and len(cb) == 1:
+        (pa, fa), = ca
+        (pb, fb), = cb
+        if any(pa) or any(pb):
+            pa = tuple(map(add, pa, pb))
+        return ((pa, fa * fb),)
+    cross: dict[tuple, int] = {}
+    for pa, fa in ca:
+        for pb, fb in cb:
+            pe = tuple(map(add, pa, pb))
+            cross[pe] = cross.get(pe, 0) + fa * fb
+    return tuple(cross.items())
+
+
+def _reorder_into(
+    acc: dict[tuple, int], m: int, ma: tuple, mb: tuple, active: list[int], cpairs, first: int, sign: int
+) -> None:
+    """Add sign * (the reorder terms of ma * mb from the first-th on) to acc.
+
+    ``active`` lists the variables whose derivative in ma meets a
+    position in mb.  The terms come in the order of
+    ``itertools.product`` over the per-variable ``_reorder_options``, so
+    ``first=1`` leaves out exactly the s=0 term ma + mb.
+    """
+    acc_get = acc.get
+    base = list(map(add, ma, mb))
+    if len(active) == 1:
+        i = active[0]
+        for s, f in _reorder_options(ma[m + i], mb[i])[first:]:
+            mono_list = base[:]
+            mono_list[i] -= s
+            mono_list[m + i] -= s
+            mono = tuple(mono_list)
+            f *= sign
+            for pe, q in cpairs:
+                key = (mono, pe)
+                acc[key] = acc_get(key, 0) + q * f
+        return
+    option_lists = [_reorder_options(ma[m + i], mb[i]) for i in active]
+    for combo in itertools.islice(itertools.product(*option_lists), first, None):
+        factor = sign
+        mono_list = base[:]
+        for i, (s, f) in zip(active, combo):
+            factor *= f
+            if s:
+                mono_list[i] -= s
+                mono_list[m + i] -= s
+        mono = tuple(mono_list)
+        for pe, q in cpairs:
+            key = (mono, pe)
+            acc[key] = acc_get(key, 0) + q * factor
+
+
 def _mul_terms(m: int, aterms: Mapping[tuple, int], bterms: Mapping[tuple, int]) -> dict[tuple, int]:
     """Multiply two flat numerator maps; returns the nonzero (mono, pexp) -> num.
 
-    The result is over den_a * den_b.  Accumulating into one flat dict
-    keyed by (monomial, parameter exponent) lets the massive
-    cancellations in commutators happen during the sweep, not in a
-    post-pass.
+    The result is over den_a * den_b.  Pairs whose monomials need no
+    reordering add their one term directly; the rest go through
+    ``_reorder_into``.
     """
-    aitems = _by_monomial(aterms)
     bitems = _by_monomial(bterms)
     acc: dict[tuple, int] = {}
     acc_get = acc.get
-    for ma, ca in aitems:
+    for ma, ca in _by_monomial(aterms):
         da_nonzero = [i for i in range(m) if ma[m + i]]
-        single_a = len(ca) == 1
         for mb, cb in bitems:
-            # cross products of the two coefficient polynomials
-            if single_a and len(cb) == 1:
-                (pa, fa), = ca
-                (pb, fb), = cb
-                if any(pa) or any(pb):
-                    pa = tuple(map(add, pa, pb))
-                cpairs = ((pa, fa * fb),)
-            else:
-                cross: dict[tuple, int] = {}
-                for pa, fa in ca:
-                    for pb, fb in cb:
-                        pe = tuple(map(add, pa, pb))
-                        cross[pe] = cross.get(pe, 0) + fa * fb
-                cpairs = tuple(cross.items())
-
+            cpairs = _cross(ca, cb)
             active = [i for i in da_nonzero if mb[i]]
-            if not active:
-                mono = tuple(map(add, ma, mb))
-                for pe, q in cpairs:
-                    key = (mono, pe)
-                    acc[key] = acc_get(key, 0) + q
+            if active:
+                _reorder_into(acc, m, ma, mb, active, cpairs, 0, 1)
                 continue
-            base = list(map(add, ma, mb))
-            if len(active) == 1:
-                i = active[0]
-                for s, f in _reorder_options(ma[m + i], mb[i]):
-                    mono_list = base[:]
-                    mono_list[i] -= s
-                    mono_list[m + i] -= s
-                    mono = tuple(mono_list)
-                    for pe, q in cpairs:
-                        key = (mono, pe)
-                        acc[key] = acc_get(key, 0) + q * f
+            mono = tuple(map(add, ma, mb))
+            for pe, q in cpairs:
+                key = (mono, pe)
+                acc[key] = acc_get(key, 0) + q
+    return {key: q for key, q in acc.items() if q}
+
+
+def _commutator_terms(m: int, aterms: Mapping[tuple, int], bterms: Mapping[tuple, int]) -> dict[tuple, int]:
+    """The flat numerators of ab - ba over den_a * den_b, in one pair sweep.
+
+    For each monomial pair the s=0 terms of ma * mb and mb * ma are the
+    same monomial ma + mb with the same coefficient (the coefficient
+    product commutes), so they cancel and are never emitted.  A pair
+    where no derivative of either monomial meets a position of the
+    other contributes nothing and is skipped.  Every other pair adds the
+    s >= 1 reorder terms of ma * mb and subtracts those of mb * ma.
+    """
+    bitems = [(mb, cb, [i for i in range(m) if mb[m + i]]) for mb, cb in _by_monomial(bterms)]
+    acc: dict[tuple, int] = {}
+    for ma, ca in _by_monomial(aterms):
+        da_nonzero = [i for i in range(m) if ma[m + i]]
+        for mb, cb, db_nonzero in bitems:
+            ab = [i for i in da_nonzero if mb[i]]
+            ba = [i for i in db_nonzero if ma[i]]
+            if not (ab or ba):
                 continue
-            option_lists = [_reorder_options(ma[m + i], mb[i]) for i in active]
-            for combo in itertools.product(*option_lists):
-                factor = 1
-                mono_list = base[:]
-                for i, (s, f) in zip(active, combo):
-                    factor *= f
-                    if s:
-                        mono_list[i] -= s
-                        mono_list[m + i] -= s
-                mono = tuple(mono_list)
-                for pe, q in cpairs:
-                    key = (mono, pe)
-                    acc[key] = acc_get(key, 0) + q * factor
+            cpairs = _cross(ca, cb)
+            if ab:
+                _reorder_into(acc, m, ma, mb, ab, cpairs, 1, 1)
+            if ba:
+                _reorder_into(acc, m, mb, ma, ba, cpairs, 1, -1)
     return {key: q for key, q in acc.items() if q}
 
 
@@ -383,8 +431,8 @@ class Operator(_FlatTerms):
         return self.scale(other)
 
     def scale(self, value: CoeffLike) -> Operator:
-        c = self.sig.coeff(value)
-        return Operator(self.sig, {mo: co * c for mo, co in self.coefficients().items()})
+        """value * self, through the integer product kernel."""
+        return Operator.constant(self.sig, value) * self
 
     def specialize_params(self, values: Sequence[Fraction | int]) -> Operator:
         """Substitute numbers for the coefficient parameters.
@@ -466,8 +514,9 @@ def _powers(name: str, exps: Sequence[int]) -> list[str]:
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
-    """[a, b] = ab - ba."""
-    return a * b - b * a
+    """[a, b] = ab - ba, in one pair sweep that never builds ab or ba."""
+    a._check_sig(b)
+    return Operator._make(a.sig, _commutator_terms(a.sig.num_vars, a.terms, b.terms), a.den * b.den)
 
 
 class Polynomial(_FlatTerms):

@@ -23,12 +23,12 @@ from typing import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racahverify import racah
+from racahverify import racah, reduction
 from racahverify.coeff import ParamPoly
 from racahverify.liealg import SO2nContext
 from racahverify.weyl import AlgebraSignature, Operator, Polynomial, _falling, _mul_terms, _reorder_options, commutator
 
-from test_weyl import LOC2, PSIG, SIG2, ops2, opsL, opsP, polys2, polysL, polysP, small_fractions
+from test_weyl import LOC2, PSIG, SIG2, ops2, opsL, opsP, param_polys, polys2, polysL, polysP, small_fractions
 
 
 def _reference_mul_terms(
@@ -148,6 +148,35 @@ def test_mixed_denominator_parameter_coefficients():
     assert got and any(q.denominator > 1 for q in got.values())
 
 
+def _assert_commutator_matches_reference(a, b):
+    """commutator(a, b) against a*b - b*a (as stored) and the reference products (as values)."""
+    got = commutator(a, b)
+    expected = a * b - b * a
+    assert (got.terms, got.den) == (expected.terms, expected.den)
+    m = a.sig.num_vars
+    ab = _flat_fractions(_reference_mul_terms(m, a.coefficients(), b.coefficients()))
+    ba = _flat_fractions(_reference_mul_terms(m, b.coefficients(), a.coefficients()))
+    difference = {key: ab.get(key, 0) - ba.get(key, 0) for key in ab.keys() | ba.keys()}
+    assert {key: Fraction(q, got.den) for key, q in got.terms.items()} == {k: q for k, q in difference.items() if q}
+    return got
+
+
+@pytest.mark.parametrize("kind", sorted(STRATEGIES))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_fused_commutator_matches_product_difference(kind, data):
+    ops = STRATEGIES[kind]
+    a, b = data.draw(ops), data.draw(ops)
+    _assert_commutator_matches_reference(a, b)
+    _assert_commutator_matches_reference(b, a)
+    assert _assert_commutator_matches_reference(a, a).is_zero()
+
+
+def test_fused_commutator_rejects_mixed_signatures():
+    with pytest.raises(ValueError):
+        commutator(Operator.x(SIG2, 1), Operator.d(LOC2, 1))
+
+
 def test_n4_f_product_and_bracket_match_reference():
     basis = racah.CommutantBasis(SO2nContext(4))
     f123, f234 = basis.f(1, 2, 3), basis.f(2, 3, 4)
@@ -155,7 +184,40 @@ def test_n4_f_product_and_bracket_match_reference():
     assert len(_assert_kernels_agree(f123, f234)) == 4534
     assert len(_assert_kernels_agree(f234, f123)) == 4534
     assert (f123 * f234).term_count() == 4534
-    assert commutator(f123, f234).term_count() == 2072
+    assert _assert_commutator_matches_reference(f123, f234).term_count() == 2072
+    assert _assert_commutator_matches_reference(f234, f123).term_count() == 2072
+
+
+def test_reduced_n5_pair_bracket_matches_reference():
+    basis = reduction.ReducedBasis(reduction.ReducedContext(5))
+    p12, p23 = basis.p(1, 2), basis.p(2, 3)
+    assert any(any(pe) for _, pe in p12.terms)
+    assert any(mono[i] < 0 for mono, _ in p12.terms for i in range(5))
+    bracket = _assert_commutator_matches_reference(p12, p23)
+    assert not bracket.is_zero()
+    assert any(any(pe) for _, pe in bracket.terms)
+
+
+def _reference_scale(op: Operator, value) -> Operator:
+    c = op.sig.coeff(value)
+    return Operator(op.sig, {mo: co * c for mo, co in op.coefficients().items()})
+
+
+SCALARS = {
+    "plain": (ops2, small_fractions),
+    "laurent": (opsL, small_fractions),
+    "params": (opsP, param_polys(PSIG.nparams)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@given(data=st.data())
+def test_scale_matches_reference(kind, data):
+    ops, scalars = SCALARS[kind]
+    a = data.draw(ops)
+    for c in (data.draw(scalars), data.draw(small_fractions), data.draw(st.integers(-3, 3))):
+        got, expected = a.scale(c), _reference_scale(a, c)
+        assert (got.terms, got.den) == (expected.terms, expected.den)
 
 
 def _reference_apply(op: Operator, fterms: Mapping[tuple, ParamPoly]) -> dict[tuple, ParamPoly]:

@@ -228,7 +228,7 @@ def test_every_result_is_in_lowest_terms(kind, data):
         Polynomial(sig, {(2, 0): sig.coeff(c), (0, 1): sig.coeff(Fraction(1, 6))}),
         random_polynomial(sig, random.Random(data.draw(st.integers(0, 10**6)))),
     ]
-    results = [a + b, a - b, a - a, -a, a * b, b * a, a.scale(c), a.scale(0), a * c]
+    results = [a + b, a - b, a - a, -a, a * b, b * a, commutator(a, b), a.scale(c), a.scale(0), a * c]
     results += [f + g, f - g, f - f, -f, a.apply(f), (a - a).apply(f), a.apply(f - f)]
     for value in built + results:
         _assert_lowest_terms(value)
