@@ -3,12 +3,23 @@
 Symbolic equality lives entirely in the normal-ordering kernel, so it
 deserves an independent witness: apply both operators to random
 (Laurent) polynomial test functions and compare exact values at random
-rational points.  Application goes through direct differentiation
-(Operator.apply), which never invokes the multiplication kernel, so
-agreement here is evidence the kernel's reordering rule is right and
-not a self-consistent artifact.  Test functions are built directly in
-the integer-numerator form polynomials store; apply and evaluate run on
-integers and build a Fraction only for each final value.
+rational points.  Application goes through direct differentiation,
+which never invokes the multiplication kernel, so agreement here is
+evidence the kernel's reordering rule is right and not a
+self-consistent artifact.  Test functions are built directly in the
+integer-numerator form polynomials store, and every value is computed
+on integers with one Fraction at the end.
+
+There are two routes to (A f)(p), both direct differentiation:
+
+- ``weyl.evaluator(A)`` groups A's monomials by derivative exponent
+  once per check and sums alpha_b(p) * (d^b f)(p) without building A f.
+  ``oracle_equiv`` uses it on both sides, and ``oracle_apply_check`` on
+  the product side.
+- ``A.apply(f).evaluate(p)`` builds A f and evaluates it.
+  ``oracle_apply_check`` keeps it on the nested side, A (B f), so every
+  composition trial compares two different evaluation routes and a
+  fault in the evaluator cannot hide by cancelling against itself.
 
 Trial streams are deterministic: trial t of seed s uses its own
 random.Random(s * 1000003 + t), so serial and parallel runs, and
@@ -22,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .weyl import Operator, Polynomial
+from .weyl import Operator, Polynomial, evaluator
 
 _STRIDE = 1_000_003
 
@@ -80,19 +91,28 @@ def _exponent_bound(*ops: Operator) -> int:
     return max(4, max(op.derivative_degree() for op in ops) + 1)
 
 
+def _check_trials(trials: int) -> None:
+    """A check with no trial has tested nothing, so it must not pass."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def oracle_equiv(A: Operator, B: Operator, trials: int = 100, seed: int = 0) -> bool:
-    """True iff (A f)(p) = (B f)(p) for every random trial (f, p)."""
+    """True iff (A f)(p) = (B f)(p) for every random trial (f, p).
+
+    Both sides run on ``weyl.evaluator``; trials < 1 raises ValueError.
+    """
     if A.sig != B.sig:
         raise ValueError("operators live in different algebra signatures")
+    _check_trials(trials)
     sig = A.sig
     bound = _exponent_bound(A, B)
+    value_a, value_b = evaluator(A), evaluator(B)
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         f = random_polynomial(sig, rng, max_exp=bound)
         pt = random_point(sig, rng)
-        va = A.apply(f).evaluate(pt.coords, pt.params)
-        vb = B.apply(f).evaluate(pt.coords, pt.params)
-        if va != vb:
+        if value_a(f, pt.coords, pt.params) != value_b(f, pt.coords, pt.params):
             return False
     return True
 
@@ -104,18 +124,25 @@ def oracle_apply_check(A: Operator, B: Operator, trials: int = 100, seed: int = 
 
     The left side exercises the normal-ordering product, the right side
     only direct differentiation; pointwise agreement on every trial is
-    the independent semantic validation of the reordering rule.
+    the independent semantic validation of the reordering rule.  The
+    left side is evaluated by ``weyl.evaluator``, the right side by
+    ``apply`` and ``evaluate``, which build B f and A (B f).  The two
+    routes share only the power tables and the falling factorials, so
+    each trial also checks the evaluator against the reference route;
+    with the evaluator on both sides, a fault in it could cancel.
     """
     if A.sig != B.sig:
         raise ValueError("operators live in different algebra signatures")
+    _check_trials(trials)
     sig = A.sig
     product = A * B
     bound = _exponent_bound(A, B, product)
+    value = evaluator(product)
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         f = random_polynomial(sig, rng, max_exp=bound)
         pt = random_point(sig, rng)
-        lhs = product.apply(f).evaluate(pt.coords, pt.params)
+        lhs = value(f, pt.coords, pt.params)
         rhs = A.apply(B.apply(f)).evaluate(pt.coords, pt.params)
         if lhs != rhs:
             return False

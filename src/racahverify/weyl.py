@@ -43,7 +43,11 @@ multiplication kernel, so the two can cross-check each other.  It and
 ``Polynomial.evaluate`` run on integers too: apply multiplies numerators
 by falling factorials over den_op * den_f, and evaluate sums integer
 terms built from cached powers of each coordinate's numerator and
-denominator, building one Fraction at the end.
+denominator (``_power_tables``), building one Fraction at the end.
+``evaluator(op)`` gives the value (op f)(p) without building op f: it
+groups op's monomials by derivative exponent b once, as
+op = sum_b alpha_b(x) d^b, and each call sums alpha_b(p) * (d^b f)(p)
+on the same power tables, again by direct differentiation.
 """
 
 from __future__ import annotations
@@ -52,9 +56,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .coeff import ParamPoly
 
@@ -557,54 +561,149 @@ class Polynomial(_FlatTerms):
     def evaluate(self, coords: Sequence[Fraction], params: Sequence[Fraction] = ()) -> Fraction:
         """Exact value at a rational point; localized coordinates must be nonzero.
 
-        Runs on integers.  Write each coordinate and parameter as u/w and
-        let lo..hi be the range of its exponents over the terms: then
-        (u/w)^e = u^(e-lo) w^(hi-e) * u^lo w^-hi, the first factor an
-        integer from a table of cached powers.  The value is the sum of
-        the integer terms times prod u^lo w^-hi / den, one Fraction built
-        at the end (ZeroDivisionError when lo < 0 meets u = 0).
+        Runs on integers: each term is its numerator times one entry of
+        each variable's power table over the range of its exponents
+        (``_power_tables``), and the integer sum times the tables' common
+        factor over den is one Fraction built at the end
+        (ZeroDivisionError when a negative exponent meets a zero
+        coordinate).
         """
-        sig = self.sig
-        if len(coords) != sig.num_vars:
-            raise ValueError("coordinate count differs from num_vars")
-        if len(params) != sig.nparams:
-            raise ValueError(f"expected {sig.nparams} parameter values, got {len(params)}")
+        _check_point(self.sig, coords, params)
         if not self.terms:
             return Fraction(0)
         keys = [xe + pe for xe, pe in self.terms]
-        num, den = 1, self.den
-        tables = []
-        for j, (value, exps) in enumerate(zip((*coords, *params), zip(*keys))):
-            lo, hi = min(exps), max(exps)
-            value = Fraction(value)
-            u, w = value.numerator, value.denominator
-            if lo < 0:
-                den *= u ** -lo
-            else:
-                num *= u ** lo
-            if hi > 0:
-                den *= w ** hi
-            else:
-                num *= w ** -hi
-            if lo != hi:
-                span = hi - lo
-                upow, wpow = [1], [1]
-                for _ in range(span):
-                    upow.append(upow[-1] * u)
-                    wpow.append(wpow[-1] * w)
-                tables.append((j, lo, [upow[t] * wpow[span - t] for t in range(span + 1)]))
+        ranges = [(min(exps), max(exps)) for exps in zip(*keys)]
+        tables, num, den = _power_tables((*coords, *params), ranges)
+        varying = [(j, lo, table) for j, ((lo, hi), table) in enumerate(zip(ranges, tables)) if lo != hi]
         total = 0
         for key, q in zip(keys, self.terms.values()):
-            for j, lo, table in tables:
+            for j, lo, table in varying:
                 q *= table[key[j] - lo]
             total += q
-        return Fraction(total * num, den)
+        return Fraction(total * num, den * self.den)
 
     def _factors(self, xe: tuple) -> list[str]:
         return _powers("x", xe)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.sig.num_vars} vars, {self.term_count()} terms)"
+
+
+def _check_point(sig: AlgebraSignature, coords: Sequence, params: Sequence) -> None:
+    if len(coords) != sig.num_vars:
+        raise ValueError("coordinate count differs from num_vars")
+    if len(params) != sig.nparams:
+        raise ValueError(f"expected {sig.nparams} parameter values, got {len(params)}")
+
+
+def _power_tables(point: Sequence, ranges: Sequence[tuple[int, int]]) -> tuple[list[list[int]], int, int]:
+    """Integer power tables for exact evaluation at a rational point.
+
+    Write point[j] as u/w in lowest terms and let lo..hi be ranges[j].
+    Then (u/w)^e = table_j[e - lo] * u^lo w^-hi for lo <= e <= hi, with
+    table_j[t] = u^t w^(hi-lo-t) an integer.  Returns the tables and
+    num/den = prod_j u^lo w^-hi; den is 0 when some lo < 0 meets u = 0.
+    """
+    num = den = 1
+    tables = []
+    for value, (lo, hi) in zip(point, ranges):
+        value = Fraction(value)
+        u, w = value.numerator, value.denominator
+        if lo < 0:
+            den *= u ** -lo
+        else:
+            num *= u ** lo
+        if hi > 0:
+            den *= w ** hi
+        else:
+            num *= w ** -hi
+        span = hi - lo
+        upow, wpow = [1], [1]
+        for _ in range(span):
+            upow.append(upow[-1] * u)
+            wpow.append(wpow[-1] * w)
+        tables.append([upow[t] * wpow[span - t] for t in range(span + 1)])
+    return tables, num, den
+
+
+def evaluator(op: Operator) -> Callable[..., Fraction]:
+    """value(f, coords, params) = (op f)(p), without building op f.
+
+    Write op as sum_b alpha_b(x) d^b, alpha_b collecting the monomials
+    with derivative exponent b; then (op f)(p) = sum_b alpha_b(p) *
+    (d^b f)(p).  The grouping is done once, here.  Each call evaluates
+    every alpha_b in one pass over op's monomials, and every (d^b f)(p)
+    from one row per test-function term and differentiated variable
+    whose entry b_i is falling(k_i, b_i) * x_i^(k_i - b_i) at p.  Like
+    ``Operator.apply`` it is direct differentiation and never calls the
+    product kernel.  It runs on integers through ``_power_tables`` and
+    builds one Fraction at the end.
+
+    The value and its type equal ``op.apply(f).evaluate(coords,
+    params)`` whenever every localized coordinate is nonzero, zero
+    non-localized coordinates and zero parameter values included.  A
+    zero localized coordinate raises ZeroDivisionError at once, even
+    where op f has no negative power of it.
+    """
+    sig = op.sig
+    m = sig.num_vars
+    localized = [i - 1 for i in sorted(sig.localized)]
+    # The differentiated variables, and the largest derivative exponent of each.
+    dtops = [(i, top) for i in range(m) if (top := max((mono[m + i] for mono, _ in op.terms), default=0))]
+    dvars = [i for i, _ in dtops]
+    undifferentiated = [j for j in range(m + sig.nparams) if j not in dvars]
+    keys = [mono[:m] + pe for mono, pe in op.terms]
+    ranges = [(min(exps), max(exps)) for exps in zip(*keys)]
+    varying = [j for j, (lo, hi) in enumerate(ranges) if lo != hi]
+    # alpha_b as (b on dvars, [(num, table indices on the varying columns)]).
+    groups: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
+    for key, ((mono, _), q) in zip(keys, op.terms.items()):
+        b = tuple(mono[m + i] for i in dvars)
+        groups.setdefault(b, []).append((q, tuple(key[j] - ranges[j][0] for j in varying)))
+    groups = list(groups.items())
+    getitem = list.__getitem__
+
+    def value(f: Polynomial, coords: Sequence[Fraction], params: Sequence[Fraction] = ()) -> Fraction:
+        if f.sig != sig:
+            raise ValueError("operator and polynomial signatures differ")
+        _check_point(sig, coords, params)
+        if any(coords[i] == 0 for i in localized):
+            raise ZeroDivisionError("a localized coordinate is zero")
+        if not (op.terms and f.terms):
+            return Fraction(0)
+        point = (*coords, *params)
+        tables, num, den = _power_tables(point, ranges)
+        tables = [tables[j] for j in varying]
+        alphas = []
+        for b, entries in groups:
+            alpha = 0
+            for q, idx in entries:
+                alpha += q * prod(map(getitem, tables, idx))
+            if alpha:
+                alphas.append((b, alpha))
+        # x_i^(k_i - b_i) over the test function.  Entries with
+        # falling(k_i, b_i) = 0 are never looked up; every other entry of a
+        # non-localized variable has k_i >= b_i, so its range starts at 0 or above.
+        fkeys = [xe + pe for xe, pe in f.terms]
+        franges = [(min(exps), max(exps)) for exps in zip(*fkeys)]
+        for i, top in dtops:
+            lo, hi = franges[i]
+            franges[i] = (lo - top if i in localized else max(lo - top, 0), hi)
+        ftables, fnum, fden = _power_tables(point, franges)
+        dcols = [(i, top, franges[i][0], ftables[i]) for i, top in dtops]
+        fixed = [(j, franges[j][0], ftables[j]) for j in undifferentiated]
+        total = 0
+        for key, q in zip(fkeys, f.terms.values()):
+            for j, lo, table in fixed:
+                q *= table[key[j] - lo]
+            rows = []
+            for i, top, lo, table in dcols:
+                k = key[i]
+                rows.append([c * table[k - b - lo] if (c := _falling(k, b)) else 0 for b in range(top + 1)])
+            total += q * sum(alpha * prod(map(getitem, rows, b)) for b, alpha in alphas)
+        return Fraction(total * num * fnum, den * fden * op.den * f.den)
+
+    return value
 
 
 # -- parsing -----------------------------------------------------------------

@@ -13,10 +13,14 @@ for bit the same.
 and ``Polynomial.evaluate`` as they were written in Fraction arithmetic
 over ``exponent -> ParamPoly`` test functions, kept the same way: the
 integer versions must give the same coefficients, the same values and
-the same value types, so every oracle verdict stays the same.
+the same value types, so every oracle verdict stays the same.  The
+oracle's ``weyl.evaluator``, which computes (A f)(p) without building
+A f, is held to both: the integer ``apply`` + ``evaluate`` and the
+Fraction references.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from typing import Mapping
 
@@ -24,9 +28,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from racahverify import racah, reduction
+from racahverify.cli import identity_catalog
 from racahverify.coeff import ParamPoly
 from racahverify.liealg import SO2nContext
-from racahverify.weyl import AlgebraSignature, Operator, Polynomial, _falling, _mul_terms, _reorder_options, commutator
+from racahverify.oracle import random_point, random_polynomial
+from racahverify.weyl import (
+    AlgebraSignature,
+    Operator,
+    Polynomial,
+    _falling,
+    _mul_terms,
+    _reorder_options,
+    commutator,
+    evaluator,
+)
 
 from test_weyl import LOC2, PSIG, SIG2, ops2, opsL, opsP, param_polys, polys2, polysL, polysP, small_fractions
 
@@ -338,3 +353,81 @@ def test_negative_exponent_at_a_zero_localized_coordinate_raises():
     # a zero coordinate under non-negative exponents only is an ordinary point
     g = Polynomial.monomial(sig, (0, 2), Fraction(3, 2)) + Polynomial.monomial(sig, (1, 0))
     assert _assert_evaluations_agree(g, (Fraction(0), Fraction(1, 3))) == (Fraction(1, 6), Fraction)
+
+
+def _assert_evaluator_agrees(op, f, coords, params=()):
+    """The evaluator against apply + evaluate and the Fraction references: same value, same type."""
+    got = _outcome(evaluator(op), f, coords, params)
+    assert got == _outcome(op.apply(f).evaluate, coords, params)
+    reference = _reference_apply(op, f.coefficients())
+    assert got == _outcome(_reference_evaluate, op.sig, reference, coords, params)
+    value, kind = got
+    assert kind is Fraction
+    return value
+
+
+nonzero_fractions = small_fractions.filter(bool)
+
+
+@pytest.mark.parametrize("kind", sorted(POLY_STRATEGIES))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_evaluator_matches_apply_then_evaluate(kind, data):
+    ops, polys = POLY_STRATEGIES[kind]
+    a, f = data.draw(ops), data.draw(polys)
+    sig = a.sig
+    # zero non-localized coordinates and zero parameter values included
+    coords = data.draw(
+        st.tuples(*[nonzero_fractions if i + 1 in sig.localized else small_fractions for i in range(sig.num_vars)])
+    )
+    params = data.draw(st.tuples(*[small_fractions] * sig.nparams))
+    _assert_evaluator_agrees(a, f, coords, params)
+    _assert_evaluator_agrees(a, a.apply(f), coords, params)
+    _assert_evaluator_agrees(a * a, f, coords, params)
+
+
+def _zero_off_localized(sig, coords):
+    return tuple(c if i + 1 in sig.localized else Fraction(0) for i, c in enumerate(coords))
+
+
+def test_evaluator_on_the_oracle_workload():
+    ctx = SO2nContext(3)
+    product = racah.make_K(ctx, 1, 2) * racah.make_K(ctx, 2, 3)
+    name, relation_b, _ = identity_catalog(3)[5]
+    assert name == "relation-b"
+    assert (product.term_count(), relation_b.term_count()) == (469, 440)
+    triple = reduction.make_reduced_J(reduction.ReducedContext(2), 1)
+    rng = random.Random(5)
+    for op in (product, relation_b, triple.Jm * triple.Jp):
+        sig = op.sig
+        for _ in range(3):
+            f = random_polynomial(sig, rng, max_exp=5)
+            pt = random_point(sig, rng)
+            assert _assert_evaluator_agrees(op, f, pt.coords, pt.params)
+            _assert_evaluator_agrees(op, f, _zero_off_localized(sig, pt.coords), (Fraction(0),) * sig.nparams)
+
+
+def test_evaluator_of_zero_and_at_zero():
+    for sig in (SIG2, LOC2, PSIG):
+        coords, params = (Fraction(2, 3),) * sig.num_vars, (Fraction(5, 2),) * sig.nparams
+        f = Polynomial.monomial(sig, (2, 1)) + Polynomial.monomial(sig, (0, 3), Fraction(-1, 2))
+        assert _assert_evaluator_agrees(Operator.zero(sig), f, coords, params) == 0
+        assert _assert_evaluator_agrees(Operator.d(sig, 1), Polynomial.zero(sig), coords, params) == 0
+        assert _assert_evaluator_agrees(Operator.d(sig, 2, 3), f, coords, params) == -3
+
+
+def test_evaluator_rejects_mismatches_and_zero_localized_coordinates():
+    value = evaluator(Operator.d(LOC2, 1) * Operator.x(LOC2, 2))
+    f = Polynomial.monomial(LOC2, (2, 1))
+    with pytest.raises(ValueError):
+        value(Polynomial.monomial(SIG2, (2, 1)), (Fraction(1), Fraction(1)))
+    with pytest.raises(ValueError):
+        value(f, (Fraction(1),))
+    with pytest.raises(ValueError):
+        value(f, (Fraction(1), Fraction(1)), (Fraction(1),))
+    # op f = 2 x1 x2^2 has no negative power, yet a zero localized coordinate raises at once
+    with pytest.raises(ZeroDivisionError):
+        value(f, (Fraction(0), Fraction(1)))
+    with pytest.raises(ZeroDivisionError):
+        evaluator(Operator.zero(LOC2))(f, (Fraction(0), Fraction(1)))
+    assert value(f, (Fraction(3), Fraction(0))) == 0

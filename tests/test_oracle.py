@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from racahverify import oracle, weyl
 from racahverify.liealg import SO2nContext, casimir_sum, make_L
 from racahverify.oracle import (
     oracle_apply_check,
@@ -12,6 +13,7 @@ from racahverify.oracle import (
     random_point,
     random_polynomial,
 )
+from racahverify.racah import make_K
 from racahverify.reduction import ReducedContext, make_reduced_J
 from racahverify.weyl import AlgebraSignature, Operator, commutator
 
@@ -101,3 +103,35 @@ def test_composition_oracle_is_order_sensitive():
     # but the two products themselves differ, and the evaluation pipeline
     # the check is built on can tell them apart
     assert not oracle_equiv(d1 * x1, x1 * d1, trials=30)
+
+
+def test_a_check_with_no_trial_is_refused():
+    x1 = Operator.x(SIG2, 1)
+    d1 = Operator.d(SIG2, 1)
+    for trials in (0, -5):
+        with pytest.raises(ValueError):
+            oracle_equiv(x1 * d1, d1 * x1, trials=trials)
+        with pytest.raises(ValueError):
+            oracle_apply_check(x1, d1, trials=trials)
+    assert not oracle_equiv(x1 * d1, d1 * x1, trials=1)
+
+
+def test_composition_catches_a_broken_evaluator(monkeypatch):
+    """The nested side stays on apply + evaluate, so a fault in the
+    evaluator cannot hide behind itself."""
+    ctx = SO2nContext(3)
+    k12, k23 = make_K(ctx, 1, 2), make_K(ctx, 2, 3)
+    product = k12 * k23
+    m = ctx.signature.num_vars
+    assert any(sum(mono[m:]) == 1 for mono, _ in product.terms)
+
+    def first_order_dropped(op):
+        kept = {key: q for key, q in op.terms.items() if sum(key[0][m:]) != 1}
+        return weyl.evaluator(Operator._make(op.sig, kept, op.den))
+
+    assert oracle_apply_check(k12, k23, trials=30)
+    monkeypatch.setattr(oracle, "evaluator", first_order_dropped)
+    # both sides of an equivalence share the fault and still agree ...
+    assert oracle_equiv(product, k12 * k23, trials=30)
+    # ... but the composition check compares against the reference route
+    assert not oracle_apply_check(k12, k23, trials=30)
