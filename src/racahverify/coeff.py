@@ -39,6 +39,9 @@ class ParamPoly:
     __slots__ = ("nparams", "terms")
 
     def __init__(self, nparams: int, terms: Mapping[tuple, Fraction] | None = None):
+        for e in terms or ():
+            if len(e) != nparams or any(x < 0 for x in e):
+                raise ValueError(f"bad exponent tuple {e} for {nparams} parameters")
         self.nparams = nparams
         self.terms = {e: c for e, c in terms.items() if c} if terms else {}
 
@@ -71,8 +74,6 @@ class ParamPoly:
         acc: dict[tuple, Fraction] = {}
         for e, c in terms:
             e = tuple(e)
-            if len(e) != nparams or any(x < 0 for x in e):
-                raise ValueError(f"bad exponent tuple {e} for {nparams} parameters")
             acc[e] = acc.get(e, Fraction(0)) + Fraction(c)
         return cls(nparams, acc)
 

@@ -34,8 +34,28 @@ numerators over lcm(den_a, den_b).  A commutator [a, b] is one sweep
 over the same monomial pairs that never builds ab or ba: the s=0 terms
 of ma * mb and mb * ma are equal and never emitted, so only the s >= 1
 reorder terms of the two directions are accumulated, with opposite
-signs, over den_a * den_b.  ``scale`` is the product with a constant
-operator, so it runs on the same kernel.
+signs, over den_a * den_b.  ``scale`` multiplies the numerators by
+those of the constant directly, adding its parameter exponents, with no
+sweep.
+
+Both pair sweeps run on packed keys: each (monomial, parameter
+exponent) key becomes one int of fixed-width offset-binary fields, field
+j holding e_j + 2^(w-1) in bits w*j .. w*j + w - 1, in the order x1..xm,
+d1..dm, a1..ak.  ``bias`` is the key of the zero exponent vector, so the
+s=0 term of a pair is ka + kb - bias, and a reorder by s on variable i
+subtracts s * unit_i, unit_i being one in the x_i field plus one in the
+d_i field.  The variables to reorder are dmask_a & xmask_b on int
+bitmasks.  The width w is the smallest of 16, 32 and 64 bits with
+2 * (max|exponent of a| + max|exponent of b|) < 2^(w-1), which bounds
+every exponent of a result term, so no field carries or borrows; wider
+exponents raise OverflowError.  Each result key is decoded back to its
+exponent tuples once (the fields of k ^ bias are two's complement
+integers).  An operator's packed view (monomials, masks, packed
+entries, max |exponent|) is built on its first product or commutator
+and cached on the immutable operator, repacked only when a pair needs
+another width; pickles leave it out.  The basis operators of a
+verification run take part in many products, and packing them on every
+call costs about a tenth of the run (BENCH_packed_kernel.json).
 
 Application of an operator to a polynomial (``Operator.apply``) is
 implemented by direct differentiation, deliberately independent of the
@@ -53,6 +73,7 @@ on the same power tables, again by direct differentiation.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -128,10 +149,12 @@ def _falling(k: int, s: int) -> int:
 
 @lru_cache(maxsize=None)
 def _reorder_options(b: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero (s, C(b,s)*falling(k,s)) pairs for moving d^b past x^k."""
-    return tuple(
-        (s, f) for s in range(b + 1) if (f := comb(b, s) * _falling(k, s))
-    )
+    """Nonzero (s, C(b,s)*falling(k,s)) pairs for moving d^b past x^k.
+
+    falling(k, s) vanishes for 0 <= k < s, so s stops at k when k >= 0.
+    """
+    top = b if k < 0 else min(b, k)
+    return tuple((s, f) for s in range(top + 1) if (f := comb(b, s) * _falling(k, s)))
 
 
 def _by_monomial(terms: Mapping[tuple, int]) -> list[tuple[tuple, list[tuple[tuple, int]]]]:
@@ -142,91 +165,169 @@ def _by_monomial(terms: Mapping[tuple, int]) -> list[tuple[tuple, list[tuple[tup
     return list(grouped.items())
 
 
-def _cross(ca: list[tuple[tuple, int]], cb: list[tuple[tuple, int]]) -> tuple[tuple[tuple, int], ...]:
-    """The product of two coefficient polynomials as (pexp, num) pairs.
+def _width(bound: int) -> tuple[int, str]:
+    """The smallest field width w of 16, 32, 64 bits with 2 * bound < 2^(w-1), and its struct code."""
+    for w, code in ((16, "h"), (32, "i"), (64, "q")):
+        if 2 * bound < 1 << (w - 1):
+            return w, code
+    raise OverflowError(f"exponents up to {bound} do not fit the 64-bit packed fields of the product kernel")
 
-    It is symmetric in its arguments, which is what lets a commutator
-    share it between ab and ba.
+
+class _Layout:
+    """The packed key layout of one signature at one field width.
+
+    Field j (x exponents, then d exponents, then parameter exponents)
+    holds e_j + 2^(w-1) in bits w*j .. w*j + w - 1; ``bias`` is the key
+    of the zero exponent vector and ``units[i]`` is one in the x_i field
+    plus one in the d_i field.  Summing ``xbits`` (``dbits``) compressed
+    by a monomial gives its position (derivative) mask.
     """
-    if len(ca) == 1 and len(cb) == 1:
-        (pa, fa), = ca
-        (pb, fb), = cb
-        if any(pa) or any(pb):
-            pa = tuple(map(add, pa, pb))
-        return ((pa, fa * fb),)
-    cross: dict[tuple, int] = {}
-    for pa, fa in ca:
-        for pb, fb in cb:
-            pe = tuple(map(add, pa, pb))
-            cross[pe] = cross.get(pe, 0) + fa * fb
-    return tuple(cross.items())
+
+    __slots__ = ("width", "nvars", "nparams", "bias", "units", "xbits", "dbits", "fields")
+
+    def __init__(self, nvars: int, nparams: int, width: int, code: str):
+        nfields = 2 * nvars + nparams
+        self.width = width
+        self.nvars = nvars
+        self.nparams = nparams
+        self.bias = sum(1 << (width * j + width - 1) for j in range(nfields))
+        self.units = tuple((1 << width * i) | (1 << width * (nvars + i)) for i in range(nvars))
+        self.xbits = tuple(1 << i for i in range(nvars))
+        self.dbits = (0,) * nvars + self.xbits
+        self.fields = struct.Struct(f"<{nfields}{code}")
+
+    def decode(self, acc: dict[int, int]) -> dict[tuple, int]:
+        """Packed key -> num as the nonzero (mono, pexp) -> num."""
+        bias, nbytes, unpack = self.bias, self.fields.size, self.fields.unpack
+        out = {}
+        if not self.nparams:
+            for k, q in acc.items():
+                if q:
+                    out[unpack((k ^ bias).to_bytes(nbytes, "little")), ()] = q
+            return out
+        # One tuple object per distinct monomial and parameter exponent.
+        split = 2 * self.nvars
+        shared: dict[tuple, tuple] = {}
+        for k, q in acc.items():
+            if q:
+                t = unpack((k ^ bias).to_bytes(nbytes, "little"))
+                mono, pe = t[:split], t[split:]
+                out[shared.setdefault(mono, mono), shared.setdefault(pe, pe)] = q
+        return out
 
 
-def _reorder_into(
-    acc: dict[tuple, int], m: int, ma: tuple, mb: tuple, active: list[int], cpairs, first: int, sign: int
-) -> None:
-    """Add sign * (the reorder terms of ma * mb from the first-th on) to acc.
+@lru_cache(maxsize=None)
+def _layout(nvars: int, nparams: int, width: int, code: str) -> _Layout:
+    return _Layout(nvars, nparams, width, code)
 
-    ``active`` lists the variables whose derivative in ma meets a
-    position in mb.  The terms come in the order of
-    ``itertools.product`` over the per-variable ``_reorder_options``, so
-    ``first=1`` leaves out exactly the s=0 term ma + mb.
+
+class _Packed:
+    """An operator's terms in packed form, the operand view of the pair sweeps.
+
+    One column entry per monomial: ``monos`` holds the monomial, bit i
+    of ``dmasks`` (``xmasks``) is set when it has a derivative (position)
+    exponent on variable i, and ``entries`` holds its (packed key,
+    numerator) pairs at ``width``.  ``top`` is the largest |exponent|.
     """
+
+    __slots__ = ("width", "top", "monos", "dmasks", "xmasks", "entries")
+
+    def __init__(self, op: Operator, top: int, layout: _Layout):
+        pack, bias, from_bytes = layout.fields.pack, layout.bias, int.from_bytes
+        grouped: dict[tuple, list[tuple[int, int]]] = {}
+        for (mono, pe), q in op.terms.items():
+            grouped.setdefault(mono, []).append((from_bytes(pack(*mono, *pe), "little") ^ bias, q))
+        self.width = layout.width
+        self.top = top
+        self.monos = list(grouped)
+        self.dmasks = [sum(itertools.compress(layout.dbits, mono)) for mono in grouped]
+        self.xmasks = [sum(itertools.compress(layout.xbits, mono)) for mono in grouped]
+        self.entries = [tuple(entries) for entries in grouped.values()]
+
+
+def _view(op: Operator, top: int, layout: _Layout) -> _Packed:
+    """op's packed view at the layout's width, cached on op."""
+    view = getattr(op, "_packed", None)
+    if view is None or view.width != layout.width:
+        view = op._packed = _Packed(op, top, layout)
+    return view
+
+
+def _top(op: Operator) -> int:
+    """The largest |exponent| of op (0 for zero)."""
+    view = getattr(op, "_packed", None)
+    if view is not None:
+        return view.top
+    flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(op.terms)))
+    return max(max(flat, default=0), -min(flat, default=0))
+
+
+def _operands(a: Operator, b: Operator) -> tuple[_Layout, _Packed, _Packed]:
+    """The layout for the pair a, b and both packed views.
+
+    Every exponent of a reorder term of ma * mb is bounded by
+    2 * top_a + top_b (a negative position exponent can drop by up to
+    the derivative exponent it meets), so fields of width w with
+    2 * (top_a + top_b) < 2^(w-1) never carry or borrow.
+    """
+    ta, tb = _top(a), _top(b)
+    layout = _layout(a.sig.num_vars, a.sig.nparams, *_width(ta + tb))
+    return layout, _view(a, ta, layout), _view(b, tb, layout)
+
+
+@lru_cache(maxsize=None)
+def _shifts(unit: int, b: int, k: int, sign: int) -> tuple[tuple[int, int], ...]:
+    """(s * unit, sign * C(b,s) * falling(k,s)) for the s >= 1 options of moving d^b past x^k."""
+    return tuple((s * unit, sign * f) for s, f in _reorder_options(b, k)[1:])
+
+
+def _reorders(layout: _Layout, ma: tuple, mb: tuple, active: int, sign: int) -> tuple[tuple[int, int], ...]:
+    """(key shift, sign * factor) of every reorder term of ma * mb but the s=0 one.
+
+    ``active`` has bit i set for the variables where ma's derivative
+    meets mb's position.  With one such variable these are its options;
+    with several, the terms come in the order of ``itertools.product``
+    over the per-variable options, s=0 first.
+    """
+    m, units = layout.nvars, layout.units
+    if not active & (active - 1):
+        i = active.bit_length() - 1
+        return _shifts(units[i], ma[m + i], mb[i], sign)
+    per_var = [((0, 1), *_shifts(units[i], ma[m + i], mb[i], 1)) for i in range(m) if active >> i & 1]
+    return tuple(
+        (sum(shift for shift, _ in combo), sign * prod(f for _, f in combo))
+        for combo in itertools.islice(itertools.product(*per_var), 1, None)
+    )
+
+
+def _product(a: Operator, b: Operator) -> dict[tuple, int]:
+    """The flat numerators of ab over den_a * den_b, in one sweep over monomial pairs.
+
+    Each pair adds its s=0 term at key ka + kb - bias and, where a
+    derivative of ma meets a position of mb, the reorder terms at that
+    key minus their shifts.
+    """
+    layout, va, vb = _operands(a, b)
+    bias = layout.bias
+    acc: dict[int, int] = {}
     acc_get = acc.get
-    base = list(map(add, ma, mb))
-    if len(active) == 1:
-        i = active[0]
-        for s, f in _reorder_options(ma[m + i], mb[i])[first:]:
-            mono_list = base[:]
-            mono_list[i] -= s
-            mono_list[m + i] -= s
-            mono = tuple(mono_list)
-            f *= sign
-            for pe, q in cpairs:
-                key = (mono, pe)
-                acc[key] = acc_get(key, 0) + q * f
-        return
-    option_lists = [_reorder_options(ma[m + i], mb[i]) for i in active]
-    for combo in itertools.islice(itertools.product(*option_lists), first, None):
-        factor = sign
-        mono_list = base[:]
-        for i, (s, f) in zip(active, combo):
-            factor *= f
-            if s:
-                mono_list[i] -= s
-                mono_list[m + i] -= s
-        mono = tuple(mono_list)
-        for pe, q in cpairs:
-            key = (mono, pe)
-            acc[key] = acc_get(key, 0) + q * factor
+    for ma, dmask, ea in zip(va.monos, va.dmasks, va.entries):
+        ea = [(ka - bias, qa) for ka, qa in ea]
+        for mb, xmask, eb in zip(vb.monos, vb.xmasks, vb.entries):
+            active = dmask & xmask
+            shifts = _reorders(layout, ma, mb, active, 1) if active else ()
+            for ka, qa in ea:
+                for kb, qb in eb:
+                    key = ka + kb
+                    q = qa * qb
+                    acc[key] = acc_get(key, 0) + q
+                    for shift, f in shifts:
+                        k = key - shift
+                        acc[k] = acc_get(k, 0) + q * f
+    return layout.decode(acc)
 
 
-def _mul_terms(m: int, aterms: Mapping[tuple, int], bterms: Mapping[tuple, int]) -> dict[tuple, int]:
-    """Multiply two flat numerator maps; returns the nonzero (mono, pexp) -> num.
-
-    The result is over den_a * den_b.  Pairs whose monomials need no
-    reordering add their one term directly; the rest go through
-    ``_reorder_into``.
-    """
-    bitems = _by_monomial(bterms)
-    acc: dict[tuple, int] = {}
-    acc_get = acc.get
-    for ma, ca in _by_monomial(aterms):
-        da_nonzero = [i for i in range(m) if ma[m + i]]
-        for mb, cb in bitems:
-            cpairs = _cross(ca, cb)
-            active = [i for i in da_nonzero if mb[i]]
-            if active:
-                _reorder_into(acc, m, ma, mb, active, cpairs, 0, 1)
-                continue
-            mono = tuple(map(add, ma, mb))
-            for pe, q in cpairs:
-                key = (mono, pe)
-                acc[key] = acc_get(key, 0) + q
-    return {key: q for key, q in acc.items() if q}
-
-
-def _commutator_terms(m: int, aterms: Mapping[tuple, int], bterms: Mapping[tuple, int]) -> dict[tuple, int]:
+def _commutator(a: Operator, b: Operator) -> dict[tuple, int]:
     """The flat numerators of ab - ba over den_a * den_b, in one pair sweep.
 
     For each monomial pair the s=0 terms of ma * mb and mb * ma are the
@@ -236,21 +337,27 @@ def _commutator_terms(m: int, aterms: Mapping[tuple, int], bterms: Mapping[tuple
     other contributes nothing and is skipped.  Every other pair adds the
     s >= 1 reorder terms of ma * mb and subtracts those of mb * ma.
     """
-    bitems = [(mb, cb, [i for i in range(m) if mb[m + i]]) for mb, cb in _by_monomial(bterms)]
-    acc: dict[tuple, int] = {}
-    for ma, ca in _by_monomial(aterms):
-        da_nonzero = [i for i in range(m) if ma[m + i]]
-        for mb, cb, db_nonzero in bitems:
-            ab = [i for i in da_nonzero if mb[i]]
-            ba = [i for i in db_nonzero if ma[i]]
+    layout, va, vb = _operands(a, b)
+    bias = layout.bias
+    acc: dict[int, int] = {}
+    acc_get = acc.get
+    for ma, da, xa, ea in zip(va.monos, va.dmasks, va.xmasks, va.entries):
+        ea = [(ka - bias, qa) for ka, qa in ea]
+        for mb, db, xb, eb in zip(vb.monos, vb.dmasks, vb.xmasks, vb.entries):
+            ab, ba = da & xb, db & xa
             if not (ab or ba):
                 continue
-            cpairs = _cross(ca, cb)
-            if ab:
-                _reorder_into(acc, m, ma, mb, ab, cpairs, 1, 1)
+            shifts = _reorders(layout, ma, mb, ab, 1) if ab else ()
             if ba:
-                _reorder_into(acc, m, mb, ma, ba, cpairs, 1, -1)
-    return {key: q for key, q in acc.items() if q}
+                shifts += _reorders(layout, mb, ma, ba, -1)
+            for ka, qa in ea:
+                for kb, qb in eb:
+                    key = ka + kb
+                    q = qa * qb
+                    for shift, f in shifts:
+                        k = key - shift
+                        acc[k] = acc_get(k, 0) + q * f
+    return layout.decode(acc)
 
 
 class _FlatTerms:
@@ -268,6 +375,8 @@ class _FlatTerms:
     def __init__(self, sig: AlgebraSignature, terms: Mapping[tuple, ParamPoly] | None = None):
         # Normalized Fractions over the lcm of their denominators are in lowest terms.
         terms = terms or {}
+        if any(c.nparams != sig.nparams for c in terms.values()):
+            raise ValueError(f"coefficient arity differs from signature arity {sig.nparams}")
         den = lcm(*(q.denominator for c in terms.values() for q in c.terms.values()))
         self.sig = sig
         self.den = den
@@ -349,10 +458,20 @@ class Operator(_FlatTerms):
 
     The keys of ``terms`` are (monomial, parameter exponent), the
     monomial being the position exponents followed by the derivative
-    exponents.
+    exponents.  ``_packed`` caches the packed view the pair sweeps read
+    (unset until the first product or commutator); pickles leave it out.
     """
 
-    __slots__ = ()
+    __slots__ = ("_packed",)
+
+    def __init__(self, sig: AlgebraSignature, terms: Mapping[tuple, ParamPoly] | None = None):
+        m = sig.num_vars
+        for mono in terms or ():
+            sig.check_monomial(mono[:m], mono[m:])
+        super().__init__(sig, terms)
+
+    def __getstate__(self):
+        return None, {"sig": self.sig, "terms": self.terms, "den": self.den}
 
     # -- constructors ------------------------------------------------------
 
@@ -375,11 +494,9 @@ class Operator(_FlatTerms):
         dexp: Sequence[int],
         coeff: CoeffLike = 1,
     ) -> Operator:
-        sig.check_monomial(xexp, dexp)
-        c = sig.coeff(coeff)
-        if not c:
-            return cls(sig)
-        return cls(sig, {tuple(xexp) + tuple(dexp): c})
+        if len(xexp) != len(dexp):
+            raise ValueError("exponent vector length differs from num_vars")
+        return cls(sig, {(*xexp, *dexp): sig.coeff(coeff)})
 
     @classmethod
     def x(cls, sig: AlgebraSignature, index: int, power: int = 1) -> Operator:
@@ -426,17 +543,31 @@ class Operator(_FlatTerms):
         return self._merge(other, -1)
 
     def __mul__(self, other: Union[Operator, CoeffLike]) -> Operator:
+        """The normal-ordered product; OverflowError past 64-bit packed exponent fields."""
         if isinstance(other, Operator):
             self._check_sig(other)
-            return Operator._make(self.sig, _mul_terms(self.sig.num_vars, self.terms, other.terms), self.den * other.den)
+            return Operator._make(self.sig, _product(self, other), self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other: CoeffLike) -> Operator:
         return self.scale(other)
 
     def scale(self, value: CoeffLike) -> Operator:
-        """value * self, through the integer product kernel."""
-        return Operator.constant(self.sig, value) * self
+        """value * self on the numerators: c = sum_pc q_c a^pc sends (mono, pe) -> (mono, pe + pc)."""
+        c = self.sig.coeff(value)
+        den = lcm(*(q.denominator for q in c.terms.values()))
+        factors = [(pc, q.numerator * (den // q.denominator)) for pc, q in c.terms.items()]
+        if len(factors) == 1 and not any(factors[0][0]):
+            f = factors[0][1]
+            terms = {key: q * f for key, q in self.terms.items()}
+        else:
+            terms = {}
+            for (mono, pe), q in self.terms.items():
+                for pc, f in factors:
+                    key = (mono, tuple(map(add, pe, pc)))
+                    terms[key] = terms.get(key, 0) + q * f
+            terms = {key: q for key, q in terms.items() if q}
+        return Operator._make(self.sig, terms, self.den * den)
 
     def specialize_params(self, values: Sequence[Fraction | int]) -> Operator:
         """Substitute numbers for the coefficient parameters.
@@ -518,9 +649,13 @@ def _powers(name: str, exps: Sequence[int]) -> list[str]:
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
-    """[a, b] = ab - ba, in one pair sweep that never builds ab or ba."""
+    """[a, b] = ab - ba, in one pair sweep that never builds ab or ba.
+
+    Like the product, it raises OverflowError when the exponents of a and
+    b are too large for 64-bit packed fields (see the module docstring).
+    """
     a._check_sig(b)
-    return Operator._make(a.sig, _commutator_terms(a.sig.num_vars, a.terms, b.terms), a.den * b.den)
+    return Operator._make(a.sig, _commutator(a, b), a.den * b.den)
 
 
 class Polynomial(_FlatTerms):

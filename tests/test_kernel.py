@@ -1,13 +1,19 @@
-"""The integer fast paths against their Fraction references.
+"""The packed and integer fast paths against their references.
 
 ``_reference_mul_terms`` below is the product kernel written directly in
 ``Fraction`` arithmetic, kept verbatim as a test oracle.  The production
-kernel ``weyl._mul_terms`` works on the flat (monomial, parameter
+kernel (``Operator.__mul__`` and ``commutator``) sweeps monomial pairs
+on packed integer keys and works on the flat (monomial, parameter
 exponent) -> integer numerator maps operators store, each over its
-operand's denominator; every numerator it returns, divided by
+operand's denominator; every numerator of the result, divided by
 den_a * den_b, must equal the reference coefficient exactly, key for
 key, so every printed operator and every report built from it stays bit
 for bit the same.
+
+``_reference_tuple_product`` and ``_reference_tuple_commutator`` are the
+integer sweeps the packed ones replaced, on exponent tuples: one tuple
+per pair and per reorder term.  The packed sweeps must give the same
+(terms, den), at every field width the packing picks.
 
 ``_reference_apply`` and ``_reference_evaluate`` are ``Operator.apply``
 and ``Polynomial.evaluate`` as they were written in Fraction arithmetic
@@ -20,14 +26,17 @@ Fraction references.
 """
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from racahverify import racah, reduction
+from racahverify._parallel import run_tasks
 from racahverify.cli import identity_catalog
 from racahverify.coeff import ParamPoly
 from racahverify.liealg import SO2nContext
@@ -36,14 +45,86 @@ from racahverify.weyl import (
     AlgebraSignature,
     Operator,
     Polynomial,
+    _by_monomial,
     _falling,
-    _mul_terms,
+    _operands,
     _reorder_options,
+    _width,
     commutator,
     evaluator,
 )
 
-from test_weyl import LOC2, PSIG, SIG2, ops2, opsL, opsP, param_polys, polys2, polysL, polysP, small_fractions
+from test_weyl import LOC1, LOC2, PSIG, SIG2, ops2, opsL, opsP, param_polys, polys2, polysL, polysP, small_fractions
+
+
+def _reference_cross(ca, cb):
+    """The product of two coefficient polynomials as (pexp, num) pairs."""
+    if len(ca) == 1 and len(cb) == 1:
+        (pa, fa), = ca
+        (pb, fb), = cb
+        if any(pa) or any(pb):
+            pa = tuple(map(add, pa, pb))
+        return ((pa, fa * fb),)
+    cross: dict[tuple, int] = {}
+    for pa, fa in ca:
+        for pb, fb in cb:
+            pe = tuple(map(add, pa, pb))
+            cross[pe] = cross.get(pe, 0) + fa * fb
+    return tuple(cross.items())
+
+
+def _reference_reorder_into(acc, m, ma, mb, active, cpairs, first, sign):
+    """Add sign * (the reorder terms of ma * mb from the first-th on) to acc."""
+    base = list(map(add, ma, mb))
+    option_lists = [_reorder_options(ma[m + i], mb[i]) for i in active]
+    for combo in itertools.islice(itertools.product(*option_lists), first, None):
+        factor = sign
+        mono_list = base[:]
+        for i, (s, f) in zip(active, combo):
+            factor *= f
+            if s:
+                mono_list[i] -= s
+                mono_list[m + i] -= s
+        mono = tuple(mono_list)
+        for pe, q in cpairs:
+            key = (mono, pe)
+            acc[key] = acc.get(key, 0) + q * factor
+
+
+def _reference_tuple_product(m, aterms, bterms):
+    """The flat numerators of ab over den_a * den_b, swept on exponent tuples."""
+    bitems = _by_monomial(bterms)
+    acc: dict[tuple, int] = {}
+    for ma, ca in _by_monomial(aterms):
+        da_nonzero = [i for i in range(m) if ma[m + i]]
+        for mb, cb in bitems:
+            active = [i for i in da_nonzero if mb[i]]
+            _reference_reorder_into(acc, m, ma, mb, active, _reference_cross(ca, cb), 0, 1)
+    return {key: q for key, q in acc.items() if q}
+
+
+def _reference_tuple_commutator(m, aterms, bterms):
+    """The flat numerators of ab - ba over den_a * den_b, swept on exponent tuples."""
+    bitems = [(mb, cb, [i for i in range(m) if mb[m + i]]) for mb, cb in _by_monomial(bterms)]
+    acc: dict[tuple, int] = {}
+    for ma, ca in _by_monomial(aterms):
+        da_nonzero = [i for i in range(m) if ma[m + i]]
+        for mb, cb, db_nonzero in bitems:
+            ab = [i for i in da_nonzero if mb[i]]
+            ba = [i for i in db_nonzero if ma[i]]
+            if not (ab or ba):
+                continue
+            cpairs = _reference_cross(ca, cb)
+            if ab:
+                _reference_reorder_into(acc, m, ma, mb, ab, cpairs, 1, 1)
+            if ba:
+                _reference_reorder_into(acc, m, mb, ma, ba, cpairs, 1, -1)
+    return {key: q for key, q in acc.items() if q}
+
+
+def _tuple_reference(sweep, a, b):
+    """The tuple sweep's result as an operator, reduced like the kernel's."""
+    return Operator._make(a.sig, sweep(a.sig.num_vars, a.terms, b.terms), a.den * b.den)
 
 
 def _reference_mul_terms(
@@ -116,13 +197,14 @@ def _flat_fractions(grouped):
 
 
 def _assert_kernels_agree(a, b):
-    """The kernel's numerators over den_a * den_b, checked against the reference."""
-    m = a.sig.num_vars
-    got = _mul_terms(m, a.terms, b.terms)
-    assert all(type(q) is int and q for q in got.values())
-    den = a.den * b.den
-    values = {key: Fraction(q, den) for key, q in got.items()}
-    reference = _flat_fractions(_reference_mul_terms(m, a.coefficients(), b.coefficients()))
+    """a * b against the tuple sweep (as stored) and the Fraction reference (as values)."""
+    got = a * b
+    expected = _tuple_reference(_reference_tuple_product, a, b)
+    assert (got.terms, got.den) == (expected.terms, expected.den)
+    assert all(type(mono) is tuple and type(pe) is tuple for mono, pe in got.terms)
+    assert all(type(q) is int and q for q in got.terms.values())
+    values = {key: Fraction(q, got.den) for key, q in got.terms.items()}
+    reference = _flat_fractions(_reference_mul_terms(a.sig.num_vars, a.coefficients(), b.coefficients()))
     assert values == reference
     assert all(type(q) is Fraction for q in reference.values())
     return values
@@ -164,10 +246,10 @@ def test_mixed_denominator_parameter_coefficients():
 
 
 def _assert_commutator_matches_reference(a, b):
-    """commutator(a, b) against a*b - b*a (as stored) and the reference products (as values)."""
+    """commutator(a, b) against the tuple sweep and a*b - b*a (as stored) and the reference products (as values)."""
     got = commutator(a, b)
-    expected = a * b - b * a
-    assert (got.terms, got.den) == (expected.terms, expected.den)
+    for expected in (_tuple_reference(_reference_tuple_commutator, a, b), a * b - b * a):
+        assert (got.terms, got.den) == (expected.terms, expected.den)
     m = a.sig.num_vars
     ab = _flat_fractions(_reference_mul_terms(m, a.coefficients(), b.coefficients()))
     ba = _flat_fractions(_reference_mul_terms(m, b.coefficients(), a.coefficients()))
@@ -211,6 +293,135 @@ def test_reduced_n5_pair_bracket_matches_reference():
     bracket = _assert_commutator_matches_reference(p12, p23)
     assert not bracket.is_zero()
     assert any(any(pe) for _, pe in bracket.terms)
+
+
+def test_field_width_rule():
+    assert _width(0) == _width(2**14 - 1) == (16, "h")
+    assert _width(2**14) == _width(2**30 - 1) == (32, "i")
+    assert _width(2**30) == _width(2**62 - 1) == (64, "q")
+    with pytest.raises(OverflowError):
+        _width(2**62)
+
+
+def _boundary_operators(e):
+    """Two operators whose position, Laurent, derivative and parameter exponents reach e.
+
+    A large derivative exponent only ever meets a small positive position
+    exponent, and a negative one only small derivatives, so every pair
+    among a*b, b*a and a*a has few reorder terms.  (b*b would not.)
+    """
+    a1 = PSIG.param(1)
+    big = ParamPoly.from_terms(2, [((e, 0), Fraction(3, 2)), ((0, 1), -1)])
+    a = (
+        Operator.monomial(PSIG, (e, 1), (2, 0), a1)
+        + Operator.monomial(PSIG, (-e, 0), (0, 1), big)
+        + Operator.monomial(PSIG, (2, 0), (0, 3), Fraction(-1, 3))
+    )
+    b = (
+        Operator.monomial(PSIG, (-e, 2), (0, 1), Fraction(5, 4))
+        + Operator.monomial(PSIG, (1, -3), (0, e), big)
+        + Operator.monomial(PSIG, (0, e), (1, 0), a1 * a1)
+    )
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "e, width", [(2**13 - 1, 16), (2**14, 32), (2**30, 64), (2**40, 64)], ids=["2^13-1", "2^14", "2^30", "2^40"]
+)
+def test_packed_sweeps_at_the_width_boundaries(e, width):
+    a, b = _boundary_operators(e)
+    layout, _, _ = _operands(a, b)
+    assert layout.width == width
+    for x, y in ((a, b), (b, a), (a, a)):
+        _assert_kernels_agree(x, y)
+        _assert_commutator_matches_reference(x, y)
+    assert any(mono[0] == -2 * e for mono, _ in (a * b).terms)  # Laurent exponents below -e decode intact
+    assert any(mono[3] == e for mono, _ in (b * a).terms)
+    assert any(pe[0] == 2 * e for _, pe in (a * a).terms)
+
+
+def test_exponents_beyond_64_bit_fields_raise():
+    for sig in (SIG2, PSIG):
+        huge = Operator.x(sig, 1, 2**62)
+        with pytest.raises(OverflowError):
+            huge * Operator.d(sig, 1)
+        with pytest.raises(OverflowError):
+            commutator(Operator.d(sig, 2), huge)
+    a1 = ParamPoly.from_terms(2, [((2**62, 0), 1)])
+    with pytest.raises(OverflowError):
+        Operator.constant(PSIG, a1) * Operator.d(PSIG, 1)
+    # just inside: 2 * (2^61 + 1) < 2^63
+    _assert_kernels_agree(Operator.x(SIG2, 1, 2**61), Operator.d(SIG2, 1))
+
+
+def test_views_are_reused_and_repacked():
+    basis = racah.CommutantBasis(SO2nContext(4))
+    f, p = basis.f(1, 2, 3), basis.p(1, 2)
+    first = _assert_kernels_agree(f, p)
+    view = f._packed
+    assert _assert_kernels_agree(f, p) == first and f._packed is view
+    assert _assert_kernels_agree(f, f)
+    assert _assert_commutator_matches_reference(f, f).is_zero()
+    assert f._packed is view
+    # a wider pair repacks f, and the next narrow pair packs it back
+    wide = Operator.x(f.sig, 3, 2**20)
+    _assert_kernels_agree(f, wide)
+    assert f._packed.width == 32
+    assert _assert_kernels_agree(f, p) == first
+    assert f._packed.width == 16
+
+
+def test_pickled_operators_drop_the_view_and_multiply_the_same():
+    basis = reduction.ReducedBasis(reduction.ReducedContext(4))
+    p12, f123 = basis.p(1, 2), basis.f(1, 2, 3)
+    product, bracket = p12 * f123, commutator(p12, f123)
+    assert p12._packed is not None
+    clone = pickle.loads(pickle.dumps(p12))
+    assert clone == p12 and getattr(clone, "_packed", None) is None
+    assert len(pickle.dumps(p12)) == len(pickle.dumps(clone))
+    for _ in range(2):
+        assert clone * f123 == product and commutator(clone, f123) == bracket
+        clone = pickle.loads(pickle.dumps(clone))
+
+
+def test_fork_pool_products_match_serial():
+    basis = racah.CommutantBasis(SO2nContext(4))
+    ops = [basis.p(1, 2), basis.p(2, 3), basis.f(1, 2, 3), basis.f(2, 3, 4)]
+    pairs = [(i, j) for i in range(len(ops)) for j in range(len(ops))]
+
+    def work(pair):
+        a, b = ops[pair[0]], ops[pair[1]]
+        return a * b, commutator(a, b)
+
+    serial = [work(pair) for pair in pairs]  # caches every view before the fork
+    assert run_tasks(work, pairs, jobs=2) == serial
+
+
+def test_operator_keys_are_validated():
+    c = ParamPoly.const(0, 1)
+    with pytest.raises(ValueError):
+        Operator(SIG2, {(-1, 0, 0, 0): c})  # x1^-1 on a non-localized variable
+    with pytest.raises(ValueError):
+        Operator(AlgebraSignature(1), {(1, 0, 0): c})  # three exponents for one variable
+    with pytest.raises(ValueError):
+        Operator(LOC1, {(0, -2): c})  # d1^-2
+    with pytest.raises(ValueError):
+        Operator(PSIG, {(0, 0, 0, 0): c})  # coefficient arity 0 in a 2-parameter signature
+    with pytest.raises(ValueError):
+        Operator.monomial(SIG2, (1,), (0, 0, 0))
+    with pytest.raises(ValueError):
+        Operator.monomial(SIG2, (-1, 0), (0, 0), 0)  # checked even with a zero coefficient
+    assert Operator(LOC1, {(-1, 2): c}) == Operator.monomial(LOC1, (-1,), (2,))
+
+
+def test_param_poly_exponents_are_validated():
+    with pytest.raises(ValueError):
+        ParamPoly(1, {(-1,): Fraction(1)})
+    with pytest.raises(ValueError):
+        ParamPoly(2, {(1,): Fraction(1)})
+    with pytest.raises(ValueError):
+        ParamPoly(1, {(1,): Fraction(1), (0, 0): Fraction(0)})
+    assert str(ParamPoly(1, {(2,): Fraction(1, 2)})) == "1/2*a1^2"
 
 
 def _reference_scale(op: Operator, value) -> Operator:
