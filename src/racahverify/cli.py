@@ -24,7 +24,9 @@ from .weyl import AlgebraSignature, Operator, Polynomial, commutator, parse_oper
 SUITE_ORDER = ("o2n", "su11", "howe", "racah", "reduction", "oracle")
 
 
-def _numbered(relation: str, residuals: list[tuple[str, Operator]], prefix: tuple[int, ...] = ()) -> RelationReport:
+def _numbered(
+    relation: str, residuals: list[tuple[str, Operator | Polynomial]], prefix: tuple[int, ...] = ()
+) -> RelationReport:
     """One entry per (note, residual) pair, indexed prefix + (position,)."""
     report = RelationReport()
     for pos, (note, residual) in enumerate(residuals, start=1):
@@ -39,7 +41,7 @@ def _engine_suite(config: argparse.Namespace) -> RelationReport:
     x1, d1 = Operator.x(plain, 1), Operator.d(plain, 1)
     x2, d2 = Operator.x(plain, 2), Operator.d(plain, 2)
 
-    checks: list[tuple[str, Operator]] = [
+    checks: list[tuple[str, Operator | Polynomial]] = [
         ("product reorder", d1 * x1 - (x1 * d1 + Operator.constant(plain, 1))),
         ("square bracket", commutator(d1, x1 * x1) - 2 * x1),
         ("cross product", (x1 * d2) * (x2 * d1) - (x1 * x2 * d1 * d2 + x1 * d1)),
@@ -55,13 +57,13 @@ def _engine_suite(config: argparse.Namespace) -> RelationReport:
     ]
     f = Polynomial.monomial(plain, (3, 1))
     euler = x1 * d1
-    checks.append(("euler action", Operator.zero(plain) if euler.apply(f) == Polynomial.monomial(plain, (3, 1), 3) else Operator.constant(plain, 1)))
+    checks.append(("euler action", euler.apply(f) - Polynomial.monomial(plain, (3, 1), 3)))
     composite = (x1 * d2) * (x2 * d1) - 3 * (x2 * x2) + Operator.constant(plain, Fraction(-5, 7))
     checks.append(("text round-trip", composite - parse_operator(str(composite), plain)))
     g = Polynomial.monomial(plain, (2, 2)) + Polynomial.monomial(plain, (0, 3), Fraction(1, 2))
     a_op, b_op = x1 * d1 * d2, x2 * x2 * d1
     leib = (a_op * b_op).apply(g) - a_op.apply(b_op.apply(g))
-    checks.append(("composition action", Operator.zero(plain) if leib.is_zero() else Operator.constant(plain, 1)))
+    checks.append(("composition action", leib))
     return _numbered("engine", checks)
 
 
@@ -134,7 +136,7 @@ def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
     L13 = liealg.make_L(ctx, 1, 3)
     L23 = liealg.make_L(ctx, 2, 3)
     cas = liealg.quadratic_casimir(ctx)
-    union12 = howe.PairUnion((1, 2))
+    union12 = liealg.PairUnion((1, 2))
     rtriple = reduction.make_reduced_J(rctx, 1)
     q12 = reduction.make_Q(rctx, 1, 2)
 
@@ -149,11 +151,11 @@ def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
         ("relation-b", commutator(basis.p(2, 3), basis.f(1, 2, 3)),
          basis.p(1, 3) * basis.p(2, 3) - basis.p(2, 3) * basis.p(1, 2)
          + 2 * (basis.p(1, 3) * basis.c(2)) - 2 * (basis.p(1, 2) * basis.c(3))),
-        ("coupled-casimir-closed-form", howe.casimir_CA(ctx, union12),
+        ("coupled-casimir-closed-form", liealg.casimir_CA(ctx, union12),
          howe.casimir_closed_form(ctx, union12)),
-        ("correspondence-pair", howe.casimir_CA(ctx, union12),
+        ("correspondence-pair", liealg.casimir_CA(ctx, union12),
          basis.K[(1, 2)] * Fraction(-1, 4)),
-        ("dependency", racah.direct_subset_casimir(ctx, (1, 2, 3)),
+        ("dependency", liealg.casimir_CA(ctx, liealg.PairUnion((1, 2, 3))),
          basis.C2[(1, 2)] + basis.C2[(1, 3)] + basis.C2[(2, 3)]
          - basis.C1[1] - basis.C1[2] - basis.C1[3]),
         ("reduced-triple-bracket", commutator(rtriple.J0, rtriple.Jp), rtriple.Jp),

@@ -14,51 +14,21 @@ generators alone:
 
 That closed form is what ties the coupled triples to the commutant
 invariants: at one pair it gives C^{(2i-1;2i)} = -(G^i + 1)/4 and at
-two pairs C = -K^{ij}/4.  This module builds the triples, verifies the
-closed form, the decomposition of any C^A into one- and two-pair
-Casimirs, and the correspondence with the commutant generators.
+two pairs C = -K^{ij}/4.  The triples and their Casimirs are built in
+liealg (PairUnion, make_JA, casimir_CA); this module verifies the closed
+form, the decomposition of any C^A into one- and two-pair Casimirs, and
+the correspondence with the commutant generators.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .liealg import SO2nContext, SU11Triple, casimir_of, make_L, make_metaplectic, sum_triples
+from .liealg import PairUnion, SO2nContext, casimir_CA, rotation_squares
 from .racah import make_G, make_K
 from .report import RelationReport, run_checks
 from .weyl import Operator, commutator
-
-
-@dataclass(frozen=True)
-class PairUnion:
-    """A union of variable pairs, one pair (2i-1, 2i) per factor index i."""
-
-    pairs: tuple[int, ...]
-
-    def __init__(self, pairs: Iterable[int]):
-        object.__setattr__(self, "pairs", tuple(pairs))
-        if not self.pairs:
-            raise ValueError("a pair union needs at least one factor")
-        if len(set(self.pairs)) != len(self.pairs):
-            raise ValueError(f"factor indices must be distinct: {self.pairs}")
-        if any(i < 1 for i in self.pairs):
-            raise ValueError(f"factor indices must be positive: {self.pairs}")
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(sorted(v for i in self.pairs for v in (2 * i - 1, 2 * i)))
-
-    @property
-    def size(self) -> int:
-        """|A|: the number of variables covered."""
-        return 2 * len(self.pairs)
-
-
-def _check_union(ctx: SO2nContext, union: PairUnion) -> None:
-    if any(i > ctx.n for i in union.pairs):
-        raise ValueError(f"factor indices {union.pairs} out of range 1..{ctx.n}")
 
 
 def all_pair_unions(ctx: SO2nContext, min_pairs: int = 1) -> list[PairUnion]:
@@ -70,26 +40,11 @@ def all_pair_unions(ctx: SO2nContext, min_pairs: int = 1) -> list[PairUnion]:
     return out
 
 
-def make_JA(ctx: SO2nContext, union: PairUnion) -> SU11Triple:
-    """The coproduct triple over all variables of the union."""
-    _check_union(ctx, union)
-    return sum_triples([make_metaplectic(ctx, mu) for mu in union.variables()])
-
-
 def casimir_closed_form(ctx: SO2nContext, union: PairUnion) -> Operator:
     """|A|(|A|-4)/16 - (1/4) sum of L_{mu,nu}^2 over mu < nu in A."""
-    _check_union(ctx, union)
     sz = union.size
-    total = Operator.constant(ctx.signature, Fraction(sz * (sz - 4), 16))
-    for mu, nu in itertools.combinations(union.variables(), 2):
-        l = make_L(ctx, mu, nu)
-        total = total - (l * l) * Fraction(1, 4)
-    return total
-
-
-def casimir_CA(ctx: SO2nContext, union: PairUnion) -> Operator:
-    """Casimir of the coupled triple (check_casimir_forms checks its closed form)."""
-    return casimir_of(make_JA(ctx, union))
+    constant = Operator.constant(ctx.signature, Fraction(sz * (sz - 4), 16))
+    return constant - rotation_squares(ctx, union.variables()) * Fraction(1, 4)
 
 
 def decomposition_residual(ctx: SO2nContext, union: PairUnion) -> Operator:

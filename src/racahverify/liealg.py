@@ -8,12 +8,14 @@ with bracket [L_{mu,nu}, L_{rho,sigma}] = delta_{nu,rho} L_{mu,sigma}
 - delta_{nu,sigma} L_{mu,rho} - delta_{mu,rho} L_{nu,sigma}
 + delta_{mu,sigma} L_{nu,rho}.  This module builds those generators,
 sweeps the bracket relations, constructs the quadratic invariant
-sum_{mu<nu} L_{mu,nu}^2, and houses the su(1,1) triples (one
-single-variable copy per oscillator variable) whose coproducts drive
-everything downstream.  Triples and their Casimirs are built without
-being checked: the su11 and reduction suites report each triple's
-relations once, and centrality of the Casimir follows from those
-relations (see casimir_of).
+sum_{mu<nu} L_{mu,nu}^2 (rotation_squares sums the L^2 over any set of
+variables), and houses the su(1,1) triples: one single-variable copy
+per oscillator variable, and their coproducts J^A over unions A of
+variable pairs (PairUnion, factor i covering the variables 2i-1, 2i),
+whose Casimirs C^A drive everything downstream.  Triples and their
+Casimirs are built without being checked: the su11 and reduction
+suites report each triple's relations once, and centrality of the
+Casimir follows from those relations (see casimir_of).
 
 A pitfall worth stating once: the quadratic invariant is central only
 when the sum runs over ALL coordinate pairs, 1 <= mu < nu <= 2n.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .report import RelationReport, run_checks
 from .weyl import AlgebraSignature, Operator, commutator
@@ -95,6 +98,15 @@ def check_o2n_relations(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     return run_checks("o2n", quads, lambda t: commutator(L[t[:2]], L[t[2:]]) - _bracket_rhs(ctx, *t), jobs)
 
 
+def rotation_squares(ctx: SO2nContext, variables: Iterable[int]) -> Operator:
+    """sum of L_{mu,nu}^2 over mu < nu drawn from the given variables."""
+    total = Operator.zero(ctx.signature)
+    for mu, nu in itertools.combinations(variables, 2):
+        l = make_L(ctx, mu, nu)
+        total = total + l * l
+    return total
+
+
 def casimir_sum(ctx: SO2nContext, bound: int) -> Operator:
     """sum of L_{mu,nu}^2 over 1 <= mu < nu <= bound.
 
@@ -104,12 +116,7 @@ def casimir_sum(ctx: SO2nContext, bound: int) -> Operator:
     """
     if not 2 <= bound <= ctx.num_vars:
         raise ValueError(f"bound must lie in 2..{ctx.num_vars}")
-    total = Operator.zero(ctx.signature)
-    for mu in range(1, bound + 1):
-        for nu in range(mu + 1, bound + 1):
-            l = make_L(ctx, mu, nu)
-            total = total + l * l
-    return total
+    return rotation_squares(ctx, range(1, bound + 1))
 
 
 def quadratic_casimir(ctx: SO2nContext) -> Operator:
@@ -203,3 +210,39 @@ def casimir_of(t: SU11Triple) -> Operator:
     once per triple, and the Casimir's value by the closed-form entries.
     """
     return t.J0 * t.J0 - t.Jp * t.Jm - t.J0
+
+
+@dataclass(frozen=True)
+class PairUnion:
+    """A union of variable pairs, one pair (2i-1, 2i) per factor index i."""
+
+    pairs: tuple[int, ...]
+
+    def __init__(self, pairs: Iterable[int]):
+        object.__setattr__(self, "pairs", tuple(pairs))
+        if not self.pairs:
+            raise ValueError("a pair union needs at least one factor")
+        if len(set(self.pairs)) != len(self.pairs):
+            raise ValueError(f"factor indices must be distinct: {self.pairs}")
+        if any(i < 1 for i in self.pairs):
+            raise ValueError(f"factor indices must be positive: {self.pairs}")
+
+    def variables(self) -> tuple[int, ...]:
+        return tuple(sorted(v for i in self.pairs for v in (2 * i - 1, 2 * i)))
+
+    @property
+    def size(self) -> int:
+        """|A|: the number of variables covered."""
+        return 2 * len(self.pairs)
+
+
+def make_JA(ctx: SO2nContext, union: PairUnion) -> SU11Triple:
+    """The coproduct triple over all variables of the union."""
+    if any(i > ctx.n for i in union.pairs):
+        raise ValueError(f"factor indices {union.pairs} out of range 1..{ctx.n}")
+    return sum_triples([make_metaplectic(ctx, mu) for mu in union.variables()])
+
+
+def casimir_CA(ctx: SO2nContext, union: PairUnion) -> Operator:
+    """Casimir of the coupled triple (howe.check_casimir_forms checks its closed form)."""
+    return casimir_of(make_JA(ctx, union))

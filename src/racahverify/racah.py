@@ -21,9 +21,15 @@ pair is -(G^i + 1)/4, not -G^i/4 + 1/4; using the latter shift breaks
 relation (b) by the offset it induces in the C-terms (demonstrated in
 the test suite).
 
-The relation templates are written against accessor callables p(i,j),
-f(i,j,k), c(i), so the same sweep verifies both this realization and
-the dimensionally reduced one.
+Both realizations share one memoized basis type, Basis: given the
+one- and two-factor Casimirs C1^i, C2^{ij}, a symmetric pair family
+B^{ij} and a scale, it derives P and computes F^{ijk} = scale *
+[B^{ij}, B^{jk}] on first access.  CommutantBasis brackets the K's;
+reduction.ReducedBasis brackets its pair Casimirs, which there equals
+(1/2)[P^{ij}, P^{jk}] because its C1^i are constants.  The relation
+templates read P, F and C through the basis accessors p(i,j), f(i,j,k),
+c(i), so one sweep verifies this realization and the dimensionally
+reduced one.
 
 The five relations, all indices pairwise distinct:
 
@@ -44,9 +50,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .liealg import SO2nContext, casimir_of, make_L, make_metaplectic, sum_triples
+from .liealg import PairUnion, SO2nContext, casimir_CA, make_L, rotation_squares
 from .report import RelationReport, ReportEntry, run_checks
 from .weyl import Operator, commutator
 
@@ -57,65 +63,49 @@ FAccessor = Callable[[int, int, int], Operator]
 CAccessor = Callable[[int], Operator]
 
 
-def _pair_vars(i: int) -> tuple[int, int]:
-    return 2 * i - 1, 2 * i
-
-
 def make_G(ctx: SO2nContext, i: int) -> Operator:
     """L_{2i-1,2i}^2, the square of the i-th planar rotation."""
-    if not 1 <= i <= ctx.n:
-        raise ValueError(f"factor index {i} out of range 1..{ctx.n}")
-    l = make_L(ctx, *_pair_vars(i))
-    return l * l
+    return rotation_squares(ctx, PairUnion((i,)).variables())
 
 
 def make_K(ctx: SO2nContext, i: int, j: int) -> Operator:
     """Sum of the six L^2 over index pairs inside {2i-1, 2i, 2j-1, 2j}."""
-    if i == j:
-        raise ValueError("pair invariant needs two distinct factors")
-    if not (1 <= i <= ctx.n and 1 <= j <= ctx.n):
-        raise ValueError(f"factor indices ({i}, {j}) out of range 1..{ctx.n}")
-    variables = sorted(_pair_vars(i) + _pair_vars(j))
-    total = Operator.zero(ctx.signature)
-    for a, b in itertools.combinations(variables, 2):
-        l = make_L(ctx, a, b)
-        total = total + l * l
-    return total
+    return rotation_squares(ctx, PairUnion((i, j)).variables())
 
 
-class CommutantBasis:
-    """All the rescaled invariants of one context, memoized.
+def _pair(family: Mapping[tuple[int, int], Operator], i: int, j: int) -> Operator:
+    return family[(i, j) if i < j else (j, i)]
 
-    G, K, C1, C2, P are built eagerly (they are cheap); F^{ijk} is
-    computed on first access and cached, with the reversal
-    F^{kji} = -F^{ijk} resolved from the cache instead of a second
-    commutator.
+
+class Basis:
+    """P, C and the memoized F of one realization of the relations.
+
+    ctx is the realization's context (its n sizes the sweep); C1 maps i
+    to C1^i, and C2 and B map i < j to C2^{ij} and B^{ij}.  P^{ij} =
+    C2^{ij} - C1^i - C1^j is built eagerly.  F^{ijk} = scale *
+    [B^{ij}, B^{jk}] is computed on first access and cached, with the
+    reversal F^{kji} = -F^{ijk} resolved from the cache instead of a
+    second commutator.
     """
 
-    def __init__(self, ctx: SO2nContext):
+    def __init__(
+        self,
+        ctx,
+        C1: dict[int, Operator],
+        C2: dict[tuple[int, int], Operator],
+        B: Mapping[tuple[int, int], Operator],
+        scale: Fraction,
+    ):
         self.ctx = ctx
-        n = ctx.n
-        one = Operator.constant(ctx.signature, 1)
-        quarter = Fraction(-1, 4)
-        self.G = {i: make_G(ctx, i) for i in range(1, n + 1)}
-        self.K = {
-            (i, j): make_K(ctx, i, j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        }
-        self.C1 = {i: (self.G[i] + one) * quarter for i in range(1, n + 1)}
-        self.C2 = {ij: k * quarter for ij, k in self.K.items()}
-        self.P = {
-            (i, j): self.C2[(i, j)] - self.C1[i] - self.C1[j]
-            for (i, j) in self.K
-        }
+        self.C1 = C1
+        self.C2 = C2
+        self.P = {(i, j): c - C1[i] - C1[j] for (i, j), c in C2.items()}
+        self._B = B
+        self._scale = scale
         self._F: dict[tuple[int, int, int], Operator] = {}
 
-    def k(self, i: int, j: int) -> Operator:
-        return self.K[(i, j) if i < j else (j, i)]
-
     def p(self, i: int, j: int) -> Operator:
-        return self.P[(i, j) if i < j else (j, i)]
+        return _pair(self.P, i, j)
 
     def c(self, i: int) -> Operator:
         return self.C1[i]
@@ -129,9 +119,32 @@ class CommutantBasis:
         if reverse in memo:
             op = -memo[reverse]
         else:
-            op = commutator(self.k(i, j), self.k(j, k)) * Fraction(1, 32)
+            op = commutator(_pair(self._B, i, j), _pair(self._B, j, k)) * self._scale
         memo[key] = op
         return op
+
+
+class CommutantBasis(Basis):
+    """The rescaled invariants of one context: G, K, C1, C2, P eagerly,
+    F^{ijk} = [K^{ij}, K^{jk}]/32 on demand.
+
+    F comes from the K's, not from (1/2)[P^{ij}, P^{jk}]: the K's have
+    fewer terms, and relation (a) then says something in this model.
+    """
+
+    # Each subclass keeps f in its own namespace: the benchmark tracer
+    # (perfbench/spans.py) wraps cls.__dict__["f"] once per basis class.
+    f = Basis.f
+
+    def __init__(self, ctx: SO2nContext):
+        n = ctx.n
+        one = Operator.constant(ctx.signature, 1)
+        quarter = Fraction(-1, 4)
+        self.G = {i: make_G(ctx, i) for i in range(1, n + 1)}
+        self.K = {(i, j): make_K(ctx, i, j) for i, j in itertools.combinations(range(1, n + 1), 2)}
+        C1 = {i: (g + one) * quarter for i, g in self.G.items()}
+        C2 = {ij: k * quarter for ij, k in self.K.items()}
+        super().__init__(ctx, C1, C2, self.K, Fraction(1, 32))
 
 
 def relation_residual(
@@ -173,20 +186,18 @@ def relation_residual(
     raise ValueError(f"unknown relation {rel!r}")
 
 
-def sweep_relations(
-    n: int,
-    p: PAccessor,
-    f: FAccessor,
-    c: CAccessor,
-    jobs: int = 1,
-) -> RelationReport:
+def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     """Check all five relations over every tuple of pairwise distinct indices.
 
     Relations whose arity exceeds n get a single 'skipped' entry: they
-    have no admissible tuples at that rank.  The F accessor is warmed
-    over all ordered triples before dispatch so parallel workers share
-    the memoized operators instead of recomputing them.
+    have no admissible tuples at that rank.  F is warmed over all
+    ordered triples before dispatch so parallel workers share the
+    memoized operators instead of recomputing them.
     """
+    n = basis.ctx.n
+    if n < 3:
+        raise ValueError("the relation sweep needs at least three factors")
+    p, f, c = basis.p, basis.f, basis.c
     for t in itertools.permutations(range(1, n + 1), 3):
         f(*t)
 
@@ -204,9 +215,7 @@ def verify_racah_relations(
     ctx: SO2nContext, jobs: int = 1, basis: CommutantBasis | None = None
 ) -> RelationReport:
     """Full relation sweep in the commutant realization."""
-    if basis is None:
-        basis = CommutantBasis(ctx)
-    return sweep_relations(ctx.n, basis.p, basis.f, basis.c, jobs=jobs)
+    return sweep_relations(basis or CommutantBasis(ctx), jobs)
 
 
 def check_commutant_property(
@@ -220,7 +229,7 @@ def check_commutant_property(
     """
     if basis is None:
         basis = CommutantBasis(ctx)
-    rotations = {s: make_L(ctx, *_pair_vars(s)) for s in range(1, ctx.n + 1)}
+    rotations = {s: make_L(ctx, *PairUnion((s,)).variables()) for s in range(1, ctx.n + 1)}
     invariants = {(i,): g for i, g in basis.G.items()} | basis.K
     return run_checks(
         "commutant",
@@ -228,25 +237,6 @@ def check_commutant_property(
         lambda t: commutator(invariants[t[:-1]], rotations[t[-1]]),
         jobs,
     )
-
-
-def direct_subset_casimir(ctx: SO2nContext, subset: Sequence[int]) -> Operator:
-    """Casimir of the coproduct su(1,1) triple over the given factors.
-
-    Built from first principles: sum the one-variable metaplectic
-    triples over both variables of every factor in the subset, then
-    take J0^2 - J+ J- - J0 of the summed triple.
-    """
-    factors = sorted(set(subset))
-    if not factors:
-        raise ValueError("subset must be nonempty")
-    if not all(1 <= i <= ctx.n for i in factors):
-        raise ValueError(f"subset {factors} out of range 1..{ctx.n}")
-    triples = []
-    for i in factors:
-        for mu in _pair_vars(i):
-            triples.append(make_metaplectic(ctx, mu))
-    return casimir_of(sum_triples(triples))
 
 
 def dependency_residual(
@@ -259,16 +249,15 @@ def dependency_residual(
         C^A = sum_{{i,j} in A} C2^{ij} - (|A| - 2) * sum_{i in A} C1^i
 
     returns left side minus right side, with the left side computed
-    independently through the coproduct triple (not through C1/C2).
+    independently through the coupled triple (not through C1/C2).
+    Repeated or out-of-range factors raise ValueError.
     """
-    factors = sorted(set(subset))
-    if len(factors) < 2:
+    union = PairUnion(subset)
+    if len(union.pairs) < 2:
         raise ValueError("dependency needs at least two factors")
-    if not all(1 <= i <= ctx.n for i in factors):
-        raise ValueError(f"subset {factors} out of range 1..{ctx.n}")
-    if basis is None:
-        basis = CommutantBasis(ctx)
-    lhs = direct_subset_casimir(ctx, factors)
+    lhs = casimir_CA(ctx, union)
+    basis = basis or CommutantBasis(ctx)
+    factors = sorted(union.pairs)
     rhs = Operator.zero(ctx.signature)
     for i, j in itertools.combinations(factors, 2):
         rhs = rhs + basis.C2[(i, j)]

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .coeff import ParamPoly
 from .liealg import SU11Triple, casimir_of, sum_triples
-from .racah import sweep_relations
+from .racah import Basis, sweep_relations
 from .report import RelationReport, run_checks
 from .weyl import AlgebraSignature, Operator, commutator
 
@@ -201,56 +201,31 @@ def check_q_symmetry(ctx: ReducedContext, jobs: int = 1) -> RelationReport:
     )
 
 
-class ReducedBasis:
+class ReducedBasis(Basis):
     """Rescaled Casimirs of the radial realization, memoized for sweeps.
 
     P^{ij} = C^{ij} - C^i - C^j as in the commutant picture; here there
     is no K to commute, so F^{ijk} is defined by its bracket formula
     F^{ijk} = (1/2)[P^{ij}, P^{jk}] (which makes relation (a) hold by
-    construction; relations (b)..(e) remain contentful).
+    construction; relations (b)..(e) remain contentful).  The C^i are
+    constants, so the bracket is taken on the pair Casimirs:
+    [P^{ij}, P^{jk}] = [C^{ij}, C^{jk}] exactly.
     """
 
+    # See CommutantBasis.f: the tracer wraps each class's own f.
+    f = Basis.f
+
     def __init__(self, ctx: ReducedContext):
-        self.ctx = ctx
-        n = ctx.n
-        self.C1 = {i: reduced_casimir_single(ctx, i) for i in range(1, n + 1)}
-        self.C2 = {
+        C1 = {i: reduced_casimir_single(ctx, i) for i in range(1, ctx.n + 1)}
+        C2 = {
             (i, j): reduced_casimir_pair(ctx, i, j, verify=False)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
+            for i, j in itertools.combinations(range(1, ctx.n + 1), 2)
         }
-        self.P = {
-            (i, j): self.C2[(i, j)] - self.C1[i] - self.C1[j]
-            for (i, j) in self.C2
-        }
-        self._F: dict[tuple[int, int, int], Operator] = {}
-
-    def p(self, i: int, j: int) -> Operator:
-        return self.P[(i, j) if i < j else (j, i)]
-
-    def c(self, i: int) -> Operator:
-        return self.C1[i]
-
-    def f(self, i: int, j: int, k: int) -> Operator:
-        key = (i, j, k)
-        memo = self._F
-        if key in memo:
-            return memo[key]
-        reverse = (k, j, i)
-        if reverse in memo:
-            op = -memo[reverse]
-        else:
-            op = commutator(self.p(i, j), self.p(j, k)) * Fraction(1, 2)
-        memo[key] = op
-        return op
+        super().__init__(ctx, C1, C2, C2, Fraction(1, 2))
 
 
 def verify_reduced_racah(
     ctx: ReducedContext, jobs: int = 1, basis: ReducedBasis | None = None
 ) -> RelationReport:
     """The five quadratic relations in the radial realization, generic a_i."""
-    if ctx.n < 3:
-        raise ValueError("the relation sweep needs at least three factors")
-    if basis is None:
-        basis = ReducedBasis(ctx)
-    return sweep_relations(ctx.n, basis.p, basis.f, basis.c, jobs=jobs)
+    return sweep_relations(basis or ReducedBasis(ctx), jobs)

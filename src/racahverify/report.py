@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from ._parallel import run_tasks
-from .weyl import Operator
+from .weyl import Operator, Polynomial
 
-ResidualFn = Callable[[tuple[int, ...]], Operator]
+ResidualFn = Callable[[tuple[int, ...]], Operator | Polynomial]
 
 
 @dataclass(frozen=True)

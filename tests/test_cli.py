@@ -9,7 +9,7 @@ import pytest
 import racahverify.cli as cli
 from racahverify.cli import SUITE_ORDER, _resolve_suites, build_parser, identity_catalog, main
 from racahverify.report import RelationReport, ReportEntry
-from racahverify.weyl import Operator
+from racahverify.weyl import Operator, Polynomial
 
 GOLDEN_N3 = Path(__file__).parent / "data" / "cli_n3.jsonl"
 GOLDEN_N4_SYMBOLIC = Path(__file__).parent / "data" / "cli_n4_symbolic.jsonl"
@@ -135,6 +135,20 @@ def test_symbolic_suites_match_golden_lines_at_rank_four(capsys):
     assert code == 0
     golden = [json.loads(ln) for ln in GOLDEN_N4_SYMBOLIC.read_text().splitlines()]
     assert _strip_times(json.loads(ln) for ln in lines) == golden
+
+
+def test_engine_action_failure_reports_residual_terms(monkeypatch, capsys):
+    original = cli.Operator.apply
+
+    def off_by_two_terms(self, f):
+        return original(self, f) + Polynomial.monomial(f.sig, (1, 0)) + Polynomial.monomial(f.sig, (0, 1))
+
+    monkeypatch.setattr(cli.Operator, "apply", off_by_two_terms)
+    code, lines = run_main(["--suite", "su11", "--json"], capsys)
+    assert code == 1
+    rows = {row.get("note"): row for row in map(json.loads, lines[:-1]) if row["relation"] == "engine"}
+    assert not rows["euler action"]["passed"]
+    assert rows["euler action"]["residual_terms"] == 2
 
 
 def test_dependency_failure_reports_residual_terms(monkeypatch, capsys):

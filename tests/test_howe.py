@@ -5,18 +5,15 @@ from fractions import Fraction
 import pytest
 
 from racahverify.howe import (
-    PairUnion,
     all_pair_unions,
-    casimir_CA,
     casimir_closed_form,
     check_casimir_forms,
     check_decompositions,
     check_intermediate_centrality,
     decomposition_residual,
-    make_JA,
     verify_commutant_correspondence,
 )
-from racahverify.liealg import SO2nContext, make_L, make_metaplectic
+from racahverify.liealg import PairUnion, SO2nContext, casimir_CA, make_JA, make_L, make_metaplectic
 from racahverify.racah import make_G, make_K
 from racahverify.weyl import Operator, commutator
 

@@ -5,18 +5,21 @@ from fractions import Fraction
 import pytest
 
 from racahverify.liealg import (
+    PairUnion,
     SO2nContext,
     SU11Triple,
     casimir_of,
     casimir_sum,
     check_casimir_centrality,
     check_o2n_relations,
+    make_JA,
     make_L,
     make_metaplectic,
     quadratic_casimir,
+    rotation_squares,
     sum_triples,
 )
-from racahverify import howe, reduction
+from racahverify import reduction
 from racahverify.weyl import Operator, commutator
 
 CTX3 = SO2nContext(3)
@@ -24,7 +27,7 @@ CTX3 = SO2nContext(3)
 # Coproduct triples: over one union of two variable pairs, and over two
 # radial factors with free parameters.
 COPRODUCTS = {
-    "pair-union": lambda: howe.make_JA(CTX3, howe.PairUnion((1, 2))),
+    "pair-union": lambda: make_JA(CTX3, PairUnion((1, 2))),
     "radial-pair": lambda: reduction.reduced_coproduct(reduction.ReducedContext(3), (1, 2)),
 }
 TRIPLES = {"metaplectic": lambda: make_metaplectic(CTX3, 2), **COPRODUCTS}
@@ -111,6 +114,16 @@ def test_casimir_sum_bounds_checked():
         casimir_sum(CTX3, 1)
     with pytest.raises(ValueError):
         casimir_sum(CTX3, 7)
+
+
+def test_rotation_squares_over_variable_sets():
+    l12, l13, l23 = make_L(CTX3, 1, 2), make_L(CTX3, 1, 3), make_L(CTX3, 2, 3)
+    assert rotation_squares(CTX3, (1, 2)) == l12 * l12
+    assert rotation_squares(CTX3, (3, 1, 2)) == l12 * l12 + l13 * l13 + l23 * l23
+    assert rotation_squares(CTX3, (5,)).is_zero()
+    assert rotation_squares(CTX3, range(1, 7)) == quadratic_casimir(CTX3)
+    with pytest.raises(ValueError):
+        rotation_squares(CTX3, (6, 7))
 
 
 def test_metaplectic_triple():

@@ -140,7 +140,6 @@ def test_q_symmetry_parallel_matches_serial():
 
 def test_reduced_basis_bracket_structure():
     basis = ReducedBasis(CTX3)
-    assert basis.f(1, 2, 3) == -basis.f(3, 2, 1)
     assert basis.f(1, 2, 3) == commutator(basis.p(1, 2), basis.p(2, 3)) * Fraction(1, 2)
     assert basis.c(1).constant_value() == (CTX3.param(1) + Fraction(3, 4)) * Fraction(-1, 4)
 
