@@ -18,26 +18,43 @@ two pairs C = -K^{ij}/4.  The triples and their Casimirs are built in
 liealg (PairUnion, make_JA, casimir_CA); this module verifies the closed
 form, the decomposition of any C^A into one- and two-pair Casimirs, and
 the correspondence with the commutant generators.
+
+Each C^A is built once per context: casimir_CA memoizes it in
+SO2nContext.casimir_memo, and every check here first builds its table
+{A.pairs: C^A} in the calling process (casimir_table), so forked
+workers read the operators instead of rebuilding them.  The memo serves
+only the coupled-triple side of each identity; the other side is built
+independently and never reads it.  casimir_closed_form sums L^2 through
+rotation_squares, and the correspondence compares with the C1 and C2
+that racah.CommutantBasis builds from G and K.  So no check compares
+an operator with itself.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Iterable
 
-from .liealg import PairUnion, SO2nContext, casimir_CA, rotation_squares
-from .racah import make_G, make_K
+from .liealg import PairUnion, SO2nContext, casimir_CA, decomposition_sum, rotation_squares
+from .racah import CommutantBasis
 from .report import RelationReport, run_checks
 from .weyl import Operator, commutator
 
 
 def all_pair_unions(ctx: SO2nContext, min_pairs: int = 1) -> list[PairUnion]:
     """Every union of at least min_pairs factors, in subset order."""
-    out = []
-    for count in range(min_pairs, ctx.n + 1):
-        for combo in itertools.combinations(range(1, ctx.n + 1), count):
-            out.append(PairUnion(combo))
-    return out
+    factors = range(1, ctx.n + 1)
+    return [PairUnion(c) for k in range(min_pairs, ctx.n + 1) for c in itertools.combinations(factors, k)]
+
+
+def casimir_table(ctx: SO2nContext, unions: Iterable[PairUnion]) -> dict[tuple[int, ...], Operator]:
+    """{A.pairs: C^A} for the given unions, through the context's memo.
+
+    Built in the calling process before a sweep dispatches, as the
+    relation sweep warms F, so forked workers inherit every C^A.
+    """
+    return {u.pairs: casimir_CA(ctx, u) for u in unions}
 
 
 def casimir_closed_form(ctx: SO2nContext, union: PairUnion) -> Operator:
@@ -48,40 +65,30 @@ def casimir_closed_form(ctx: SO2nContext, union: PairUnion) -> Operator:
 
 
 def decomposition_residual(ctx: SO2nContext, union: PairUnion) -> Operator:
-    """Any coupled Casimir decomposes through one- and two-pair ones:
-
-        C^A = sum_{pairs a<b in A} C^{(a)(b)} - ((|A|-4)/2) sum_{a in A} C^{(a)}
-
-    returns left side minus right side; needs at least two pairs.
-    """
-    if len(union.pairs) < 2:
-        raise ValueError("decomposition needs at least two pairs")
-    lhs = casimir_CA(ctx, union)
-    rhs = Operator.zero(ctx.signature)
-    for a, b in itertools.combinations(union.pairs, 2):
-        rhs = rhs + casimir_CA(ctx, PairUnion((a, b)))
-    weight = Fraction(union.size - 4, 2)
-    if weight:
-        for a in union.pairs:
-            rhs = rhs - casimir_CA(ctx, PairUnion((a,))) * weight
-    return lhs - rhs
+    """C^A minus its decomposition through one- and two-pair Casimirs
+    (liealg.decomposition_sum); needs at least two pairs."""
+    return casimir_CA(ctx, union) - decomposition_sum(
+        union.pairs, lambda a, b: casimir_CA(ctx, PairUnion((a, b))), lambda a: casimir_CA(ctx, PairUnion((a,)))
+    )
 
 
 def check_casimir_forms(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     """Closed form against the directly computed Casimir, every pair union."""
+    table = casimir_table(ctx, all_pair_unions(ctx))
     return run_checks(
         "casimir-closed-form",
-        [u.pairs for u in all_pair_unions(ctx)],
-        lambda t: casimir_CA(ctx, PairUnion(t)) - casimir_closed_form(ctx, PairUnion(t)),
+        list(table),
+        lambda t: table[t] - casimir_closed_form(ctx, PairUnion(t)),
         jobs,
     )
 
 
 def check_decompositions(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     """Decomposition identity for every union of two or more pairs."""
+    table = casimir_table(ctx, all_pair_unions(ctx))
     return run_checks(
         "casimir-decomposition",
-        [u.pairs for u in all_pair_unions(ctx, min_pairs=2)],
+        [t for t in table if len(t) >= 2],
         lambda t: decomposition_residual(ctx, PairUnion(t)),
         jobs,
     )
@@ -90,34 +97,27 @@ def check_decompositions(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
 def verify_commutant_correspondence(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     """Coupled Casimirs match the rescaled commutant invariants exactly:
 
-        C^{(2i-1;2i)}            = -(G^i + 1)/4       for every factor i,
-        C^{(2i-1;2i)(2j-1;2j)}   = -K^{ij}/4          for every i < j.
+        C^{(2i-1;2i)}            = C1^i    = -(G^i + 1)/4   for every factor i,
+        C^{(2i-1;2i)(2j-1;2j)}   = C2^{ij} = -K^{ij}/4      for every i < j,
+
+    with C1 and C2 as racah.CommutantBasis builds them from G and K.
     """
-    one = Operator.constant(ctx.signature, 1)
-    quarter = Fraction(1, 4)
-    report = run_checks(
-        "correspondence-single",
-        [(i,) for i in range(1, ctx.n + 1)],
-        lambda t: casimir_CA(ctx, PairUnion(t)) + (make_G(ctx, *t) + one) * quarter,
-        jobs,
-    )
-    report.merge(
-        run_checks(
-            "correspondence-pair",
-            list(itertools.combinations(range(1, ctx.n + 1), 2)),
-            lambda t: casimir_CA(ctx, PairUnion(t)) + make_K(ctx, *t) * quarter,
-            jobs,
-        )
-    )
+    basis = CommutantBasis(ctx)
+    singles = [(i,) for i in basis.C1]
+    pairs = list(basis.C2)
+    table = casimir_table(ctx, map(PairUnion, singles + pairs))
+    report = run_checks("correspondence-single", singles, lambda t: table[t] - basis.c(*t), jobs)
+    report.merge(run_checks("correspondence-pair", pairs, lambda t: table[t] - basis.C2[t], jobs))
     return report
 
 
 def check_intermediate_centrality(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     """[C^A, C^{[n]}] = 0 for every pair union A."""
-    total = casimir_CA(ctx, PairUnion(range(1, ctx.n + 1)))
+    table = casimir_table(ctx, all_pair_unions(ctx))
+    total = table[tuple(range(1, ctx.n + 1))]
     return run_checks(
         "intermediate-central",
-        [u.pairs for u in all_pair_unions(ctx)],
-        lambda t: commutator(casimir_CA(ctx, PairUnion(t)), total),
+        list(table),
+        lambda t: commutator(table[t], total),
         jobs,
     )

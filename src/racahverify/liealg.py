@@ -12,7 +12,9 @@ sum_{mu<nu} L_{mu,nu}^2 (rotation_squares sums the L^2 over any set of
 variables), and houses the su(1,1) triples: one single-variable copy
 per oscillator variable, and their coproducts J^A over unions A of
 variable pairs (PairUnion, factor i covering the variables 2i-1, 2i),
-whose Casimirs C^A drive everything downstream.  Triples and their
+whose Casimirs C^A drive everything downstream (casimir_CA builds each
+once per context), and the one decomposition of a C^A into one- and
+two-pair Casimirs (decomposition_sum).  Triples and their
 Casimirs are built without being checked: the su11 and reduction
 suites report each triple's relations once, and centrality of the
 Casimir follows from those relations (see casimir_of).
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .report import RelationReport, run_checks
 from .weyl import AlgebraSignature, Operator, commutator
@@ -42,6 +44,12 @@ class SO2nContext:
 
     n: int
     signature: AlgebraSignature = field(init=False)
+    # C^A per union.pairs, filled by casimir_CA.  Held by the context, not
+    # a module-level cache, so it lives exactly as long as one run's
+    # context and stays out of equality and hashing.
+    casimir_memo: dict[tuple[int, ...], Operator] = field(
+        init=False, default_factory=dict, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.n < 3:
@@ -244,5 +252,35 @@ def make_JA(ctx: SO2nContext, union: PairUnion) -> SU11Triple:
 
 
 def casimir_CA(ctx: SO2nContext, union: PairUnion) -> Operator:
-    """Casimir of the coupled triple (howe.check_casimir_forms checks its closed form)."""
-    return casimir_of(make_JA(ctx, union))
+    """Casimir of the coupled triple, built once per context and union.pairs
+    (howe.check_casimir_forms checks its closed form)."""
+    memo = ctx.casimir_memo
+    op = memo.get(union.pairs)
+    if op is None:
+        op = memo[union.pairs] = casimir_of(make_JA(ctx, union))
+    return op
+
+
+def decomposition_sum(
+    factors: Iterable[int], pair: Callable[[int, int], Operator], single: Callable[[int], Operator]
+) -> Operator:
+    """sum_{a<b} pair(a, b) - (k - 2) sum_a single(a) over k >= 2 distinct factors.
+
+    With pair = C^{(a)(b)} and single = C^{(a)} this is the right side of
+    the decomposition of a coupled Casimir,
+
+        C^A = sum_{a<b in A} C^{(a)(b)} - (k - 2) sum_{a in A} C^{(a)},
+
+    where k = |A|/2, so k - 2 = (|A| - 4)/2.  Factors are taken in
+    ascending order, so pair always gets a < b.
+    """
+    factors = sorted(factors)
+    if len(factors) < 2:
+        raise ValueError("the decomposition needs at least two factors")
+    terms = [pair(a, b) for a, b in itertools.combinations(factors, 2)]
+    total = sum(terms[1:], terms[0])
+    weight = len(factors) - 2
+    if weight:
+        for a in factors:
+            total = total - weight * single(a)
+    return total

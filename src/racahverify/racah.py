@@ -52,7 +52,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .liealg import PairUnion, SO2nContext, casimir_CA, make_L, rotation_squares
+from .liealg import PairUnion, SO2nContext, casimir_CA, decomposition_sum, make_L, rotation_squares
 from .report import RelationReport, ReportEntry, run_checks
 from .weyl import Operator, commutator
 
@@ -244,28 +244,16 @@ def dependency_residual(
     subset: Sequence[int],
     basis: CommutantBasis | None = None,
 ) -> Operator:
-    """The subset Casimir is a linear combination of one- and two-factor ones:
+    """The subset Casimir minus its decomposition (liealg.decomposition_sum)
+    through the basis's C2^{ij} and C1^i.
 
-        C^A = sum_{{i,j} in A} C2^{ij} - (|A| - 2) * sum_{i in A} C1^i
-
-    returns left side minus right side, with the left side computed
-    independently through the coupled triple (not through C1/C2).
-    Repeated or out-of-range factors raise ValueError.
+    The left side is the coupled triple's Casimir (casimir_CA), computed
+    independently of C1 and C2.  Repeated or out-of-range factors raise
+    ValueError, as does a subset of fewer than two factors.
     """
     union = PairUnion(subset)
-    if len(union.pairs) < 2:
-        raise ValueError("dependency needs at least two factors")
-    lhs = casimir_CA(ctx, union)
     basis = basis or CommutantBasis(ctx)
-    factors = sorted(union.pairs)
-    rhs = Operator.zero(ctx.signature)
-    for i, j in itertools.combinations(factors, 2):
-        rhs = rhs + basis.C2[(i, j)]
-    weight = len(factors) - 2
-    if weight:
-        for i in factors:
-            rhs = rhs - weight * basis.C1[i]
-    return lhs - rhs
+    return casimir_CA(ctx, union) - decomposition_sum(union.pairs, lambda i, j: basis.C2[(i, j)], basis.c)
 
 
 def verify_dependency(ctx: SO2nContext, subset: Sequence[int], basis: CommutantBasis | None = None) -> bool:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeff import ParamPoly
-from .liealg import SU11Triple, casimir_of, sum_triples
+from .liealg import PairUnion, SU11Triple, casimir_of, sum_triples
 from .racah import Basis, sweep_relations
 from .report import RelationReport, run_checks
 from .weyl import AlgebraSignature, Operator, commutator
@@ -86,14 +86,14 @@ def make_reduced_J(ctx: ReducedContext, i: int) -> SU11Triple:
 
 
 def reduced_coproduct(ctx: ReducedContext, factors: tuple[int, ...] | None = None) -> SU11Triple:
-    """Sum of the single-variable triples over the given factors (default all)."""
+    """Sum of the single-variable triples over the given factors (default all).
+
+    PairUnion rejects empty and repeated factors, make_reduced_J those
+    out of range.
+    """
     if factors is None:
         factors = tuple(range(1, ctx.n + 1))
-    for i in factors:
-        _check_factor(ctx, i)
-    if len(set(factors)) != len(factors):
-        raise ValueError(f"factor indices must be distinct: {factors}")
-    return sum_triples([make_reduced_J(ctx, i) for i in factors])
+    return sum_triples([make_reduced_J(ctx, i) for i in PairUnion(factors).pairs])
 
 
 def rotation(ctx: ReducedContext, i: int, j: int) -> Operator:
@@ -137,8 +137,6 @@ def pair_casimir_closed_form(ctx: ReducedContext, i: int, j: int) -> Operator:
 
 def reduced_casimir_pair(ctx: ReducedContext, i: int, j: int, verify: bool = True) -> Operator:
     """Casimir of the two-variable coproduct triple; verify=True also checks its closed form."""
-    if i == j:
-        raise ValueError("pair Casimir needs two distinct factors")
     c = casimir_of(reduced_coproduct(ctx, (i, j)))
     if verify and not (c - pair_casimir_closed_form(ctx, i, j)).is_zero():
         raise RuntimeError(f"pair Casimir closed form fails for ({i}, {j})")
@@ -181,12 +179,9 @@ def make_Q(ctx: ReducedContext, i: int, j: int) -> Operator:
 
         Q_{ij} = -4 C^{ij} - (a_i + a_j + 1),
 
-    which the reduction suite reports as its ``q-affine`` entries.
+    which the reduction suite reports as its ``q-affine`` entries.  Equal
+    or out-of-range factors raise ValueError (from rotation).
     """
-    if i == j:
-        raise ValueError("conserved quantity needs two distinct factors")
-    _check_factor(ctx, i)
-    _check_factor(ctx, j)
     return pair_invariant(ctx, i, j)
 
 

@@ -1,0 +1,212 @@
+"""The suite registry: which checks each suite runs, and in what order.
+
+A run is the engine self-checks, then the chosen suites in dependency
+order (o2n, su11, howe, racah, reduction, oracle).  One SO2nContext
+serves the o2n, su11, howe and racah suites of a run, so each coupled
+Casimir C^A is built once (SO2nContext.casimir_memo) and the racah
+suite's dependency entries reuse what the howe suite built.  The
+context is made per run, never cached here: a later run in the same
+process, with a patched builder for instance, starts from nothing.
+
+Each runner takes that context and the run's settings (n, jobs,
+trials, seed; the racah-verify options) and returns a RelationReport.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import time
+from fractions import Fraction
+from functools import partial
+from typing import Callable, Iterator, Sequence
+
+from . import howe, liealg, oracle, racah, reduction
+from .report import RelationReport, ReportEntry, check, run_checks
+from .weyl import AlgebraSignature, Operator, Polynomial, commutator, parse_operator
+
+SUITE_ORDER = ("o2n", "su11", "howe", "racah", "reduction", "oracle")
+
+
+def _numbered(
+    relation: str, residuals: list[tuple[str, Operator | Polynomial]], prefix: tuple[int, ...] = ()
+) -> RelationReport:
+    """One entry per (note, residual) pair, indexed prefix + (position,)."""
+    report = RelationReport()
+    for pos, (note, residual) in enumerate(residuals, start=1):
+        report.add(check(relation, (*prefix, pos), lambda _, r=residual: r, note))
+    return report
+
+
+def _engine_suite() -> RelationReport:
+    """Fixed self-checks of the operator engine, run before everything."""
+    plain = AlgebraSignature(2)
+    local = AlgebraSignature(1, localized=frozenset({1}))
+    x1, d1 = Operator.x(plain, 1), Operator.d(plain, 1)
+    x2, d2 = Operator.x(plain, 2), Operator.d(plain, 2)
+
+    checks: list[tuple[str, Operator | Polynomial]] = [
+        ("product reorder", d1 * x1 - (x1 * d1 + Operator.constant(plain, 1))),
+        ("square bracket", commutator(d1, x1 * x1) - 2 * x1),
+        ("cross product", (x1 * d2) * (x2 * d1) - (x1 * x2 * d1 * d2 + x1 * d1)),
+        (
+            "inverse-power reorder",
+            Operator.d(local, 1) * Operator.x(local, 1, -1)
+            - (Operator.x(local, 1, -1) * Operator.d(local, 1) - Operator.x(local, 1, -2)),
+        ),
+        (
+            "associativity",
+            ((x1 * d2) * (x2 * d1)) * (x1 * d1) - (x1 * d2) * ((x2 * d1) * (x1 * d1)),
+        ),
+    ]
+    f = Polynomial.monomial(plain, (3, 1))
+    euler = x1 * d1
+    checks.append(("euler action", euler.apply(f) - Polynomial.monomial(plain, (3, 1), 3)))
+    composite = (x1 * d2) * (x2 * d1) - 3 * (x2 * x2) + Operator.constant(plain, Fraction(-5, 7))
+    checks.append(("text round-trip", composite - parse_operator(str(composite), plain)))
+    # The product side against A(Bg) derived by hand, not through apply, so
+    # a fault in apply cannot cancel between the two sides:
+    # g = x1^2 x2^2 + x2^3/2, B g = x2^2 d1 g = 2 x1 x2^4, A(B g) = x1 d1 d2 (2 x1 x2^4) = 8 x1 x2^3.
+    g = Polynomial.monomial(plain, (2, 2)) + Polynomial.monomial(plain, (0, 3), Fraction(1, 2))
+    a_op, b_op = x1 * d1 * d2, x2 * x2 * d1
+    checks.append(("composition action", (a_op * b_op).apply(g) - Polynomial.monomial(plain, (1, 3), 8)))
+    return _numbered("engine", checks)
+
+
+def _o2n_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> RelationReport:
+    report = liealg.check_o2n_relations(ctx, jobs=config.jobs)
+    report.merge(liealg.check_casimir_centrality(ctx, jobs=config.jobs))
+    return report
+
+
+def _su11_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> RelationReport:
+    expected = Operator.constant(ctx.signature, Fraction(-3, 16))
+    report = RelationReport()
+    for mu in range(1, ctx.num_vars + 1):
+        triple = liealg.make_metaplectic(ctx, mu)
+        report.merge(_numbered("su11", triple.relation_residuals(), (mu,)))
+        report.add(check("su11-casimir", (mu,), lambda _: liealg.casimir_of(triple) - expected, "value -3/16"))
+    return report
+
+
+def _howe_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> RelationReport:
+    report = howe.check_casimir_forms(ctx, jobs=config.jobs)
+    report.merge(howe.check_decompositions(ctx, jobs=config.jobs))
+    report.merge(howe.verify_commutant_correspondence(ctx, jobs=config.jobs))
+    report.merge(howe.check_intermediate_centrality(ctx, jobs=config.jobs))
+    return report
+
+
+def _racah_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> RelationReport:
+    basis = racah.CommutantBasis(ctx)
+    report = racah.check_commutant_property(ctx, jobs=config.jobs, basis=basis)
+    report.merge(racah.verify_racah_relations(ctx, jobs=config.jobs, basis=basis))
+    table = howe.casimir_table(ctx, howe.all_pair_unions(ctx, 2))
+    report.merge(run_checks("dependency", list(table), lambda t: racah.dependency_residual(ctx, t, basis), config.jobs))
+    return report
+
+
+def _reduction_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> RelationReport:
+    rctx = reduction.ReducedContext(config.n)
+    basis = reduction.ReducedBasis(rctx)
+    report = RelationReport()
+    for i in range(1, rctx.n + 1):
+        report.merge(_numbered("reduced-su11", reduction.make_reduced_J(rctx, i).relation_residuals(), (i,)))
+        expected = Operator.constant(rctx.signature, (rctx.param(i) + Fraction(3, 4)) * Fraction(-1, 4))
+        report.add(check("reduced-casimir-single", (i,), lambda t: basis.c(*t) - expected))
+    for i, j in itertools.combinations(range(1, rctx.n + 1), 2):
+        shift = Operator.constant(rctx.signature, rctx.param(i) + rctx.param(j) + 1)
+        report.add(check("reduced-casimir-pair", (i, j), lambda t: basis.C2[t] - reduction.pair_casimir_closed_form(rctx, *t)))
+        report.add(check("q-affine", (i, j), lambda t: reduction.make_Q(rctx, *t) + 4 * basis.C2[t] + shift))
+    report.add(check("total-casimir", (rctx.n,), lambda _: reduction.total_casimir_residual(rctx)))
+    report.merge(reduction.check_q_symmetry(rctx, jobs=config.jobs))
+    report.merge(reduction.verify_reduced_racah(rctx, jobs=config.jobs, basis=basis))
+    return report
+
+
+def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
+    """Representative named identities from every layer, as operator pairs
+    whose equality the oracle re-checks numerically."""
+    ctx = liealg.SO2nContext(n)
+    sig = ctx.signature
+    basis = racah.CommutantBasis(ctx)
+    rctx = reduction.ReducedContext(n)
+    rtotal = reduction.total_casimir(rctx)
+
+    L12 = liealg.make_L(ctx, 1, 2)
+    L13 = liealg.make_L(ctx, 1, 3)
+    L23 = liealg.make_L(ctx, 2, 3)
+    cas = liealg.quadratic_casimir(ctx)
+    union12 = liealg.PairUnion((1, 2))
+    rtriple = reduction.make_reduced_J(rctx, 1)
+    q12 = reduction.make_Q(rctx, 1, 2)
+
+    return [
+        ("derivative-past-position", Operator.d(sig, 1) * Operator.x(sig, 1),
+         Operator.x(sig, 1) * Operator.d(sig, 1) + Operator.constant(sig, 1)),
+        ("rotation-bracket", commutator(L12, L23), L13),
+        ("casimir-central", commutator(cas, L12), Operator.zero(sig)),
+        ("commutant-pair-invariant", commutator(basis.K[(1, 2)], liealg.make_L(ctx, 5, 6)),
+         Operator.zero(sig)),
+        ("relation-a", commutator(basis.p(1, 2), basis.p(2, 3)), 2 * basis.f(1, 2, 3)),
+        ("relation-b", commutator(basis.p(2, 3), basis.f(1, 2, 3)),
+         basis.p(1, 3) * basis.p(2, 3) - basis.p(2, 3) * basis.p(1, 2)
+         + 2 * (basis.p(1, 3) * basis.c(2)) - 2 * (basis.p(1, 2) * basis.c(3))),
+        ("coupled-casimir-closed-form", liealg.casimir_CA(ctx, union12),
+         howe.casimir_closed_form(ctx, union12)),
+        ("correspondence-pair", liealg.casimir_CA(ctx, union12),
+         basis.K[(1, 2)] * Fraction(-1, 4)),
+        ("dependency", liealg.casimir_CA(ctx, liealg.PairUnion((1, 2, 3))),
+         liealg.decomposition_sum((1, 2, 3), lambda i, j: basis.C2[(i, j)], basis.c)),
+        ("reduced-triple-bracket", commutator(rtriple.J0, rtriple.Jp), rtriple.Jp),
+        ("reduced-pair-closed-form", reduction.reduced_casimir_pair(rctx, 1, 2, verify=False),
+         reduction.pair_casimir_closed_form(rctx, 1, 2)),
+        ("q-symmetry", q12 * rtotal, rtotal * q12),
+    ]
+
+
+def _oracle_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> RelationReport:
+    """Numeric verdicts: no symbolic residual, so a failure reports -1 terms."""
+    trials, seed = config.trials, config.seed
+    verdicts = [
+        ("oracle", idx, name, partial(oracle.oracle_equiv, lhs, rhs, trials=trials, seed=seed + idx))
+        for idx, (name, lhs, rhs) in enumerate(identity_catalog(min(config.n, 3)), start=1)
+    ]
+    ctx3 = liealg.SO2nContext(3)
+    k12, k23 = racah.make_K(ctx3, 1, 2), racah.make_K(ctx3, 2, 3)
+    r1 = reduction.make_reduced_J(reduction.ReducedContext(2), 1)
+    verdicts += [
+        ("oracle-composition", 1, f"{10 * trials} trials",
+         partial(oracle.oracle_apply_check, k12, k23, trials=10 * trials, seed=seed)),
+        ("oracle-composition", 2, "localized with parameters",
+         partial(oracle.oracle_apply_check, r1.Jm, r1.Jp, trials=10 * trials, seed=seed + 1)),
+    ]
+    report = RelationReport()
+    for relation, idx, note, verdict in verdicts:
+        t0 = time.perf_counter()
+        ok = verdict()
+        ms = (time.perf_counter() - t0) * 1000
+        report.add(ReportEntry(relation, (idx,), ok, 0 if ok else -1, ms, note))
+    return report
+
+
+_SUITE_RUNNERS: dict[str, Callable[[liealg.SO2nContext, argparse.Namespace], RelationReport]] = {
+    "o2n": _o2n_suite,
+    "su11": _su11_suite,
+    "howe": _howe_suite,
+    "racah": _racah_suite,
+    "reduction": _reduction_suite,
+    "oracle": _oracle_suite,
+}
+
+
+def run_suites(names: Sequence[str], config: argparse.Namespace) -> Iterator[RelationReport]:
+    """The engine self-checks, then each named suite, one report at a time.
+
+    names must come from SUITE_ORDER, already in that order; config
+    carries n, jobs, trials and seed.
+    """
+    yield _engine_suite()
+    ctx = liealg.SO2nContext(config.n)
+    for name in names:
+        yield _SUITE_RUNNERS[name](ctx, config)

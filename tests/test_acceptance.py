@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from racahverify.cli import identity_catalog
+from racahverify.suites import identity_catalog
 from racahverify.coeff import ParamPoly
 from racahverify.howe import (
     check_casimir_forms,

@@ -1,13 +1,16 @@
 """Command-line runner: argument handling, output formats, exit codes."""
 
 import json
+import multiprocessing
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import racahverify.cli as cli
-from racahverify.cli import SUITE_ORDER, _resolve_suites, build_parser, identity_catalog, main
+import racahverify.suites as suites
+from racahverify import liealg
+from racahverify.cli import _resolve_suites, build_parser, main
+from racahverify.suites import SUITE_ORDER, identity_catalog
 from racahverify.report import RelationReport, ReportEntry
 from racahverify.weyl import Operator, Polynomial
 
@@ -93,12 +96,13 @@ def test_json_output_parses(capsys):
 
 
 def test_parallel_runs_match_serial(capsys):
-    code1, lines1 = run_main(["--suite", "racah", "--json"], capsys)
-    code2, lines2 = run_main(["--suite", "racah", "--json", "--jobs", "2"], capsys)
-    assert code1 == code2 == 0
-    assert _strip_times(json.loads(ln) for ln in lines1) == _strip_times(
-        json.loads(ln) for ln in lines2
-    )
+    for suite in ("racah", "howe,racah"):
+        code1, lines1 = run_main(["--suite", suite, "--json"], capsys)
+        code2, lines2 = run_main(["--suite", suite, "--json", "--jobs", "2"], capsys)
+        assert code1 == code2 == 0
+        assert _strip_times(json.loads(ln) for ln in lines1) == _strip_times(
+            json.loads(ln) for ln in lines2
+        )
 
 
 def test_rank_four_covers_quartic_relations(capsys):
@@ -138,24 +142,26 @@ def test_symbolic_suites_match_golden_lines_at_rank_four(capsys):
 
 
 def test_engine_action_failure_reports_residual_terms(monkeypatch, capsys):
-    original = cli.Operator.apply
+    original = suites.Operator.apply
 
     def off_by_two_terms(self, f):
         return original(self, f) + Polynomial.monomial(f.sig, (1, 0)) + Polynomial.monomial(f.sig, (0, 1))
 
-    monkeypatch.setattr(cli.Operator, "apply", off_by_two_terms)
+    monkeypatch.setattr(suites.Operator, "apply", off_by_two_terms)
     code, lines = run_main(["--suite", "su11", "--json"], capsys)
     assert code == 1
     rows = {row.get("note"): row for row in map(json.loads, lines[:-1]) if row["relation"] == "engine"}
     assert not rows["euler action"]["passed"]
     assert rows["euler action"]["residual_terms"] == 2
+    assert not rows["composition action"]["passed"]
+    assert rows["composition action"]["residual_terms"] == 2
 
 
 def test_dependency_failure_reports_residual_terms(monkeypatch, capsys):
     def two_terms(ctx, subset, basis=None):
         return Operator.x(ctx.signature, 1) + Operator.constant(ctx.signature, 1)
 
-    monkeypatch.setattr(cli.racah, "dependency_residual", two_terms)
+    monkeypatch.setattr(suites.racah, "dependency_residual", two_terms)
     code, lines = run_main(["--suite", "racah", "--json"], capsys)
     assert code == 1
     rows = [json.loads(ln) for ln in lines[:-1]]
@@ -165,12 +171,12 @@ def test_dependency_failure_reports_residual_terms(monkeypatch, capsys):
 
 
 def test_failures_set_exit_code(monkeypatch, capsys):
-    def fake(config):
+    def fake(ctx, config):
         rep = RelationReport()
         rep.add(ReportEntry("su11", (1,), False, 3, 0.0))
         return rep
 
-    monkeypatch.setitem(cli._SUITE_RUNNERS, "su11", fake)
+    monkeypatch.setitem(suites._SUITE_RUNNERS, "su11", fake)
     code, lines = run_main(["--suite", "su11"], capsys)
     assert code == 1
     assert any(ln.startswith("[ FAIL ]") for ln in lines)
@@ -178,12 +184,12 @@ def test_failures_set_exit_code(monkeypatch, capsys):
 
 
 def test_q_affine_failure_reports_residual_terms(monkeypatch, capsys):
-    original = cli.reduction.pair_invariant
+    original = suites.reduction.pair_invariant
 
     def off_by_x1(ctx, i, j):
         return original(ctx, i, j) + Operator.x(ctx.signature, 1)
 
-    monkeypatch.setattr(cli.reduction, "pair_invariant", off_by_x1)
+    monkeypatch.setattr(suites.reduction, "pair_invariant", off_by_x1)
     code, lines = run_main(["--suite", "reduction", "--json"], capsys)
     assert code == 1
     rows = [json.loads(ln) for ln in lines[:-1]]
@@ -193,12 +199,12 @@ def test_q_affine_failure_reports_residual_terms(monkeypatch, capsys):
 
 
 def test_single_casimir_failure_reports_residual_terms(monkeypatch, capsys):
-    original = cli.reduction.casimir_of
+    original = suites.reduction.casimir_of
 
     def off_by_x1(triple):
         return original(triple) + Operator.x(triple.Jp.sig, 1)
 
-    monkeypatch.setattr(cli.reduction, "casimir_of", off_by_x1)
+    monkeypatch.setattr(suites.reduction, "casimir_of", off_by_x1)
     code, lines = run_main(["--suite", "reduction", "--json"], capsys)
     assert code == 1
     rows = [json.loads(ln) for ln in lines[:-1]]
@@ -208,14 +214,14 @@ def test_single_casimir_failure_reports_residual_terms(monkeypatch, capsys):
 
 
 def test_bad_metaplectic_triple_reports_residual_terms(monkeypatch, capsys):
-    original = cli.liealg.make_metaplectic
+    original = suites.liealg.make_metaplectic
 
     def no_quarter(ctx, mu):
         t = original(ctx, mu)
         sig = ctx.signature
-        return cli.liealg.SU11Triple(t.Jp, t.Jm, Operator.x(sig, mu) * Operator.d(sig, mu) * Fraction(1, 2))
+        return suites.liealg.SU11Triple(t.Jp, t.Jm, Operator.x(sig, mu) * Operator.d(sig, mu) * Fraction(1, 2))
 
-    monkeypatch.setattr(cli.liealg, "make_metaplectic", no_quarter)
+    monkeypatch.setattr(suites.liealg, "make_metaplectic", no_quarter)
     code, lines = run_main(["--suite", "su11", "--json"], capsys)
     assert code == 1
     rows = {(row["relation"], tuple(row["tuple"])): row for row in map(json.loads, lines[:-1])}
@@ -226,16 +232,37 @@ def test_bad_metaplectic_triple_reports_residual_terms(monkeypatch, capsys):
 
 
 def test_reduction_suite_builds_each_casimir_once(monkeypatch, capsys):
-    original = cli.reduction.casimir_of
+    original = suites.reduction.casimir_of
     calls = []
 
     def counted(triple):
         calls.append(triple)
         return original(triple)
 
-    monkeypatch.setattr(cli.reduction, "casimir_of", counted)
+    monkeypatch.setattr(suites.reduction, "casimir_of", counted)
     code, _ = run_main(["--n", "4", "--suite", "reduction", "--json"], capsys)
     assert code == 0
     # 4 single and 6 pair Casimirs from one ReducedBasis, plus the total
     # Casimir once in total_casimir_residual and once in check_q_symmetry.
     assert len(calls) == 12
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_howe_and_racah_build_each_coupled_casimir_once(jobs, monkeypatch, capsys):
+    original = liealg.casimir_of
+    # Shared memory, so calls made in forked workers are counted too.
+    calls = multiprocessing.Value("i", 0)
+
+    def counted(triple):
+        with calls.get_lock():
+            calls.value += 1
+        return original(triple)
+
+    monkeypatch.setattr(liealg, "casimir_of", counted)
+    code, _ = run_main(["--n", "4", "--suite", "howe,racah", "--json", "--jobs", jobs], capsys)
+    assert code == 0
+    # 4 single, 6 pair, 4 triple and 1 quadruple union, each built once in
+    # the parent process and reused by every howe check and the dependency
+    # entries.  Earlier runs in this process must not have left them
+    # cached: each run builds its own context.
+    assert calls.value == 15

@@ -37,7 +37,7 @@ from hypothesis import given, settings, strategies as st
 
 from racahverify import racah, reduction
 from racahverify._parallel import run_tasks
-from racahverify.cli import identity_catalog
+from racahverify.suites import identity_catalog
 from racahverify.coeff import ParamPoly
 from racahverify.liealg import SO2nContext
 from racahverify.oracle import random_point, random_polynomial
