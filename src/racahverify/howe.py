@@ -94,7 +94,9 @@ def check_decompositions(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     )
 
 
-def verify_commutant_correspondence(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
+def verify_commutant_correspondence(
+    ctx: SO2nContext, jobs: int = 1, basis: CommutantBasis | None = None
+) -> RelationReport:
     """Coupled Casimirs match the rescaled commutant invariants exactly:
 
         C^{(2i-1;2i)}            = C1^i    = -(G^i + 1)/4   for every factor i,
@@ -102,7 +104,7 @@ def verify_commutant_correspondence(ctx: SO2nContext, jobs: int = 1) -> Relation
 
     with C1 and C2 as racah.CommutantBasis builds them from G and K.
     """
-    basis = CommutantBasis(ctx)
+    basis = basis or CommutantBasis(ctx)
     singles = [(i,) for i in basis.C1]
     pairs = list(basis.C2)
     table = casimir_table(ctx, map(PairUnion, singles + pairs))

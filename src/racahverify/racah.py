@@ -50,11 +50,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .liealg import PairUnion, SO2nContext, casimir_CA, decomposition_sum, make_L, rotation_squares
 from .report import RelationReport, ReportEntry, run_checks
-from .weyl import Operator, commutator
+from .weyl import AlgebraSignature, Operator, combination, commutator
 
 RELATION_ARITY = {"a": 3, "b": 3, "c": 4, "d": 4, "e": 5}
 
@@ -147,6 +148,12 @@ class CommutantBasis(Basis):
         super().__init__(ctx, C1, C2, self.K, Fraction(1, 32))
 
 
+@lru_cache(maxsize=None)
+def _identity(sig: AlgebraSignature) -> Operator:
+    """The constant 1 of sig, one operator per signature so its packed view is reused."""
+    return Operator.constant(sig, 1)
+
+
 def relation_residual(
     rel: str,
     t: Sequence[int],
@@ -154,36 +161,38 @@ def relation_residual(
     f: FAccessor,
     c: CAccessor,
 ) -> Operator:
-    """Left side minus right side of relation `rel` at the index tuple t."""
+    """Left side minus right side of relation `rel` at the index tuple t.
+
+    Each relation is a bracket [A, B] on the left and a sum of products
+    r * X Y on the right (relation a's 2 F^{ijk} is 2 F^{ijk} * 1, and
+    relation d's F^{ikl} (P^{jk} + 2 C^j) is distributed into two
+    products).  The residual [A, B] - sum r * X Y is one
+    weyl.combination: every term sweeps into one packed accumulator and
+    only the sum is decoded, so the right side is never built.
+    """
     if rel == "a":
         i, j, k = t
-        return commutator(p(i, j), p(j, k)) - 2 * f(i, j, k)
-    if rel == "b":
+        lhs = p(i, j), p(j, k)
+        rhs = [(2, f(i, j, k), _identity(p(i, j).sig))]
+    elif rel == "b":
         i, j, k = t
-        rhs = (
-            p(i, k) * p(j, k)
-            - p(j, k) * p(i, j)
-            + 2 * (p(i, k) * c(j))
-            - 2 * (p(i, j) * c(k))
-        )
-        return commutator(p(j, k), f(i, j, k)) - rhs
-    if rel == "c":
+        lhs = p(j, k), f(i, j, k)
+        rhs = [(1, p(i, k), p(j, k)), (-1, p(j, k), p(i, j)), (2, p(i, k), c(j)), (-2, p(i, j), c(k))]
+    elif rel == "c":
         i, j, k, l = t
-        rhs = p(i, k) * p(j, l) - p(i, l) * p(j, k)
-        return commutator(p(k, l), f(i, j, k)) - rhs
-    if rel == "d":
+        lhs = p(k, l), f(i, j, k)
+        rhs = [(1, p(i, k), p(j, l)), (-1, p(i, l), p(j, k))]
+    elif rel == "d":
         i, j, k, l = t
-        rhs = (
-            f(j, k, l) * p(i, j)
-            - f(i, k, l) * (p(j, k) + 2 * c(j))
-            - f(i, j, k) * p(j, l)
-        )
-        return commutator(f(i, j, k), f(j, k, l)) - rhs
-    if rel == "e":
+        lhs = f(i, j, k), f(j, k, l)
+        rhs = [(1, f(j, k, l), p(i, j)), (-1, f(i, k, l), p(j, k)), (-2, f(i, k, l), c(j)), (-1, f(i, j, k), p(j, l))]
+    elif rel == "e":
         i, j, k, l, m = t
-        rhs = f(i, l, m) * p(j, k) - p(i, k) * f(j, l, m)
-        return commutator(f(i, j, k), f(k, l, m)) - rhs
-    raise ValueError(f"unknown relation {rel!r}")
+        lhs = f(i, j, k), f(k, l, m)
+        rhs = [(1, f(i, l, m), p(j, k)), (-1, p(i, k), f(j, l, m))]
+    else:
+        raise ValueError(f"unknown relation {rel!r}")
+    return combination([(1, *lhs, True), *((-r, x, y, False) for r, x, y in rhs)])
 
 
 def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:

@@ -4,12 +4,15 @@ A run is the engine self-checks, then the chosen suites in dependency
 order (o2n, su11, howe, racah, reduction, oracle).  One SO2nContext
 serves the o2n, su11, howe and racah suites of a run, so each coupled
 Casimir C^A is built once (SO2nContext.casimir_memo) and the racah
-suite's dependency entries reuse what the howe suite built.  The
-context is made per run, never cached here: a later run in the same
-process, with a patched builder for instance, starts from nothing.
+suite's dependency entries reuse what the howe suite built.  One
+racah.CommutantBasis over it, built by the first suite that reads it,
+serves the howe and racah suites, so each G^i and K^{ij} is built
+once.  Both are made per run, never cached here: a later run in the
+same process, with a patched casimir_of for instance, starts from nothing.
 
-Each runner takes that context and the run's settings (n, jobs,
-trials, seed; the racah-verify options) and returns a RelationReport.
+Each runner takes the run (_Run: the context and the basis) and the
+run's settings (n, jobs, trials, seed; the racah-verify options) and
+returns a RelationReport.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import argparse
 import itertools
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
 
 from . import howe, liealg, oracle, racah, reduction
@@ -26,6 +29,17 @@ from .report import RelationReport, ReportEntry, check, run_checks
 from .weyl import AlgebraSignature, Operator, Polynomial, commutator, parse_operator
 
 SUITE_ORDER = ("o2n", "su11", "howe", "racah", "reduction", "oracle")
+
+
+class _Run:
+    """What the suites of one run share: the context, and its basis once read."""
+
+    def __init__(self, n: int):
+        self.ctx = liealg.SO2nContext(n)
+
+    @cached_property
+    def basis(self) -> racah.CommutantBasis:
+        return racah.CommutantBasis(self.ctx)
 
 
 def _numbered(
@@ -73,13 +87,14 @@ def _engine_suite() -> RelationReport:
     return _numbered("engine", checks)
 
 
-def _o2n_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> RelationReport:
-    report = liealg.check_o2n_relations(ctx, jobs=config.jobs)
-    report.merge(liealg.check_casimir_centrality(ctx, jobs=config.jobs))
+def _o2n_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
+    report = liealg.check_o2n_relations(run.ctx, jobs=config.jobs)
+    report.merge(liealg.check_casimir_centrality(run.ctx, jobs=config.jobs))
     return report
 
 
-def _su11_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> RelationReport:
+def _su11_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
+    ctx = run.ctx
     expected = Operator.constant(ctx.signature, Fraction(-3, 16))
     report = RelationReport()
     for mu in range(1, ctx.num_vars + 1):
@@ -89,16 +104,17 @@ def _su11_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> Relation
     return report
 
 
-def _howe_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> RelationReport:
+def _howe_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
+    ctx = run.ctx
     report = howe.check_casimir_forms(ctx, jobs=config.jobs)
     report.merge(howe.check_decompositions(ctx, jobs=config.jobs))
-    report.merge(howe.verify_commutant_correspondence(ctx, jobs=config.jobs))
+    report.merge(howe.verify_commutant_correspondence(ctx, jobs=config.jobs, basis=run.basis))
     report.merge(howe.check_intermediate_centrality(ctx, jobs=config.jobs))
     return report
 
 
-def _racah_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> RelationReport:
-    basis = racah.CommutantBasis(ctx)
+def _racah_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
+    ctx, basis = run.ctx, run.basis
     report = racah.check_commutant_property(ctx, jobs=config.jobs, basis=basis)
     report.merge(racah.verify_racah_relations(ctx, jobs=config.jobs, basis=basis))
     table = howe.casimir_table(ctx, howe.all_pair_unions(ctx, 2))
@@ -106,7 +122,7 @@ def _racah_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> Relatio
     return report
 
 
-def _reduction_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> RelationReport:
+def _reduction_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     rctx = reduction.ReducedContext(config.n)
     basis = reduction.ReducedBasis(rctx)
     report = RelationReport()
@@ -165,7 +181,7 @@ def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
     ]
 
 
-def _oracle_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> RelationReport:
+def _oracle_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     """Numeric verdicts: no symbolic residual, so a failure reports -1 terms."""
     trials, seed = config.trials, config.seed
     verdicts = [
@@ -190,7 +206,7 @@ def _oracle_suite(ctx: liealg.SO2nContext, config: argparse.Namespace) -> Relati
     return report
 
 
-_SUITE_RUNNERS: dict[str, Callable[[liealg.SO2nContext, argparse.Namespace], RelationReport]] = {
+_SUITE_RUNNERS: dict[str, Callable[[_Run, argparse.Namespace], RelationReport]] = {
     "o2n": _o2n_suite,
     "su11": _su11_suite,
     "howe": _howe_suite,
@@ -207,6 +223,6 @@ def run_suites(names: Sequence[str], config: argparse.Namespace) -> Iterator[Rel
     carries n, jobs, trials and seed.
     """
     yield _engine_suite()
-    ctx = liealg.SO2nContext(config.n)
+    run = _Run(config.n)
     for name in names:
-        yield _SUITE_RUNNERS[name](ctx, config)
+        yield _SUITE_RUNNERS[name](run, config)

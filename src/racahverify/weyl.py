@@ -38,6 +38,16 @@ signs, over den_a * den_b.  ``scale`` multiplies the numerators by
 those of the constant directly, adding its parameter exponents, with no
 sweep.
 
+Both sweeps add m * (their numerators) into an accumulator and layout
+the caller passes in, m an integer multiplier applied once per left
+entry.  ``Operator.__mul__`` and ``commutator`` run one sweep into a
+fresh accumulator.  ``combination`` sums products c * a * b and
+brackets c * [a, b] with rational c: it picks one layout wide enough
+for all of its pairs, brings every term to the common denominator
+lcm(den_c * den_a * den_b) and runs every sweep into one accumulator,
+so a sum such as a relation residual is decoded and reduced once, and
+the intermediates that cancel are never built.
+
 Both pair sweeps run on packed keys: each (monomial, parameter
 exponent) key becomes one int of fixed-width offset-binary fields, field
 j holding e_j + 2^(w-1) in bits w*j .. w*j + w - 1, in the order x1..xm,
@@ -46,16 +56,17 @@ s=0 term of a pair is ka + kb - bias, and a reorder by s on variable i
 subtracts s * unit_i, unit_i being one in the x_i field plus one in the
 d_i field.  The variables to reorder are dmask_a & xmask_b on int
 bitmasks.  The width w is the smallest of 16, 32 and 64 bits with
-2 * (max|exponent of a| + max|exponent of b|) < 2^(w-1), which bounds
-every exponent of a result term, so no field carries or borrows; wider
-exponents raise OverflowError.  Each result key is decoded back to its
-exponent tuples once (the fields of k ^ bias are two's complement
-integers).  An operator's packed view (monomials, masks, packed
-entries, max |exponent|) is built on its first product or commutator
-and cached on the immutable operator, repacked only when a pair needs
-another width; pickles leave it out.  The basis operators of a
-verification run take part in many products, and packing them on every
-call costs about a tenth of the run (BENCH_packed_kernel.json).
+2 * (max|exponent of a| + max|exponent of b|) < 2^(w-1), the largest
+over the pairs of a combination, which bounds every exponent of a
+result term, so no field carries or borrows; wider exponents raise
+OverflowError.  Each result key is decoded back to its exponent tuples
+once per product, commutator or combination (the fields of k ^ bias
+are two's complement integers).  An operator's packed view (monomials,
+masks, packed entries, max |exponent|) is built on its first product
+or commutator and cached on the immutable operator, repacked only when
+a pair needs another width; pickles leave it out.  The basis operators
+of a verification run take part in many products, and packing them on
+every call costs about a tenth of the run (BENCH_packed_kernel.json).
 
 Application of an operator to a polynomial (``Operator.apply``) is
 implemented by direct differentiation, deliberately independent of the
@@ -245,14 +256,6 @@ class _Packed:
         self.entries = [tuple(entries) for entries in grouped.values()]
 
 
-def _view(op: Operator, top: int, layout: _Layout) -> _Packed:
-    """op's packed view at the layout's width, cached on op."""
-    view = getattr(op, "_packed", None)
-    if view is None or view.width != layout.width:
-        view = op._packed = _Packed(op, top, layout)
-    return view
-
-
 def _top(op: Operator) -> int:
     """The largest |exponent| of op (0 for zero)."""
     view = getattr(op, "_packed", None)
@@ -262,17 +265,25 @@ def _top(op: Operator) -> int:
     return max(max(flat, default=0), -min(flat, default=0))
 
 
-def _operands(a: Operator, b: Operator) -> tuple[_Layout, _Packed, _Packed]:
-    """The layout for the pair a, b and both packed views.
+def _view(op: Operator, layout: _Layout) -> _Packed:
+    """op's packed view at the layout's width, cached on op."""
+    view = getattr(op, "_packed", None)
+    if view is None or view.width != layout.width:
+        view = op._packed = _Packed(op, _top(op), layout)
+    return view
+
+
+def _layout_for(pairs: Sequence[tuple[Operator, Operator]]) -> _Layout:
+    """The one layout every pair (a, b) of a sweep is packed at.
 
     Every exponent of a reorder term of ma * mb is bounded by
     2 * top_a + top_b (a negative position exponent can drop by up to
     the derivative exponent it meets), so fields of width w with
-    2 * (top_a + top_b) < 2^(w-1) never carry or borrow.
+    2 * max(top_a + top_b) < 2^(w-1) never carry or borrow in any pair.
     """
-    ta, tb = _top(a), _top(b)
-    layout = _layout(a.sig.num_vars, a.sig.nparams, *_width(ta + tb))
-    return layout, _view(a, ta, layout), _view(b, tb, layout)
+    sig = pairs[0][0].sig
+    bound = max(_top(a) + _top(b) for a, b in pairs)
+    return _layout(sig.num_vars, sig.nparams, *_width(bound))
 
 
 @lru_cache(maxsize=None)
@@ -300,19 +311,18 @@ def _reorders(layout: _Layout, ma: tuple, mb: tuple, active: int, sign: int) -> 
     )
 
 
-def _product(a: Operator, b: Operator) -> dict[tuple, int]:
-    """The flat numerators of ab over den_a * den_b, in one sweep over monomial pairs.
+def _product(acc: dict[int, int], layout: _Layout, a: Operator, b: Operator, m: int) -> None:
+    """Add m * (the numerators of ab over den_a * den_b) to acc, in one sweep over monomial pairs.
 
     Each pair adds its s=0 term at key ka + kb - bias and, where a
     derivative of ma meets a position of mb, the reorder terms at that
     key minus their shifts.
     """
-    layout, va, vb = _operands(a, b)
+    va, vb = _view(a, layout), _view(b, layout)
     bias = layout.bias
-    acc: dict[int, int] = {}
     acc_get = acc.get
     for ma, dmask, ea in zip(va.monos, va.dmasks, va.entries):
-        ea = [(ka - bias, qa) for ka, qa in ea]
+        ea = [(ka - bias, qa * m) for ka, qa in ea]
         for mb, xmask, eb in zip(vb.monos, vb.xmasks, vb.entries):
             active = dmask & xmask
             shifts = _reorders(layout, ma, mb, active, 1) if active else ()
@@ -324,11 +334,10 @@ def _product(a: Operator, b: Operator) -> dict[tuple, int]:
                     for shift, f in shifts:
                         k = key - shift
                         acc[k] = acc_get(k, 0) + q * f
-    return layout.decode(acc)
 
 
-def _commutator(a: Operator, b: Operator) -> dict[tuple, int]:
-    """The flat numerators of ab - ba over den_a * den_b, in one pair sweep.
+def _commutator(acc: dict[int, int], layout: _Layout, a: Operator, b: Operator, m: int) -> None:
+    """Add m * (the numerators of ab - ba over den_a * den_b) to acc, in one pair sweep.
 
     For each monomial pair the s=0 terms of ma * mb and mb * ma are the
     same monomial ma + mb with the same coefficient (the coefficient
@@ -337,12 +346,11 @@ def _commutator(a: Operator, b: Operator) -> dict[tuple, int]:
     other contributes nothing and is skipped.  Every other pair adds the
     s >= 1 reorder terms of ma * mb and subtracts those of mb * ma.
     """
-    layout, va, vb = _operands(a, b)
+    va, vb = _view(a, layout), _view(b, layout)
     bias = layout.bias
-    acc: dict[int, int] = {}
     acc_get = acc.get
     for ma, da, xa, ea in zip(va.monos, va.dmasks, va.xmasks, va.entries):
-        ea = [(ka - bias, qa) for ka, qa in ea]
+        ea = [(ka - bias, qa * m) for ka, qa in ea]
         for mb, db, xb, eb in zip(vb.monos, vb.dmasks, vb.xmasks, vb.entries):
             ab, ba = da & xb, db & xa
             if not (ab or ba):
@@ -357,7 +365,6 @@ def _commutator(a: Operator, b: Operator) -> dict[tuple, int]:
                     for shift, f in shifts:
                         k = key - shift
                         acc[k] = acc_get(k, 0) + q * f
-    return layout.decode(acc)
 
 
 class _FlatTerms:
@@ -546,7 +553,10 @@ class Operator(_FlatTerms):
         """The normal-ordered product; OverflowError past 64-bit packed exponent fields."""
         if isinstance(other, Operator):
             self._check_sig(other)
-            return Operator._make(self.sig, _product(self, other), self.den * other.den)
+            layout = _layout_for(((self, other),))
+            acc: dict[int, int] = {}
+            _product(acc, layout, self, other, 1)
+            return Operator._make(self.sig, layout.decode(acc), self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other: CoeffLike) -> Operator:
@@ -655,7 +665,37 @@ def commutator(a: Operator, b: Operator) -> Operator:
     b are too large for 64-bit packed fields (see the module docstring).
     """
     a._check_sig(b)
-    return Operator._make(a.sig, _commutator(a, b), a.den * b.den)
+    layout = _layout_for(((a, b),))
+    acc: dict[int, int] = {}
+    _commutator(acc, layout, a, b, 1)
+    return Operator._make(a.sig, layout.decode(acc), a.den * b.den)
+
+
+def combination(terms: Sequence[tuple[Fraction | int, Operator, Operator, bool]]) -> Operator:
+    """sum c * a * b over the terms (c, a, b, False) plus c * [a, b] over the terms (c, a, b, True).
+
+    Every term runs its sweep into one packed accumulator, at one layout
+    wide enough for all of its pairs and over the common denominator
+    den = lcm(den_c * den_a * den_b), each term's numerators multiplied
+    by num_c * den / (den_c * den_a * den_b).  Only the sum is decoded
+    and reduced, so intermediates that cancel are never built; a zero
+    sum decodes nothing.  The result equals the same sum taken with
+    ``*``, ``commutator``, ``+`` and ``-``, terms and denominator alike.
+    Operands in different signatures raise ValueError, and exponents
+    too large for 64-bit packed fields OverflowError.
+    """
+    first = terms[0][1]
+    for _, a, b, _ in terms:
+        first._check_sig(a)
+        first._check_sig(b)
+    layout = _layout_for([(a, b) for _, a, b, _ in terms])
+    coeffs = [Fraction(c) for c, *_ in terms]
+    dens = [c.denominator * a.den * b.den for c, (_, a, b, _) in zip(coeffs, terms)]
+    den = lcm(*dens)
+    acc: dict[int, int] = {}
+    for c, d, (_, a, b, bracket) in zip(coeffs, dens, terms):
+        (_commutator if bracket else _product)(acc, layout, a, b, c.numerator * (den // d))
+    return Operator._make(first.sig, layout.decode(acc), den)
 
 
 class Polynomial(_FlatTerms):

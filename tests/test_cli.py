@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import racahverify.suites as suites
-from racahverify import liealg
+from racahverify import liealg, racah
 from racahverify.cli import _resolve_suites, build_parser, main
 from racahverify.suites import SUITE_ORDER, identity_catalog
 from racahverify.report import RelationReport, ReportEntry
@@ -171,7 +171,7 @@ def test_dependency_failure_reports_residual_terms(monkeypatch, capsys):
 
 
 def test_failures_set_exit_code(monkeypatch, capsys):
-    def fake(ctx, config):
+    def fake(run, config):
         rep = RelationReport()
         rep.add(ReportEntry("su11", (1,), False, 3, 0.0))
         return rep
@@ -266,3 +266,19 @@ def test_howe_and_racah_build_each_coupled_casimir_once(jobs, monkeypatch, capsy
     # entries.  Earlier runs in this process must not have left them
     # cached: each run builds its own context.
     assert calls.value == 15
+
+
+def test_howe_and_racah_share_one_commutant_basis(monkeypatch, capsys):
+    original = racah.rotation_squares
+    calls = []
+
+    def counted(ctx, variables):
+        calls.append(variables)
+        return original(ctx, variables)
+
+    monkeypatch.setattr(racah, "rotation_squares", counted)
+    code, _ = run_main(["--n", "4", "--suite", "howe,racah", "--json"], capsys)
+    assert code == 0
+    # 4 G^i and 6 K^{ij}, built once for the correspondence checks and
+    # reused by the racah suite.
+    assert len(calls) == 10

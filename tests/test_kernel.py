@@ -13,7 +13,10 @@ for bit the same.
 ``_reference_tuple_product`` and ``_reference_tuple_commutator`` are the
 integer sweeps the packed ones replaced, on exponent tuples: one tuple
 per pair and per reorder term.  The packed sweeps must give the same
-(terms, den), at every field width the packing picks.
+(terms, den), at every field width the packing picks.  ``combination``,
+which sums products and brackets in one packed accumulator, must give
+the same (terms, den) as the sum taken with ``*``, ``commutator``, ``+``
+and ``-``.
 
 ``_reference_apply`` and ``_reference_evaluate`` are ``Operator.apply``
 and ``Polynomial.evaluate`` as they were written in Fraction arithmetic
@@ -47,9 +50,10 @@ from racahverify.weyl import (
     Polynomial,
     _by_monomial,
     _falling,
-    _operands,
+    _layout_for,
     _reorder_options,
     _width,
+    combination,
     commutator,
     evaluator,
 )
@@ -295,6 +299,65 @@ def test_reduced_n5_pair_bracket_matches_reference():
     assert any(any(pe) for _, pe in bracket.terms)
 
 
+def _arithmetic_sum(terms):
+    """The sum combination(terms) stands for, taken with *, commutator, + and -."""
+    total = Operator.zero(terms[0][1].sig)
+    for c, a, b, bracket in terms:
+        term = (commutator(a, b) if bracket else a * b) * abs(c)
+        total = total + term if c >= 0 else total - term
+    return total
+
+
+def _assert_combination_matches_arithmetic(terms):
+    got = combination(terms)
+    expected = _arithmetic_sum(terms)
+    assert (got.terms, got.den) == (expected.terms, expected.den)
+    return got
+
+
+@pytest.mark.parametrize("kind", sorted(STRATEGIES))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_combination_matches_operator_arithmetic(kind, data):
+    ops = STRATEGIES[kind]
+    term = st.tuples(small_fractions, ops, ops, st.booleans())
+    terms = data.draw(st.lists(term, min_size=1, max_size=4))
+    _assert_combination_matches_arithmetic(terms)
+    # the same terms with their signs flipped cancel the sum exactly
+    cancelled = combination(terms + [(-c, a, b, bracket) for c, a, b, bracket in terms])
+    assert cancelled.is_zero() and cancelled.den == 1
+
+
+def test_combination_with_mixed_denominators_and_widths():
+    a, b = _boundary_operators(2**14)
+    x, y = _boundary_operators(3)
+    assert _layout_for(((x, y), (y, x))).width == 16
+    assert _layout_for(((x, y), (a, b), (y, x))).width == 32
+    terms = [
+        (Fraction(2, 3), x, y, False),
+        (Fraction(-5, 4), a, b, False),
+        (Fraction(7, 6), y, x, True),
+        (-3, x, x, False),
+    ]
+    got = _assert_combination_matches_arithmetic(terms)
+    assert got.den > 1 and any(mono[0] == -2 * 2**14 for mono, _ in got.terms)
+
+
+def test_combination_cancels_to_zero_over_denominator_one():
+    x, y = _boundary_operators(3)
+    third = Fraction(1, 3)
+    zero = combination([(third, x, y, True), (-third, x, y, False), (third, y, x, False)])
+    assert zero.is_zero() and zero.den == 1 and zero == Operator.zero(PSIG)
+
+
+def test_combination_rejects_mixed_signatures():
+    with pytest.raises(ValueError):
+        combination([(1, Operator.x(SIG2, 1), Operator.d(SIG2, 1), False),
+                     (1, Operator.x(LOC2, 1), Operator.d(LOC2, 1), True)])
+    with pytest.raises(ValueError):
+        combination([(1, Operator.x(SIG2, 1), Operator.d(LOC2, 1), True)])
+
+
 def test_field_width_rule():
     assert _width(0) == _width(2**14 - 1) == (16, "h")
     assert _width(2**14) == _width(2**30 - 1) == (32, "i")
@@ -330,8 +393,7 @@ def _boundary_operators(e):
 )
 def test_packed_sweeps_at_the_width_boundaries(e, width):
     a, b = _boundary_operators(e)
-    layout, _, _ = _operands(a, b)
-    assert layout.width == width
+    assert _layout_for(((a, b),)).width == width
     for x, y in ((a, b), (b, a), (a, a)):
         _assert_kernels_agree(x, y)
         _assert_commutator_matches_reference(x, y)

@@ -86,6 +86,52 @@ def test_single_casimir_constant_forced_by_relation_b():
     assert relation_residual("b", (1, 2, 3), BASIS3.p, BASIS3.f, BASIS3.c).is_zero()
 
 
+def _reference_residual(rel, t, p, f, c):
+    """The relation formulas in operator arithmetic: every product built, then summed."""
+    if rel == "a":
+        i, j, k = t
+        return commutator(p(i, j), p(j, k)) - 2 * f(i, j, k)
+    if rel == "b":
+        i, j, k = t
+        rhs = p(i, k) * p(j, k) - p(j, k) * p(i, j) + 2 * (p(i, k) * c(j)) - 2 * (p(i, j) * c(k))
+        return commutator(p(j, k), f(i, j, k)) - rhs
+    if rel == "c":
+        i, j, k, l = t
+        return commutator(p(k, l), f(i, j, k)) - (p(i, k) * p(j, l) - p(i, l) * p(j, k))
+    if rel == "d":
+        i, j, k, l = t
+        rhs = f(j, k, l) * p(i, j) - f(i, k, l) * (p(j, k) + 2 * c(j)) - f(i, j, k) * p(j, l)
+        return commutator(f(i, j, k), f(j, k, l)) - rhs
+    i, j, k, l, m = t
+    return commutator(f(i, j, k), f(k, l, m)) - (f(i, l, m) * p(j, k) - p(i, k) * f(j, l, m))
+
+
+@pytest.fixture(scope="module")
+def bases5():
+    return {"commutant": CommutantBasis(SO2nContext(5)), "reduced": ReducedBasis(ReducedContext(5))}
+
+
+@pytest.mark.parametrize("kind", ["commutant", "reduced"])
+def test_relation_residuals_match_operator_arithmetic(kind, bases5):
+    basis = bases5[kind]
+    for rel, arity in RELATION_ARITY.items():
+        for t in (tuple(range(1, arity + 1)), tuple(range(5, 5 - arity, -1))):
+            got = relation_residual(rel, t, basis.p, basis.f, basis.c)
+            expected = _reference_residual(rel, t, basis.p, basis.f, basis.c)
+            assert (got.terms, got.den) == (expected.terms, expected.den)
+            assert got.is_zero() and got.den == 1
+
+
+def test_wrong_shift_residual_matches_operator_arithmetic(bases5):
+    basis = bases5["commutant"]
+    quarter = Operator.constant(basis.ctx.signature, Fraction(1, 4))
+    half_up = {i: g * Fraction(-1, 4) + quarter for i, g in basis.G.items()}
+    for i, j, k in ((1, 2, 3), (5, 3, 1)):
+        got = relation_residual("b", (i, j, k), basis.p, basis.f, half_up.__getitem__)
+        assert got == _reference_residual("b", (i, j, k), basis.p, basis.f, half_up.__getitem__)
+        assert got == basis.p(i, j) - basis.p(i, k) and not got.is_zero()
+
+
 def test_p_symmetric_access():
     assert BASIS3.p(2, 1) == BASIS3.p(1, 2)
 
