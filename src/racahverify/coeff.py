@@ -14,6 +14,7 @@ descending), which makes printed reports diffable bit for bit.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -139,20 +140,7 @@ class ParamPoly:
         return p
 
     def __sub__(self, other: ScalarLike) -> ParamPoly:
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = -c
-            elif s == c:
-                del out[e]
-            else:
-                out[e] = s - c
-        p = ParamPoly.__new__(ParamPoly)
-        p.nparams = self.nparams
-        p.terms = out
-        return p
+        return self + (-other)
 
     def __rsub__(self, other: ScalarLike) -> ParamPoly:
         return (-self) + other
@@ -163,12 +151,6 @@ class ParamPoly:
         if not a or not b:
             return ParamPoly(self.nparams)
         out: dict[tuple, Fraction] = {}
-        if len(a) == 1:
-            (ea, ca), = a.items()
-            if not any(ea):
-                for eb, cb in b.items():
-                    out[eb] = ca * cb
-                return ParamPoly(self.nparams, out)
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
@@ -233,6 +215,26 @@ class ParamPoly:
         return f"ParamPoly({self.nparams}, {self!s})"
 
 
+_FACTOR = re.compile(r"([a-z])(\d+)(?:\^(-?\d+))?", re.ASCII)
+
+
+def read_factor(factor: str, letters: str, count: int) -> tuple[str, int, int]:
+    """Read one ``letter<index>[^power]`` factor of the text format.
+
+    Returns (letter, index, power), power 1 when no ``^`` is written.  A
+    letter not in ``letters``, an index outside 1..count, or anything
+    but decimal digits in the index or the power (a ``^`` with no power
+    included) raises ValueError.
+    """
+    match = _FACTOR.fullmatch(factor)
+    if not match or match[1] not in letters:
+        raise ValueError(f"cannot parse factor {factor!r}")
+    letter, index, power = match.groups()
+    if not 1 <= int(index) <= count:
+        raise ValueError(f"index of {factor!r} out of range 1..{count}")
+    return letter, int(index), int(power) if power else 1
+
+
 def parse_param_poly(text: str, nparams: int) -> ParamPoly:
     """Parse the textual format produced by ``str(ParamPoly)``."""
     text = text.strip()
@@ -248,14 +250,9 @@ def parse_param_poly(text: str, nparams: int) -> ParamPoly:
                 raise ValueError(f"empty factor in term {term!r}")
             if factor[0] in "+-0123456789":
                 coeff *= Fraction(factor)
-            elif factor[0] == "a":
-                name, _, power = factor.partition("^")
-                idx = int(name[1:])
-                if not 1 <= idx <= nparams:
-                    raise ValueError(f"parameter {name} out of range 1..{nparams}")
-                exps[idx - 1] += int(power) if power else 1
             else:
-                raise ValueError(f"cannot parse factor {factor!r}")
+                _, idx, power = read_factor(factor, "a", nparams)
+                exps[idx - 1] += power
         e = tuple(exps)
         acc[e] = acc.get(e, Fraction(0)) + coeff
     return ParamPoly(nparams, acc)

@@ -76,7 +76,9 @@ def make_L(ctx: SO2nContext, mu: int, nu: int) -> Operator:
     return Operator.x(sig, mu) * Operator.d(sig, nu) - Operator.x(sig, nu) * Operator.d(sig, mu)
 
 
-def _bracket_rhs(ctx: SO2nContext, mu: int, nu: int, rho: int, sigma: int) -> Operator:
+def _bracket_rhs(ctx: SO2nContext, L: dict, mu: int, nu: int, rho: int, sigma: int) -> Operator:
+    """The expansion of [L_{mu,nu}, L_{rho,sigma}] over the generators L[(a, b)], a < b."""
+
     def delta(a: int, b: int) -> int:
         return 1 if a == b else 0
 
@@ -88,7 +90,7 @@ def _bracket_rhs(ctx: SO2nContext, mu: int, nu: int, rho: int, sigma: int) -> Op
         (delta(mu, sigma), nu, rho),
     ):
         if coeff and a != b:
-            out = out + coeff * make_L(ctx, a, b)
+            out = out + coeff * (L[(a, b)] if a < b else -L[(b, a)])
     return out
 
 
@@ -103,7 +105,7 @@ def check_o2n_relations(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     gens = [(mu, nu) for mu in range(1, m + 1) for nu in range(mu + 1, m + 1)]
     L = {pair: make_L(ctx, *pair) for pair in gens}
     quads = [g + h for g, h in itertools.combinations(gens, 2)]
-    return run_checks("o2n", quads, lambda t: commutator(L[t[:2]], L[t[2:]]) - _bracket_rhs(ctx, *t), jobs)
+    return run_checks("o2n", quads, lambda t: commutator(L[t[:2]], L[t[2:]]) - _bracket_rhs(ctx, L, *t), jobs)
 
 
 def rotation_squares(ctx: SO2nContext, variables: Iterable[int]) -> Operator:

@@ -85,16 +85,23 @@ def random_polynomial(sig, rng: random.Random, max_exp: int = 4, max_terms: int 
     return Polynomial._make(sig, {(xe, pe): c.numerator * (den // c.denominator) for xe, c in acc.items()}, den)
 
 
-def _exponent_bound(*ops: Operator) -> int:
-    """Test-function degree: one more than the largest derivative order
-    involved, but never below the default 4."""
-    return max(4, max(op.derivative_degree() for op in ops) + 1)
+def _draws(trials: int, seed: int, *ops: Operator):
+    """The (test function, point) of every trial of a check on ops.
 
-
-def _check_trials(trials: int) -> None:
-    """A check with no trial has tested nothing, so it must not pass."""
+    Refuses operators in different signatures, and a check with no
+    trial, which has tested nothing and so must not pass.  Test
+    functions have degree one more than the largest derivative order of
+    ops, but never below the default 4; trial t draws f, then p, from
+    its own random.Random(seed * 1000003 + t).
+    """
+    sig = ops[0].sig
+    if any(op.sig != sig for op in ops):
+        raise ValueError("operators live in different algebra signatures")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    bound = max(4, max(op.derivative_degree() for op in ops) + 1)
+    rngs = (_trial_rng(seed, trial) for trial in range(trials))
+    return ((random_polynomial(sig, rng, max_exp=bound), random_point(sig, rng)) for rng in rngs)
 
 
 def oracle_equiv(A: Operator, B: Operator, trials: int = 100, seed: int = 0) -> bool:
@@ -102,19 +109,9 @@ def oracle_equiv(A: Operator, B: Operator, trials: int = 100, seed: int = 0) -> 
 
     Both sides run on ``weyl.evaluator``; trials < 1 raises ValueError.
     """
-    if A.sig != B.sig:
-        raise ValueError("operators live in different algebra signatures")
-    _check_trials(trials)
-    sig = A.sig
-    bound = _exponent_bound(A, B)
+    draws = _draws(trials, seed, A, B)
     value_a, value_b = evaluator(A), evaluator(B)
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        f = random_polynomial(sig, rng, max_exp=bound)
-        pt = random_point(sig, rng)
-        if value_a(f, pt.coords, pt.params) != value_b(f, pt.coords, pt.params):
-            return False
-    return True
+    return all(value_a(f, p.coords, p.params) == value_b(f, p.coords, p.params) for f, p in draws)
 
 
 def oracle_apply_check(A: Operator, B: Operator, trials: int = 100, seed: int = 0) -> bool:
@@ -131,19 +128,9 @@ def oracle_apply_check(A: Operator, B: Operator, trials: int = 100, seed: int = 
     each trial also checks the evaluator against the reference route;
     with the evaluator on both sides, a fault in it could cancel.
     """
-    if A.sig != B.sig:
-        raise ValueError("operators live in different algebra signatures")
-    _check_trials(trials)
-    sig = A.sig
     product = A * B
-    bound = _exponent_bound(A, B, product)
     value = evaluator(product)
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        f = random_polynomial(sig, rng, max_exp=bound)
-        pt = random_point(sig, rng)
-        lhs = value(f, pt.coords, pt.params)
-        rhs = A.apply(B.apply(f)).evaluate(pt.coords, pt.params)
-        if lhs != rhs:
-            return False
-    return True
+    return all(
+        value(f, p.coords, p.params) == A.apply(B.apply(f)).evaluate(p.coords, p.params)
+        for f, p in _draws(trials, seed, A, B, product)
+    )

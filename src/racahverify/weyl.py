@@ -40,9 +40,9 @@ sweep.
 
 Both sweeps add m * (their numerators) into an accumulator and layout
 the caller passes in, m an integer multiplier applied once per left
-entry.  ``Operator.__mul__`` and ``commutator`` run one sweep into a
-fresh accumulator.  ``combination`` sums products c * a * b and
-brackets c * [a, b] with rational c: it picks one layout wide enough
+entry.  ``combination`` is the one kernel entry, and every product and
+commutator is a one-term ``combination``.  It sums products c * a * b
+and brackets c * [a, b] with rational c: it picks one layout wide enough
 for all of its pairs, brings every term to the common denominator
 lcm(den_c * den_a * den_b) and runs every sweep into one accumulator,
 so a sum such as a relation residual is decoded and reduced once, and
@@ -92,7 +92,7 @@ from math import comb, gcd, lcm, prod
 from operator import add
 from typing import Callable, Mapping, Sequence, Union
 
-from .coeff import ParamPoly
+from .coeff import ParamPoly, parse_param_poly, read_factor
 
 CoeffLike = Union[int, Fraction, ParamPoly]
 
@@ -550,13 +550,9 @@ class Operator(_FlatTerms):
         return self._merge(other, -1)
 
     def __mul__(self, other: Union[Operator, CoeffLike]) -> Operator:
-        """The normal-ordered product; OverflowError past 64-bit packed exponent fields."""
+        """The normal-ordered product, a one-term ``combination``; OverflowError past 64-bit fields."""
         if isinstance(other, Operator):
-            self._check_sig(other)
-            layout = _layout_for(((self, other),))
-            acc: dict[int, int] = {}
-            _product(acc, layout, self, other, 1)
-            return Operator._make(self.sig, layout.decode(acc), self.den * other.den)
+            return combination(((1, self, other, False),))
         return self.scale(other)
 
     def __rmul__(self, other: CoeffLike) -> Operator:
@@ -659,28 +655,27 @@ def _powers(name: str, exps: Sequence[int]) -> list[str]:
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
-    """[a, b] = ab - ba, in one pair sweep that never builds ab or ba.
+    """[a, b] = ab - ba, the one-term ``combination`` whose sweep never builds ab or ba.
 
     Like the product, it raises OverflowError when the exponents of a and
     b are too large for 64-bit packed fields (see the module docstring).
     """
-    a._check_sig(b)
-    layout = _layout_for(((a, b),))
-    acc: dict[int, int] = {}
-    _commutator(acc, layout, a, b, 1)
-    return Operator._make(a.sig, layout.decode(acc), a.den * b.den)
+    return combination(((1, a, b, True),))
 
 
 def combination(terms: Sequence[tuple[Fraction | int, Operator, Operator, bool]]) -> Operator:
     """sum c * a * b over the terms (c, a, b, False) plus c * [a, b] over the terms (c, a, b, True).
 
-    Every term runs its sweep into one packed accumulator, at one layout
-    wide enough for all of its pairs and over the common denominator
-    den = lcm(den_c * den_a * den_b), each term's numerators multiplied
-    by num_c * den / (den_c * den_a * den_b).  Only the sum is decoded
-    and reduced, so intermediates that cancel are never built; a zero
-    sum decodes nothing.  The result equals the same sum taken with
-    ``*``, ``commutator``, ``+`` and ``-``, terms and denominator alike.
+    Each coefficient c must be an int or a Fraction; its ``numerator``
+    and ``denominator`` are read directly.  Every term runs its sweep
+    into one packed accumulator, at one layout wide enough for all of
+    its pairs and over the common denominator den = lcm(den_c * den_a *
+    den_b), each term's numerators multiplied by num_c * den / (den_c *
+    den_a * den_b).  Only the sum is decoded and reduced, so
+    intermediates that cancel are never built; a zero sum decodes
+    nothing.  The result equals the sum of the terms taken one at a
+    time (``*`` and ``commutator`` are one-term combinations) and added
+    with ``+`` and ``-``, terms and denominator alike.
     Operands in different signatures raise ValueError, and exponents
     too large for 64-bit packed fields OverflowError.
     """
@@ -689,11 +684,10 @@ def combination(terms: Sequence[tuple[Fraction | int, Operator, Operator, bool]]
         first._check_sig(a)
         first._check_sig(b)
     layout = _layout_for([(a, b) for _, a, b, _ in terms])
-    coeffs = [Fraction(c) for c, *_ in terms]
-    dens = [c.denominator * a.den * b.den for c, (_, a, b, _) in zip(coeffs, terms)]
+    dens = [c.denominator * a.den * b.den for c, a, b, _ in terms]
     den = lcm(*dens)
     acc: dict[int, int] = {}
-    for c, d, (_, a, b, bracket) in zip(coeffs, dens, terms):
+    for (c, a, b, bracket), d in zip(terms, dens):
         (_commutator if bracket else _product)(acc, layout, a, b, c.numerator * (den // d))
     return Operator._make(first.sig, layout.decode(acc), den)
 
@@ -913,36 +907,24 @@ def _split_top(text: str, sep: str) -> list[str]:
 
 def parse_operator(text: str, sig: AlgebraSignature) -> Operator:
     """Parse the textual format produced by ``str(Operator)``."""
-    from .coeff import parse_param_poly
-
     text = text.strip()
     if text == "0":
         return Operator.zero(sig)
     m = sig.num_vars
-    total = Operator.zero(sig)
+    terms: dict[tuple, ParamPoly] = {}
     for term in _split_top(text, " + "):
         term = term.strip()
-        factors = [f.strip() for f in _split_top(term, " * ")]
-        head = factors[0]
+        head, *factors = [f.strip() for f in _split_top(term, " * ")]
         if head.startswith("(") and head.endswith(")"):
             coeff = parse_param_poly(head[1:-1], sig.nparams)
-        elif head[0] in "+-0123456789":
+        elif head and head[0] in "+-0123456789":
             coeff = ParamPoly.const(sig.nparams, Fraction(head))
         else:
             raise ValueError(f"term {term!r} must start with a coefficient")
-        xe = [0] * m
-        de = [0] * m
-        for factor in factors[1:]:
-            if not factor or factor[0] not in "xd":
-                raise ValueError(f"cannot parse factor {factor!r}")
-            name, _, power = factor.partition("^")
-            idx = int(name[1:])
-            if not 1 <= idx <= m:
-                raise ValueError(f"variable index {idx} out of range 1..{m}")
-            k = int(power) if power else 1
-            if factor[0] == "x":
-                xe[idx - 1] += k
-            else:
-                de[idx - 1] += k
-        total = total + Operator.monomial(sig, xe, de, coeff)
-    return total
+        exps = [0] * (2 * m)
+        for factor in factors:
+            letter, idx, power = read_factor(factor, "xd", m)
+            exps[idx - 1 + (m if letter == "d" else 0)] += power
+        mono = tuple(exps)
+        terms[mono] = terms.get(mono, 0) + coeff
+    return Operator(sig, terms)

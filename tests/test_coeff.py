@@ -121,3 +121,5 @@ def test_parse_rejects_garbage():
         parse_param_poly("a9", 2)
     with pytest.raises(ValueError):
         parse_param_poly("what", 2)
+    with pytest.raises(ValueError):
+        parse_param_poly("a1^", 1)

@@ -19,7 +19,7 @@ from racahverify.liealg import (
     rotation_squares,
     sum_triples,
 )
-from racahverify import reduction
+from racahverify import liealg, reduction
 from racahverify.weyl import Operator, commutator
 
 CTX3 = SO2nContext(3)
@@ -81,6 +81,19 @@ def test_o2n_relation_sweep_parallel_matches_serial():
     parallel = check_o2n_relations(CTX3, jobs=2)
     key = lambda e: (e.relation, e.indices, e.passed, e.residual_terms)
     assert list(map(key, serial.entries)) == list(map(key, parallel.entries))
+
+
+def test_o2n_relation_sweep_builds_each_generator_once(monkeypatch):
+    calls = []
+
+    def counted(ctx, mu, nu):
+        calls.append((mu, nu))
+        return make_L(ctx, mu, nu)
+
+    monkeypatch.setattr(liealg, "make_L", counted)
+    assert check_o2n_relations(SO2nContext(4)).all_passed()
+    # 28 generators at n=4; the structure constants read them instead of rebuilding them
+    assert len(calls) == 28
 
 
 def test_quadratic_casimir_contains_expected_term():

@@ -192,6 +192,12 @@ def test_parse_rejects_bad_input():
         parse_operator("1 * x9", SIG2)
     with pytest.raises(ValueError):
         parse_operator("(1 * x1", SIG2)
+    # empty terms, a caret without a power, and digits int() would read
+    for text in ("", " ", "1 +  + x1", "1 * x1^", "1 * x1_0", "1 * x1^0_2"):
+        with pytest.raises(ValueError):
+            parse_operator(text, SIG2)
+    with pytest.raises(ValueError):
+        parse_operator("(1*a1^) * x1", AlgebraSignature(1, params=("a1",)))
 
 
 def _assert_lowest_terms(value):
