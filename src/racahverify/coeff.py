@@ -216,6 +216,20 @@ class ParamPoly:
 
 
 _FACTOR = re.compile(r"([a-z])(\d+)(?:\^(-?\d+))?", re.ASCII)
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?", re.ASCII)
+
+
+def read_rational(literal: str) -> Fraction:
+    """Read one coefficient literal of the text format: ``[+-]p[/q]``.
+
+    Only ASCII digits are accepted: the underscores, decimal points and
+    exponents that ``Fraction(str)`` would also read raise ValueError,
+    since ``str`` never prints them.  A zero denominator raises
+    ZeroDivisionError.
+    """
+    if not _RATIONAL.fullmatch(literal):
+        raise ValueError(f"cannot parse coefficient {literal!r}")
+    return Fraction(literal)
 
 
 def read_factor(factor: str, letters: str, count: int) -> tuple[str, int, int]:
@@ -249,7 +263,7 @@ def parse_param_poly(text: str, nparams: int) -> ParamPoly:
             if not factor:
                 raise ValueError(f"empty factor in term {term!r}")
             if factor[0] in "+-0123456789":
-                coeff *= Fraction(factor)
+                coeff *= read_rational(factor)
             else:
                 _, idx, power = read_factor(factor, "a", nparams)
                 exps[idx - 1] += power

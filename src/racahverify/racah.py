@@ -53,8 +53,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
+from ._parallel import run_tasks
 from .liealg import PairUnion, SO2nContext, casimir_CA, decomposition_sum, make_L, rotation_squares
-from .report import RelationReport, ReportEntry, run_checks
+from .report import RelationReport, ReportEntry, check, run_checks
 from .weyl import AlgebraSignature, Operator, combination, commutator
 
 RELATION_ARITY = {"a": 3, "b": 3, "c": 4, "d": 4, "e": 5}
@@ -198,10 +199,14 @@ def relation_residual(
 def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     """Check all five relations over every tuple of pairwise distinct indices.
 
-    Relations whose arity exceeds n get a single 'skipped' entry: they
-    have no admissible tuples at that rank.  F is warmed over all
-    ordered triples before dispatch so parallel workers share the
-    memoized operators instead of recomputing them.
+    Every (relation, tuple) of the five relations goes to workers in one
+    dispatch, so the long relation-d checks interleave with the short
+    ones across workers; entries come back in relation order, tuples in
+    permutation order.  Relations whose arity exceeds n get a single
+    'skipped' entry after them: they have no admissible tuples at that
+    rank, and arities ascend, so those entries come last.  F is warmed
+    over all ordered triples before dispatch so parallel workers share
+    the memoized operators instead of recomputing them.
     """
     n = basis.ctx.n
     if n < 3:
@@ -210,12 +215,14 @@ def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     for t in itertools.permutations(range(1, n + 1), 3):
         f(*t)
 
-    report = RelationReport()
+    def check_item(item: tuple[str, tuple[int, ...]]) -> ReportEntry:
+        rel, t = item
+        return check(rel, t, lambda indices: relation_residual(rel, indices, p, f, c))
+
+    items = [(rel, t) for rel, arity in RELATION_ARITY.items() for t in itertools.permutations(range(1, n + 1), arity)]
+    report = RelationReport(run_tasks(check_item, items, jobs))
     for rel, arity in RELATION_ARITY.items():
-        tuples = list(itertools.permutations(range(1, n + 1), arity))
-        if tuples:
-            report.merge(run_checks(rel, tuples, lambda t, rel=rel: relation_residual(rel, t, p, f, c), jobs))
-        else:
+        if arity > n:
             report.add(ReportEntry(rel, (), True, 0, 0.0, "skipped: no admissible index tuples at this rank"))
     return report
 

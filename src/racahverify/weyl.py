@@ -92,7 +92,7 @@ from math import comb, gcd, lcm, prod
 from operator import add
 from typing import Callable, Mapping, Sequence, Union
 
-from .coeff import ParamPoly, parse_param_poly, read_factor
+from .coeff import ParamPoly, parse_param_poly, read_factor, read_rational
 
 CoeffLike = Union[int, Fraction, ParamPoly]
 
@@ -918,7 +918,7 @@ def parse_operator(text: str, sig: AlgebraSignature) -> Operator:
         if head.startswith("(") and head.endswith(")"):
             coeff = parse_param_poly(head[1:-1], sig.nparams)
         elif head and head[0] in "+-0123456789":
-            coeff = ParamPoly.const(sig.nparams, Fraction(head))
+            coeff = ParamPoly.const(sig.nparams, read_rational(head))
         else:
             raise ValueError(f"term {term!r} must start with a coefficient")
         exps = [0] * (2 * m)

@@ -96,13 +96,19 @@ def test_json_output_parses(capsys):
 
 
 def test_parallel_runs_match_serial(capsys):
-    for suite in ("racah", "howe,racah"):
-        code1, lines1 = run_main(["--suite", suite, "--json"], capsys)
-        code2, lines2 = run_main(["--suite", suite, "--json", "--jobs", "2"], capsys)
-        assert code1 == code2 == 0
-        assert _strip_times(json.loads(ln) for ln in lines1) == _strip_times(
-            json.loads(ln) for ln in lines2
-        )
+    # Rank four sends the single relation dispatch and the reduced sweep
+    # through uneven strides at three workers.
+    for args, worker_counts in (
+        (["--suite", "racah"], ["2"]),
+        (["--suite", "howe,racah"], ["2"]),
+        (["--n", "4", "--suite", "racah,reduction"], ["2", "3"]),
+    ):
+        code1, lines1 = run_main([*args, "--json"], capsys)
+        serial = _strip_times(json.loads(ln) for ln in lines1)
+        for jobs in worker_counts:
+            code2, lines2 = run_main([*args, "--json", "--jobs", jobs], capsys)
+            assert code1 == code2 == 0
+            assert _strip_times(json.loads(ln) for ln in lines2) == serial
 
 
 def test_rank_four_covers_quartic_relations(capsys):

@@ -123,3 +123,7 @@ def test_parse_rejects_garbage():
         parse_param_poly("what", 2)
     with pytest.raises(ValueError):
         parse_param_poly("a1^", 1)
+    # literals Fraction(str) would read but str never prints
+    for text in ("1_0*a1", "1.5*a1", "1e3*a1", "１*a1", "3/-2*a1", "+ 1*a1"):
+        with pytest.raises(ValueError):
+            parse_param_poly(text, 1)

@@ -198,6 +198,10 @@ def test_parse_rejects_bad_input():
             parse_operator(text, SIG2)
     with pytest.raises(ValueError):
         parse_operator("(1*a1^) * x1", AlgebraSignature(1, params=("a1",)))
+    # coefficient literals Fraction(str) would read but str never prints
+    for text in ("1_0 * x1", "2.5 * x1", "1e3 * x1", "(1_0*a1) * x1"):
+        with pytest.raises(ValueError):
+            parse_operator(text, AlgebraSignature(1, params=("a1",)))
 
 
 def _assert_lowest_terms(value):
