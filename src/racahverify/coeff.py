@@ -50,11 +50,25 @@ class ParamPoly:
 
     @classmethod
     def const(cls, nparams: int, value: int | Fraction) -> ParamPoly:
-        """The constant polynomial ``value``."""
-        c = Fraction(value)
-        if not c:
+        """The constant polynomial ``value``, an int or a Fraction (else TypeError)."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"expected an int or a Fraction, got {type(value).__name__}")
+        if not value:
             return cls(nparams)
-        return cls(nparams, {(0,) * nparams: c})
+        return cls(nparams, {(0,) * nparams: Fraction(value)})
+
+    @classmethod
+    def of(cls, nparams: int, value: ScalarLike) -> ParamPoly:
+        """value as a ParamPoly in nparams parameters: the one coefficient coercion.
+
+        A ParamPoly of another arity raises ValueError, and a value that
+        is not an int, a Fraction or a ParamPoly TypeError.
+        """
+        if isinstance(value, ParamPoly):
+            if value.nparams != nparams:
+                raise ValueError(f"coefficient has {value.nparams} parameters, expected {nparams}")
+            return value
+        return cls.const(nparams, value)
 
     @classmethod
     def zero(cls, nparams: int) -> ParamPoly:
@@ -104,17 +118,8 @@ class ParamPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other: ScalarLike) -> ParamPoly:
-        if isinstance(other, ParamPoly):
-            if other.nparams != self.nparams:
-                raise ValueError(
-                    f"parameter arity mismatch: {self.nparams} vs {other.nparams}"
-                )
-            return other
-        return ParamPoly.const(self.nparams, other)
-
     def __add__(self, other: ScalarLike) -> ParamPoly:
-        other = self._coerce(other)
+        other = ParamPoly.of(self.nparams, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
@@ -146,7 +151,7 @@ class ParamPoly:
         return (-self) + other
 
     def __mul__(self, other: ScalarLike) -> ParamPoly:
-        other = self._coerce(other)
+        other = ParamPoly.of(self.nparams, other)
         a, b = self.terms, other.terms
         if not a or not b:
             return ParamPoly(self.nparams)

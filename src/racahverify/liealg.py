@@ -32,10 +32,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .report import RelationReport, run_checks
 from .weyl import AlgebraSignature, Operator, commutator
+
+if TYPE_CHECKING:
+    from .reduction import ReducedContext
 
 
 @dataclass(frozen=True)
@@ -61,19 +64,21 @@ class SO2nContext:
         return 2 * self.n
 
 
-def make_L(ctx: SO2nContext, mu: int, nu: int) -> Operator:
-    """The rotation generator x_mu d_nu - x_nu d_mu (1-based indices).
+def rotation(sig: AlgebraSignature, mu: int, nu: int) -> Operator:
+    """The rotation x_mu d_nu - x_nu d_mu (1-based indices), in either realization.
 
     The formula is antisymmetric in (mu, nu), so swapped indices return
-    the negated generator; equal indices are rejected.
+    the negated rotation; equal indices raise ValueError, and so do
+    indices outside 1..sig.num_vars (from Operator.x and Operator.d).
     """
-    m = ctx.num_vars
-    if not (1 <= mu <= m and 1 <= nu <= m):
-        raise ValueError(f"indices ({mu}, {nu}) out of range 1..{m}")
     if mu == nu:
         raise ValueError("rotation generator needs two distinct indices")
-    sig = ctx.signature
     return Operator.x(sig, mu) * Operator.d(sig, nu) - Operator.x(sig, nu) * Operator.d(sig, mu)
+
+
+def make_L(ctx: SO2nContext, mu: int, nu: int) -> Operator:
+    """The o(2n) generator L_{mu,nu}: the rotation in the oscillator variables."""
+    return rotation(ctx.signature, mu, nu)
 
 
 def _bracket_rhs(ctx: SO2nContext, L: dict, mu: int, nu: int, rho: int, sigma: int) -> Operator:
@@ -190,14 +195,15 @@ def sum_triples(triples: list[SU11Triple]) -> SU11Triple:
     )
 
 
-def make_metaplectic(ctx: SO2nContext, mu: int) -> SU11Triple:
+def make_metaplectic(ctx: SO2nContext | ReducedContext, mu: int) -> SU11Triple:
     """The one-variable realization in x_mu:
 
         J+ = x_mu^2 / 2,  J- = d_mu^2 / 2,  J0 = (1/2)(1/2 + x_mu d_mu).
+
+    Only ctx.signature is read, so the radial triple builds on it too
+    (reduction.make_reduced_J).  An index outside 1..num_vars raises
+    ValueError, from Operator.x.
     """
-    m = ctx.num_vars
-    if not 1 <= mu <= m:
-        raise ValueError(f"index {mu} out of range 1..{m}")
     sig = ctx.signature
     half = Fraction(1, 2)
     jp = Operator.x(sig, mu, 2) * half

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeff import ParamPoly
-from .liealg import PairUnion, SU11Triple, casimir_of, sum_triples
+from .liealg import PairUnion, SU11Triple, casimir_of, make_metaplectic, rotation, sum_triples
 from .racah import Basis, sweep_relations
 from .report import RelationReport, run_checks
 from .weyl import AlgebraSignature, Operator, commutator
@@ -69,41 +69,25 @@ class ReducedContext:
         return self.signature.param(i)
 
 
-def _check_factor(ctx: ReducedContext, i: int) -> None:
-    if not 1 <= i <= ctx.n:
-        raise ValueError(f"factor index {i} out of range 1..{ctx.n}")
-
-
 def make_reduced_J(ctx: ReducedContext, i: int) -> SU11Triple:
-    """The parameter-dependent triple in the single variable x_i."""
-    _check_factor(ctx, i)
-    sig = ctx.signature
-    half = Fraction(1, 2)
-    jp = Operator.x(sig, i, 2) * half
-    jm = (Operator.d(sig, i, 2) + Operator.x(sig, i, -2) * ctx.param(i)) * half
-    j0 = (Operator.x(sig, i) * Operator.d(sig, i) + Operator.constant(sig, half)) * half
-    return SU11Triple(jp, jm, j0)
+    """The parameter-dependent triple in the single variable x_i: the
+    metaplectic triple in x_i with a_i / (2 x_i^2) added to J-.
+
+    An index outside 1..n raises ValueError, from Operator.x.
+    """
+    t = make_metaplectic(ctx, i)
+    return SU11Triple(t.Jp, t.Jm + Operator.x(ctx.signature, i, -2) * (ctx.param(i) * Fraction(1, 2)), t.J0)
 
 
 def reduced_coproduct(ctx: ReducedContext, factors: tuple[int, ...] | None = None) -> SU11Triple:
     """Sum of the single-variable triples over the given factors (default all).
 
-    PairUnion rejects empty and repeated factors, make_reduced_J those
-    out of range.
+    PairUnion rejects empty and repeated factors, and Operator.x (through
+    make_reduced_J) those out of range, all with ValueError.
     """
     if factors is None:
         factors = tuple(range(1, ctx.n + 1))
     return sum_triples([make_reduced_J(ctx, i) for i in PairUnion(factors).pairs])
-
-
-def rotation(ctx: ReducedContext, i: int, j: int) -> Operator:
-    """R_{ij} = x_i d_j - x_j d_i in the radial variables."""
-    _check_factor(ctx, i)
-    _check_factor(ctx, j)
-    if i == j:
-        raise ValueError("rotation needs two distinct indices")
-    sig = ctx.signature
-    return Operator.x(sig, i) * Operator.d(sig, j) - Operator.x(sig, j) * Operator.d(sig, i)
 
 
 def _ratio(ctx: ReducedContext, num: int, den: int) -> Operator:
@@ -125,7 +109,7 @@ def reduced_casimir_single(ctx: ReducedContext, i: int) -> Operator:
 
 def pair_invariant(ctx: ReducedContext, i: int, j: int) -> Operator:
     """R_{ij}^2 + a_i x_j^2/x_i^2 + a_j x_i^2/x_j^2 (no constant part)."""
-    r = rotation(ctx, i, j)
+    r = rotation(ctx.signature, i, j)
     return r * r + _ratio(ctx, j, i) * ctx.param(i) + _ratio(ctx, i, j) * ctx.param(j)
 
 
@@ -158,7 +142,7 @@ def total_casimir_residual(ctx: ReducedContext) -> Operator:
     lhs = total_casimir(ctx)
     rhs = Operator.constant(sig, Fraction(ctx.n * (ctx.n - 4), 16))
     for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
-        r = rotation(ctx, i, j)
+        r = rotation(sig, i, j)
         rhs = rhs - (r * r) * Fraction(1, 4)
     radius = Operator.zero(sig)
     potential = Operator.zero(sig)
@@ -180,7 +164,8 @@ def make_Q(ctx: ReducedContext, i: int, j: int) -> Operator:
         Q_{ij} = -4 C^{ij} - (a_i + a_j + 1),
 
     which the reduction suite reports as its ``q-affine`` entries.  Equal
-    or out-of-range factors raise ValueError (from rotation).
+    factors raise ValueError from liealg.rotation, and factors outside
+    1..n from Operator.x.
     """
     return pair_invariant(ctx, i, j)
 

@@ -43,13 +43,22 @@ class _Run:
 
 
 def _numbered(
-    relation: str, residuals: list[tuple[str, Operator | Polynomial]], prefix: tuple[int, ...] = ()
+    relation: str, residuals: list[tuple[str, Callable[[], Operator | Polynomial]]], prefix: tuple[int, ...] = ()
 ) -> RelationReport:
-    """One entry per (note, residual) pair, indexed prefix + (position,)."""
+    """One entry per (note, residual function) pair, indexed prefix + (position,).
+
+    Each residual is built inside ``check``, so it is timed and an
+    exception names the relation and the index tuple.
+    """
     report = RelationReport()
     for pos, (note, residual) in enumerate(residuals, start=1):
-        report.add(check(relation, (*prefix, pos), lambda _, r=residual: r, note))
+        report.add(check(relation, (*prefix, pos), lambda _, r=residual: r(), note))
     return report
+
+
+def _built(residuals: list[tuple[str, Operator]]) -> list[tuple[str, Callable[[], Operator]]]:
+    """Residuals already built (SU11Triple.relation_residuals) as _numbered's pairs."""
+    return [(note, lambda r=r: r) for note, r in residuals]
 
 
 def _engine_suite() -> RelationReport:
@@ -59,31 +68,38 @@ def _engine_suite() -> RelationReport:
     x1, d1 = Operator.x(plain, 1), Operator.d(plain, 1)
     x2, d2 = Operator.x(plain, 2), Operator.d(plain, 2)
 
-    checks: list[tuple[str, Operator | Polynomial]] = [
-        ("product reorder", d1 * x1 - (x1 * d1 + Operator.constant(plain, 1))),
-        ("square bracket", commutator(d1, x1 * x1) - 2 * x1),
-        ("cross product", (x1 * d2) * (x2 * d1) - (x1 * x2 * d1 * d2 + x1 * d1)),
+    def round_trip() -> Operator:
+        composite = (x1 * d2) * (x2 * d1) - 3 * (x2 * x2) + Operator.constant(plain, Fraction(-5, 7))
+        return composite - parse_operator(str(composite), plain)
+
+    def composition() -> Polynomial:
+        # The product side against A(Bg) derived by hand, not through apply, so
+        # a fault in apply cannot cancel between the two sides:
+        # g = x1^2 x2^2 + x2^3/2, B g = x2^2 d1 g = 2 x1 x2^4, A(B g) = x1 d1 d2 (2 x1 x2^4) = 8 x1 x2^3.
+        g = Polynomial.monomial(plain, (2, 2)) + Polynomial.monomial(plain, (0, 3), Fraction(1, 2))
+        a_op, b_op = x1 * d1 * d2, x2 * x2 * d1
+        return (a_op * b_op).apply(g) - Polynomial.monomial(plain, (1, 3), 8)
+
+    checks: list[tuple[str, Callable[[], Operator | Polynomial]]] = [
+        ("product reorder", lambda: d1 * x1 - (x1 * d1 + Operator.constant(plain, 1))),
+        ("square bracket", lambda: commutator(d1, x1 * x1) - 2 * x1),
+        ("cross product", lambda: (x1 * d2) * (x2 * d1) - (x1 * x2 * d1 * d2 + x1 * d1)),
         (
             "inverse-power reorder",
-            Operator.d(local, 1) * Operator.x(local, 1, -1)
+            lambda: Operator.d(local, 1) * Operator.x(local, 1, -1)
             - (Operator.x(local, 1, -1) * Operator.d(local, 1) - Operator.x(local, 1, -2)),
         ),
         (
             "associativity",
-            ((x1 * d2) * (x2 * d1)) * (x1 * d1) - (x1 * d2) * ((x2 * d1) * (x1 * d1)),
+            lambda: ((x1 * d2) * (x2 * d1)) * (x1 * d1) - (x1 * d2) * ((x2 * d1) * (x1 * d1)),
         ),
+        (
+            "euler action",
+            lambda: (x1 * d1).apply(Polynomial.monomial(plain, (3, 1))) - Polynomial.monomial(plain, (3, 1), 3),
+        ),
+        ("text round-trip", round_trip),
+        ("composition action", composition),
     ]
-    f = Polynomial.monomial(plain, (3, 1))
-    euler = x1 * d1
-    checks.append(("euler action", euler.apply(f) - Polynomial.monomial(plain, (3, 1), 3)))
-    composite = (x1 * d2) * (x2 * d1) - 3 * (x2 * x2) + Operator.constant(plain, Fraction(-5, 7))
-    checks.append(("text round-trip", composite - parse_operator(str(composite), plain)))
-    # The product side against A(Bg) derived by hand, not through apply, so
-    # a fault in apply cannot cancel between the two sides:
-    # g = x1^2 x2^2 + x2^3/2, B g = x2^2 d1 g = 2 x1 x2^4, A(B g) = x1 d1 d2 (2 x1 x2^4) = 8 x1 x2^3.
-    g = Polynomial.monomial(plain, (2, 2)) + Polynomial.monomial(plain, (0, 3), Fraction(1, 2))
-    a_op, b_op = x1 * d1 * d2, x2 * x2 * d1
-    checks.append(("composition action", (a_op * b_op).apply(g) - Polynomial.monomial(plain, (1, 3), 8)))
     return _numbered("engine", checks)
 
 
@@ -99,7 +115,7 @@ def _su11_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     report = RelationReport()
     for mu in range(1, ctx.num_vars + 1):
         triple = liealg.make_metaplectic(ctx, mu)
-        report.merge(_numbered("su11", triple.relation_residuals(), (mu,)))
+        report.merge(_numbered("su11", _built(triple.relation_residuals()), (mu,)))
         report.add(check("su11-casimir", (mu,), lambda _: liealg.casimir_of(triple) - expected, "value -3/16"))
     return report
 
@@ -127,7 +143,8 @@ def _reduction_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     basis = reduction.ReducedBasis(rctx)
     report = RelationReport()
     for i in range(1, rctx.n + 1):
-        report.merge(_numbered("reduced-su11", reduction.make_reduced_J(rctx, i).relation_residuals(), (i,)))
+        triple = reduction.make_reduced_J(rctx, i)
+        report.merge(_numbered("reduced-su11", _built(triple.relation_residuals()), (i,)))
         expected = Operator.constant(rctx.signature, (rctx.param(i) + Fraction(3, 4)) * Fraction(-1, 4))
         report.add(check("reduced-casimir-single", (i,), lambda t: basis.c(*t) - expected))
     for i, j in itertools.combinations(range(1, rctx.n + 1), 2):

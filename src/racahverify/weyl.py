@@ -15,8 +15,12 @@ declared localized in the signature; that is what makes 1/x^2 potential
 terms first-class citizens.  The (Laurent) polynomials operators act on
 are stored the same way, keyed by (position exponents, parameter
 exponent).  ParamPoly is the coefficient type at the edges: constructors
-and ``scale`` take it, and ``coefficients()`` returns it (for printing
-and callers).
+and ``scale`` take an int, a Fraction or a ParamPoly (anything else
+raises TypeError, see ``ParamPoly.of``), and ``coefficients()`` returns a
+ParamPoly (for printing and callers).  Both types share ``_FlatTerms``,
+which holds their one ``+``, ``-``, negation, ``zero`` and ``repr``;
+mixing an Operator with a Polynomial or a number in a sum raises
+TypeError.
 
 Multiplication renormal-orders with the per-variable rule
 
@@ -79,11 +83,16 @@ denominator (``_power_tables``), building one Fraction at the end.
 groups op's monomials by derivative exponent b once, as
 op = sum_b alpha_b(x) d^b, and each call sums alpha_b(p) * (d^b f)(p)
 on the same power tables, again by direct differentiation.
+
+``parse_operator`` reads the text ``str(Operator)`` prints: terms joined
+by " + ", factors by " * ", both split only outside parentheses (the
+format never nests them, so one lookahead pattern per separator does).
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -136,13 +145,8 @@ class AlgebraSignature:
                 )
 
     def coeff(self, value: CoeffLike) -> ParamPoly:
-        if isinstance(value, ParamPoly):
-            if value.nparams != self.nparams:
-                raise ValueError(
-                    f"coefficient arity {value.nparams} differs from signature arity {self.nparams}"
-                )
-            return value
-        return ParamPoly.const(self.nparams, value)
+        """value as a coefficient of this signature (``ParamPoly.of``)."""
+        return ParamPoly.of(self.nparams, value)
 
     def param(self, index: int) -> ParamPoly:
         """The coefficient polynomial a_index (1-based)."""
@@ -440,7 +444,21 @@ class _FlatTerms:
                 del out[key]
         return self._make(self.sig, out, den)
 
-    def _negated(self):
+    @classmethod
+    def zero(cls, sig: AlgebraSignature):
+        return cls(sig)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._merge(other, 1)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._merge(other, -1)
+
+    def __neg__(self):
         return self._make(self.sig, {key: -q for key, q in self.terms.items()}, self.den)
 
     def __eq__(self, other: object) -> bool:
@@ -458,6 +476,9 @@ class _FlatTerms:
             " * ".join([_coeff_str(coefficients[mo]), *self._factors(mo)])
             for mo in sorted(coefficients, key=lambda mo: (sum(mo), mo), reverse=True)
         )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.sig.num_vars} vars, {self.term_count()} terms)"
 
 
 class Operator(_FlatTerms):
@@ -481,10 +502,6 @@ class Operator(_FlatTerms):
         return None, {"sig": self.sig, "terms": self.terms, "den": self.den}
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, sig: AlgebraSignature) -> Operator:
-        return cls(sig)
 
     @classmethod
     def constant(cls, sig: AlgebraSignature, value: CoeffLike) -> Operator:
@@ -536,18 +553,9 @@ class Operator(_FlatTerms):
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: Operator) -> Operator:
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self._merge(other, 1)
-
-    def __neg__(self) -> Operator:
-        return self._negated()
-
-    def __sub__(self, other: Operator) -> Operator:
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self._merge(other, -1)
+    # The tracer of perfbench/spans.py wraps these two in Operator's own namespace.
+    __add__ = _FlatTerms.__add__
+    __neg__ = _FlatTerms.__neg__
 
     def __mul__(self, other: Union[Operator, CoeffLike]) -> Operator:
         """The normal-ordered product, a one-term ``combination``; OverflowError past 64-bit fields."""
@@ -632,9 +640,6 @@ class Operator(_FlatTerms):
         m = self.sig.num_vars
         return _powers("x", mo[:m]) + _powers("d", mo[m:])
 
-    def __repr__(self) -> str:
-        return f"Operator({self.sig.num_vars} vars, {self.term_count()} terms)"
-
 
 def _check_index(sig: AlgebraSignature, index: int) -> int:
     if not 1 <= index <= sig.num_vars:
@@ -679,6 +684,8 @@ def combination(terms: Sequence[tuple[Fraction | int, Operator, Operator, bool]]
     Operands in different signatures raise ValueError, and exponents
     too large for 64-bit packed fields OverflowError.
     """
+    if not terms:
+        raise ValueError("a combination needs at least one term")
     first = terms[0][1]
     for _, a, b, _ in terms:
         first._check_sig(a)
@@ -707,25 +714,8 @@ class Polynomial(_FlatTerms):
         super().__init__(sig, terms)
 
     @classmethod
-    def zero(cls, sig: AlgebraSignature) -> Polynomial:
-        return cls(sig)
-
-    @classmethod
     def monomial(cls, sig: AlgebraSignature, xexp: Sequence[int], coeff: CoeffLike = 1) -> Polynomial:
         return cls(sig, {tuple(xexp): sig.coeff(coeff)})
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._merge(other, 1)
-
-    def __neg__(self) -> Polynomial:
-        return self._negated()
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._merge(other, -1)
 
     def evaluate(self, coords: Sequence[Fraction], params: Sequence[Fraction] = ()) -> Fraction:
         """Exact value at a rational point; localized coordinates must be nonzero.
@@ -753,9 +743,6 @@ class Polynomial(_FlatTerms):
 
     def _factors(self, xe: tuple) -> list[str]:
         return _powers("x", xe)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.sig.num_vars} vars, {self.term_count()} terms)"
 
 
 def _check_point(sig: AlgebraSignature, coords: Sequence, params: Sequence) -> None:
@@ -878,43 +865,29 @@ def evaluator(op: Operator) -> Callable[..., Fraction]:
 # -- parsing -----------------------------------------------------------------
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on sep occurrences outside parentheses."""
-    parts = []
-    depth = 0
-    start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-        elif depth == 0 and text.startswith(sep, i):
-            parts.append(text[start:i])
-            i += len(sep)
-            start = i
-            continue
-        i += 1
-    if depth:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    parts.append(text[start:])
-    return parts
+# A separator that meets ")" before any "(" lies inside parentheses, which the
+# text format never nests.
+_TERM_SEP = re.compile(r" \+ (?![^()]*\))")
+_FACTOR_SEP = re.compile(r" \* (?![^()]*\))")
 
 
 def parse_operator(text: str, sig: AlgebraSignature) -> Operator:
-    """Parse the textual format produced by ``str(Operator)``."""
+    """Parse the textual format produced by ``str(Operator)``.
+
+    Terms are split on " + " and factors on " * ", both only outside
+    parentheses.  Each term starts with its coefficient: an integer or
+    p/q literal, or a parenthesized ParamPoly; the factors are x<i> and
+    d<i> with an optional ^power.  Anything else, a stray parenthesis
+    included, raises ValueError.
+    """
     text = text.strip()
     if text == "0":
         return Operator.zero(sig)
     m = sig.num_vars
     terms: dict[tuple, ParamPoly] = {}
-    for term in _split_top(text, " + "):
+    for term in _TERM_SEP.split(text):
         term = term.strip()
-        head, *factors = [f.strip() for f in _split_top(term, " * ")]
+        head, *factors = [f.strip() for f in _FACTOR_SEP.split(term)]
         if head.startswith("(") and head.endswith(")"):
             coeff = parse_param_poly(head[1:-1], sig.nparams)
         elif head and head[0] in "+-0123456789":

@@ -163,6 +163,15 @@ def test_engine_action_failure_reports_residual_terms(monkeypatch, capsys):
     assert rows["composition action"]["residual_terms"] == 2
 
 
+def test_engine_check_that_raises_names_relation_and_tuple(monkeypatch):
+    def broken(text, sig):
+        raise ZeroDivisionError("parser fault")
+
+    monkeypatch.setattr(suites, "parse_operator", broken)
+    with pytest.raises(RuntimeError, match=r"check engine \(7,\) raised ZeroDivisionError\('parser fault'\)"):
+        main(["--suite", "o2n", "--json"])
+
+
 def test_dependency_failure_reports_residual_terms(monkeypatch, capsys):
     def two_terms(ctx, subset, basis=None):
         return Operator.x(ctx.signature, 1) + Operator.constant(ctx.signature, 1)

@@ -343,6 +343,11 @@ def test_combination_with_mixed_denominators_and_widths():
     assert got.den > 1 and any(mono[0] == -2 * 2**14 for mono, _ in got.terms)
 
 
+def test_empty_combination_raises_value_error():
+    with pytest.raises(ValueError, match="at least one term"):
+        combination([])
+
+
 def test_combination_cancels_to_zero_over_denominator_one():
     x, y = _boundary_operators(3)
     third = Fraction(1, 3)

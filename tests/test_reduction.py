@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from racahverify.liealg import casimir_of
+from racahverify.liealg import casimir_of, rotation
 from racahverify.reduction import (
     ReducedBasis,
     ReducedContext,
@@ -16,7 +16,6 @@ from racahverify.reduction import (
     reduced_casimir_pair,
     reduced_casimir_single,
     reduced_coproduct,
-    rotation,
     total_casimir,
     total_casimir_identity,
     verify_reduced_racah,
@@ -77,14 +76,16 @@ def test_single_casimir_is_constant():
 
 
 def test_rotation_preserves_radius_but_not_potential():
-    r = rotation(CTX3, 1, 2)
+    r = rotation(CTX3.signature, 1, 2)
     sig = CTX3.signature
     radius = Operator.x(sig, 1, 2) + Operator.x(sig, 2, 2)
     pot = Operator.x(sig, 1, -2) * CTX3.param(1) + Operator.x(sig, 2, -2) * CTX3.param(2)
     assert commutator(r, radius).is_zero()
     assert not commutator(r, pot).is_zero()
     with pytest.raises(ValueError):
-        rotation(CTX3, 2, 2)
+        rotation(CTX3.signature, 2, 2)
+    with pytest.raises(ValueError):
+        rotation(CTX3.signature, 1, 4)
 
 
 def test_pair_casimir_closed_form_checked_on_build():
@@ -98,7 +99,7 @@ def test_pair_casimir_closed_form_checked_on_build():
 
 def test_pair_casimir_at_zero_parameters():
     c = reduced_casimir_pair(CTX3, 1, 2).specialize_params((0, 0, 0))
-    r = rotation(CTX3, 1, 2).specialize_params((0, 0, 0))
+    r = rotation(CTX3.signature, 1, 2).specialize_params((0, 0, 0))
     one = Operator.constant(r.sig, 1)
     assert c == (r * r + one) * Fraction(-1, 4)
 
@@ -115,7 +116,7 @@ def test_total_casimir_is_pair_casimir_at_rank_two():
 def test_conserved_quantity_examples():
     q = make_Q(CTX3, 1, 2)
     assert q == pair_invariant(CTX3, 1, 2)
-    r = rotation(CTX3, 1, 2).specialize_params((0, 0, 0))
+    r = rotation(CTX3.signature, 1, 2).specialize_params((0, 0, 0))
     assert q.specialize_params((0, 0, 0)) == r * r
     with pytest.raises(ValueError):
         make_Q(CTX3, 2, 2)

@@ -1,6 +1,7 @@
 """The operator engine: normal ordering, action, printing, axioms."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -192,6 +193,10 @@ def test_parse_rejects_bad_input():
         parse_operator("1 * x9", SIG2)
     with pytest.raises(ValueError):
         parse_operator("(1 * x1", SIG2)
+    # nested, unopened and unclosed parentheses
+    for text in ("((a1)) * x1", "(a1 + 1 * x1", "1 * x1) + 2"):
+        with pytest.raises(ValueError):
+            parse_operator(text, AlgebraSignature(1, params=("a1",)))
     # empty terms, a caret without a power, and digits int() would read
     for text in ("", " ", "1 +  + x1", "1 * x1^", "1 * x1_0", "1 * x1^0_2"):
         with pytest.raises(ValueError):
@@ -202,6 +207,41 @@ def test_parse_rejects_bad_input():
     for text in ("1_0 * x1", "2.5 * x1", "1e3 * x1", "(1_0*a1) * x1"):
         with pytest.raises(ValueError):
             parse_operator(text, AlgebraSignature(1, params=("a1",)))
+
+
+def test_parse_splits_only_outside_parentheses():
+    a1, a2 = PSIG.param(1), PSIG.param(2)
+    x1, d2 = Operator.x(PSIG, 1), Operator.d(PSIG, 2)
+    assert parse_operator("(2 * a1) * x1", PSIG) == x1 * (2 * a1)
+    assert parse_operator("(a1 + 1) * x1 + (2*a2 + -1) * d2", PSIG) == x1 * (a1 + 1) + d2 * (2 * a2 - 1)
+
+
+def test_mixed_operand_types_raise_type_error():
+    op, f = Operator.x(SIG2, 1), Polynomial.monomial(SIG2, (1, 0))
+    for combine in (lambda: op + f, lambda: f - op, lambda: op + 1, lambda: 1 + op):
+        with pytest.raises(TypeError):
+            combine()
+
+
+def test_coefficients_must_be_int_fraction_or_param_poly():
+    """Fraction(value) reads strings, floats and Decimals; the coefficient entry points do not."""
+    x1 = Operator.x(SIG2, 1)
+    for build in (
+        lambda: Operator.constant(SIG2, "1_0"),
+        lambda: Operator.monomial(SIG2, (1, 0), (0, 0), "2.5"),
+        lambda: Operator.constant(SIG2, 0.1),
+        lambda: x1.scale(Decimal("0.5")),
+        lambda: 2.5 * x1,
+        lambda: Polynomial.monomial(SIG2, (1, 0), "3"),
+        lambda: ParamPoly.param(1, 1) + "3/4",
+        lambda: ParamPoly.param(1, 1) * 0.5,
+        lambda: ParamPoly.const(1, "1"),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert Operator.constant(SIG2, Fraction(5, 2)) == Operator.constant(SIG2, 5) * Fraction(1, 2)
+    with pytest.raises(ValueError):
+        Operator.constant(PSIG, ParamPoly.param(1, 1))
 
 
 def _assert_lowest_terms(value):
