@@ -28,13 +28,27 @@ def rational(numerator: int, denominator: int = 1) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+def _fraction(value: int | Fraction) -> Fraction:
+    """value, an int or a Fraction, as a Fraction; anything else raises TypeError.
+
+    ``Fraction(value)`` alone would also read strings, floats and Decimals.
+    """
+    if type(value) is Fraction:
+        return value
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {type(value).__name__}")
+    return Fraction(value)
+
+
 class ParamPoly:
     """Sparse polynomial in the parameters a1..ak over the rationals.
 
     ``nparams`` fixes the arity: every exponent tuple has exactly that
     length.  With ``nparams == 0`` the only possible exponent is ``()`` and
     the polynomial degenerates to a plain rational, which is how the
-    parameter-free algebras share this code path.
+    parameter-free algebras share this code path.  Every coefficient
+    given to the constructors must be an int or a Fraction (anything else
+    raises TypeError) and is stored as a Fraction.
     """
 
     __slots__ = ("nparams", "terms")
@@ -44,18 +58,14 @@ class ParamPoly:
             if len(e) != nparams or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent tuple {e} for {nparams} parameters")
         self.nparams = nparams
-        self.terms = {e: c for e, c in terms.items() if c} if terms else {}
+        self.terms = {e: f for e, c in terms.items() if (f := _fraction(c))} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, nparams: int, value: int | Fraction) -> ParamPoly:
         """The constant polynomial ``value``, an int or a Fraction (else TypeError)."""
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"expected an int or a Fraction, got {type(value).__name__}")
-        if not value:
-            return cls(nparams)
-        return cls(nparams, {(0,) * nparams: Fraction(value)})
+        return cls(nparams, {(0,) * nparams: value})
 
     @classmethod
     def of(cls, nparams: int, value: ScalarLike) -> ParamPoly:
@@ -89,7 +99,7 @@ class ParamPoly:
         acc: dict[tuple, Fraction] = {}
         for e, c in terms:
             e = tuple(e)
-            acc[e] = acc.get(e, Fraction(0)) + Fraction(c)
+            acc[e] = acc.get(e, Fraction(0)) + _fraction(c)
         return cls(nparams, acc)
 
     # -- queries -----------------------------------------------------------
@@ -119,6 +129,8 @@ class ParamPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> ParamPoly:
+        if not isinstance(other, (int, Fraction, ParamPoly)):
+            return NotImplemented
         other = ParamPoly.of(self.nparams, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -151,6 +163,9 @@ class ParamPoly:
         return (-self) + other
 
     def __mul__(self, other: ScalarLike) -> ParamPoly:
+        # NotImplemented lets ``ParamPoly * Operator`` fall back to ``Operator.__rmul__``.
+        if not isinstance(other, (int, Fraction, ParamPoly)):
+            return NotImplemented
         other = ParamPoly.of(self.nparams, other)
         a, b = self.terms, other.terms
         if not a or not b:

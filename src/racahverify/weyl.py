@@ -35,7 +35,7 @@ The product kernel and the sums run on integers: the pair sweep
 multiplies and accumulates numerators, the product's denominator is
 den_a * den_b reduced once by a gcd, and a sum or difference merges the
 numerators over lcm(den_a, den_b).  A commutator [a, b] is one sweep
-over the same monomial pairs that never builds ab or ba: the s=0 terms
+over the same pairs that never builds ab or ba: the s=0 terms
 of ma * mb and mb * ma are equal and never emitted, so only the s >= 1
 reorder terms of the two directions are accumulated, with opposite
 signs, over den_a * den_b.  ``scale`` multiplies the numerators by
@@ -44,7 +44,7 @@ sweep.
 
 Both sweeps add m * (their numerators) into an accumulator and layout
 the caller passes in, m an integer multiplier applied once per left
-entry.  ``combination`` is the one kernel entry, and every product and
+row.  ``combination`` is the one kernel entry, and every product and
 commutator is a one-term ``combination``.  It sums products c * a * b
 and brackets c * [a, b] with rational c: it picks one layout wide enough
 for all of its pairs, brings every term to the common denominator
@@ -59,18 +59,27 @@ d1..dm, a1..ak.  ``bias`` is the key of the zero exponent vector, so the
 s=0 term of a pair is ka + kb - bias, and a reorder by s on variable i
 subtracts s * unit_i, unit_i being one in the x_i field plus one in the
 d_i field.  The variables to reorder are dmask_a & xmask_b on int
-bitmasks.  The width w is the smallest of 16, 32 and 64 bits with
+bitmasks; when a single bit i is set (most pairs), the sweep reads the
+memoized shifts of variable i inline, and only pairs with several
+active variables build the product of per-variable options
+(``_reorders``).  The width w is the smallest of 16, 32 and 64 bits with
 2 * (max|exponent of a| + max|exponent of b|) < 2^(w-1), the largest
 over the pairs of a combination, which bounds every exponent of a
 result term, so no field carries or borrows; wider exponents raise
 OverflowError.  Each result key is decoded back to its exponent tuples
 once per product, commutator or combination (the fields of k ^ bias
-are two's complement integers).  An operator's packed view (monomials,
-masks, packed entries, max |exponent|) is built on its first product
-or commutator and cached on the immutable operator, repacked only when
-a pair needs another width; pickles leave it out.  The basis operators
-of a verification run take part in many products, and packing them on
-every call costs about a tenth of the run (BENCH_packed_kernel.json).
+are two's complement integers).  An operator's packed view is one flat
+list of rows (monomial, dmask, xmask, packed key, numerator), one per
+(monomial, parameter exponent) entry, so each sweep is one loop over
+left rows around one loop over right rows; rows of one monomial share
+its masks.  The view and max |exponent| are built on the operator's
+first product or commutator and cached on the immutable operator,
+repacked only when a pair needs another width; pickles leave it out.
+The basis operators of a verification run take part in many products,
+and packing them on every call costs about a tenth of the run
+(BENCH_packed_kernel.json).  The flat rows and the inline
+single-variable lookup take about a fifth off a reduced-model run
+(BENCH_flat_rows.json).
 
 Application of an operator to a polynomial (``Operator.apply``) is
 implemented by direct differentiation, deliberately independent of the
@@ -239,25 +248,27 @@ def _layout(nvars: int, nparams: int, width: int, code: str) -> _Layout:
 class _Packed:
     """An operator's terms in packed form, the operand view of the pair sweeps.
 
-    One column entry per monomial: ``monos`` holds the monomial, bit i
-    of ``dmasks`` (``xmasks``) is set when it has a derivative (position)
-    exponent on variable i, and ``entries`` holds its (packed key,
-    numerator) pairs at ``width``.  ``top`` is the largest |exponent|.
+    One row (mono, dmask, xmask, key, num) per (monomial, parameter
+    exponent) entry of ``op.terms``: bit i of dmask (xmask) is set when
+    the monomial has a derivative (position) exponent on variable i, and
+    key is the entry packed at ``width``.  Rows of one monomial share one
+    mask pair.  ``top`` is the largest |exponent|.
     """
 
-    __slots__ = ("width", "top", "monos", "dmasks", "xmasks", "entries")
+    __slots__ = ("width", "top", "rows")
 
     def __init__(self, op: Operator, top: int, layout: _Layout):
         pack, bias, from_bytes = layout.fields.pack, layout.bias, int.from_bytes
-        grouped: dict[tuple, list[tuple[int, int]]] = {}
-        for (mono, pe), q in op.terms.items():
-            grouped.setdefault(mono, []).append((from_bytes(pack(*mono, *pe), "little") ^ bias, q))
+        dbits, xbits = layout.dbits, layout.xbits
+        masks: dict[tuple, tuple[int, int]] = {}
         self.width = layout.width
         self.top = top
-        self.monos = list(grouped)
-        self.dmasks = [sum(itertools.compress(layout.dbits, mono)) for mono in grouped]
-        self.xmasks = [sum(itertools.compress(layout.xbits, mono)) for mono in grouped]
-        self.entries = [tuple(entries) for entries in grouped.values()]
+        self.rows = []
+        for (mono, pe), q in op.terms.items():
+            pair = masks.get(mono)
+            if pair is None:
+                pair = masks[mono] = (sum(itertools.compress(dbits, mono)), sum(itertools.compress(xbits, mono)))
+            self.rows.append((mono, *pair, from_bytes(pack(*mono, *pe), "little") ^ bias, q))
 
 
 def _top(op: Operator) -> int:
@@ -300,14 +311,12 @@ def _reorders(layout: _Layout, ma: tuple, mb: tuple, active: int, sign: int) -> 
     """(key shift, sign * factor) of every reorder term of ma * mb but the s=0 one.
 
     ``active`` has bit i set for the variables where ma's derivative
-    meets mb's position.  With one such variable these are its options;
-    with several, the terms come in the order of ``itertools.product``
-    over the per-variable options, s=0 first.
+    meets mb's position.  The terms come in the order of
+    ``itertools.product`` over the per-variable options, s=0 first.  The
+    sweeps call this only when several bits are set; with one bit i they
+    read ``_shifts`` for variable i directly.
     """
     m, units = layout.nvars, layout.units
-    if not active & (active - 1):
-        i = active.bit_length() - 1
-        return _shifts(units[i], ma[m + i], mb[i], sign)
     per_var = [((0, 1), *_shifts(units[i], ma[m + i], mb[i], 1)) for i in range(m) if active >> i & 1]
     return tuple(
         (sum(shift for shift, _ in combo), sign * prod(f for _, f in combo))
@@ -316,59 +325,76 @@ def _reorders(layout: _Layout, ma: tuple, mb: tuple, active: int, sign: int) -> 
 
 
 def _product(acc: dict[int, int], layout: _Layout, a: Operator, b: Operator, m: int) -> None:
-    """Add m * (the numerators of ab over den_a * den_b) to acc, in one sweep over monomial pairs.
+    """Add m * (the numerators of ab over den_a * den_b) to acc, in one sweep over row pairs.
 
     Each pair adds its s=0 term at key ka + kb - bias and, where a
     derivative of ma meets a position of mb, the reorder terms at that
-    key minus their shifts.
+    key minus their shifts.  ``- bias`` and ``* m`` are applied once per
+    row of a.
     """
     va, vb = _view(a, layout), _view(b, layout)
-    bias = layout.bias
+    bias, nv, units = layout.bias, layout.nvars, layout.units
     acc_get = acc.get
-    for ma, dmask, ea in zip(va.monos, va.dmasks, va.entries):
-        ea = [(ka - bias, qa * m) for ka, qa in ea]
-        for mb, xmask, eb in zip(vb.monos, vb.xmasks, vb.entries):
+    rows = vb.rows
+    for ma, dmask, _, ka, qa in va.rows:
+        ka -= bias
+        qa *= m
+        for mb, _, xmask, kb, qb in rows:
+            key = ka + kb
+            q = qa * qb
+            acc[key] = acc_get(key, 0) + q
             active = dmask & xmask
-            shifts = _reorders(layout, ma, mb, active, 1) if active else ()
-            for ka, qa in ea:
-                for kb, qb in eb:
-                    key = ka + kb
-                    q = qa * qb
-                    acc[key] = acc_get(key, 0) + q
-                    for shift, f in shifts:
-                        k = key - shift
-                        acc[k] = acc_get(k, 0) + q * f
+            if active:
+                if active & (active - 1):
+                    shifts = _reorders(layout, ma, mb, active, 1)
+                else:
+                    i = active.bit_length() - 1
+                    shifts = _shifts(units[i], ma[nv + i], mb[i], 1)
+                for shift, f in shifts:
+                    k = key - shift
+                    acc[k] = acc_get(k, 0) + q * f
 
 
 def _commutator(acc: dict[int, int], layout: _Layout, a: Operator, b: Operator, m: int) -> None:
-    """Add m * (the numerators of ab - ba over den_a * den_b) to acc, in one pair sweep.
+    """Add m * (the numerators of ab - ba over den_a * den_b) to acc, in one sweep over row pairs.
 
-    For each monomial pair the s=0 terms of ma * mb and mb * ma are the
-    same monomial ma + mb with the same coefficient (the coefficient
-    product commutes), so they cancel and are never emitted.  A pair
-    where no derivative of either monomial meets a position of the
-    other contributes nothing and is skipped.  Every other pair adds the
-    s >= 1 reorder terms of ma * mb and subtracts those of mb * ma.
+    For each pair the s=0 terms of ma * mb and mb * ma are the same
+    monomial ma + mb with the same coefficient (the coefficient product
+    commutes), so they cancel and are never emitted.  A pair where no
+    derivative of either monomial meets a position of the other
+    contributes nothing and is skipped.  Every other pair adds the s >= 1
+    reorder terms of ma * mb and subtracts those of mb * ma; a direction
+    with one active variable reads its terms from ``_shifts`` directly.
     """
     va, vb = _view(a, layout), _view(b, layout)
-    bias = layout.bias
+    bias, nv, units = layout.bias, layout.nvars, layout.units
     acc_get = acc.get
-    for ma, da, xa, ea in zip(va.monos, va.dmasks, va.xmasks, va.entries):
-        ea = [(ka - bias, qa * m) for ka, qa in ea]
-        for mb, db, xb, eb in zip(vb.monos, vb.dmasks, vb.xmasks, vb.entries):
+    rows = vb.rows
+    for ma, da, xa, ka, qa in va.rows:
+        ka -= bias
+        qa *= m
+        for mb, db, xb, kb, qb in rows:
             ab, ba = da & xb, db & xa
             if not (ab or ba):
                 continue
-            shifts = _reorders(layout, ma, mb, ab, 1) if ab else ()
+            shifts = ()
+            if ab:
+                if ab & (ab - 1):
+                    shifts = _reorders(layout, ma, mb, ab, 1)
+                else:
+                    i = ab.bit_length() - 1
+                    shifts = _shifts(units[i], ma[nv + i], mb[i], 1)
             if ba:
-                shifts += _reorders(layout, mb, ma, ba, -1)
-            for ka, qa in ea:
-                for kb, qb in eb:
-                    key = ka + kb
-                    q = qa * qb
-                    for shift, f in shifts:
-                        k = key - shift
-                        acc[k] = acc_get(k, 0) + q * f
+                if ba & (ba - 1):
+                    shifts += _reorders(layout, mb, ma, ba, -1)
+                else:
+                    i = ba.bit_length() - 1
+                    shifts += _shifts(units[i], mb[nv + i], ma[i], -1)
+            key = ka + kb
+            q = qa * qb
+            for shift, f in shifts:
+                k = key - shift
+                acc[k] = acc_get(k, 0) + q * f
 
 
 class _FlatTerms:

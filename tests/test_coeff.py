@@ -59,6 +59,11 @@ def test_scalar_coercion():
     assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
 
 
+def test_constructors_store_fractions():
+    for p in (ParamPoly(2, {(1, 0): 3, (0, 1): 0}), ParamPoly.from_terms(2, [((1, 0), 1), ((1, 0), 2)])):
+        assert p.terms == {(1, 0): Fraction(3)} and type(p.terms[1, 0]) is Fraction
+
+
 def test_constant_value_requires_constant():
     a = ParamPoly.param(1, 1)
     with pytest.raises(ValueError):

@@ -58,7 +58,27 @@ from racahverify.weyl import (
     evaluator,
 )
 
-from test_weyl import LOC1, LOC2, PSIG, SIG2, ops2, opsL, opsP, param_polys, polys2, polysL, polysP, small_fractions
+from test_weyl import (
+    LOC1,
+    LOC2,
+    PSIG,
+    SIG2,
+    operators,
+    ops2,
+    opsL,
+    opsP,
+    param_polys,
+    polys2,
+    polysL,
+    polysP,
+    small_fractions,
+)
+
+# Three variables, the second localized, two parameters: pairs whose derivatives
+# meet positions on several variables at once, in either direction, and rows
+# (monomial, parameter exponent) that share a monomial.
+SIG3P = AlgebraSignature(3, localized=frozenset({2}), params=("a1", "a2"))
+ops3P = operators(SIG3P, laurent=True, coeffs=param_polys(SIG3P.nparams))
 
 
 def _reference_cross(ca, cb):
@@ -203,6 +223,7 @@ def _flat_fractions(grouped):
 def _assert_kernels_agree(a, b):
     """a * b against the tuple sweep (as stored) and the Fraction reference (as values)."""
     got = a * b
+    assert len(a._packed.rows) == len(a.terms) and len(b._packed.rows) == len(b.terms)
     expected = _tuple_reference(_reference_tuple_product, a, b)
     assert (got.terms, got.den) == (expected.terms, expected.den)
     assert all(type(mono) is tuple and type(pe) is tuple for mono, pe in got.terms)
@@ -214,7 +235,7 @@ def _assert_kernels_agree(a, b):
     return values
 
 
-STRATEGIES = {"plain": ops2, "laurent": opsL, "params": opsP}
+STRATEGIES = {"plain": ops2, "laurent": opsL, "params": opsP, "three": ops3P}
 
 
 @pytest.mark.parametrize("kind", sorted(STRATEGIES))
@@ -271,6 +292,19 @@ def test_fused_commutator_matches_product_difference(kind, data):
     _assert_commutator_matches_reference(a, b)
     _assert_commutator_matches_reference(b, a)
     assert _assert_commutator_matches_reference(a, a).is_zero()
+
+
+def test_row_sweep_with_several_active_variables_in_both_directions():
+    c = ParamPoly.from_terms(2, [((1, 0), Fraction(2, 3)), ((0, 2), -1), ((0, 0), Fraction(1, 2))])
+    d = ParamPoly.from_terms(2, [((0, 1), Fraction(-5, 4)), ((2, 0), 3)])
+    a = Operator.monomial(SIG3P, (0, -1, 2), (2, 1, 1), c) + Operator.monomial(SIG3P, (1, 0, 0), (0, 0, 2), d)
+    b = Operator.monomial(SIG3P, (1, 2, 1), (0, 1, 2), d) + Operator.monomial(SIG3P, (2, -2, 0), (1, 0, 0), c)
+    # a's first monomial meets b's first on three variables one way and two the other
+    _assert_kernels_agree(a, b)
+    _assert_kernels_agree(b, a)
+    assert len(a._packed.rows) == 5 and len({mono for mono, *_ in a._packed.rows}) == 2
+    _assert_commutator_matches_reference(a, b)
+    _assert_commutator_matches_reference(b, a)
 
 
 def test_fused_commutator_rejects_mixed_signatures():

@@ -236,12 +236,24 @@ def test_coefficients_must_be_int_fraction_or_param_poly():
         lambda: ParamPoly.param(1, 1) + "3/4",
         lambda: ParamPoly.param(1, 1) * 0.5,
         lambda: ParamPoly.const(1, "1"),
+        lambda: ParamPoly(1, {(0,): 0.5}),
+        lambda: ParamPoly.from_terms(1, [((0,), "1_0")]),
+        lambda: 0.5 * ParamPoly.param(1, 1),
+        lambda: ParamPoly.param(1, 1) - 0.5,
     ):
         with pytest.raises(TypeError):
             build()
     assert Operator.constant(SIG2, Fraction(5, 2)) == Operator.constant(SIG2, 5) * Fraction(1, 2)
     with pytest.raises(ValueError):
         Operator.constant(PSIG, ParamPoly.param(1, 1))
+
+
+def test_param_poly_times_operator_scales_in_both_orders():
+    a1, x1 = PSIG.param(1), Operator.x(PSIG, 1)
+    assert a1 * x1 == x1 * a1 == x1.scale(a1)
+    assert (a1 + Fraction(1, 2)) * x1 == x1 * (a1 + Fraction(1, 2))
+    with pytest.raises(TypeError):
+        a1 + x1
 
 
 def _assert_lowest_terms(value):
