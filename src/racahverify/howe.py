@@ -14,18 +14,20 @@ generators alone:
 
 That closed form is what ties the coupled triples to the commutant
 invariants: at one pair it gives C^{(2i-1;2i)} = -(G^i + 1)/4 and at
-two pairs C = -K^{ij}/4.  The triples and their Casimirs are built in
-liealg (PairUnion, make_JA, casimir_CA); this module verifies the closed
-form, the decomposition of any C^A into one- and two-pair Casimirs, and
-the correspondence with the commutant generators.
+two pairs C = -K^{ij}/4.  The triples, their Casimirs and the closed
+form are built in liealg (PairUnion, make_JA, casimir_CA,
+casimir_closed_form); this module verifies the closed form, the
+decomposition of any C^A into one- and two-pair Casimirs, and the
+correspondence with the commutant generators.
 
 Each C^A is built once per context: casimir_CA memoizes it in
 SO2nContext.casimir_memo, and every check here first builds its table
 {A.pairs: C^A} in the calling process (casimir_table), so forked
 workers read the operators instead of rebuilding them.  The memo serves
 only the coupled-triple side of each identity; the other side is built
-independently and never reads it.  casimir_closed_form sums L^2 through
-rotation_squares, and the correspondence compares with the C1 and C2
+independently and never reads it.  liealg.casimir_closed_form sums the
+squared rotations through rotation_squares, and the correspondence
+compares with the C1 and C2
 that racah.CommutantBasis builds from G and K.  So no check compares
 an operator with itself.
 """
@@ -33,10 +35,9 @@ an operator with itself.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable
 
-from .liealg import PairUnion, SO2nContext, casimir_CA, decomposition_sum, rotation_squares
+from .liealg import PairUnion, SO2nContext, casimir_CA, casimir_closed_form, decomposition_sum
 from .racah import CommutantBasis
 from .report import RelationReport, run_checks
 from .weyl import Operator, commutator
@@ -57,13 +58,6 @@ def casimir_table(ctx: SO2nContext, unions: Iterable[PairUnion]) -> dict[tuple[i
     return {u.pairs: casimir_CA(ctx, u) for u in unions}
 
 
-def casimir_closed_form(ctx: SO2nContext, union: PairUnion) -> Operator:
-    """|A|(|A|-4)/16 - (1/4) sum of L_{mu,nu}^2 over mu < nu in A."""
-    sz = union.size
-    constant = Operator.constant(ctx.signature, Fraction(sz * (sz - 4), 16))
-    return constant - rotation_squares(ctx, union.variables()) * Fraction(1, 4)
-
-
 def decomposition_residual(ctx: SO2nContext, union: PairUnion) -> Operator:
     """C^A minus its decomposition through one- and two-pair Casimirs
     (liealg.decomposition_sum); needs at least two pairs."""
@@ -78,7 +72,7 @@ def check_casimir_forms(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     return run_checks(
         "casimir-closed-form",
         list(table),
-        lambda t: table[t] - casimir_closed_form(ctx, PairUnion(t)),
+        lambda t: table[t] - casimir_closed_form(ctx, PairUnion(t).variables()),
         jobs,
     )
 

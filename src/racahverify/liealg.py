@@ -10,14 +10,21 @@ with bracket [L_{mu,nu}, L_{rho,sigma}] = delta_{nu,rho} L_{mu,sigma}
 sweeps the bracket relations, constructs the quadratic invariant
 sum_{mu<nu} L_{mu,nu}^2 (rotation_squares sums the L^2 over any set of
 variables), and houses the su(1,1) triples: one single-variable copy
-per oscillator variable, and their coproducts J^A over unions A of
-variable pairs (PairUnion, factor i covering the variables 2i-1, 2i),
-whose Casimirs C^A drive everything downstream (casimir_CA builds each
-once per context), and the one decomposition of a C^A into one- and
-two-pair Casimirs (decomposition_sum).  Triples and their
-Casimirs are built without being checked: the su11 and reduction
-suites report each triple's relations once, and centrality of the
-Casimir follows from those relations (see casimir_of).
+per variable, and their coproducts J^A over unions A of factors
+(PairUnion), whose Casimirs C^A drive everything downstream, and the
+one decomposition of a C^A into one- and two-pair Casimirs
+(decomposition_sum).
+
+The coproducts serve both realizations.  Each context supplies the
+one-variable triples of a factor (factor_triples): here the metaplectic
+triples in the variables 2i-1, 2i, in reduction.ReducedContext the
+radial triple in x_i.  make_JA sums them over a union, casimir_CA builds
+each C^A once per context (its casimir_memo), and casimir_closed_form is
+the one closed form of C^A over any set of variables, which the radial
+model extends by its potential term (reduction.radial_closed_form).
+Triples and their Casimirs are built without being checked: the su11
+and reduction suites report each triple's relations once, and
+centrality of the Casimir follows from those relations (see casimir_of).
 
 A pitfall worth stating once: the quadratic invariant is central only
 when the sum runs over ALL coordinate pairs, 1 <= mu < nu <= 2n.
@@ -49,10 +56,9 @@ class SO2nContext:
     signature: AlgebraSignature = field(init=False)
     # C^A per union.pairs, filled by casimir_CA.  Held by the context, not
     # a module-level cache, so it lives exactly as long as one run's
-    # context and stays out of equality and hashing.
-    casimir_memo: dict[tuple[int, ...], Operator] = field(
-        init=False, default_factory=dict, compare=False, repr=False
-    )
+    # context and stays out of equality and hashing.  ReducedContext holds
+    # its own the same way.
+    casimir_memo: dict[tuple[int, ...], Operator] = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 3:
@@ -62,6 +68,10 @@ class SO2nContext:
     @property
     def num_vars(self) -> int:
         return 2 * self.n
+
+    def factor_triples(self, i: int) -> list[SU11Triple]:
+        """The metaplectic triples in the variables 2i-1 and 2i of factor i."""
+        return [make_metaplectic(self, mu) for mu in (2 * i - 1, 2 * i)]
 
 
 def rotation(sig: AlgebraSignature, mu: int, nu: int) -> Operator:
@@ -113,13 +123,25 @@ def check_o2n_relations(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     return run_checks("o2n", quads, lambda t: commutator(L[t[:2]], L[t[2:]]) - _bracket_rhs(ctx, L, *t), jobs)
 
 
-def rotation_squares(ctx: SO2nContext, variables: Iterable[int]) -> Operator:
-    """sum of L_{mu,nu}^2 over mu < nu drawn from the given variables."""
+def rotation_squares(ctx: SO2nContext | ReducedContext, variables: Iterable[int]) -> Operator:
+    """sum of rotation(mu, nu)^2 over mu < nu drawn from the given variables."""
     total = Operator.zero(ctx.signature)
     for mu, nu in itertools.combinations(variables, 2):
-        l = make_L(ctx, mu, nu)
+        l = rotation(ctx.signature, mu, nu)
         total = total + l * l
     return total
+
+
+def casimir_closed_form(ctx: SO2nContext | ReducedContext, variables: Iterable[int]) -> Operator:
+    """|A|(|A|-4)/16 - (1/4) sum of rotation(mu, nu)^2 over mu < nu in A,
+    for A the given variables: C^A of the metaplectic coproduct over A.
+
+    At one variable it is the constant -3/16 of each metaplectic triple.
+    """
+    variables = tuple(variables)
+    size = len(variables)
+    constant = Operator.constant(ctx.signature, Fraction(size * (size - 4), 16))
+    return constant - rotation_squares(ctx, variables) * Fraction(1, 4)
 
 
 def casimir_sum(ctx: SO2nContext, bound: int) -> Operator:
@@ -163,20 +185,25 @@ class SU11Triple:
 
         [J0, Jp] = Jp,   [J0, Jm] = -Jm,   [Jp, Jm] = -2 J0.
 
-    Construction checks nothing; relation_residuals gives the three
-    left-minus-right operators, all zero exactly when the triple closes.
+    Construction checks nothing; relation_checks gives the three
+    left-minus-right operators, unbuilt, all zero exactly when the triple
+    closes, and relation_residuals builds them.
     """
 
     Jp: Operator
     Jm: Operator
     J0: Operator
 
-    def relation_residuals(self) -> list[tuple[str, Operator]]:
+    def relation_checks(self) -> list[tuple[str, Callable[[], Operator]]]:
+        """(note, residual function) per relation, for the caller to build and time."""
         return [
-            ("[J0, J+] - J+", commutator(self.J0, self.Jp) - self.Jp),
-            ("[J0, J-] + J-", commutator(self.J0, self.Jm) + self.Jm),
-            ("[J+, J-] + 2*J0", commutator(self.Jp, self.Jm) + 2 * self.J0),
+            ("[J0, J+] - J+", lambda: commutator(self.J0, self.Jp) - self.Jp),
+            ("[J0, J-] + J-", lambda: commutator(self.J0, self.Jm) + self.Jm),
+            ("[J+, J-] + 2*J0", lambda: commutator(self.Jp, self.Jm) + 2 * self.J0),
         ]
+
+    def relation_residuals(self) -> list[tuple[str, Operator]]:
+        return [(note, residual()) for note, residual in self.relation_checks()]
 
 
 def sum_triples(triples: list[SU11Triple]) -> SU11Triple:
@@ -230,7 +257,8 @@ def casimir_of(t: SU11Triple) -> Operator:
 
 @dataclass(frozen=True)
 class PairUnion:
-    """A union of variable pairs, one pair (2i-1, 2i) per factor index i."""
+    """A union of factors: the variable pair (2i-1, 2i) per factor index i in
+    the oscillator picture, the one radial variable x_i in the radial model."""
 
     pairs: tuple[int, ...]
 
@@ -244,24 +272,20 @@ class PairUnion:
             raise ValueError(f"factor indices must be positive: {self.pairs}")
 
     def variables(self) -> tuple[int, ...]:
+        """The oscillator variables of the union, 2i-1 and 2i per factor i, ascending."""
         return tuple(sorted(v for i in self.pairs for v in (2 * i - 1, 2 * i)))
 
-    @property
-    def size(self) -> int:
-        """|A|: the number of variables covered."""
-        return 2 * len(self.pairs)
 
-
-def make_JA(ctx: SO2nContext, union: PairUnion) -> SU11Triple:
-    """The coproduct triple over all variables of the union."""
+def make_JA(ctx: SO2nContext | ReducedContext, union: PairUnion) -> SU11Triple:
+    """The coproduct of the context's one-variable triples over the union's factors."""
     if any(i > ctx.n for i in union.pairs):
         raise ValueError(f"factor indices {union.pairs} out of range 1..{ctx.n}")
-    return sum_triples([make_metaplectic(ctx, mu) for mu in union.variables()])
+    return sum_triples([t for i in union.pairs for t in ctx.factor_triples(i)])
 
 
-def casimir_CA(ctx: SO2nContext, union: PairUnion) -> Operator:
+def casimir_CA(ctx: SO2nContext | ReducedContext, union: PairUnion) -> Operator:
     """Casimir of the coupled triple, built once per context and union.pairs
-    (howe.check_casimir_forms checks its closed form)."""
+    (the howe and reduction suites check its closed form)."""
     memo = ctx.casimir_memo
     op = memo.get(union.pairs)
     if op is None:

@@ -8,21 +8,23 @@ each carrying a free parameter a_i, with the su(1,1) triple
     J-^i = (1/2)(d_i^2 + a_i / x_i^2),
     J0^i = (1/2)(x_i d_i + 1/2).
 
-Everything here is derived from that triple alone: the single-factor
-Casimir is the constant -(a_i + 3/4)/4, the pair Casimir has the
-closed form
+Everything here is derived from that triple alone.  The coupled triple
+over any set A of factors is the sum of these (liealg.make_JA), and its
+Casimir has one closed form: the oscillator one in the variables of A,
+minus a potential term,
+
+    C^A = |A|(|A| - 4)/16 - (1/4) sum_{i<j in A} R_{ij}^2
+          - (1/4) (sum_{i in A} x_i^2)(sum_{j in A} a_j / x_j^2),
+
+with R_{ij} = x_i d_j - x_j d_i.  Its cases are the single-factor
+constant C^i = -(a_i + 3/4)/4, the pair Casimir
 
     C^{ij} = -(1/4) [ R_{ij}^2 + a_i x_j^2/x_i^2 + a_j x_i^2/x_j^2
                       + a_i + a_j + 1 ],
 
-with R_{ij} = x_i d_j - x_j d_i, and the total Casimir obeys
-
-    C^{[n]} = -(1/4) sum_{i<j} R_{ij}^2
-              - (1/4) (sum_i x_i^2)(sum_j a_j / x_j^2) + n(n-4)/16,
-
-whose bracketed operator, restricted to the unit sphere, is the
-Hamiltonian with inverse-square potentials in every coordinate.  The
-conserved quantities
+and the total Casimir C^{[n]}, whose bracketed operator, restricted to
+the unit sphere, is the Hamiltonian with inverse-square potentials in
+every coordinate.  The conserved quantities
 
     Q_{ij} = R_{ij}^2 + a_i x_j^2/x_i^2 + a_j x_i^2/x_j^2
            = -4 C^{ij} - (a_i + a_j + 1)
@@ -32,17 +34,17 @@ Casimirs satisfy the same five quadratic relations as the commutant
 invariants, now with F defined through the bracket of the P's:
 F^{ijk} = (1/2)[P^{ij}, P^{jk}].  All identities are verified with the
 a_i as generic polynomial coefficients, which subsumes every numeric
-choice.
+choice.  Each C^A is built once per context (liealg.casimir_CA).
 """
-
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .coeff import ParamPoly
-from .liealg import PairUnion, SU11Triple, casimir_of, make_metaplectic, rotation, sum_triples
+from .liealg import PairUnion, SU11Triple, casimir_CA, casimir_closed_form, make_metaplectic, rotation
 from .racah import Basis, sweep_relations
 from .report import RelationReport, run_checks
 from .weyl import AlgebraSignature, Operator, commutator
@@ -54,6 +56,8 @@ class ReducedContext:
 
     n: int
     signature: AlgebraSignature = field(init=False)
+    # C^A per union.pairs, filled by liealg.casimir_CA (see SO2nContext).
+    casimir_memo: dict[tuple[int, ...], Operator] = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -68,6 +72,10 @@ class ReducedContext:
     def param(self, i: int) -> ParamPoly:
         return self.signature.param(i)
 
+    def factor_triples(self, i: int) -> list[SU11Triple]:
+        """The radial triple in x_i, the one variable of factor i."""
+        return [make_reduced_J(self, i)]
+
 
 def make_reduced_J(ctx: ReducedContext, i: int) -> SU11Triple:
     """The parameter-dependent triple in the single variable x_i: the
@@ -79,17 +87,6 @@ def make_reduced_J(ctx: ReducedContext, i: int) -> SU11Triple:
     return SU11Triple(t.Jp, t.Jm + Operator.x(ctx.signature, i, -2) * (ctx.param(i) * Fraction(1, 2)), t.J0)
 
 
-def reduced_coproduct(ctx: ReducedContext, factors: tuple[int, ...] | None = None) -> SU11Triple:
-    """Sum of the single-variable triples over the given factors (default all).
-
-    PairUnion rejects empty and repeated factors, and Operator.x (through
-    make_reduced_J) those out of range, all with ValueError.
-    """
-    if factors is None:
-        factors = tuple(range(1, ctx.n + 1))
-    return sum_triples([make_reduced_J(ctx, i) for i in PairUnion(factors).pairs])
-
-
 def _ratio(ctx: ReducedContext, num: int, den: int) -> Operator:
     """x_num^2 / x_den^2 as a Laurent monomial."""
     xe = [0] * ctx.n
@@ -98,13 +95,18 @@ def _ratio(ctx: ReducedContext, num: int, den: int) -> Operator:
     return Operator.monomial(ctx.signature, xe, [0] * ctx.n)
 
 
-def reduced_casimir_single(ctx: ReducedContext, i: int) -> Operator:
-    """Casimir of the single-variable triple, the constant -(a_i + 3/4)/4.
+def radial_closed_form(ctx: ReducedContext, factors: Iterable[int]) -> Operator:
+    """C^A over the given factors: liealg.casimir_closed_form in their
+    variables minus (1/4)(sum_A x_i^2)(sum_A a_i / x_i^2)."""
+    sig, factors = ctx.signature, tuple(factors)
+    radius = sum((Operator.x(sig, i, 2) for i in factors), Operator.zero(sig))
+    potential = sum((Operator.x(sig, i, -2) * ctx.param(i) for i in factors), Operator.zero(sig))
+    return casimir_closed_form(ctx, factors) - (radius * potential) * Fraction(1, 4)
 
-    The value is not checked here; the reduction suite reports it as the
-    ``reduced-casimir-single`` entries.
-    """
-    return casimir_of(make_reduced_J(ctx, i))
+
+def reduced_casimir_single(ctx: ReducedContext, i: int) -> Operator:
+    """Casimir of the single-variable triple, the constant -(a_i + 3/4)/4."""
+    return casimir_CA(ctx, PairUnion((i,)))
 
 
 def pair_invariant(ctx: ReducedContext, i: int, j: int) -> Operator:
@@ -113,44 +115,22 @@ def pair_invariant(ctx: ReducedContext, i: int, j: int) -> Operator:
     return r * r + _ratio(ctx, j, i) * ctx.param(i) + _ratio(ctx, i, j) * ctx.param(j)
 
 
-def pair_casimir_closed_form(ctx: ReducedContext, i: int, j: int) -> Operator:
-    """-(1/4)(R_{ij}^2 + a_i x_j^2/x_i^2 + a_j x_i^2/x_j^2 + a_i + a_j + 1)."""
-    constant = ctx.param(i) + ctx.param(j) + 1
-    return (pair_invariant(ctx, i, j) + Operator.constant(ctx.signature, constant)) * Fraction(-1, 4)
-
-
 def reduced_casimir_pair(ctx: ReducedContext, i: int, j: int, verify: bool = True) -> Operator:
     """Casimir of the two-variable coproduct triple; verify=True also checks its closed form."""
-    c = casimir_of(reduced_coproduct(ctx, (i, j)))
-    if verify and not (c - pair_casimir_closed_form(ctx, i, j)).is_zero():
+    c = casimir_CA(ctx, PairUnion((i, j)))
+    if verify and not (c - radial_closed_form(ctx, (i, j))).is_zero():
         raise RuntimeError(f"pair Casimir closed form fails for ({i}, {j})")
     return c
 
 
 def total_casimir(ctx: ReducedContext) -> Operator:
     """Casimir of the full coproduct over all n factors."""
-    return casimir_of(reduced_coproduct(ctx))
+    return casimir_CA(ctx, PairUnion(range(1, ctx.n + 1)))
 
 
 def total_casimir_residual(ctx: ReducedContext) -> Operator:
-    """The total Casimir minus its closed form
-
-        C^{[n]} = -(1/4) sum_{i<j} R_{ij}^2
-                  - (1/4)(sum x_i^2)(sum a_j / x_j^2) + n(n-4)/16.
-    """
-    sig = ctx.signature
-    lhs = total_casimir(ctx)
-    rhs = Operator.constant(sig, Fraction(ctx.n * (ctx.n - 4), 16))
-    for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
-        r = rotation(sig, i, j)
-        rhs = rhs - (r * r) * Fraction(1, 4)
-    radius = Operator.zero(sig)
-    potential = Operator.zero(sig)
-    for i in range(1, ctx.n + 1):
-        radius = radius + Operator.x(sig, i, 2)
-        potential = potential + Operator.x(sig, i, -2) * ctx.param(i)
-    rhs = rhs - (radius * potential) * Fraction(1, 4)
-    return lhs - rhs
+    """The total Casimir minus its closed form (radial_closed_form over all factors)."""
+    return total_casimir(ctx) - radial_closed_form(ctx, range(1, ctx.n + 1))
 
 
 def total_casimir_identity(ctx: ReducedContext) -> bool:
@@ -196,11 +176,9 @@ class ReducedBasis(Basis):
     f = Basis.f
 
     def __init__(self, ctx: ReducedContext):
-        C1 = {i: reduced_casimir_single(ctx, i) for i in range(1, ctx.n + 1)}
-        C2 = {
-            (i, j): reduced_casimir_pair(ctx, i, j, verify=False)
-            for i, j in itertools.combinations(range(1, ctx.n + 1), 2)
-        }
+        factors = range(1, ctx.n + 1)
+        C1 = {i: reduced_casimir_single(ctx, i) for i in factors}
+        C2 = {t: reduced_casimir_pair(ctx, *t, verify=False) for t in itertools.combinations(factors, 2)}
         super().__init__(ctx, C1, C2, C2, Fraction(1, 2))
 
 

@@ -2,7 +2,9 @@
 
 A symbolic check is (relation, index tuple) -> residual operator, left
 side minus right side.  ``check`` times the residual function and
-records whether the residual vanished and how many terms survived;
+records whether the residual vanished and how many terms survived; a
+numeric check returns a bool verdict instead, recorded as 0 surviving
+terms when it holds and -1 when it fails (there is no residual to count);
 ``run_checks`` does that for every tuple of a sweep, in input order, so
 parallel runs print identically to serial ones.
 """
@@ -17,7 +19,7 @@ from typing import Callable, Iterable, Iterator
 from ._parallel import run_tasks
 from .weyl import Operator, Polynomial
 
-ResidualFn = Callable[[tuple[int, ...]], Operator | Polynomial]
+ResidualFn = Callable[[tuple[int, ...]], Operator | Polynomial | bool]
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class RelationReport:
 
 
 def check(relation: str, indices: tuple[int, ...], residual_fn: ResidualFn, note: str = "") -> ReportEntry:
-    """Time residual_fn(indices) and report the residual it returns.
+    """Time residual_fn(indices) and report the residual or verdict it returns.
 
     An exception from residual_fn is re-raised as a RuntimeError naming
     the relation and the index tuple, also from a forked worker.
@@ -95,6 +97,8 @@ def check(relation: str, indices: tuple[int, ...], residual_fn: ResidualFn, note
     except Exception as exc:
         raise RuntimeError(f"check {relation} {indices} raised {exc!r}") from exc
     ms = (time.perf_counter() - t0) * 1000
+    if isinstance(residual, bool):
+        return ReportEntry(relation, indices, residual, 0 if residual else -1, ms, note)
     return ReportEntry(relation, indices, residual.is_zero(), residual.term_count(), ms, note)
 
 

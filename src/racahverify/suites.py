@@ -9,6 +9,11 @@ racah.CommutantBasis over it, built by the first suite that reads it,
 serves the howe and racah suites, so each G^i and K^{ij} is built
 once.  Both are made per run, never cached here: a later run in the
 same process, with a patched casimir_of for instance, starts from nothing.
+The reduction suite's ReducedContext memoizes its radial C^A the same
+way (liealg.casimir_CA), so each is built once there too.  Every
+expected Casimir value comes from a closed form, liealg.casimir_closed_form
+or reduction.radial_closed_form, and every entry, the oracle's bool
+verdicts included, is built and timed inside report.check.
 
 Each runner takes the run (_Run: the context and the basis) and the
 run's settings (n, jobs, trials, seed; the racah-verify options) and
@@ -19,13 +24,12 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import time
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
 
 from . import howe, liealg, oracle, racah, reduction
-from .report import RelationReport, ReportEntry, check, run_checks
+from .report import RelationReport, check, run_checks
 from .weyl import AlgebraSignature, Operator, Polynomial, commutator, parse_operator
 
 SUITE_ORDER = ("o2n", "su11", "howe", "racah", "reduction", "oracle")
@@ -54,11 +58,6 @@ def _numbered(
     for pos, (note, residual) in enumerate(residuals, start=1):
         report.add(check(relation, (*prefix, pos), lambda _, r=residual: r(), note))
     return report
-
-
-def _built(residuals: list[tuple[str, Operator]]) -> list[tuple[str, Callable[[], Operator]]]:
-    """Residuals already built (SU11Triple.relation_residuals) as _numbered's pairs."""
-    return [(note, lambda r=r: r) for note, r in residuals]
 
 
 def _engine_suite() -> RelationReport:
@@ -111,12 +110,12 @@ def _o2n_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
 
 def _su11_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     ctx = run.ctx
-    expected = Operator.constant(ctx.signature, Fraction(-3, 16))
     report = RelationReport()
     for mu in range(1, ctx.num_vars + 1):
         triple = liealg.make_metaplectic(ctx, mu)
-        report.merge(_numbered("su11", _built(triple.relation_residuals()), (mu,)))
-        report.add(check("su11-casimir", (mu,), lambda _: liealg.casimir_of(triple) - expected, "value -3/16"))
+        report.merge(_numbered("su11", triple.relation_checks(), (mu,)))
+        residual = lambda t: liealg.casimir_of(triple) - liealg.casimir_closed_form(ctx, t)  # noqa: E731
+        report.add(check("su11-casimir", (mu,), residual, "value -3/16"))
     return report
 
 
@@ -143,13 +142,11 @@ def _reduction_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     basis = reduction.ReducedBasis(rctx)
     report = RelationReport()
     for i in range(1, rctx.n + 1):
-        triple = reduction.make_reduced_J(rctx, i)
-        report.merge(_numbered("reduced-su11", _built(triple.relation_residuals()), (i,)))
-        expected = Operator.constant(rctx.signature, (rctx.param(i) + Fraction(3, 4)) * Fraction(-1, 4))
-        report.add(check("reduced-casimir-single", (i,), lambda t: basis.c(*t) - expected))
+        report.merge(_numbered("reduced-su11", reduction.make_reduced_J(rctx, i).relation_checks(), (i,)))
+        report.add(check("reduced-casimir-single", (i,), lambda t: basis.c(*t) - reduction.radial_closed_form(rctx, t)))
     for i, j in itertools.combinations(range(1, rctx.n + 1), 2):
         shift = Operator.constant(rctx.signature, rctx.param(i) + rctx.param(j) + 1)
-        report.add(check("reduced-casimir-pair", (i, j), lambda t: basis.C2[t] - reduction.pair_casimir_closed_form(rctx, *t)))
+        report.add(check("reduced-casimir-pair", (i, j), lambda t: basis.C2[t] - reduction.radial_closed_form(rctx, t)))
         report.add(check("q-affine", (i, j), lambda t: reduction.make_Q(rctx, *t) + 4 * basis.C2[t] + shift))
     report.add(check("total-casimir", (rctx.n,), lambda _: reduction.total_casimir_residual(rctx)))
     report.merge(reduction.check_q_symmetry(rctx, jobs=config.jobs))
@@ -186,14 +183,14 @@ def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
          basis.p(1, 3) * basis.p(2, 3) - basis.p(2, 3) * basis.p(1, 2)
          + 2 * (basis.p(1, 3) * basis.c(2)) - 2 * (basis.p(1, 2) * basis.c(3))),
         ("coupled-casimir-closed-form", liealg.casimir_CA(ctx, union12),
-         howe.casimir_closed_form(ctx, union12)),
+         liealg.casimir_closed_form(ctx, union12.variables())),
         ("correspondence-pair", liealg.casimir_CA(ctx, union12),
          basis.K[(1, 2)] * Fraction(-1, 4)),
         ("dependency", liealg.casimir_CA(ctx, liealg.PairUnion((1, 2, 3))),
          liealg.decomposition_sum((1, 2, 3), lambda i, j: basis.C2[(i, j)], basis.c)),
         ("reduced-triple-bracket", commutator(rtriple.J0, rtriple.Jp), rtriple.Jp),
         ("reduced-pair-closed-form", reduction.reduced_casimir_pair(rctx, 1, 2, verify=False),
-         reduction.pair_casimir_closed_form(rctx, 1, 2)),
+         reduction.radial_closed_form(rctx, (1, 2))),
         ("q-symmetry", q12 * rtotal, rtotal * q12),
     ]
 
@@ -216,10 +213,7 @@ def _oracle_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     ]
     report = RelationReport()
     for relation, idx, note, verdict in verdicts:
-        t0 = time.perf_counter()
-        ok = verdict()
-        ms = (time.perf_counter() - t0) * 1000
-        report.add(ReportEntry(relation, (idx,), ok, 0 if ok else -1, ms, note))
+        report.add(check(relation, (idx,), lambda _: verdict(), note))
     return report
 
 

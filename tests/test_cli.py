@@ -214,12 +214,12 @@ def test_q_affine_failure_reports_residual_terms(monkeypatch, capsys):
 
 
 def test_single_casimir_failure_reports_residual_terms(monkeypatch, capsys):
-    original = suites.reduction.casimir_of
+    original = liealg.casimir_of
 
     def off_by_x1(triple):
         return original(triple) + Operator.x(triple.Jp.sig, 1)
 
-    monkeypatch.setattr(suites.reduction, "casimir_of", off_by_x1)
+    monkeypatch.setattr(liealg, "casimir_of", off_by_x1)
     code, lines = run_main(["--suite", "reduction", "--json"], capsys)
     assert code == 1
     rows = [json.loads(ln) for ln in lines[:-1]]
@@ -247,19 +247,38 @@ def test_bad_metaplectic_triple_reports_residual_terms(monkeypatch, capsys):
 
 
 def test_reduction_suite_builds_each_casimir_once(monkeypatch, capsys):
-    original = suites.reduction.casimir_of
+    original = liealg.casimir_of
     calls = []
 
     def counted(triple):
         calls.append(triple)
         return original(triple)
 
-    monkeypatch.setattr(suites.reduction, "casimir_of", counted)
+    monkeypatch.setattr(liealg, "casimir_of", counted)
     code, _ = run_main(["--n", "4", "--suite", "reduction", "--json"], capsys)
     assert code == 0
     # 4 single and 6 pair Casimirs from one ReducedBasis, plus the total
-    # Casimir once in total_casimir_residual and once in check_q_symmetry.
-    assert len(calls) == 12
+    # Casimir, built once by total_casimir_residual and read from the
+    # context's memo by check_q_symmetry.
+    assert len(calls) == 11
+
+
+def test_su11_check_that_raises_names_relation_and_tuple(monkeypatch):
+    def broken(a, b):
+        raise ZeroDivisionError("bracket fault")
+
+    monkeypatch.setattr(liealg, "commutator", broken)
+    with pytest.raises(RuntimeError, match=r"check su11 \(1, 1\) raised ZeroDivisionError\('bracket fault'\)"):
+        main(["--suite", "su11", "--json"])
+
+
+def test_oracle_check_that_raises_names_relation_and_tuple(monkeypatch):
+    def broken(lhs, rhs, trials, seed):
+        raise ZeroDivisionError("oracle fault")
+
+    monkeypatch.setattr(suites.oracle, "oracle_equiv", broken)
+    with pytest.raises(RuntimeError, match=r"check oracle \(1,\) raised ZeroDivisionError\('oracle fault'\)"):
+        main(["--suite", "oracle", "--trials", "1", "--json"])
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -1,5 +1,6 @@
 """Rotation generators, the quadratic invariant, su(1,1) triples."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from racahverify.liealg import (
     PairUnion,
     SO2nContext,
     SU11Triple,
+    casimir_CA,
+    casimir_closed_form,
     casimir_of,
     casimir_sum,
     check_casimir_centrality,
@@ -28,7 +31,7 @@ CTX3 = SO2nContext(3)
 # radial factors with free parameters.
 COPRODUCTS = {
     "pair-union": lambda: make_JA(CTX3, PairUnion((1, 2))),
-    "radial-pair": lambda: reduction.reduced_coproduct(reduction.ReducedContext(3), (1, 2)),
+    "radial-pair": lambda: make_JA(reduction.ReducedContext(3), PairUnion((1, 2))),
 }
 TRIPLES = {"metaplectic": lambda: make_metaplectic(CTX3, 2), **COPRODUCTS}
 SUMS = {"all-variables": lambda: sum_triples([make_metaplectic(CTX3, mu) for mu in range(1, 7)]), **COPRODUCTS}
@@ -190,6 +193,24 @@ def test_pair_casimir_closed_form():
     l = make_L(CTX3, 1, 2)
     one = Operator.constant(CTX3.signature, 1)
     assert c == (l * l + one) * Fraction(-1, 4)
+
+
+RCTX4 = reduction.ReducedContext(4)
+CLOSED_FORM_CASES = [("radial", c) for k in range(1, 5) for c in itertools.combinations(range(1, 5), k)]
+CLOSED_FORM_CASES += [("metaplectic", (mu,)) for mu in range(1, 7)]
+
+
+@pytest.mark.parametrize("realization, variables", CLOSED_FORM_CASES)
+def test_closed_form_matches_built_casimir(realization, variables):
+    # Every factor set of the radial model at n=4, and the one-variable
+    # metaplectic triples, whose closed form is the constant -3/16.
+    if realization == "radial":
+        built = casimir_CA(RCTX4, PairUnion(variables))
+        closed = reduction.radial_closed_form(RCTX4, variables)
+    else:
+        built = casimir_of(make_metaplectic(CTX3, *variables))
+        closed = casimir_closed_form(CTX3, variables)
+    assert built == closed
 
 
 @pytest.mark.parametrize("kind", sorted(SUMS))

@@ -4,18 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from racahverify.liealg import casimir_of, rotation
+from racahverify.liealg import PairUnion, casimir_CA, casimir_of, make_JA, rotation
 from racahverify.reduction import (
     ReducedBasis,
     ReducedContext,
     check_q_symmetry,
     make_Q,
     make_reduced_J,
-    pair_casimir_closed_form,
     pair_invariant,
+    radial_closed_form,
     reduced_casimir_pair,
     reduced_casimir_single,
-    reduced_coproduct,
     total_casimir,
     total_casimir_identity,
     verify_reduced_racah,
@@ -60,11 +59,11 @@ def test_parameter_zero_is_plain_oscillator():
 
 def test_coproduct_validation():
     with pytest.raises(ValueError):
-        reduced_coproduct(CTX3, (1, 1))
+        make_JA(CTX3, PairUnion((1, 1)))
     with pytest.raises(ValueError):
-        reduced_coproduct(CTX3, (1, 4))
-    full = reduced_coproduct(CTX3)
-    pair = reduced_coproduct(CTX3, (1, 2))
+        make_JA(CTX3, PairUnion((1, 4)))
+    full = make_JA(CTX3, PairUnion((1, 2, 3)))
+    pair = make_JA(CTX3, PairUnion((1, 2)))
     third = make_reduced_J(CTX3, 3)
     assert full.Jp == pair.Jp + third.Jp
 
@@ -92,7 +91,7 @@ def test_pair_casimir_closed_form_checked_on_build():
     c = reduced_casimir_pair(CTX2, 1, 2)
     shift = CTX2.param(1) + CTX2.param(2) + 1
     closed = (pair_invariant(CTX2, 1, 2) + Operator.constant(CTX2.signature, shift)) * Fraction(-1, 4)
-    assert c == closed == pair_casimir_closed_form(CTX2, 1, 2)
+    assert c == closed == radial_closed_form(CTX2, (1, 2))
     with pytest.raises(ValueError):
         reduced_casimir_pair(CTX2, 1, 1)
 
@@ -159,5 +158,13 @@ def test_reduced_relation_sweep():
 
 
 def test_reduced_triples_share_casimir_with_direct_computation():
-    pair = reduced_coproduct(CTX3, (2, 3))
+    pair = make_JA(CTX3, PairUnion((2, 3)))
     assert casimir_of(pair) == reduced_casimir_pair(CTX3, 2, 3)
+
+
+def test_casimir_built_once_per_context():
+    ctx = ReducedContext(3)
+    assert reduced_casimir_pair(ctx, 1, 2) is casimir_CA(ctx, PairUnion((1, 2)))
+    assert total_casimir(ctx) is total_casimir(ctx)
+    assert set(ctx.casimir_memo) == {(1, 2), (1, 2, 3)}
+    assert ctx == ReducedContext(3)
