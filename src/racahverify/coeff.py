@@ -9,7 +9,9 @@ A ParamPoly stores its terms as a dict from exponent tuples (one entry per
 parameter) to Fraction.  Zero coefficients are never stored, so two
 polynomials are equal iff their term dicts are equal.  The printed form
 sorts terms in a fixed total order (degree, then exponent tuple,
-descending), which makes printed reports diffable bit for bit.
+descending), which makes printed reports diffable bit for bit; operators
+print their terms in the same order (``_graded``) and their factors
+with the same printer (``_powers``).
 """
 
 from __future__ import annotations
@@ -40,6 +42,16 @@ def _fraction(value: int | Fraction) -> Fraction:
     return Fraction(value)
 
 
+def _powers(name: str, exps: Sequence[int]) -> list[str]:
+    """The printed factors name1^e1 .. of the nonzero exponents (^1 left out)."""
+    return [f"{name}{i + 1}" + (f"^{k}" if k != 1 else "") for i, k in enumerate(exps) if k]
+
+
+def _graded(exps: tuple) -> tuple:
+    """The printed order of terms, descending: total degree, then the exponents."""
+    return sum(exps), exps
+
+
 class ParamPoly:
     """Sparse polynomial in the parameters a1..ak over the rationals.
 
@@ -55,17 +67,29 @@ class ParamPoly:
 
     def __init__(self, nparams: int, terms: Mapping[tuple, Fraction] | None = None):
         for e in terms or ():
+            if not all(isinstance(x, int) for x in e):
+                raise TypeError(f"exponent tuple {e} has a non-integer entry")
             if len(e) != nparams or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent tuple {e} for {nparams} parameters")
         self.nparams = nparams
         self.terms = {e: f for e, c in terms.items() if (f := _fraction(c))} if terms else {}
+
+    @staticmethod
+    def _make(nparams: int, terms: dict[tuple, Fraction]) -> ParamPoly:
+        """An instance over terms, unchecked: every exponent tuple must be
+        valid for nparams and every coefficient a nonzero Fraction."""
+        p = ParamPoly.__new__(ParamPoly)
+        p.nparams = nparams
+        p.terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, nparams: int, value: int | Fraction) -> ParamPoly:
         """The constant polynomial ``value``, an int or a Fraction (else TypeError)."""
-        return cls(nparams, {(0,) * nparams: value})
+        f = _fraction(value)
+        return cls._make(nparams, {(0,) * nparams: f} if f else {})
 
     @classmethod
     def of(cls, nparams: int, value: ScalarLike) -> ParamPoly:
@@ -134,27 +158,17 @@ class ParamPoly:
         other = ParamPoly.of(self.nparams, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
             else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        p = ParamPoly.__new__(ParamPoly)
-        p.nparams = self.nparams
-        p.terms = out
-        return p
+                del out[e]
+        return ParamPoly._make(self.nparams, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> ParamPoly:
-        p = ParamPoly.__new__(ParamPoly)
-        p.nparams = self.nparams
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return ParamPoly._make(self.nparams, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: ScalarLike) -> ParamPoly:
         return self + (-other)
@@ -168,15 +182,13 @@ class ParamPoly:
             return NotImplemented
         other = ParamPoly.of(self.nparams, other)
         a, b = self.terms, other.terms
-        if not a or not b:
-            return ParamPoly(self.nparams)
         out: dict[tuple, Fraction] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
                 s = out.get(e)
                 out[e] = ca * cb if s is None else s + ca * cb
-        return ParamPoly(self.nparams, out)
+        return ParamPoly._make(self.nparams, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -200,17 +212,18 @@ class ParamPoly:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        """Substitute rational values for a1..ak."""
+        """Substitute rational values (ints or Fractions, else TypeError) for a1..ak."""
         if len(values) != self.nparams:
             raise ValueError(
                 f"expected {self.nparams} parameter values, got {len(values)}"
             )
+        values = [_fraction(x) for x in values]
         total = Fraction(0)
         for e, c in self.terms.items():
             v = c
             for x, k in zip(values, e):
                 if k:
-                    v = v * Fraction(x) ** k
+                    v = v * x ** k
             total += v
         return total
 
@@ -219,17 +232,9 @@ class ParamPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            c = self.terms[e]
-            factors = [str(c)]
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(f"a{i + 1}")
-                elif k:
-                    factors.append(f"a{i + 1}^{k}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return " + ".join(
+            "*".join([str(self.terms[e]), *_powers("a", e)]) for e in sorted(self.terms, key=_graded, reverse=True)
+        )
 
     def __repr__(self) -> str:
         return f"ParamPoly({self.nparams}, {self!s})"

@@ -68,11 +68,14 @@ def random_point(sig, rng: random.Random) -> TestPoint:
     return TestPoint(coords, params)
 
 
-def random_polynomial(sig, rng: random.Random, max_exp: int = 4, max_terms: int = 8) -> Polynomial:
-    """A random test function: up to max_terms monomials with exponents in
+_MAX_TERMS = 8
+
+
+def random_polynomial(sig, rng: random.Random, max_exp: int = 4) -> Polynomial:
+    """A random test function: up to _MAX_TERMS monomials with exponents in
     [-2, max_exp] on localized variables and [0, max_exp] otherwise."""
     acc: dict[tuple[int, ...], Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, _MAX_TERMS)):
         xe = tuple(
             rng.randint(-2 if (i + 1) in sig.localized else 0, max_exp)
             for i in range(sig.num_vars)

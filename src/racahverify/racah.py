@@ -12,7 +12,7 @@ commutant of the n-fold rotation subalgebra.  Rescaled and shifted as
     C1^i   = -(G^i + 1)/4          (the su(1,1) Casimir of one coupled pair)
     C2^{ij} = -K^{ij}/4            (the Casimir of two coupled pairs)
     P^{ij}  = C2^{ij} - C1^i - C1^j
-    F^{ijk} = [K^{ij}, K^{jk}]/32
+    F^{ijk} = (1/2)[C2^{ij}, C2^{jk}]  (= [K^{ij}, K^{jk}]/32)
 
 they close into a quadratic algebra presented by five families of
 relations (labelled a..e below), all of which this module verifies by
@@ -22,14 +22,12 @@ relation (b) by the offset it induces in the C-terms (demonstrated in
 the test suite).
 
 Both realizations share one memoized basis type, Basis: given the
-one- and two-factor Casimirs C1^i, C2^{ij}, a symmetric pair family
-B^{ij} and a scale, it derives P and computes F^{ijk} = scale *
-[B^{ij}, B^{jk}] on first access.  CommutantBasis brackets the K's;
-reduction.ReducedBasis brackets its pair Casimirs, which there equals
-(1/2)[P^{ij}, P^{jk}] because its C1^i are constants.  The relation
-templates read P, F and C through the basis accessors p(i,j), f(i,j,k),
-c(i), so one sweep verifies this realization and the dimensionally
-reduced one.
+one- and two-factor Casimirs C1^i and C2^{ij}, it derives P and
+computes F^{ijk} = (1/2)[C2^{ij}, C2^{jk}] on first access.
+CommutantBasis and reduction.ReducedBasis differ only in how they build
+C1 and C2.  The relation templates read P, F and C through the basis
+accessors p(i,j), f(i,j,k), c(i), so one sweep verifies this
+realization and the dimensionally reduced one.
 
 The five relations, all indices pairwise distinct:
 
@@ -83,27 +81,17 @@ class Basis:
     """P, C and the memoized F of one realization of the relations.
 
     ctx is the realization's context (its n sizes the sweep); C1 maps i
-    to C1^i, and C2 and B map i < j to C2^{ij} and B^{ij}.  P^{ij} =
-    C2^{ij} - C1^i - C1^j is built eagerly.  F^{ijk} = scale *
-    [B^{ij}, B^{jk}] is computed on first access and cached, with the
-    reversal F^{kji} = -F^{ijk} resolved from the cache instead of a
-    second commutator.
+    to C1^i, and C2 maps i < j to C2^{ij}.  P^{ij} = C2^{ij} - C1^i -
+    C1^j is built eagerly.  F^{ijk} = (1/2)[C2^{ij}, C2^{jk}] is
+    computed on first access and cached, with the reversal F^{kji} =
+    -F^{ijk} resolved from the cache instead of a second commutator.
     """
 
-    def __init__(
-        self,
-        ctx,
-        C1: dict[int, Operator],
-        C2: dict[tuple[int, int], Operator],
-        B: Mapping[tuple[int, int], Operator],
-        scale: Fraction,
-    ):
+    def __init__(self, ctx, C1: dict[int, Operator], C2: dict[tuple[int, int], Operator]):
         self.ctx = ctx
         self.C1 = C1
         self.C2 = C2
         self.P = {(i, j): c - C1[i] - C1[j] for (i, j), c in C2.items()}
-        self._B = B
-        self._scale = scale
         self._F: dict[tuple[int, int, int], Operator] = {}
 
     def p(self, i: int, j: int) -> Operator:
@@ -121,17 +109,19 @@ class Basis:
         if reverse in memo:
             op = -memo[reverse]
         else:
-            op = commutator(_pair(self._B, i, j), _pair(self._B, j, k)) * self._scale
+            op = commutator(_pair(self.C2, i, j), _pair(self.C2, j, k)) * Fraction(1, 2)
         memo[key] = op
         return op
 
 
 class CommutantBasis(Basis):
     """The rescaled invariants of one context: G, K, C1, C2, P eagerly,
-    F^{ijk} = [K^{ij}, K^{jk}]/32 on demand.
+    F^{ijk} = (1/2)[C2^{ij}, C2^{jk}] on demand.
 
-    F comes from the K's, not from (1/2)[P^{ij}, P^{jk}]: the K's have
-    fewer terms, and relation (a) then says something in this model.
+    As C2^{ij} = -K^{ij}/4, F^{ijk} equals [K^{ij}, K^{jk}]/32.  F is
+    bracketed from the C2's, not from the P's: the C2's have fewer
+    terms, and relation (a) then checks that the C1 terms of the P's
+    drop out of the bracket.
     """
 
     # Each subclass keeps f in its own namespace: the benchmark tracer
@@ -146,7 +136,7 @@ class CommutantBasis(Basis):
         self.K = {(i, j): make_K(ctx, i, j) for i, j in itertools.combinations(range(1, n + 1), 2)}
         C1 = {i: (g + one) * quarter for i, g in self.G.items()}
         C2 = {ij: k * quarter for ij, k in self.K.items()}
-        super().__init__(ctx, C1, C2, self.K, Fraction(1, 32))
+        super().__init__(ctx, C1, C2)
 
 
 @lru_cache(maxsize=None)

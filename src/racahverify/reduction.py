@@ -31,10 +31,10 @@ every coordinate.  The conserved quantities
 
 commute with C^{[n]} as an exact operator identity, and the rescaled
 Casimirs satisfy the same five quadratic relations as the commutant
-invariants, now with F defined through the bracket of the P's:
-F^{ijk} = (1/2)[P^{ij}, P^{jk}].  All identities are verified with the
-a_i as generic polynomial coefficients, which subsumes every numeric
-choice.  Each C^A is built once per context (liealg.casimir_CA).
+invariants, with F^{ijk} = (1/2)[C^{ij}, C^{jk}] as there
+(racah.Basis).  All identities are verified with the a_i as generic
+polynomial coefficients, which subsumes every numeric choice.  Each C^A
+is built once per context (liealg.casimir_CA).
 """
 from __future__ import annotations
 
@@ -164,12 +164,10 @@ def check_q_symmetry(ctx: ReducedContext, jobs: int = 1) -> RelationReport:
 class ReducedBasis(Basis):
     """Rescaled Casimirs of the radial realization, memoized for sweeps.
 
-    P^{ij} = C^{ij} - C^i - C^j as in the commutant picture; here there
-    is no K to commute, so F^{ijk} is defined by its bracket formula
-    F^{ijk} = (1/2)[P^{ij}, P^{jk}] (which makes relation (a) hold by
-    construction; relations (b)..(e) remain contentful).  The C^i are
-    constants, so the bracket is taken on the pair Casimirs:
-    [P^{ij}, P^{jk}] = [C^{ij}, C^{jk}] exactly.
+    P^{ij} = C^{ij} - C^i - C^j and F^{ijk} = (1/2)[C^{ij}, C^{jk}] as
+    in the commutant picture.  The C^i are constants, so F^{ijk} equals
+    (1/2)[P^{ij}, P^{jk}] and relation (a) holds by construction;
+    relations (b)..(e) remain contentful.
     """
 
     # See CommutantBasis.f: the tracer wraps each class's own f.
@@ -179,7 +177,7 @@ class ReducedBasis(Basis):
         factors = range(1, ctx.n + 1)
         C1 = {i: reduced_casimir_single(ctx, i) for i in factors}
         C2 = {t: reduced_casimir_pair(ctx, *t, verify=False) for t in itertools.combinations(factors, 2)}
-        super().__init__(ctx, C1, C2, C2, Fraction(1, 2))
+        super().__init__(ctx, C1, C2)
 
 
 def verify_reduced_racah(

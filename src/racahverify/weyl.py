@@ -110,7 +110,7 @@ from math import comb, gcd, lcm, prod
 from operator import add
 from typing import Callable, Mapping, Sequence, Union
 
-from .coeff import ParamPoly, parse_param_poly, read_factor, read_rational
+from .coeff import ParamPoly, _fraction, _graded, _powers, parse_param_poly, read_factor, read_rational
 
 CoeffLike = Union[int, Fraction, ParamPoly]
 
@@ -144,6 +144,8 @@ class AlgebraSignature:
     def check_monomial(self, xexp: Sequence[int], dexp: Sequence[int]) -> None:
         if len(xexp) != self.num_vars or len(dexp) != self.num_vars:
             raise ValueError("exponent vector length differs from num_vars")
+        if not all(isinstance(e, int) for e in (*xexp, *dexp)):
+            raise TypeError(f"exponents {tuple(xexp)}, {tuple(dexp)} have a non-integer entry")
         for i, b in enumerate(dexp):
             if b < 0:
                 raise ValueError(f"negative derivative exponent d{i + 1}^{b}")
@@ -450,7 +452,7 @@ class _FlatTerms:
         grouped: dict[tuple, dict[tuple, Fraction]] = {}
         for (mono, pe), q in self.terms.items():
             grouped.setdefault(mono, {})[pe] = Fraction(q, self.den)
-        return {mono: ParamPoly(self.sig.nparams, d) for mono, d in grouped.items()}
+        return {mono: ParamPoly._make(self.sig.nparams, d) for mono, d in grouped.items()}
 
     def _check_sig(self, other: _FlatTerms) -> None:
         if self.sig != other.sig:
@@ -500,7 +502,7 @@ class _FlatTerms:
         coefficients = self.coefficients()
         return " + ".join(
             " * ".join([_coeff_str(coefficients[mo]), *self._factors(mo)])
-            for mo in sorted(coefficients, key=lambda mo: (sum(mo), mo), reverse=True)
+            for mo in sorted(coefficients, key=_graded, reverse=True)
         )
 
     def __repr__(self) -> str:
@@ -680,11 +682,6 @@ def _coeff_str(c: ParamPoly) -> str:
     return f"({c})"
 
 
-def _powers(name: str, exps: Sequence[int]) -> list[str]:
-    """The printed factors name1^e1 .. of the nonzero exponents."""
-    return [f"{name}{i + 1}" + (f"^{k}" if k != 1 else "") for i, k in enumerate(exps) if k]
-
-
 def commutator(a: Operator, b: Operator) -> Operator:
     """[a, b] = ab - ba, the one-term ``combination`` whose sweep never builds ab or ba.
 
@@ -746,6 +743,10 @@ class Polynomial(_FlatTerms):
     def evaluate(self, coords: Sequence[Fraction], params: Sequence[Fraction] = ()) -> Fraction:
         """Exact value at a rational point; localized coordinates must be nonzero.
 
+        Coordinates and parameter values are ints or Fractions (anything
+        else raises TypeError, as ``Fraction(value)`` would also read
+        floats and strings).
+
         Runs on integers: each term is its numerator times one entry of
         each variable's power table over the range of its exponents
         (``_power_tables``), and the integer sum times the tables' common
@@ -753,12 +754,12 @@ class Polynomial(_FlatTerms):
         (ZeroDivisionError when a negative exponent meets a zero
         coordinate).
         """
-        _check_point(self.sig, coords, params)
+        point = _check_point(self.sig, coords, params)
         if not self.terms:
             return Fraction(0)
         keys = [xe + pe for xe, pe in self.terms]
         ranges = [(min(exps), max(exps)) for exps in zip(*keys)]
-        tables, num, den = _power_tables((*coords, *params), ranges)
+        tables, num, den = _power_tables(point, ranges)
         varying = [(j, lo, table) for j, ((lo, hi), table) in enumerate(zip(ranges, tables)) if lo != hi]
         total = 0
         for key, q in zip(keys, self.terms.values()):
@@ -771,17 +772,20 @@ class Polynomial(_FlatTerms):
         return _powers("x", xe)
 
 
-def _check_point(sig: AlgebraSignature, coords: Sequence, params: Sequence) -> None:
+def _check_point(sig: AlgebraSignature, coords: Sequence, params: Sequence) -> tuple[Fraction, ...]:
+    """The point (*coords, *params) as Fractions: wrong counts raise
+    ValueError, and values that are not ints or Fractions TypeError."""
     if len(coords) != sig.num_vars:
         raise ValueError("coordinate count differs from num_vars")
     if len(params) != sig.nparams:
         raise ValueError(f"expected {sig.nparams} parameter values, got {len(params)}")
+    return tuple(map(_fraction, (*coords, *params)))
 
 
 def _power_tables(point: Sequence, ranges: Sequence[tuple[int, int]]) -> tuple[list[list[int]], int, int]:
     """Integer power tables for exact evaluation at a rational point.
 
-    Write point[j] as u/w in lowest terms and let lo..hi be ranges[j].
+    Write point[j], a Fraction, as u/w in lowest terms and let lo..hi be ranges[j].
     Then (u/w)^e = table_j[e - lo] * u^lo w^-hi for lo <= e <= hi, with
     table_j[t] = u^t w^(hi-lo-t) an integer.  Returns the tables and
     num/den = prod_j u^lo w^-hi; den is 0 when some lo < 0 meets u = 0.
@@ -789,7 +793,6 @@ def _power_tables(point: Sequence, ranges: Sequence[tuple[int, int]]) -> tuple[l
     num = den = 1
     tables = []
     for value, (lo, hi) in zip(point, ranges):
-        value = Fraction(value)
         u, w = value.numerator, value.denominator
         if lo < 0:
             den *= u ** -lo
@@ -848,12 +851,11 @@ def evaluator(op: Operator) -> Callable[..., Fraction]:
     def value(f: Polynomial, coords: Sequence[Fraction], params: Sequence[Fraction] = ()) -> Fraction:
         if f.sig != sig:
             raise ValueError("operator and polynomial signatures differ")
-        _check_point(sig, coords, params)
-        if any(coords[i] == 0 for i in localized):
+        point = _check_point(sig, coords, params)
+        if any(point[i] == 0 for i in localized):
             raise ZeroDivisionError("a localized coordinate is zero")
         if not (op.terms and f.terms):
             return Fraction(0)
-        point = (*coords, *params)
         tables, num, den = _power_tables(point, ranges)
         tables = [tables[j] for j in varying]
         alphas = []

@@ -513,6 +513,17 @@ def test_operator_keys_are_validated():
     with pytest.raises(ValueError):
         Operator.monomial(SIG2, (-1, 0), (0, 0), 0)  # checked even with a zero coefficient
     assert Operator(LOC1, {(-1, 2): c}) == Operator.monomial(LOC1, (-1,), (2,))
+    # exponents are ints: 2.0 would print x1^2.0, which does not parse back
+    for build in (
+        lambda: Operator.x(SIG2, 1, 2.0),
+        lambda: Operator.d(SIG2, 2, Fraction(1)),
+        lambda: Operator.monomial(SIG2, (0, 0), (1, 0.5)),
+        lambda: Operator(LOC1, {(-1.0, 0): c}),
+        lambda: Polynomial.monomial(SIG2, (2.0, 0)),
+        lambda: Polynomial(SIG2, {(0, "1"): c}),
+    ):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_param_poly_exponents_are_validated():
@@ -522,6 +533,8 @@ def test_param_poly_exponents_are_validated():
         ParamPoly(2, {(1,): Fraction(1)})
     with pytest.raises(ValueError):
         ParamPoly(1, {(1,): Fraction(1), (0, 0): Fraction(0)})
+    with pytest.raises(TypeError):
+        ParamPoly(2, {(1.0, 0): Fraction(1)})
     assert str(ParamPoly(1, {(2,): Fraction(1, 2)})) == "1/2*a1^2"
 
 

@@ -1,5 +1,6 @@
 """Commutant invariants and the five quadratic relations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -137,10 +138,13 @@ def test_p_symmetric_access():
 
 
 def test_commutant_f_is_the_bracket_of_k():
-    # computed first at a descending tuple, so K is read at swapped keys
-    basis = CommutantBasis(CTX3)
-    k12, k23 = basis.K[(1, 2)], basis.K[(2, 3)]
-    assert basis.f(3, 2, 1) == commutator(k23, k12) * Fraction(1, 32)
+    # F is bracketed from the C2's; this is the one check that ties it to the K's.
+    # Every ordered triple at n=4, descending ones first, so some are read
+    # from the reversal memo and K is read at swapped keys.
+    basis = CommutantBasis(SO2nContext(4))
+    k = lambda i, j: basis.K[(min(i, j), max(i, j))]
+    for i, j, l in sorted(itertools.permutations(range(1, 5), 3), reverse=True):
+        assert basis.f(i, j, l) == commutator(k(i, j), k(j, l)) * Fraction(1, 32), (i, j, l)
     # F from the K's agrees with the bracket of P's
     assert basis.f(1, 2, 3) == commutator(basis.p(1, 2), basis.p(2, 3)) * Fraction(1, 2)
 

@@ -16,6 +16,7 @@ from racahverify.weyl import (
     Operator,
     Polynomial,
     commutator,
+    evaluator,
     parse_operator,
 )
 
@@ -184,6 +185,13 @@ def test_str_and_parse_examples():
     assert parse_operator("0", SIG2).is_zero()
 
 
+def test_printed_forms():
+    p = ParamPoly(2, {(2, 1): 3, (1, 0): Fraction(-1, 2), (0, 0): 5, (0, 3): Fraction(2, 3)})
+    assert str(p) == "3*a1^2*a2 + 2/3*a2^3 + -1/2*a1 + 5"
+    op = Operator.x(PSIG, 1, 2) * p + Operator.d(PSIG, 2) * Fraction(-3, 4)
+    assert str(op) == "(3*a1^2*a2 + 2/3*a2^3 + -1/2*a1 + 5) * x1^2 + (-3/4) * d2"
+
+
 def test_parse_rejects_bad_input():
     with pytest.raises(ValueError):
         parse_operator("x1 * d2", SIG2)  # no leading coefficient
@@ -243,6 +251,25 @@ def test_coefficients_must_be_int_fraction_or_param_poly():
     ):
         with pytest.raises(TypeError):
             build()
+    # nor do the evaluation points
+    one = AlgebraSignature(1, params=("a1",))
+    a1, x1 = ParamPoly.param(1, 1), Operator.x(one, 1)
+    square = Polynomial.monomial(one, (2,), a1)
+    for point in (
+        lambda: square.evaluate([0.1], [1]),
+        lambda: square.evaluate(["1_0"], [1]),
+        lambda: square.evaluate([1], [Decimal("0.5")]),
+        lambda: a1.evaluate(["1_0"]),
+        lambda: (x1 * a1).specialize_params(["2.5"]),
+        lambda: evaluator(x1)(square, [0.1], [1]),
+        lambda: evaluator(x1)(square, [1], ["2"]),
+        lambda: Polynomial.zero(one).evaluate([0.1], [1]),
+        lambda: evaluator(Operator.zero(one))(square, [1], [0.5]),
+    ):
+        with pytest.raises(TypeError):
+            point()
+    assert square.evaluate([Fraction(1, 2)], [3]) == Fraction(3, 4)
+    assert evaluator(x1)(square, [Fraction(1, 2)], [3]) == Fraction(3, 8)
     assert Operator.constant(SIG2, Fraction(5, 2)) == Operator.constant(SIG2, 5) * Fraction(1, 2)
     with pytest.raises(ValueError):
         Operator.constant(PSIG, ParamPoly.param(1, 1))
