@@ -1,17 +1,20 @@
 """Deterministic fork map for identity sweeps.
 
-Sweeps are embarrassingly parallel over index tuples.  ``run_tasks``
-forks one child per worker with ``os.fork``, so every child shares the
-parent's operators copy-on-write and the task function may be a closure
-over a large basis.  Child w computes the strided slice ``items[w::k]``
-of the k workers, writes one pickled ``(ok, results | exception)``
-message to its own pipe and leaves with ``os._exit``.  The parent reads
-each pipe to EOF, reaps every child with ``waitpid``, and puts the
-slices back in input order, so reports come back in the same sequence
-for any worker count.  An exception raised in a worker is raised again
-in the parent; a worker that ends without a readable message raises a
-RuntimeError naming it.  Platforms without fork, and jobs=1, run a
-serial loop.
+Sweeps are embarrassingly parallel over index tuples.  With k workers,
+``run_tasks`` forks k - 1 children with ``os.fork`` and the parent is
+worker 0, so k workers use k processes; every child shares the parent's
+operators copy-on-write and the task function may be a closure over a
+large basis.  Worker w computes the strided slice ``items[w::k]``: the
+parent computes ``items[0::k]`` while the children run, and child w
+writes one pickled ``(ok, results | exception)`` message to its own
+pipe and leaves with ``os._exit``.  The parent then reads each pipe to
+EOF, reaps every child with ``waitpid``, and puts the slices back in
+input order, so reports come back in the same sequence for any worker
+count.  The first failing slice in worker order wins, and is raised
+only after every child is reaped: an exception from the parent's own
+slice unchanged, one from a child's slice raised again in the parent,
+and a child that ends without a readable message as a RuntimeError
+naming it.  Platforms without fork, and jobs=1, run a serial loop.
 """
 
 from __future__ import annotations
@@ -25,16 +28,16 @@ R = TypeVar("R")
 
 
 def run_tasks(fn: Callable[[T], R], items: Iterable[T], jobs: int = 1) -> list[R]:
-    """Apply fn to every item, preserving order; jobs > 1 forks workers."""
+    """Apply fn to every item, preserving order; jobs = k > 1 forks k - 1 workers beside this one."""
     work = list(items)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     workers = min(jobs, len(work))
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in work]
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe) of workers 1..k-1
     try:
-        for w in range(workers):
+        for w in range(1, workers):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -46,10 +49,12 @@ def run_tasks(fn: Callable[[T], R], items: Iterable[T], jobs: int = 1) -> list[R
                 _serve(fn, work[w::workers], write_end)
             os.close(write_end)
             children.append((pid, read_end))
+        own = [fn(item) for item in work[0::workers]]
     finally:
-        replies = [_collect(w, pid, read_end) for w, (pid, read_end) in enumerate(children)]
+        replies = [_collect(w, pid, read_end) for w, (pid, read_end) in enumerate(children, 1)]
     results: list = [None] * len(work)
-    for w, (ok, value) in enumerate(replies):
+    results[0::workers] = own
+    for w, (ok, value) in enumerate(replies, 1):
         if not ok:
             raise value
         results[w::workers] = value

@@ -61,10 +61,11 @@ subtracts s * unit_i, unit_i being one in the x_i field plus one in the
 d_i field.  The variables to reorder are dmask_a & xmask_b on int
 bitmasks; when a single bit i is set (most pairs), the sweep reads the
 memoized shifts of variable i inline, and only pairs with several
-active variables build the product of per-variable options
-(``_reorders``).  The width w is the smallest of 16, 32 and 64 bits with
-2 * (max|exponent of a| + max|exponent of b|) < 2^(w-1), the largest
-over the pairs of a combination, which bounds every exponent of a
+active variables look up the product of per-variable options
+(``_reorders``), memoized on each active variable's unit and exponents
+like the single-variable shifts.  The width w is the smallest of 16,
+32 and 64 bits with 2 * (max|exponent of a| + max|exponent of b|)
+< 2^(w-1), the largest over the pairs of a combination, which bounds every exponent of a
 result term, so no field carries or borrows; wider exponents raise
 OverflowError.  Each result key is decoded back to its exponent tuples
 once per product, commutator or combination (the fields of k ^ bias
@@ -319,7 +320,13 @@ def _reorders(layout: _Layout, ma: tuple, mb: tuple, active: int, sign: int) -> 
     read ``_shifts`` for variable i directly.
     """
     m, units = layout.nvars, layout.units
-    per_var = [((0, 1), *_shifts(units[i], ma[m + i], mb[i], 1)) for i in range(m) if active >> i & 1]
+    return _reorder_product(tuple((units[i], ma[m + i], mb[i]) for i in range(m) if active >> i & 1), sign)
+
+
+@lru_cache(maxsize=None)
+def _reorder_product(options: tuple[tuple[int, int, int], ...], sign: int) -> tuple[tuple[int, int], ...]:
+    """``_reorders`` memoized on (unit, b, k) of each active variable and the sign."""
+    per_var = [((0, 1), *_shifts(unit, b, k, 1)) for unit, b, k in options]
     return tuple(
         (sum(shift for shift, _ in combo), sign * prod(f for _, f in combo))
         for combo in itertools.islice(itertools.product(*per_var), 1, None)

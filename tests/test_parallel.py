@@ -29,10 +29,11 @@ def test_results_in_input_order(jobs, count):
     assert [r for r, _ in results] == [x * x for x in items]
     workers = min(jobs, count)
     if workers > 1:
-        # worker w computes the strided slice items[w::workers]
+        # worker w computes the strided slice items[w::workers]; the parent is worker 0
         pids = [pid for _, pid in results]
-        assert len(set(pids)) == workers and os.getpid() not in pids
         assert all(pids[i] == pids[i % workers] for i in range(count))
+        assert pids[0] == os.getpid()
+        assert len(set(pids[1:workers])) == workers - 1 and os.getpid() not in pids[1:workers]
     _no_child_left()
 
 
@@ -61,11 +62,11 @@ class Unpicklable(Exception):
 
 def test_unpicklable_exception_surfaces_as_runtime_error():
     def fn(x):
-        if x == 2:
+        if x == 1:
             raise Unpicklable()
         return x
 
-    with pytest.raises(RuntimeError, match=r"worker 0 .* without a readable result"):
+    with pytest.raises(RuntimeError, match=r"worker 1 .* without a readable result"):
         run_tasks(fn, range(4), jobs=2)
     _no_child_left()
 
@@ -79,6 +80,42 @@ def test_picklable_exception_keeps_its_type():
     with pytest.raises(KeyError):
         run_tasks(fn, range(7), jobs=3)
     _no_child_left()
+
+
+def test_exception_in_the_parents_slice_wins_after_every_child_is_reaped():
+    def fn(x):
+        if x == 2:  # items[0::2] is the parent's slice
+            try:
+                raise KeyError(x)
+            except KeyError as exc:
+                raise Unpicklable() from exc
+        if x == 3:  # a later slice fails too, and loses
+            raise ValueError(x)
+        return x
+
+    with pytest.raises(Unpicklable) as info:
+        run_tasks(fn, range(6), jobs=2)
+    assert isinstance(info.value.__cause__, KeyError)
+    _no_child_left()
+
+
+def test_failed_fork_reaps_the_started_child_and_closes_its_pipes(monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise OSError("no more processes")
+        return real_fork()
+
+    fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", fork_once)
+    with pytest.raises(OSError, match="no more processes"):
+        run_tasks(abs, range(6), jobs=3)
+    assert len(forks) == 2
+    _no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_text_buffered_before_the_fork_is_printed_once():
