@@ -48,13 +48,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from ._parallel import run_tasks
 from .liealg import PairUnion, SO2nContext, casimir_CA, decomposition_sum, make_L, rotation_squares
 from .report import RelationReport, ReportEntry, check, run_checks
-from .weyl import AlgebraSignature, Operator, combination, commutator
+from .weyl import Operator, combination, commutator
 
 RELATION_ARITY = {"a": 3, "b": 3, "c": 4, "d": 4, "e": 5}
 
@@ -139,12 +138,6 @@ class CommutantBasis(Basis):
         super().__init__(ctx, C1, C2)
 
 
-@lru_cache(maxsize=None)
-def _identity(sig: AlgebraSignature) -> Operator:
-    """The constant 1 of sig, one operator per signature so its packed view is reused."""
-    return Operator.constant(sig, 1)
-
-
 def relation_residual(
     rel: str,
     t: Sequence[int],
@@ -164,7 +157,7 @@ def relation_residual(
     if rel == "a":
         i, j, k = t
         lhs = p(i, j), p(j, k)
-        rhs = [(2, f(i, j, k), _identity(p(i, j).sig))]
+        rhs = [(2, f(i, j, k), Operator.constant(p(i, j).sig, 1))]
     elif rel == "b":
         i, j, k = t
         lhs = p(j, k), f(i, j, k)

@@ -62,11 +62,7 @@ class ReducedContext:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two radial variables")
-        sig = AlgebraSignature(
-            self.n,
-            localized=frozenset(range(1, self.n + 1)),
-            params=tuple(f"a{i}" for i in range(1, self.n + 1)),
-        )
+        sig = AlgebraSignature(self.n, localized=frozenset(range(1, self.n + 1)), nparams=self.n)
         object.__setattr__(self, "signature", sig)
 
     def param(self, i: int) -> ParamPoly:

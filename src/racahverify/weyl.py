@@ -67,13 +67,14 @@ like the single-variable shifts.  The width w is the smallest of 16,
 32 and 64 bits with 2 * (max|exponent of a| + max|exponent of b|)
 < 2^(w-1), the largest over the pairs of a combination, which bounds every exponent of a
 result term, so no field carries or borrows; wider exponents raise
-OverflowError.  Each result key is decoded back to its exponent tuples
-once per product, commutator or combination (the fields of k ^ bias
+OverflowError.  Each nonzero result key is decoded back to its
+(monomial, parameter exponent) tuples once per product, commutator or
+combination, in one loop for every signature (the fields of k ^ bias
 are two's complement integers).  An operator's packed view is one flat
 list of rows (monomial, dmask, xmask, packed key, numerator), one per
-(monomial, parameter exponent) entry, so each sweep is one loop over
-left rows around one loop over right rows; rows of one monomial share
-its masks.  The view and max |exponent| are built on the operator's
+(monomial, parameter exponent) entry, each row computing its own masks,
+so each sweep is one loop over left rows around one loop over right
+rows.  The view and max |exponent| are built on the operator's
 first product or commutator and cached on the immutable operator,
 repacked only when a pair needs another width; pickles leave it out.
 The basis operators of a verification run take part in many products,
@@ -123,24 +124,25 @@ class AlgebraSignature:
     num_vars:  number of position variables (same count of derivatives).
     localized: 1-based indices of variables allowed negative position
                exponents.
-    params:    ordered names of the coefficient parameters a1..ak.
+    nparams:   number of coefficient parameters a1..ak.
+
+    Sizes and indices are ints (TypeError otherwise), as exponents are.
     """
 
     num_vars: int
     localized: frozenset[int] = field(default_factory=frozenset)
-    params: tuple[str, ...] = ()
+    nparams: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "localized", frozenset(self.localized))
+        if not all(isinstance(v, int) for v in (self.num_vars, self.nparams, *self.localized)):
+            raise TypeError(f"num_vars, nparams and localized indices must be ints: {self!r}")
         if self.num_vars < 1:
             raise ValueError("num_vars must be positive")
-        object.__setattr__(self, "localized", frozenset(self.localized))
-        object.__setattr__(self, "params", tuple(self.params))
+        if self.nparams < 0:
+            raise ValueError("nparams must be non-negative")
         if not all(1 <= i <= self.num_vars for i in self.localized):
             raise ValueError("localized indices must lie in 1..num_vars")
-
-    @property
-    def nparams(self) -> int:
-        return len(self.params)
 
     def check_monomial(self, xexp: Sequence[int], dexp: Sequence[int]) -> None:
         if len(xexp) != self.num_vars or len(dexp) != self.num_vars:
@@ -174,24 +176,6 @@ def _falling(k: int, s: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _reorder_options(b: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero (s, C(b,s)*falling(k,s)) pairs for moving d^b past x^k.
-
-    falling(k, s) vanishes for 0 <= k < s, so s stops at k when k >= 0.
-    """
-    top = b if k < 0 else min(b, k)
-    return tuple((s, f) for s in range(top + 1) if (f := comb(b, s) * _falling(k, s)))
-
-
-def _by_monomial(terms: Mapping[tuple, int]) -> list[tuple[tuple, list[tuple[tuple, int]]]]:
-    """Flat entries grouped by monomial: [(mono, [(pexp, num), ...]), ...]."""
-    grouped: dict[tuple, list[tuple[tuple, int]]] = {}
-    for (mono, pe), q in terms.items():
-        grouped.setdefault(mono, []).append((pe, q))
-    return list(grouped.items())
-
-
 def _width(bound: int) -> tuple[int, str]:
     """The smallest field width w of 16, 32, 64 bits with 2 * bound < 2^(w-1), and its struct code."""
     for w, code in ((16, "h"), (32, "i"), (64, "q")):
@@ -210,13 +194,12 @@ class _Layout:
     by a monomial gives its position (derivative) mask.
     """
 
-    __slots__ = ("width", "nvars", "nparams", "bias", "units", "xbits", "dbits", "fields")
+    __slots__ = ("width", "nvars", "bias", "units", "xbits", "dbits", "fields")
 
     def __init__(self, nvars: int, nparams: int, width: int, code: str):
         nfields = 2 * nvars + nparams
         self.width = width
         self.nvars = nvars
-        self.nparams = nparams
         self.bias = sum(1 << (width * j + width - 1) for j in range(nfields))
         self.units = tuple((1 << width * i) | (1 << width * (nvars + i)) for i in range(nvars))
         self.xbits = tuple(1 << i for i in range(nvars))
@@ -225,21 +208,12 @@ class _Layout:
 
     def decode(self, acc: dict[int, int]) -> dict[tuple, int]:
         """Packed key -> num as the nonzero (mono, pexp) -> num."""
-        bias, nbytes, unpack = self.bias, self.fields.size, self.fields.unpack
+        bias, nbytes, unpack, split = self.bias, self.fields.size, self.fields.unpack, 2 * self.nvars
         out = {}
-        if not self.nparams:
-            for k, q in acc.items():
-                if q:
-                    out[unpack((k ^ bias).to_bytes(nbytes, "little")), ()] = q
-            return out
-        # One tuple object per distinct monomial and parameter exponent.
-        split = 2 * self.nvars
-        shared: dict[tuple, tuple] = {}
         for k, q in acc.items():
             if q:
                 t = unpack((k ^ bias).to_bytes(nbytes, "little"))
-                mono, pe = t[:split], t[split:]
-                out[shared.setdefault(mono, mono), shared.setdefault(pe, pe)] = q
+                out[t[:split], t[split:]] = q
         return out
 
 
@@ -254,24 +228,23 @@ class _Packed:
     One row (mono, dmask, xmask, key, num) per (monomial, parameter
     exponent) entry of ``op.terms``: bit i of dmask (xmask) is set when
     the monomial has a derivative (position) exponent on variable i, and
-    key is the entry packed at ``width``.  Rows of one monomial share one
-    mask pair.  ``top`` is the largest |exponent|.
+    key is the entry packed at ``width``.  Each row computes its own
+    masks: the operators of a run hold about one entry per monomial.
+    ``top`` is the largest |exponent|.
     """
 
     __slots__ = ("width", "top", "rows")
 
     def __init__(self, op: Operator, top: int, layout: _Layout):
         pack, bias, from_bytes = layout.fields.pack, layout.bias, int.from_bytes
-        dbits, xbits = layout.dbits, layout.xbits
-        masks: dict[tuple, tuple[int, int]] = {}
+        dbits, xbits, compress = layout.dbits, layout.xbits, itertools.compress
         self.width = layout.width
         self.top = top
-        self.rows = []
-        for (mono, pe), q in op.terms.items():
-            pair = masks.get(mono)
-            if pair is None:
-                pair = masks[mono] = (sum(itertools.compress(dbits, mono)), sum(itertools.compress(xbits, mono)))
-            self.rows.append((mono, *pair, from_bytes(pack(*mono, *pe), "little") ^ bias, q))
+        self.rows = [
+            (mono, sum(compress(dbits, mono)), sum(compress(xbits, mono)),
+             from_bytes(pack(*mono, *pe), "little") ^ bias, q)
+            for (mono, pe), q in op.terms.items()
+        ]
 
 
 def _top(op: Operator) -> int:
@@ -306,8 +279,16 @@ def _layout_for(pairs: Sequence[tuple[Operator, Operator]]) -> _Layout:
 
 @lru_cache(maxsize=None)
 def _shifts(unit: int, b: int, k: int, sign: int) -> tuple[tuple[int, int], ...]:
-    """(s * unit, sign * C(b,s) * falling(k,s)) for the s >= 1 options of moving d^b past x^k."""
-    return tuple((s * unit, sign * f) for s, f in _reorder_options(b, k)[1:])
+    """(s * unit, sign * C(b,s) * falling(k,s)) for the s >= 1 terms of moving d^b past x^k.
+
+    s runs up to b, and up to k as well when k >= 0: falling(k, s)
+    vanishes for 0 <= k < s and for no other s, so the bound keeps
+    exactly the nonzero terms.  Memoized on (unit, b, k, sign); the
+    sweeps read it inline for pairs with one active variable, and
+    ``_reorder_product`` combines it for several.
+    """
+    top = b if k < 0 else min(b, k)
+    return tuple((s * unit, sign * comb(b, s) * _falling(k, s)) for s in range(1, top + 1))
 
 
 def _reorders(layout: _Layout, ma: tuple, mb: tuple, active: int, sign: int) -> tuple[tuple[int, int], ...]:
@@ -470,7 +451,7 @@ class _FlatTerms:
         self._check_sig(other)
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
-        out = {key: q * fa for key, q in self.terms.items()} if fa != 1 else dict(self.terms)
+        out = {key: q * fa for key, q in self.terms.items()}
         for key, q in other.terms.items():
             s = out.get(key, 0) + q * fb
             if s:
@@ -606,17 +587,12 @@ class Operator(_FlatTerms):
         c = self.sig.coeff(value)
         den = lcm(*(q.denominator for q in c.terms.values()))
         factors = [(pc, q.numerator * (den // q.denominator)) for pc, q in c.terms.items()]
-        if len(factors) == 1 and not any(factors[0][0]):
-            f = factors[0][1]
-            terms = {key: q * f for key, q in self.terms.items()}
-        else:
-            terms = {}
-            for (mono, pe), q in self.terms.items():
-                for pc, f in factors:
-                    key = (mono, tuple(map(add, pe, pc)))
-                    terms[key] = terms.get(key, 0) + q * f
-            terms = {key: q for key, q in terms.items() if q}
-        return Operator._make(self.sig, terms, self.den * den)
+        terms = {}
+        for (mono, pe), q in self.terms.items():
+            for pc, f in factors:
+                key = (mono, tuple(map(add, pe, pc)))
+                terms[key] = terms.get(key, 0) + q * f
+        return Operator._make(self.sig, {key: q for key, q in terms.items() if q}, self.den * den)
 
     def specialize_params(self, values: Sequence[Fraction | int]) -> Operator:
         """Substitute numbers for the coefficient parameters.
@@ -626,7 +602,7 @@ class Operator(_FlatTerms):
         """
         if len(values) != self.sig.nparams:
             raise ValueError("need one value per parameter")
-        new_sig = AlgebraSignature(self.sig.num_vars, self.sig.localized, ())
+        new_sig = AlgebraSignature(self.sig.num_vars, self.sig.localized, 0)
         return Operator(
             new_sig, {mo: ParamPoly.const(0, c.evaluate(values)) for mo, c in self.coefficients().items()}
         )
@@ -640,19 +616,22 @@ class Operator(_FlatTerms):
         semantic oracle the normal-ordering rule is checked against.  It
         runs on integers: d^b x^k = falling(k, b) x^(k-b), so each output
         numerator accumulates num_op * num_f * (product of falling
-        factorials), over den_op * den_f reduced once by a gcd.
+        factorials), over den_op * den_f reduced once by a gcd.  One loop
+        over the operator's (monomial, parameter exponent) entries runs
+        around one loop over the polynomial's; a parameter exponent of
+        zero on either side is reused rather than added.
         """
         if self.sig != f.sig:
             raise ValueError("operator and polynomial signatures differ")
         m = self.sig.num_vars
         zero = (0,) * self.sig.nparams
-        fitems = _by_monomial(f.terms)
+        fitems = f.terms.items()
         acc: dict[tuple, int] = {}
         acc_get = acc.get
-        for mo, ca in _by_monomial(self.terms):
+        for (mo, pa), na in self.terms.items():
             dvars = [(i, mo[m + i]) for i in range(m) if mo[m + i]]
             shift = [mo[i] - mo[m + i] for i in range(m)]
-            for k, cb in fitems:
+            for (k, pb), nb in fitems:
                 factor = 1
                 for i, b in dvars:
                     factor *= _falling(k[i], b)
@@ -660,13 +639,9 @@ class Operator(_FlatTerms):
                         break
                 if not factor:
                     continue
-                xe = tuple(map(add, k, shift))
-                for pa, na in ca:
-                    nf = na * factor
-                    for pb, nb in cb:
-                        pe = pb if pa == zero else pa if pb == zero else tuple(map(add, pa, pb))
-                        key = (xe, pe)
-                        acc[key] = acc_get(key, 0) + nf * nb
+                pe = pb if pa == zero else pa if pb == zero else tuple(map(add, pa, pb))
+                key = (tuple(map(add, k, shift)), pe)
+                acc[key] = acc_get(key, 0) + na * factor * nb
         return Polynomial._make(self.sig, {key: q for key, q in acc.items() if q}, self.den * f.den)
 
     # -- printing ------------------------------------------------------------

@@ -278,7 +278,7 @@ def test_property_suite_operator_algebra(acceptance_record):
 
 def test_property_suite_text_round_trip(acceptance_record):
     plain = AlgebraSignature(2)
-    fancy = AlgebraSignature(2, localized=frozenset({1}), params=("a1", "a2"))
+    fancy = AlgebraSignature(2, localized=frozenset({1}), nparams=2)
     rng = random.Random(31337)
     cases = 500
     ok = True

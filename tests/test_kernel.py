@@ -26,12 +26,18 @@ the same value types, so every oracle verdict stays the same.  The
 oracle's ``weyl.evaluator``, which computes (A f)(p) without building
 A f, is held to both: the integer ``apply`` + ``evaluate`` and the
 Fraction references.
+
+The references share no helper with the code they check: the reorder
+table, the falling factorial and the grouping by monomial are written
+again here, so a wrong reorder coefficient in ``weyl`` cannot cancel
+between the two sides.
 """
 
 import itertools
 import pickle
 import random
 from fractions import Fraction
+from math import comb
 from operator import add
 from typing import Mapping
 
@@ -48,10 +54,7 @@ from racahverify.weyl import (
     AlgebraSignature,
     Operator,
     Polynomial,
-    _by_monomial,
-    _falling,
     _layout_for,
-    _reorder_options,
     _width,
     combination,
     commutator,
@@ -77,8 +80,40 @@ from test_weyl import (
 # Three variables, the second localized, two parameters: pairs whose derivatives
 # meet positions on several variables at once, in either direction, and rows
 # (monomial, parameter exponent) that share a monomial.
-SIG3P = AlgebraSignature(3, localized=frozenset({2}), params=("a1", "a2"))
+SIG3P = AlgebraSignature(3, localized=frozenset({2}), nparams=2)
 ops3P = operators(SIG3P, laurent=True, coeffs=param_polys(SIG3P.nparams))
+
+
+def _reference_falling(k, s):
+    """k(k-1)...(k-s+1), stopping at the first zero factor."""
+    out = 1
+    for t in range(s):
+        out *= k - t
+        if not out:
+            break
+    return out
+
+
+def _reference_reorder_options(b, k):
+    """(s, C(b,s) * k(k-1)...(k-s+1)) for s = 0, 1, ... up to b or the first zero factor.
+
+    The falling factorial stays zero once a factor k - t is zero, so the
+    loop never walks a large b past a small k >= 0.
+    """
+    options, falling = [], 1
+    for s in itertools.count():
+        if s > b or not falling:
+            return options
+        options.append((s, comb(b, s) * falling))
+        falling *= k - s
+
+
+def _reference_by_monomial(terms):
+    """Flat (mono, pexp) -> num entries grouped as [(mono, [(pexp, num), ...]), ...]."""
+    grouped: dict[tuple, list] = {}
+    for (mono, pe), q in terms.items():
+        grouped.setdefault(mono, []).append((pe, q))
+    return list(grouped.items())
 
 
 def _reference_cross(ca, cb):
@@ -100,7 +135,7 @@ def _reference_cross(ca, cb):
 def _reference_reorder_into(acc, m, ma, mb, active, cpairs, first, sign):
     """Add sign * (the reorder terms of ma * mb from the first-th on) to acc."""
     base = list(map(add, ma, mb))
-    option_lists = [_reorder_options(ma[m + i], mb[i]) for i in active]
+    option_lists = [_reference_reorder_options(ma[m + i], mb[i]) for i in active]
     for combo in itertools.islice(itertools.product(*option_lists), first, None):
         factor = sign
         mono_list = base[:]
@@ -117,9 +152,9 @@ def _reference_reorder_into(acc, m, ma, mb, active, cpairs, first, sign):
 
 def _reference_tuple_product(m, aterms, bterms):
     """The flat numerators of ab over den_a * den_b, swept on exponent tuples."""
-    bitems = _by_monomial(bterms)
+    bitems = _reference_by_monomial(bterms)
     acc: dict[tuple, int] = {}
-    for ma, ca in _by_monomial(aterms):
+    for ma, ca in _reference_by_monomial(aterms):
         da_nonzero = [i for i in range(m) if ma[m + i]]
         for mb, cb in bitems:
             active = [i for i in da_nonzero if mb[i]]
@@ -129,9 +164,9 @@ def _reference_tuple_product(m, aterms, bterms):
 
 def _reference_tuple_commutator(m, aterms, bterms):
     """The flat numerators of ab - ba over den_a * den_b, swept on exponent tuples."""
-    bitems = [(mb, cb, [i for i in range(m) if mb[m + i]]) for mb, cb in _by_monomial(bterms)]
+    bitems = [(mb, cb, [i for i in range(m) if mb[m + i]]) for mb, cb in _reference_by_monomial(bterms)]
     acc: dict[tuple, int] = {}
-    for ma, ca in _by_monomial(aterms):
+    for ma, ca in _reference_by_monomial(aterms):
         da_nonzero = [i for i in range(m) if ma[m + i]]
         for mb, cb, db_nonzero in bitems:
             ab = [i for i in da_nonzero if mb[i]]
@@ -194,7 +229,7 @@ def _reference_mul_terms(
                     v = acc_get(key)
                     acc[key] = q if v is None else v + q
                 continue
-            option_lists = [_reorder_options(ma[m + i], mb[i]) for i in active]
+            option_lists = [_reference_reorder_options(ma[m + i], mb[i]) for i in active]
             for combo in itertools.product(*option_lists):
                 factor = 1
                 mono_list = base[:]
@@ -576,7 +611,7 @@ def _reference_apply(op: Operator, fterms: Mapping[tuple, ParamPoly]) -> dict[tu
         for k, cf in fterms.items():
             factor = 1
             for i in dvars:
-                factor *= _falling(k[i], da[i])
+                factor *= _reference_falling(k[i], da[i])
                 if not factor:
                     break
             if not factor:

@@ -18,7 +18,7 @@ from racahverify.reduction import ReducedContext, make_reduced_J
 from racahverify.weyl import AlgebraSignature, Operator, commutator
 
 SIG2 = AlgebraSignature(2)
-LOC = AlgebraSignature(2, localized=frozenset({1}), params=("a1",))
+LOC = AlgebraSignature(2, localized=frozenset({1}), nparams=1)
 
 
 def test_random_point_respects_signature():

@@ -28,7 +28,7 @@ CTX3 = ReducedContext(3)
 def test_context_validation():
     assert CTX3.signature.num_vars == 3
     assert CTX3.signature.localized == frozenset({1, 2, 3})
-    assert CTX3.signature.params == ("a1", "a2", "a3")
+    assert CTX3.signature.nparams == 3
     with pytest.raises(ValueError):
         ReducedContext(1)
 

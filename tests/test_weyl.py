@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from racahverify.coeff import ParamPoly
+from racahverify.liealg import SO2nContext
 from racahverify.oracle import random_polynomial
 from racahverify.report import check
 from racahverify.weyl import (
@@ -23,7 +24,7 @@ from racahverify.weyl import (
 SIG2 = AlgebraSignature(2)
 LOC1 = AlgebraSignature(1, localized=frozenset({1}))
 LOC2 = AlgebraSignature(2, localized=frozenset({1}))
-PSIG = AlgebraSignature(2, localized=frozenset({1, 2}), params=("a1", "a2"))
+PSIG = AlgebraSignature(2, localized=frozenset({1, 2}), nparams=2)
 
 small_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 
@@ -78,6 +79,18 @@ def test_signature_validation():
         AlgebraSignature(0)
     with pytest.raises(ValueError):
         AlgebraSignature(2, localized=frozenset({3}))
+    with pytest.raises(ValueError):
+        AlgebraSignature(2, nparams=-1)
+    # sizes and indices are ints, like exponents: a float size used to fail only at the first x
+    for build in (
+        lambda: AlgebraSignature(2.0),
+        lambda: SO2nContext(3.0),
+        lambda: AlgebraSignature(2, localized={1.0}),
+        lambda: AlgebraSignature(2, nparams=1.0),
+        lambda: AlgebraSignature(2, nparams="1"),
+    ):
+        with pytest.raises(TypeError):
+            build()
     with pytest.raises(ValueError):
         Operator.monomial(SIG2, (0, 0), (-1, 0))
     with pytest.raises(ValueError):
@@ -204,17 +217,17 @@ def test_parse_rejects_bad_input():
     # nested, unopened and unclosed parentheses
     for text in ("((a1)) * x1", "(a1 + 1 * x1", "1 * x1) + 2"):
         with pytest.raises(ValueError):
-            parse_operator(text, AlgebraSignature(1, params=("a1",)))
+            parse_operator(text, AlgebraSignature(1, nparams=1))
     # empty terms, a caret without a power, and digits int() would read
     for text in ("", " ", "1 +  + x1", "1 * x1^", "1 * x1_0", "1 * x1^0_2"):
         with pytest.raises(ValueError):
             parse_operator(text, SIG2)
     with pytest.raises(ValueError):
-        parse_operator("(1*a1^) * x1", AlgebraSignature(1, params=("a1",)))
+        parse_operator("(1*a1^) * x1", AlgebraSignature(1, nparams=1))
     # coefficient literals Fraction(str) would read but str never prints
     for text in ("1_0 * x1", "2.5 * x1", "1e3 * x1", "(1_0*a1) * x1"):
         with pytest.raises(ValueError):
-            parse_operator(text, AlgebraSignature(1, params=("a1",)))
+            parse_operator(text, AlgebraSignature(1, nparams=1))
 
 
 def test_parse_splits_only_outside_parentheses():
@@ -252,7 +265,7 @@ def test_coefficients_must_be_int_fraction_or_param_poly():
         with pytest.raises(TypeError):
             build()
     # nor do the evaluation points
-    one = AlgebraSignature(1, params=("a1",))
+    one = AlgebraSignature(1, nparams=1)
     a1, x1 = ParamPoly.param(1, 1), Operator.x(one, 1)
     square = Polynomial.monomial(one, (2,), a1)
     for point in (
@@ -443,7 +456,7 @@ def test_polynomial_evaluate_additive(f, pt):
 
 
 def test_evaluate_checks_the_parameter_count_of_the_zero_polynomial():
-    sig = AlgebraSignature(2, params=("a1",))
+    sig = AlgebraSignature(2, nparams=1)
     coords = (Fraction(1, 2), Fraction(3))
     with pytest.raises(ValueError, match="expected 1 parameter values, got 0"):
         Polynomial.monomial(sig, (1, 0)).evaluate(coords, ())
