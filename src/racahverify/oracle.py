@@ -23,7 +23,10 @@ There are two routes to (A f)(p), both direct differentiation:
 
 Trial streams are deterministic: trial t of seed s uses its own
 random.Random(s * 1000003 + t), so serial and parallel runs, and
-repeated runs, see identical test functions and points.
+repeated runs, see identical test functions and points.  Both checks
+take ``jobs``: with k = min(jobs, trials) > 1, ``_parallel.run_tasks``
+gives worker w the trials range(w, trials, k) and the verdict is true
+iff every slice holds, so it is the serial verdict for any jobs.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Callable, Sequence
 
+from ._parallel import run_tasks
 from .weyl import Operator, Polynomial, evaluator
 
 _STRIDE = 1_000_003
@@ -88,14 +93,20 @@ def random_polynomial(sig, rng: random.Random, max_exp: int = 4) -> Polynomial:
     return Polynomial._make(sig, {(xe, pe): c.numerator * (den // c.denominator) for xe, c in acc.items()}, den)
 
 
-def _draws(trials: int, seed: int, *ops: Operator):
-    """The (test function, point) of every trial of a check on ops.
+def _holds(
+    trial_ok: Callable[[Polynomial, TestPoint], bool], trials: int, seed: int, ops: Sequence[Operator], jobs: int
+) -> bool:
+    """True iff trial_ok(f, p) holds for every random trial (f, p) of a check on ops.
 
     Refuses operators in different signatures, and a check with no
     trial, which has tested nothing and so must not pass.  Test
     functions have degree one more than the largest derivative order of
     ops, but never below the default 4; trial t draws f, then p, from
-    its own random.Random(seed * 1000003 + t).
+    its own random.Random(seed * 1000003 + t).  With k =
+    min(jobs, trials), worker w of ``_parallel.run_tasks`` checks the
+    trials range(w, trials, k) in order and stops at its first failure,
+    so the verdict does not depend on jobs; k = 1 is one serial loop,
+    and ``run_tasks`` refuses jobs < 1.
     """
     sig = ops[0].sig
     if any(op.sig != sig for op in ops):
@@ -103,21 +114,29 @@ def _draws(trials: int, seed: int, *ops: Operator):
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     bound = max(4, max(op.derivative_degree() for op in ops) + 1)
-    rngs = (_trial_rng(seed, trial) for trial in range(trials))
-    return ((random_polynomial(sig, rng, max_exp=bound), random_point(sig, rng)) for rng in rngs)
+
+    def all_hold(ts: range) -> bool:
+        rngs = (_trial_rng(seed, t) for t in ts)
+        return all(trial_ok(random_polynomial(sig, rng, max_exp=bound), random_point(sig, rng)) for rng in rngs)
+
+    k = min(jobs, trials)
+    return all(run_tasks(lambda w: all_hold(range(w, trials, k)), range(k), k))
 
 
-def oracle_equiv(A: Operator, B: Operator, trials: int = 100, seed: int = 0) -> bool:
+def oracle_equiv(A: Operator, B: Operator, trials: int = 100, seed: int = 0, jobs: int = 1) -> bool:
     """True iff (A f)(p) = (B f)(p) for every random trial (f, p).
 
-    Both sides run on ``weyl.evaluator``; trials < 1 raises ValueError.
+    Both sides run on ``weyl.evaluator``; trials < 1 raises ValueError,
+    and jobs splits the trials over that many workers through
+    ``_parallel.run_tasks``, which refuses jobs < 1.
     """
-    draws = _draws(trials, seed, A, B)
     value_a, value_b = evaluator(A), evaluator(B)
-    return all(value_a(f, p.coords, p.params) == value_b(f, p.coords, p.params) for f, p in draws)
+    return _holds(
+        lambda f, p: value_a(f, p.coords, p.params) == value_b(f, p.coords, p.params), trials, seed, (A, B), jobs
+    )
 
 
-def oracle_apply_check(A: Operator, B: Operator, trials: int = 100, seed: int = 0) -> bool:
+def oracle_apply_check(A: Operator, B: Operator, trials: int = 100, seed: int = 0, jobs: int = 1) -> bool:
     """Composition check on the product kernel: for random f and p,
 
         ((A * B) f)(p)  ==  (A (B f))(p).
@@ -130,10 +149,11 @@ def oracle_apply_check(A: Operator, B: Operator, trials: int = 100, seed: int = 
     routes share only the power tables and the falling factorials, so
     each trial also checks the evaluator against the reference route;
     with the evaluator on both sides, a fault in it could cancel.
+    trials and jobs are read as in ``oracle_equiv``.
     """
     product = A * B
     value = evaluator(product)
-    return all(
-        value(f, p.coords, p.params) == A.apply(B.apply(f)).evaluate(p.coords, p.params)
-        for f, p in _draws(trials, seed, A, B, product)
+    return _holds(
+        lambda f, p: value(f, p.coords, p.params) == A.apply(B.apply(f)).evaluate(p.coords, p.params),
+        trials, seed, (A, B, product), jobs,
     )

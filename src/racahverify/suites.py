@@ -196,10 +196,13 @@ def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
 
 
 def _oracle_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
-    """Numeric verdicts: no symbolic residual, so a failure reports -1 terms."""
-    trials, seed = config.trials, config.seed
+    """Numeric verdicts: no symbolic residual, so a failure reports -1 terms.
+
+    Each check splits its trials over config.jobs workers; the verdicts do not depend on jobs.
+    """
+    trials, seed, jobs = config.trials, config.seed, config.jobs
     verdicts = [
-        ("oracle", idx, name, partial(oracle.oracle_equiv, lhs, rhs, trials=trials, seed=seed + idx))
+        ("oracle", idx, name, partial(oracle.oracle_equiv, lhs, rhs, trials=trials, seed=seed + idx, jobs=jobs))
         for idx, (name, lhs, rhs) in enumerate(identity_catalog(min(config.n, 3)), start=1)
     ]
     ctx3 = liealg.SO2nContext(3)
@@ -207,9 +210,9 @@ def _oracle_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     r1 = reduction.make_reduced_J(reduction.ReducedContext(2), 1)
     verdicts += [
         ("oracle-composition", 1, f"{10 * trials} trials",
-         partial(oracle.oracle_apply_check, k12, k23, trials=10 * trials, seed=seed)),
+         partial(oracle.oracle_apply_check, k12, k23, trials=10 * trials, seed=seed, jobs=jobs)),
         ("oracle-composition", 2, "localized with parameters",
-         partial(oracle.oracle_apply_check, r1.Jm, r1.Jp, trials=10 * trials, seed=seed + 1)),
+         partial(oracle.oracle_apply_check, r1.Jm, r1.Jp, trials=10 * trials, seed=seed + 1, jobs=jobs)),
     ]
     report = RelationReport()
     for relation, idx, note, verdict in verdicts:

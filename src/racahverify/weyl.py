@@ -93,7 +93,13 @@ denominator (``_power_tables``), building one Fraction at the end.
 ``evaluator(op)`` gives the value (op f)(p) without building op f: it
 groups op's monomials by derivative exponent b once, as
 op = sum_b alpha_b(x) d^b, and each call sums alpha_b(p) * (d^b f)(p)
-on the same power tables, again by direct differentiation.
+on the same power tables, again by direct differentiation.  All three
+work on the exponent columns of the polynomial (one column per variable
+over its terms, ``list(zip(*keys))``), not on its terms one variable at
+a time: each operator entry, alpha_b and (d^b f)(p) is a C-level map,
+zip and ``math.prod`` over whole columns.  The two routes, apply + evaluate and
+the evaluator, share only ``_power_tables`` and ``_falling``, and
+neither uses the kernel's packed keys.
 
 ``parse_operator`` reads the text ``str(Operator)`` prints: terms joined
 by " + ", factors by " * ", both split only outside parentheses (the
@@ -108,8 +114,9 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
 from math import comb, gcd, lcm, prod
-from operator import add
+from operator import add, mul, sub
 from typing import Callable, Mapping, Sequence, Union
 
 from .coeff import ParamPoly, _fraction, _graded, _powers, parse_param_poly, read_factor, read_rational
@@ -616,32 +623,38 @@ class Operator(_FlatTerms):
         semantic oracle the normal-ordering rule is checked against.  It
         runs on integers: d^b x^k = falling(k, b) x^(k-b), so each output
         numerator accumulates num_op * num_f * (product of falling
-        factorials), over den_op * den_f reduced once by a gcd.  One loop
-        over the operator's (monomial, parameter exponent) entries runs
-        around one loop over the polynomial's; a parameter exponent of
-        zero on either side is reused rather than added.
+        factorials), over den_op * den_f reduced once by a gcd.  It works
+        on the columns of f (one per variable, over f's terms): each
+        operator entry scales f's numerator column by its own numerator
+        and by one falling-factorial column per differentiated variable
+        i of order b (built once per (i, b) per call), and shifts only
+        the exponent columns its monomial moves.  The output keys are
+        zipped back from the columns and accumulated in the order of the
+        operator's entries, then f's terms, skipping zero products; a
+        parameter exponent of zero on either side is reused rather than
+        added.
         """
         if self.sig != f.sig:
             raise ValueError("operator and polynomial signatures differ")
         m = self.sig.num_vars
         zero = (0,) * self.sig.nparams
-        fitems = f.terms.items()
+        xcols = list(zip(*(xe for xe, _ in f.terms))) or [()] * m
+        pes = [pe for _, pe in f.terms]
+        nums = list(f.terms.values())
+        fallings: dict[tuple[int, int], list[int]] = {}
         acc: dict[tuple, int] = {}
         acc_get = acc.get
         for (mo, pa), na in self.terms.items():
-            dvars = [(i, mo[m + i]) for i in range(m) if mo[m + i]]
-            shift = [mo[i] - mo[m + i] for i in range(m)]
-            for (k, pb), nb in fitems:
-                factor = 1
-                for i, b in dvars:
-                    factor *= _falling(k[i], b)
-                    if not factor:
-                        break
-                if not factor:
-                    continue
-                pe = pb if pa == zero else pa if pb == zero else tuple(map(add, pa, pb))
-                key = (tuple(map(add, k, shift)), pe)
-                acc[key] = acc_get(key, 0) + na * factor * nb
+            col = [na * nb for nb in nums]
+            for i, b in enumerate(mo[m:]):
+                if b:
+                    if (i, b) not in fallings:
+                        fallings[i, b] = list(map(_falling, xcols[i], repeat(b)))
+                    col = list(map(mul, col, fallings[i, b]))
+            shifted = [map(add, xc, repeat(a - b)) if a != b else xc for xc, a, b in zip(xcols, mo, mo[m:])]
+            pecol = pes if pa == zero else [pa if pb == zero else tuple(map(add, pa, pb)) for pb in pes]
+            for key, q in compress(zip(zip(zip(*shifted), pecol), col), col):
+                acc[key] = acc_get(key, 0) + q
         return Polynomial._make(self.sig, {key: q for key, q in acc.items() if q}, self.den * f.den)
 
     # -- printing ------------------------------------------------------------
@@ -734,20 +747,22 @@ class Polynomial(_FlatTerms):
         (``_power_tables``), and the integer sum times the tables' common
         factor over den is one Fraction built at the end
         (ZeroDivisionError when a negative exponent meets a zero
-        coordinate).
+        coordinate).  The sum runs over columns: every exponent column
+        whose range is not one value is looked up in its table, and the
+        terms are the products of the numerator column with those.
         """
         point = _check_point(self.sig, coords, params)
         if not self.terms:
             return Fraction(0)
-        keys = [xe + pe for xe, pe in self.terms]
-        ranges = [(min(exps), max(exps)) for exps in zip(*keys)]
+        cols = list(zip(*(xe + pe for xe, pe in self.terms)))
+        ranges = [(min(exps), max(exps)) for exps in map(set, cols)]
         tables, num, den = _power_tables(point, ranges)
-        varying = [(j, lo, table) for j, ((lo, hi), table) in enumerate(zip(ranges, tables)) if lo != hi]
-        total = 0
-        for key, q in zip(keys, self.terms.values()):
-            for j, lo, table in varying:
-                q *= table[key[j] - lo]
-            total += q
+        looked_up = [
+            map(table.__getitem__, map(sub, col, repeat(lo)) if lo else col)
+            for col, (lo, hi), table in zip(cols, ranges, tables)
+            if lo != hi
+        ]
+        total = sum(map(prod, zip(self.terms.values(), *looked_up)))
         return Fraction(total * num, den * self.den)
 
     def _factors(self, xe: tuple) -> list[str]:
@@ -798,10 +813,15 @@ def evaluator(op: Operator) -> Callable[..., Fraction]:
 
     Write op as sum_b alpha_b(x) d^b, alpha_b collecting the monomials
     with derivative exponent b; then (op f)(p) = sum_b alpha_b(p) *
-    (d^b f)(p).  The grouping is done once, here.  Each call evaluates
-    every alpha_b in one pass over op's monomials, and every (d^b f)(p)
-    from one row per test-function term and differentiated variable
-    whose entry b_i is falling(k_i, b_i) * x_i^(k_i - b_i) at p.  Like
+    (d^b f)(p).  The grouping is done once, here: op's entries are laid
+    out group by group, as a numerator column and one table-index
+    column per varying exponent.  Each call evaluates every entry of
+    every alpha_b with one product over those columns, and each
+    alpha_b(p) is the sum of its group's slice.  It then builds, over
+    the test function's terms, the column of numerators times their
+    undifferentiated factors at p and, for each differentiated variable
+    i and order b, the column falling(k_i, b) * x_i^(k_i - b) at p;
+    (d^b f)(p) is one sum of products over the columns b picks.  Like
     ``Operator.apply`` it is direct differentiation and never calls the
     product kernel.  It runs on integers through ``_power_tables`` and
     builds one Fraction at the end.
@@ -822,12 +842,16 @@ def evaluator(op: Operator) -> Callable[..., Fraction]:
     keys = [mono[:m] + pe for mono, pe in op.terms]
     ranges = [(min(exps), max(exps)) for exps in zip(*keys)]
     varying = [j for j, (lo, hi) in enumerate(ranges) if lo != hi]
-    # alpha_b as (b on dvars, [(num, table indices on the varying columns)]).
-    groups: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
-    for key, ((mono, _), q) in zip(keys, op.terms.items()):
-        b = tuple(mono[m + i] for i in dvars)
-        groups.setdefault(b, []).append((q, tuple(key[j] - ranges[j][0] for j in varying)))
-    groups = list(groups.items())
+    # alpha_b's entries, group by group, and each group's slice (b on dvars, start, stop).
+    groups: dict[tuple, list[int]] = {}
+    for t, (mono, _) in enumerate(op.terms):
+        groups.setdefault(tuple(mono[m + i] for i in dvars), []).append(t)
+    order = [t for ts in groups.values() for t in ts]
+    nums = list(op.terms.values())
+    qnums = [nums[t] for t in order]
+    indices = [(j, [keys[t][j] - ranges[j][0] for t in order]) for j in varying]
+    bounds = list(itertools.accumulate(map(len, groups.values()), initial=0))
+    slices = list(zip(groups, bounds, bounds[1:]))
     getitem = list.__getitem__
 
     def value(f: Polynomial, coords: Sequence[Fraction], params: Sequence[Fraction] = ()) -> Fraction:
@@ -839,34 +863,31 @@ def evaluator(op: Operator) -> Callable[..., Fraction]:
         if not (op.terms and f.terms):
             return Fraction(0)
         tables, num, den = _power_tables(point, ranges)
-        tables = [tables[j] for j in varying]
-        alphas = []
-        for b, entries in groups:
-            alpha = 0
-            for q, idx in entries:
-                alpha += q * prod(map(getitem, tables, idx))
-            if alpha:
-                alphas.append((b, alpha))
-        # x_i^(k_i - b_i) over the test function.  Entries with
-        # falling(k_i, b_i) = 0 are never looked up; every other entry of a
-        # non-localized variable has k_i >= b_i, so its range starts at 0 or above.
-        fkeys = [xe + pe for xe, pe in f.terms]
-        franges = [(min(exps), max(exps)) for exps in zip(*fkeys)]
+        entries = list(map(prod, zip(qnums, *(map(tables[j].__getitem__, idx) for j, idx in indices))))
+        alphas = [(b, alpha) for b, start, stop in slices if (alpha := sum(entries[start:stop]))]
+        # x_i^(k_i - b) over the test function.  Entries with
+        # falling(k_i, b) = 0 are never looked up; every other entry of a
+        # non-localized variable has k_i >= b, so its range starts at 0 or above.
+        fcols = list(zip(*(xe + pe for xe, pe in f.terms)))
+        franges = [(min(col), max(col)) for col in fcols]
         for i, top in dtops:
             lo, hi = franges[i]
             franges[i] = (lo - top if i in localized else max(lo - top, 0), hi)
         ftables, fnum, fden = _power_tables(point, franges)
-        dcols = [(i, top, franges[i][0], ftables[i]) for i, top in dtops]
-        fixed = [(j, franges[j][0], ftables[j]) for j in undifferentiated]
-        total = 0
-        for key, q in zip(fkeys, f.terms.values()):
-            for j, lo, table in fixed:
-                q *= table[key[j] - lo]
-            rows = []
-            for i, top, lo, table in dcols:
-                k = key[i]
-                rows.append([c * table[k - b - lo] if (c := _falling(k, b)) else 0 for b in range(top + 1)])
-            total += q * sum(alpha * prod(map(getitem, rows, b)) for b, alpha in alphas)
+        fixed = (
+            map(ftables[j].__getitem__, map(sub, fcols[j], repeat(franges[j][0])))
+            for j in undifferentiated
+            if franges[j][0] != franges[j][1]
+        )
+        qs = list(map(prod, zip(f.terms.values(), *fixed)))
+        # dcols[d][b] is the column of variable dvars[d] differentiated b times.
+        dcols = []
+        for i, top in dtops:
+            table, lo = ftables[i], franges[i][0]
+            dcols.append(
+                [[c * table[k - b - lo] if (c := _falling(k, b)) else 0 for k in fcols[i]] for b in range(top + 1)]
+            )
+        total = sum(alpha * sum(map(prod, zip(qs, *map(getitem, dcols, b)))) for b, alpha in alphas)
         return Fraction(total * num * fnum, den * fden * op.den * f.den)
 
     return value

@@ -97,11 +97,13 @@ def test_json_output_parses(capsys):
 
 def test_parallel_runs_match_serial(capsys):
     # Rank four sends the single relation dispatch and the reduced sweep
-    # through uneven strides at three workers.
+    # through uneven strides at three workers; the oracle splits each
+    # check's trials (3 per identity, 30 per composition check).
     for args, worker_counts in (
         (["--suite", "racah"], ["2"]),
         (["--suite", "howe,racah"], ["2"]),
         (["--n", "4", "--suite", "racah,reduction"], ["2", "3"]),
+        (["--suite", "oracle", "--trials", "3"], ["2", "3"]),
     ):
         code1, lines1 = run_main([*args, "--json"], capsys)
         serial = _strip_times(json.loads(ln) for ln in lines1)
@@ -273,7 +275,7 @@ def test_su11_check_that_raises_names_relation_and_tuple(monkeypatch):
 
 
 def test_oracle_check_that_raises_names_relation_and_tuple(monkeypatch):
-    def broken(lhs, rhs, trials, seed):
+    def broken(lhs, rhs, trials, seed, jobs):
         raise ZeroDivisionError("oracle fault")
 
     monkeypatch.setattr(suites.oracle, "oracle_equiv", broken)
