@@ -23,11 +23,29 @@ the test suite).
 
 Both realizations share one memoized basis type, Basis: given the
 one- and two-factor Casimirs C1^i and C2^{ij}, it derives P and
-computes F^{ijk} = (1/2)[C2^{ij}, C2^{jk}] on first access.
-CommutantBasis and reduction.ReducedBasis differ only in how they build
-C1 and C2.  The relation templates read P, F and C through the basis
-accessors p(i,j), f(i,j,k), c(i), so one sweep verifies this
-realization and the dimensionally reduced one.
+computes F on first access.  CommutantBasis and reduction.ReducedBasis
+differ only in how they build C1 and C2.  The relations are data
+(``RELATIONS``), read through the basis accessors p(i,j), f(i,j,k),
+c(i), so one sweep verifies this realization and the dimensionally
+reduced one.
+
+F is antisymmetric in its three indices: C^{ij} + C^{jk} + C^{ik} =
+C^{ijk} + C^i + C^j + C^k and C^{ij} commutes with C^{ijk} (De Bie,
+Genest, van de Vijver, Vinet, arXiv:1610.02638), so [C2^{ij}, C2^{jk}]
+= -[C2^{ij}, C2^{ik}], and the reversal flips the bracket.  Basis makes
+it antisymmetric by construction: one bracket F^{ijk} =
+(1/2)[C2^{ij}, C2^{jk}] per 3-subset i < j < k, and every other
+ordering is that operator times the sign of the permutation.  Relation
+(a), checked at every ordered triple, then certifies the antisymmetry
+against the brackets of the P's; at the four orderings other than
+(i,j,k) and (k,j,i) it rests on the identity above, not on the
+definition of F.
+
+The left-hand bracket of a relation is therefore the same operator, up
+to sign, at several tuples: 2 for relations a, b and c, 4 for d and 8
+for e (``bracket_key``).  The sweep groups those tuples and sweeps each
+bracket once for the group (``relation_residuals``); every residual is
+the one the tuple would give alone.
 
 The five relations, all indices pairwise distinct:
 
@@ -52,10 +70,20 @@ from typing import Callable, Mapping, Sequence
 
 from ._parallel import run_tasks
 from .liealg import PairUnion, SO2nContext, casimir_CA, decomposition_sum, make_L, rotation_squares
-from .report import RelationReport, ReportEntry, check, run_checks
-from .weyl import Operator, combination, commutator
+from .report import RelationReport, ReportEntry, check_group, run_checks
+from .weyl import Operator, combination_group, commutator
 
-RELATION_ARITY = {"a": 3, "b": 3, "c": 4, "d": 4, "e": 5}
+# Relations (a)-(e) as data: index letters, the left-hand bracket [A, B]
+# and the right-hand products (r, X, Y).  A generator is its letter P, F or
+# C followed by index letters; "1" is the identity.
+RELATIONS = {
+    "a": ("ijk", ("Pij", "Pjk"), [(2, "Fijk", "1")]),
+    "b": ("ijk", ("Pjk", "Fijk"), [(1, "Pik", "Pjk"), (-1, "Pjk", "Pij"), (2, "Pik", "Cj"), (-2, "Pij", "Ck")]),
+    "c": ("ijkl", ("Pkl", "Fijk"), [(1, "Pik", "Pjl"), (-1, "Pil", "Pjk")]),
+    "d": ("ijkl", ("Fijk", "Fjkl"), [(1, "Fjkl", "Pij"), (-1, "Fikl", "Pjk"), (-2, "Fikl", "Cj"), (-1, "Fijk", "Pjl")]),
+    "e": ("ijklm", ("Fijk", "Fklm"), [(1, "Film", "Pjk"), (-1, "Pik", "Fjlm")]),
+}
+RELATION_ARITY = {rel: len(letters) for rel, (letters, _, _) in RELATIONS.items()}
 
 PAccessor = Callable[[int, int], Operator]
 FAccessor = Callable[[int, int, int], Operator]
@@ -76,14 +104,23 @@ def _pair(family: Mapping[tuple[int, int], Operator], i: int, j: int) -> Operato
     return family[(i, j) if i < j else (j, i)]
 
 
+def _parity(indices: Sequence[int]) -> int:
+    """The sign of the permutation that sorts the distinct indices."""
+    inversions = sum(x > y for x, y in itertools.combinations(indices, 2))
+    return -1 if inversions % 2 else 1
+
+
 class Basis:
     """P, C and the memoized F of one realization of the relations.
 
     ctx is the realization's context (its n sizes the sweep); C1 maps i
     to C1^i, and C2 maps i < j to C2^{ij}.  P^{ij} = C2^{ij} - C1^i -
-    C1^j is built eagerly.  F^{ijk} = (1/2)[C2^{ij}, C2^{jk}] is
-    computed on first access and cached, with the reversal F^{kji} =
-    -F^{ijk} resolved from the cache instead of a second commutator.
+    C1^j is built eagerly.  F is antisymmetric by construction: the
+    first access to any ordering of a 3-subset i < j < k computes the
+    one commutator F^{ijk} = (1/2)[C2^{ij}, C2^{jk}] and its negation,
+    and caches all six orderings, the even ones as F^{ijk} and the odd
+    ones as the one shared -F^{ijk}.  So C(n, 3) commutators warm F.
+    Relation (a) checks the orderings against [P, P].
     """
 
     def __init__(self, ctx, C1: dict[int, Operator], C2: dict[tuple[int, int], Operator]):
@@ -100,16 +137,14 @@ class Basis:
         return self.C1[i]
 
     def f(self, i: int, j: int, k: int) -> Operator:
-        key = (i, j, k)
-        memo = self._F
-        if key in memo:
-            return memo[key]
-        reverse = (k, j, i)
-        if reverse in memo:
-            op = -memo[reverse]
-        else:
-            op = commutator(_pair(self.C2, i, j), _pair(self.C2, j, k)) * Fraction(1, 2)
-        memo[key] = op
+        op = self._F.get((i, j, k))
+        if op is None:
+            lo, mid, hi = sorted((i, j, k))
+            even = commutator(self.C2[(lo, mid)], self.C2[(mid, hi)]) * Fraction(1, 2)
+            odd = -even
+            for t in itertools.permutations((lo, mid, hi)):
+                self._F[t] = even if _parity(t) > 0 else odd
+            op = self._F[(i, j, k)]
         return op
 
 
@@ -120,7 +155,7 @@ class CommutantBasis(Basis):
     As C2^{ij} = -K^{ij}/4, F^{ijk} equals [K^{ij}, K^{jk}]/32.  F is
     bracketed from the C2's, not from the P's: the C2's have fewer
     terms, and relation (a) then checks that the C1 terms of the P's
-    drop out of the bracket.
+    drop out of the bracket, and that F is antisymmetric.
     """
 
     # Each subclass keeps f in its own namespace: the benchmark tracer
@@ -147,63 +182,122 @@ def relation_residual(
 ) -> Operator:
     """Left side minus right side of relation `rel` at the index tuple t.
 
-    Each relation is a bracket [A, B] on the left and a sum of products
-    r * X Y on the right (relation a's 2 F^{ijk} is 2 F^{ijk} * 1, and
-    relation d's F^{ikl} (P^{jk} + 2 C^j) is distributed into two
-    products).  The residual [A, B] - sum r * X Y is one
-    weyl.combination: every term sweeps into one packed accumulator and
-    only the sum is decoded, so the right side is never built.
+    The one-tuple ``relation_residuals``: the bracket [A, B] is taken at
+    t's own operands, as written, and the residual is one
+    ``weyl.combination_group`` call.
     """
-    if rel == "a":
-        i, j, k = t
-        lhs = p(i, j), p(j, k)
-        rhs = [(2, f(i, j, k), Operator.constant(p(i, j).sig, 1))]
-    elif rel == "b":
-        i, j, k = t
-        lhs = p(j, k), f(i, j, k)
-        rhs = [(1, p(i, k), p(j, k)), (-1, p(j, k), p(i, j)), (2, p(i, k), c(j)), (-2, p(i, j), c(k))]
-    elif rel == "c":
-        i, j, k, l = t
-        lhs = p(k, l), f(i, j, k)
-        rhs = [(1, p(i, k), p(j, l)), (-1, p(i, l), p(j, k))]
-    elif rel == "d":
-        i, j, k, l = t
-        lhs = f(i, j, k), f(j, k, l)
-        rhs = [(1, f(j, k, l), p(i, j)), (-1, f(i, k, l), p(j, k)), (-2, f(i, k, l), c(j)), (-1, f(i, j, k), p(j, l))]
-    elif rel == "e":
-        i, j, k, l, m = t
-        lhs = f(i, j, k), f(k, l, m)
-        rhs = [(1, f(i, l, m), p(j, k)), (-1, p(i, k), f(j, l, m))]
-    else:
+    return relation_residuals(rel, [tuple(t)], p, f, c)[0]
+
+
+def relation_residuals(
+    rel: str,
+    tuples: Sequence[tuple[int, ...]],
+    p: PAccessor,
+    f: FAccessor,
+    c: CAccessor,
+) -> list[Operator]:
+    """relation_residual at every tuple of a group whose left-hand brackets agree up to sign.
+
+    Each relation is a bracket [A, B] on the left and a sum of products
+    r * X Y on the right (``RELATIONS``).  The tuples must share the
+    canonical operand pair of ``bracket_key``, so that [A_t, B_t] = s_t
+    [A_1, B_1], with s_t the product of the two tuples' signs; other
+    tuples raise ValueError.  The bracket is swept once, at the first
+    tuple's operands, into one packed accumulator
+    (``weyl.combination_group``); each tuple's residual starts from s_t
+    times it and sweeps its own right-hand products - r * X Y into it,
+    so the right side is never built.  By bilinearity each residual is
+    the operator relation_residual would give at that tuple alone.
+    """
+    if rel not in RELATIONS:
         raise ValueError(f"unknown relation {rel!r}")
-    return combination([(1, *lhs, True), *((-r, x, y, False) for r, x, y in rhs)])
+    letters, bracket, rhs = RELATIONS[rel]
+    keys = [bracket_key(rel, t) for t in tuples]
+    key, first = keys[0]
+    if any(k != key for k, _ in keys):
+        raise ValueError(f"the tuples {list(tuples)} of relation {rel} do not share one left-hand bracket")
+    accessors = {"P": p, "F": f, "C": c}
+
+    def operand(name: str, index: dict[str, int]) -> Operator:
+        if name == "1":
+            return Operator.constant(left.sig, 1)
+        return accessors[name[0]](*(index[letter] for letter in name[1:]))
+
+    left, right = (operand(name, dict(zip(letters, tuples[0]))) for name in bracket)
+    members = []
+    for t, (_, sign) in zip(tuples, keys):
+        index = dict(zip(letters, t))
+        members.append((sign * first, [(-r, operand(x, index), operand(y, index), False) for r, x, y in rhs]))
+    return combination_group([(1, left, right, True)], members)
+
+
+def bracket_key(rel: str, t: Sequence[int]) -> tuple[tuple, int]:
+    """The canonical operand pair of relation rel's left-hand bracket at t, and its sign.
+
+    Each operand (P^{ij} or F^{ijk}) becomes (letter, sorted indices):
+    P is symmetric, and F carries the sign of the permutation that sorts
+    its indices.  The pair is put in sorted order, which flips the sign
+    once if it swaps the operands.  So [A, B] at t is sign * [A0, B0]
+    for the canonical pair (A0, B0).
+    """
+    letters, bracket, _ = RELATIONS[rel]
+    index = dict(zip(letters, t))
+    operands, sign = [], 1
+    for name in bracket:
+        indices = tuple(index[letter] for letter in name[1:])
+        operands.append((name[0], tuple(sorted(indices))))
+        if name[0] == "F":
+            sign *= _parity(indices)
+    if operands[1] < operands[0]:
+        operands.reverse()
+        sign = -sign
+    return tuple(operands), sign
+
+
+def relation_groups(n: int) -> list[tuple[str, list[tuple[int, ...]]]]:
+    """Every relation's tuples of pairwise distinct indices in 1..n, grouped by ``bracket_key``.
+
+    The tuples of one group give their relation's left-hand bracket up
+    to sign: 2 per group for relations a, b and c, 4 for d and 8 for e.
+    Groups come in relation order, each relation's in the order of their
+    first tuples, and tuples in permutation order.
+    """
+    groups: dict[tuple, list[tuple[int, ...]]] = {}
+    for rel, arity in RELATION_ARITY.items():
+        for t in itertools.permutations(range(1, n + 1), arity):
+            groups.setdefault((rel, bracket_key(rel, t)[0]), []).append(t)
+    return [(rel, tuples) for (rel, _), tuples in groups.items()]
 
 
 def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     """Check all five relations over every tuple of pairwise distinct indices.
 
-    Every (relation, tuple) of the five relations goes to workers in one
-    dispatch, so the long relation-d checks interleave with the short
-    ones across workers; entries come back in relation order, tuples in
-    permutation order.  Relations whose arity exceeds n get a single
+    The tuples of each relation are grouped by their left-hand bracket
+    (``relation_groups``), and every group goes to workers in one
+    dispatch, so each bracket is swept once for all the tuples that give
+    it up to sign, and the long relation-d groups interleave with the
+    short ones across workers.  Entries come back in relation order,
+    tuples in permutation order; each carries an even share of its
+    group's time.  Relations whose arity exceeds n get a single
     'skipped' entry after them: they have no admissible tuples at that
     rank, and arities ascend, so those entries come last.  F is warmed
-    over all ordered triples before dispatch so parallel workers share
-    the memoized operators instead of recomputing them.
+    over all 3-subsets before dispatch, one commutator each, so parallel
+    workers share the memoized operators instead of recomputing them.
     """
     n = basis.ctx.n
     if n < 3:
         raise ValueError("the relation sweep needs at least three factors")
     p, f, c = basis.p, basis.f, basis.c
-    for t in itertools.permutations(range(1, n + 1), 3):
+    for t in itertools.combinations(range(1, n + 1), 3):
         f(*t)
 
-    def check_item(item: tuple[str, tuple[int, ...]]) -> ReportEntry:
-        rel, t = item
-        return check(rel, t, lambda indices: relation_residual(rel, indices, p, f, c))
+    def check_item(group: tuple[str, list[tuple[int, ...]]]) -> list[ReportEntry]:
+        rel, tuples = group
+        return check_group(rel, tuples, lambda ts: relation_residuals(rel, ts, p, f, c))
 
-    items = [(rel, t) for rel, arity in RELATION_ARITY.items() for t in itertools.permutations(range(1, n + 1), arity)]
-    report = RelationReport(run_tasks(check_item, items, jobs))
+    order = list(RELATIONS)
+    entries = [e for group in run_tasks(check_item, relation_groups(n), jobs) for e in group]
+    report = RelationReport(sorted(entries, key=lambda e: (order.index(e.relation), e.indices)))
     for rel, arity in RELATION_ARITY.items():
         if arity > n:
             report.add(ReportEntry(rel, (), True, 0, 0.0, "skipped: no admissible index tuples at this rank"))

@@ -160,10 +160,12 @@ def check_q_symmetry(ctx: ReducedContext, jobs: int = 1) -> RelationReport:
 class ReducedBasis(Basis):
     """Rescaled Casimirs of the radial realization, memoized for sweeps.
 
-    P^{ij} = C^{ij} - C^i - C^j and F^{ijk} = (1/2)[C^{ij}, C^{jk}] as
-    in the commutant picture.  The C^i are constants, so F^{ijk} equals
-    (1/2)[P^{ij}, P^{jk}] and relation (a) holds by construction;
-    relations (b)..(e) remain contentful.
+    P^{ij} = C^{ij} - C^i - C^j and F^{ijk} = (1/2)[C^{ij}, C^{jk}] for
+    i < j < k, signed by permutation at other orderings, as in the
+    commutant picture.  The C^i are constants, so F^{ijk} equals
+    (1/2)[P^{ij}, P^{jk}] and relation (a) holds by construction at
+    (i,j,k) and (k,j,i); at the four other orderings it checks that F
+    is antisymmetric.  Relations (b)..(e) remain contentful.
     """
 
     # See CommutantBasis.f: the tracer wraps each class's own f.

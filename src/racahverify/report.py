@@ -6,7 +6,9 @@ records whether the residual vanished and how many terms survived; a
 numeric check returns a bool verdict instead, recorded as 0 surviving
 terms when it holds and -1 when it fails (there is no residual to count);
 ``run_checks`` does that for every tuple of a sweep, in input order, so
-parallel runs print identically to serial ones.
+parallel runs print identically to serial ones.  ``check_group`` does
+it for tuples whose residuals come from one call (the relation sweep's
+tuples that share a bracket), and ``check`` is its one-tuple case.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._parallel import run_tasks
 from .weyl import Operator, Polynomial
 
-ResidualFn = Callable[[tuple[int, ...]], Operator | Polynomial | bool]
+Residual = Operator | Polynomial | bool
+ResidualFn = Callable[[tuple[int, ...]], Residual]
+GroupFn = Callable[[Sequence[tuple[int, ...]]], Sequence[Residual]]
 
 
 @dataclass(frozen=True)
@@ -89,14 +93,32 @@ def check(relation: str, indices: tuple[int, ...], residual_fn: ResidualFn, note
     """Time residual_fn(indices) and report the residual or verdict it returns.
 
     An exception from residual_fn is re-raised as a RuntimeError naming
-    the relation and the index tuple, also from a forked worker.
+    the relation and the index tuple, also from a forked worker.  It is
+    the one-tuple ``check_group``.
+    """
+    return check_group(relation, [indices], lambda tuples: [residual_fn(indices)], note)[0]
+
+
+def check_group(
+    relation: str, tuples: Sequence[tuple[int, ...]], residuals_fn: GroupFn, note: str = ""
+) -> list[ReportEntry]:
+    """check() for tuples whose residuals one call gives: residuals_fn(tuples), one per tuple, in order.
+
+    Each entry's ms is an even share of the call's time.  An exception
+    is re-raised as a RuntimeError naming the relation and the first
+    tuple, and the size of the group when it has more than one.
     """
     t0 = time.perf_counter()
     try:
-        residual = residual_fn(indices)
+        residuals = residuals_fn(tuples)
     except Exception as exc:
-        raise RuntimeError(f"check {relation} {indices} raised {exc!r}") from exc
-    ms = (time.perf_counter() - t0) * 1000
+        group = f" in a group of {len(tuples)} tuples" if len(tuples) > 1 else ""
+        raise RuntimeError(f"check {relation} {tuples[0]} raised {exc!r}{group}") from exc
+    ms = (time.perf_counter() - t0) * 1000 / len(tuples)
+    return [_entry(relation, t, residual, ms, note) for t, residual in zip(tuples, residuals, strict=True)]
+
+
+def _entry(relation: str, indices: tuple[int, ...], residual: Residual, ms: float, note: str) -> ReportEntry:
     if isinstance(residual, bool):
         return ReportEntry(relation, indices, residual, 0 if residual else -1, ms, note)
     return ReportEntry(relation, indices, residual.is_zero(), residual.term_count(), ms, note)

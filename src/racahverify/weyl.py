@@ -44,13 +44,21 @@ sweep.
 
 Both sweeps add m * (their numerators) into an accumulator and layout
 the caller passes in, m an integer multiplier applied once per left
-row.  ``combination`` is the one kernel entry, and every product and
-commutator is a one-term ``combination``.  It sums products c * a * b
-and brackets c * [a, b] with rational c: it picks one layout wide enough
-for all of its pairs, brings every term to the common denominator
-lcm(den_c * den_a * den_b) and runs every sweep into one accumulator,
-so a sum such as a relation residual is decoded and reduced once, and
-the intermediates that cancel are never built.
+row.  ``combination_group`` is the one kernel entry.  It takes shared
+terms and members, each term a product c * a * b or a bracket
+c * [a, b] with rational c, and gives for each member (sign, terms)
+sign * (the shared sum) + (its terms' sum).  It picks one layout wide
+enough for every pair of the call, sweeps the shared terms once into
+one accumulator over their common denominator lcm(den_c * den_a *
+den_b), and each member starts from a copy of that accumulator, brought
+to its own common denominator, and sweeps its terms into it.  Each sum
+is decoded and reduced once, so the intermediates that cancel are never
+built.  ``combination`` is the one-member group, every product and
+commutator a one-term ``combination``, and a relation residual a member
+whose shared term is the left-hand bracket: the relation sweep
+computes each bracket once for all the tuples that give it up to sign
+(``racah.relation_residuals``), which takes about a third off a
+reduced-model run (BENCH_shared_brackets.json).
 
 Both pair sweeps run on packed keys: each (monomial, parameter
 exponent) key becomes one int of fixed-width offset-binary fields, field
@@ -213,15 +221,15 @@ class _Layout:
         self.dbits = (0,) * nvars + self.xbits
         self.fields = struct.Struct(f"<{nfields}{code}")
 
-    def decode(self, acc: dict[int, int]) -> dict[tuple, int]:
-        """Packed key -> num as the nonzero (mono, pexp) -> num."""
+    def decode(self, acc: dict[int, int], sign: int = 1) -> dict[tuple, int]:
+        """Packed key -> num as the nonzero (mono, pexp) -> sign * num."""
         bias, nbytes, unpack, split = self.bias, self.fields.size, self.fields.unpack, 2 * self.nvars
         out = {}
         for k, q in acc.items():
             if q:
                 t = unpack((k ^ bias).to_bytes(nbytes, "little"))
                 out[t[:split], t[split:]] = q
-        return out
+        return out if sign == 1 else {key: -q for key, q in out.items()}
 
 
 @lru_cache(maxsize=None)
@@ -686,35 +694,86 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return combination(((1, a, b, True),))
 
 
-def combination(terms: Sequence[tuple[Fraction | int, Operator, Operator, bool]]) -> Operator:
+Term = tuple[Union[Fraction, int], Operator, Operator, bool]
+
+
+def combination(terms: Sequence[Term]) -> Operator:
     """sum c * a * b over the terms (c, a, b, False) plus c * [a, b] over the terms (c, a, b, True).
 
     Each coefficient c must be an int or a Fraction; its ``numerator``
-    and ``denominator`` are read directly.  Every term runs its sweep
-    into one packed accumulator, at one layout wide enough for all of
-    its pairs and over the common denominator den = lcm(den_c * den_a *
-    den_b), each term's numerators multiplied by num_c * den / (den_c *
-    den_a * den_b).  Only the sum is decoded and reduced, so
-    intermediates that cancel are never built; a zero sum decodes
-    nothing.  The result equals the sum of the terms taken one at a
-    time (``*`` and ``commutator`` are one-term combinations) and added
-    with ``+`` and ``-``, terms and denominator alike.
-    Operands in different signatures raise ValueError, and exponents
-    too large for 64-bit packed fields OverflowError.
+    and ``denominator`` are read directly.  The result equals the sum of
+    the terms taken one at a time (``*`` and ``commutator`` are
+    one-term combinations) and added with ``+`` and ``-``, terms and
+    denominator alike.  It is the one-member ``combination_group`` of
+    the terms.
     """
-    if not terms:
+    return combination_group(terms, _ONE_MEMBER)[0]
+
+
+_ONE_MEMBER = ((1, ()),)
+
+
+def combination_group(shared: Sequence[Term], members: Sequence[tuple[int, Sequence[Term]]]) -> list[Operator]:
+    """[sign * combination(shared) + combination(terms) for sign, terms in members], sweeping shared once.
+
+    The one kernel entry; each sign is 1 or -1 (ValueError otherwise).
+    Every sweep runs at one layout wide enough for the pairs of the
+    shared terms and of every member.  The shared terms sweep once into
+    one packed accumulator over their common denominator den_s =
+    lcm(den_c * den_a * den_b), each term's numerators multiplied by
+    num_c * den_s / (den_c * den_a * den_b).  A member (sign, terms)
+    has the common denominator den = lcm(den_s, its terms' den_c *
+    den_a * den_b); it copies the accumulator times den / den_s (a plain
+    copy when that is 1, in which case the last member takes the
+    accumulator itself), sweeps its own terms times sign into the copy,
+    and decodes sign times the sum, as sign * (x + sign * y) = sign * x
+    + y.  Only each member's sum is
+    decoded and reduced, so intermediates that cancel are never built,
+    and by bilinearity each result equals the ``combination`` of the
+    sign-scaled shared terms and the member's terms, terms and
+    denominator alike.  An empty ``shared`` raises ValueError, operands
+    in different signatures ValueError, and exponents too large for
+    64-bit packed fields OverflowError.
+    """
+    if not shared:
         raise ValueError("a combination needs at least one term")
-    first = terms[0][1]
-    for _, a, b, _ in terms:
+    every = list(shared)
+    for _, terms in members:
+        every += terms
+    first = shared[0][1]
+    for _, a, b, _ in every:
         first._check_sig(a)
         first._check_sig(b)
-    layout = _layout_for([(a, b) for _, a, b, _ in terms])
-    dens = [c.denominator * a.den * b.den for c, a, b, _ in terms]
-    den = lcm(*dens)
+    layout = _layout_for([(a, b) for _, a, b, _ in every])
+    den = _common_den(shared)
     acc: dict[int, int] = {}
-    for (c, a, b, bracket), d in zip(terms, dens):
-        (_commutator if bracket else _product)(acc, layout, a, b, c.numerator * (den // d))
-    return Operator._make(first.sig, layout.decode(acc), den)
+    _sweep(acc, layout, shared, den, 1)
+    out = []
+    last = len(members) - 1
+    for index, (sign, terms) in enumerate(members):
+        if sign != 1 and sign != -1:
+            raise ValueError(f"a member's sign must be 1 or -1, not {sign!r}")
+        member_den = lcm(den, _common_den(terms)) if terms else den
+        scale = member_den // den
+        if scale != 1:
+            member = {key: q * scale for key, q in acc.items()}
+        else:
+            member = acc if index == last else dict(acc)
+        if terms:
+            _sweep(member, layout, terms, member_den, sign)
+        out.append(Operator._make(first.sig, layout.decode(member, sign), member_den))
+    return out
+
+
+def _common_den(terms: Sequence[Term]) -> int:
+    return lcm(*[c.denominator * a.den * b.den for c, a, b, _ in terms])
+
+
+def _sweep(acc: dict[int, int], layout: _Layout, terms: Sequence[Term], den: int, m: int) -> None:
+    """Add m * (the numerators of every term over den) to acc."""
+    for c, a, b, bracket in terms:
+        factor = m * c.numerator * (den // (c.denominator * a.den * b.den))
+        (_commutator if bracket else _product)(acc, layout, a, b, factor)
 
 
 class Polynomial(_FlatTerms):

@@ -16,6 +16,7 @@ from racahverify.weyl import Operator, Polynomial
 
 GOLDEN_N3 = Path(__file__).parent / "data" / "cli_n3.jsonl"
 GOLDEN_N4_SYMBOLIC = Path(__file__).parent / "data" / "cli_n4_symbolic.jsonl"
+GOLDEN_N5_RELATIONS = Path(__file__).parent / "data" / "cli_n5_relations.jsonl"
 
 
 def run_main(args, capsys):
@@ -146,6 +147,14 @@ def test_symbolic_suites_match_golden_lines_at_rank_four(capsys):
     code, lines = run_main(["--n", "4", "--suite", "o2n,su11,howe,racah,reduction", "--json"], capsys)
     assert code == 0
     golden = [json.loads(ln) for ln in GOLDEN_N4_SYMBOLIC.read_text().splitlines()]
+    assert _strip_times(json.loads(ln) for ln in lines) == golden
+
+
+def test_relation_suites_match_golden_lines_at_rank_five(capsys):
+    # the one golden with relation (e), whose arity is 5
+    code, lines = run_main(["--n", "5", "--suite", "racah,reduction", "--json"], capsys)
+    assert code == 0
+    golden = [json.loads(ln) for ln in GOLDEN_N5_RELATIONS.read_text().splitlines()]
     assert _strip_times(json.loads(ln) for ln in lines) == golden
 
 

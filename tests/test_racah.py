@@ -1,20 +1,29 @@
 """Commutant invariants and the five quadratic relations."""
 
+import copy
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from racahverify import racah
+from racahverify._parallel import run_tasks
 from racahverify.liealg import PairUnion, SO2nContext, casimir_CA, make_L
 from racahverify.racah import (
     RELATION_ARITY,
+    RELATIONS,
     Basis,
     CommutantBasis,
+    bracket_key,
     check_commutant_property,
     dependency_residual,
     make_G,
     make_K,
+    relation_groups,
     relation_residual,
+    relation_residuals,
+    sweep_relations,
     verify_dependency,
     verify_racah_relations,
 )
@@ -154,8 +163,36 @@ def test_f_antisymmetric_under_reversal(kind):
     basis = BASES3[kind]
     f123 = basis.f(1, 2, 3)
     assert basis.f(3, 2, 1) == -f123
-    # also when F^{321} is computed by its own bracket, not read from the memo
-    assert type(basis)(basis.ctx).f(3, 2, 1) == -f123
+    # also against the bracket taken at the reversed triple itself
+    c2 = lambda i, j: basis.C2[(min(i, j), max(i, j))]
+    assert commutator(c2(3, 2), c2(2, 1)) * Fraction(1, 2) == -f123
+
+
+def test_reduced_f_is_the_bracket_at_every_ordering():
+    # F is one bracket per 3-subset, every other ordering its signed copy;
+    # here each ordering is held to the bracket built for that ordering.
+    basis = ReducedBasis(ReducedContext(4))
+    c2 = lambda i, j: basis.C2[(min(i, j), max(i, j))]
+    for i, j, l in sorted(itertools.permutations(range(1, 5), 3), reverse=True):
+        assert basis.f(i, j, l) == commutator(c2(i, j), c2(j, l)) * Fraction(1, 2), (i, j, l)
+
+
+@pytest.mark.parametrize("kind", ["commutant", "reduced"])
+def test_f_warm_up_takes_one_commutator_per_subset(kind, monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return commutator(a, b)
+
+    monkeypatch.setattr(racah, "commutator", counted)
+    basis = CommutantBasis(SO2nContext(5)) if kind == "commutant" else ReducedBasis(ReducedContext(5))
+    for t in itertools.permutations(range(1, 6), 3):
+        basis.f(*t)
+    assert len(calls) == comb(5, 3) == 10
+    # the six orderings of a subset share two objects, F and -F
+    orbit = {id(basis.f(*t)) for t in itertools.permutations((2, 4, 5))}
+    assert len(orbit) == 2
 
 
 def test_both_bases_share_one_f_in_their_own_namespace():
@@ -249,3 +286,91 @@ def test_dependency_rejects_repeated_factors():
             dependency_residual(CTX3, subset, BASIS3)
         with pytest.raises(ValueError):
             verify_dependency(CTX3, subset, basis=BASIS3)
+
+
+def test_bracket_keys_group_two_four_and_eight_tuples():
+    sizes = {}
+    for rel, tuples in relation_groups(5):
+        sizes.setdefault(rel, set()).add(len(tuples))
+    assert sizes == {"a": {2}, "b": {2}, "c": {2}, "d": {4}, "e": {8}}
+    assert sum(1 for _ in relation_groups(5)) == 30 + 30 + 60 + 30 + 15
+    # [P^{12}, P^{23}] and [P^{32}, P^{21}] = -[P^{12}, P^{23}]
+    assert bracket_key("a", (1, 2, 3)) == ((("P", (1, 2)), ("P", (2, 3))), 1)
+    assert bracket_key("a", (3, 2, 1)) == ((("P", (1, 2)), ("P", (2, 3))), -1)
+    # [F^{213}, F^{134}] = [-F^{123}, F^{134}]
+    assert bracket_key("d", (2, 1, 3, 4)) == ((("F", (1, 2, 3)), ("F", (1, 3, 4))), -1)
+    # [P^{34}, F^{123}] is put in sorted order as -[F^{123}, P^{34}]
+    assert bracket_key("c", (1, 2, 3, 4)) == ((("F", (1, 2, 3)), ("P", (3, 4))), -1)
+
+
+def _per_tuple(basis, c):
+    return {(rel, t): relation_residual(rel, t, basis.p, basis.f, c)
+            for rel, tuples in relation_groups(basis.ctx.n) for t in tuples}
+
+
+def _assert_groups_match_per_tuple(basis, c, reference):
+    for jobs in (1, 2, 3):
+        groups = relation_groups(basis.ctx.n)
+        residuals = run_tasks(lambda g: relation_residuals(*g, basis.p, basis.f, c), groups, jobs)
+        for (rel, tuples), got in zip(groups, residuals, strict=True):
+            for t, residual in zip(tuples, got, strict=True):
+                expected = reference[rel, t]
+                assert (residual.terms, residual.den) == (expected.terms, expected.den), (rel, t, jobs)
+
+
+def _assert_sweep_matches_per_tuple(basis, reference, jobs):
+    report = sweep_relations(basis, jobs)
+    order = list(RELATIONS)
+    expected = sorted((order.index(rel), t, r.is_zero(), r.term_count()) for (rel, t), r in reference.items())
+    got = [(order.index(e.relation), e.indices, e.passed, e.residual_terms) for e in report.entries]
+    assert got == expected
+    return report
+
+
+@pytest.mark.parametrize("kind", ["commutant", "reduced"])
+def test_grouped_sweep_equals_relation_residual_tuple_by_tuple(kind, bases5):
+    basis = bases5[kind]
+    reference = _per_tuple(basis, basis.c)
+    assert len(reference) == 480 and all(r.is_zero() for r in reference.values())
+    _assert_groups_match_per_tuple(basis, basis.c, reference)
+    assert _assert_sweep_matches_per_tuple(basis, reference, 2).all_passed()
+
+
+def test_grouped_sweep_keeps_wrong_shift_residuals(bases5):
+    # C = -G/4 + 1/4 breaks (b) and (d), the relations with C-terms; the
+    # copy shares P and the F memo, which do not read C1
+    basis = copy.copy(bases5["commutant"])
+    quarter = Operator.constant(basis.ctx.signature, Fraction(1, 4))
+    basis.C1 = {i: g * Fraction(-1, 4) + quarter for i, g in basis.G.items()}
+    reference = _per_tuple(basis, basis.c)
+    broken = {rel for (rel, _), r in reference.items() if not r.is_zero()}
+    assert broken == {"b", "d"}
+    _assert_groups_match_per_tuple(basis, basis.c, reference)
+    report = _assert_sweep_matches_per_tuple(basis, reference, 3)
+    assert {e.relation for e in report.entries if not e.passed} == {"b", "d"}
+
+
+def test_relation_residuals_refuse_tuples_with_different_brackets():
+    with pytest.raises(ValueError, match="do not share one left-hand bracket"):
+        relation_residuals("a", [(1, 2, 3), (2, 1, 3)], BASIS3.p, BASIS3.f, BASIS3.c)
+
+
+@pytest.mark.parametrize("kind", ["commutant", "reduced"])
+def test_one_wrong_term_in_canonical_f_fails_relation_a_at_six_orderings(kind):
+    basis = CommutantBasis(SO2nContext(4)) if kind == "commutant" else ReducedBasis(ReducedContext(4))
+    wrong = basis.f(1, 2, 3) + Operator.x(basis.ctx.signature, 1)
+    negated = -wrong
+    for t in itertools.permutations((1, 2, 3)):
+        basis._F[t] = wrong if t in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else negated
+    failed = {e.indices for e in sweep_relations(basis).entries if e.relation == "a" and not e.passed}
+    assert failed == set(itertools.permutations((1, 2, 3)))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raising_group_names_relation_and_tuple(jobs):
+    basis = CommutantBasis(CTX3)
+    basis.C1 = {}
+    # the first failing slice in worker order wins: (1, 2, 3)'s group at one job
+    tuple_ = r"\(1, 2, 3\)" if jobs == 1 else r"\(\d, \d, \d\)"
+    with pytest.raises(RuntimeError, match=rf"check b {tuple_} raised KeyError\(\d\) in a group of 2 tuples"):
+        sweep_relations(basis, jobs)
