@@ -21,7 +21,7 @@ with optional localized (Laurent) variables (weyl) over sparse
 rational-coefficient parameter polynomials (coeff).
 """
 
-from .coeff import ParamPoly, Rational, rational
+from .coeff import ParamPoly
 from .weyl import (
     AlgebraSignature,
     Operator,
@@ -37,9 +37,7 @@ __all__ = [
     "Operator",
     "ParamPoly",
     "Polynomial",
-    "Rational",
     "commutator",
     "parse_operator",
-    "rational",
     "__version__",
 ]

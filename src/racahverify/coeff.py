@@ -20,14 +20,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-Rational = Fraction
-
 ScalarLike = Union[int, Fraction, "ParamPoly"]
-
-
-def rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Build a normalized rational; raises ZeroDivisionError on p/0."""
-    return Fraction(numerator, denominator)
 
 
 def _fraction(value: int | Fraction) -> Fraction:
@@ -105,10 +98,6 @@ class ParamPoly:
         return cls.const(nparams, value)
 
     @classmethod
-    def zero(cls, nparams: int) -> ParamPoly:
-        return cls(nparams)
-
-    @classmethod
     def param(cls, nparams: int, index: int) -> ParamPoly:
         """The single parameter a_index (1-based)."""
         if not 1 <= index <= nparams:
@@ -145,10 +134,6 @@ class ParamPoly:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
         return self.terms[(0,) * self.nparams]
-
-    def degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
 
     # -- arithmetic --------------------------------------------------------
 

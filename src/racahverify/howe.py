@@ -52,8 +52,9 @@ def all_pair_unions(ctx: SO2nContext, min_pairs: int = 1) -> list[PairUnion]:
 def casimir_table(ctx: SO2nContext, unions: Iterable[PairUnion]) -> dict[tuple[int, ...], Operator]:
     """{A.pairs: C^A} for the given unions, through the context's memo.
 
-    Built in the calling process before a sweep dispatches, as the
-    relation sweep warms F, so forked workers inherit every C^A.
+    Built in the calling process before a sweep dispatches, as a
+    relation basis builds every F at construction, so forked workers
+    inherit every C^A.
     """
     return {u.pairs: casimir_CA(ctx, u) for u in unions}
 

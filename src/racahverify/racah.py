@@ -21,13 +21,13 @@ pair is -(G^i + 1)/4, not -G^i/4 + 1/4; using the latter shift breaks
 relation (b) by the offset it induces in the C-terms (demonstrated in
 the test suite).
 
-Both realizations share one memoized basis type, Basis: given the
-one- and two-factor Casimirs C1^i and C2^{ij}, it derives P and
-computes F on first access.  CommutantBasis and reduction.ReducedBasis
-differ only in how they build C1 and C2.  The relations are data
-(``RELATIONS``), read through the basis accessors p(i,j), f(i,j,k),
-c(i), so one sweep verifies this realization and the dimensionally
-reduced one.
+Both realizations share one basis type, Basis: given the one- and
+two-factor Casimirs C1^i and C2^{ij}, it builds P and F completely at
+construction, so a sweep only looks them up.  CommutantBasis and
+reduction.ReducedBasis differ only in how they build C1 and C2.  The
+relations are data (``RELATIONS``), read through the basis accessors
+p(i,j), f(i,j,k), c(i), so one sweep verifies this realization and the
+dimensionally reduced one.
 
 F is antisymmetric in its three indices: C^{ij} + C^{jk} + C^{ik} =
 C^{ijk} + C^i + C^j + C^k and C^{ij} commutes with C^{ijk} (De Bie,
@@ -50,23 +50,24 @@ the one the tuple would give alone.
 The five relations, all indices pairwise distinct:
 
     a: [P^{ij}, P^{jk}] = 2 F^{ijk}
-    b: [P^{jk}, F^{ijk}] = P^{ik} P^{jk} - P^{jk} P^{ij}
-                           + 2 P^{ik} C^j - 2 P^{ij} C^k
+    b: [P^{jk}, F^{ijk}] = P^{ik} P^{jk} - P^{jk} P^{ij} + 2 P^{ik} C^j - 2 P^{ij} C^k
     c: [P^{kl}, F^{ijk}] = P^{ik} P^{jl} - P^{il} P^{jk}
-    d: [F^{ijk}, F^{jkl}] = F^{jkl} P^{ij} - F^{ikl} (P^{jk} + 2 C^j)
-                            - F^{ijk} P^{jl}
+    d: [F^{ijk}, F^{jkl}] = F^{jkl} P^{ij} - F^{ikl} P^{jk} - 2 F^{ikl} C^j - F^{ijk} P^{jl}
     e: [F^{ijk}, F^{klm}] = F^{ilm} P^{jk} - P^{ik} F^{jlm}
 
-Products on the right-hand sides are taken exactly in the order
-written; the algebra is noncommutative and the identities are
-order-sensitive.
+Products on the right-hand sides are taken in the order written, but
+only some orders matter: swapping the two factors of a product changes
+the residual only for the P P products of (b) and the F P products of
+(d), whose factors share an index.  The factors of every other product
+commute: F with 1 in (a), and factors on disjoint index sets in (c),
+(e) and the C-terms of (b) and (d).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from ._parallel import run_tasks
 from .liealg import PairUnion, SO2nContext, casimir_CA, decomposition_sum, make_L, rotation_squares
@@ -100,10 +101,6 @@ def make_K(ctx: SO2nContext, i: int, j: int) -> Operator:
     return rotation_squares(ctx, PairUnion((i, j)).variables())
 
 
-def _pair(family: Mapping[tuple[int, int], Operator], i: int, j: int) -> Operator:
-    return family[(i, j) if i < j else (j, i)]
-
-
 def _parity(indices: Sequence[int]) -> int:
     """The sign of the permutation that sorts the distinct indices."""
     inversions = sum(x > y for x, y in itertools.combinations(indices, 2))
@@ -111,46 +108,45 @@ def _parity(indices: Sequence[int]) -> int:
 
 
 class Basis:
-    """P, C and the memoized F of one realization of the relations.
+    """P, C and F of one realization of the relations, complete at construction.
 
     ctx is the realization's context (its n sizes the sweep); C1 maps i
     to C1^i, and C2 maps i < j to C2^{ij}.  P^{ij} = C2^{ij} - C1^i -
-    C1^j is built eagerly.  F is antisymmetric by construction: the
-    first access to any ordering of a 3-subset i < j < k computes the
-    one commutator F^{ijk} = (1/2)[C2^{ij}, C2^{jk}] and its negation,
-    and caches all six orderings, the even ones as F^{ijk} and the odd
-    ones as the one shared -F^{ijk}.  So C(n, 3) commutators warm F.
-    Relation (a) checks the orderings against [P, P].
+    C1^j is stored under both index orders.  F is antisymmetric by
+    construction: each 3-subset i < j < k takes the one commutator
+    F^{ijk} = (1/2)[C2^{ij}, C2^{jk}] and its negation, stored under all
+    six orderings, the even ones as F^{ijk} and the odd ones as the one
+    shared -F^{ijk}.  So C(n, 3) commutators build F, and p, c and f are
+    plain lookups.  Relation (a) checks the orderings against [P, P].
     """
 
     def __init__(self, ctx, C1: dict[int, Operator], C2: dict[tuple[int, int], Operator]):
         self.ctx = ctx
         self.C1 = C1
         self.C2 = C2
-        self.P = {(i, j): c - C1[i] - C1[j] for (i, j), c in C2.items()}
+        self.P: dict[tuple[int, int], Operator] = {}
+        for (i, j), c in C2.items():
+            self.P[i, j] = self.P[j, i] = c - C1[i] - C1[j]
         self._F: dict[tuple[int, int, int], Operator] = {}
+        for lo, mid, hi in itertools.combinations(range(1, ctx.n + 1), 3):
+            even = commutator(C2[lo, mid], C2[mid, hi]) * Fraction(1, 2)
+            odd = -even
+            for t in itertools.permutations((lo, mid, hi)):
+                self._F[t] = even if _parity(t) > 0 else odd
 
     def p(self, i: int, j: int) -> Operator:
-        return _pair(self.P, i, j)
+        return self.P[i, j]
 
     def c(self, i: int) -> Operator:
         return self.C1[i]
 
     def f(self, i: int, j: int, k: int) -> Operator:
-        op = self._F.get((i, j, k))
-        if op is None:
-            lo, mid, hi = sorted((i, j, k))
-            even = commutator(self.C2[(lo, mid)], self.C2[(mid, hi)]) * Fraction(1, 2)
-            odd = -even
-            for t in itertools.permutations((lo, mid, hi)):
-                self._F[t] = even if _parity(t) > 0 else odd
-            op = self._F[(i, j, k)]
-        return op
+        return self._F[i, j, k]
 
 
 class CommutantBasis(Basis):
-    """The rescaled invariants of one context: G, K, C1, C2, P eagerly,
-    F^{ijk} = (1/2)[C2^{ij}, C2^{jk}] on demand.
+    """The rescaled invariants of one context: G, K, C1, C2, P and
+    F^{ijk} = (1/2)[C2^{ij}, C2^{jk}], all built at construction.
 
     As C2^{ij} = -K^{ij}/4, F^{ijk} equals [K^{ij}, K^{jk}]/32.  F is
     bracketed from the C2's, not from the P's: the C2's have fewer
@@ -238,9 +234,12 @@ def bracket_key(rel: str, t: Sequence[int]) -> tuple[tuple, int]:
     P is symmetric, and F carries the sign of the permutation that sorts
     its indices.  The pair is put in sorted order, which flips the sign
     once if it swaps the operands.  So [A, B] at t is sign * [A0, B0]
-    for the canonical pair (A0, B0).
+    for the canonical pair (A0, B0).  A tuple whose length is not the
+    relation's arity, or whose indices repeat, raises ValueError.
     """
     letters, bracket, _ = RELATIONS[rel]
+    if len(t) != len(letters) or len(set(t)) != len(t):
+        raise ValueError(f"relation {rel} needs {len(letters)} pairwise distinct indices, not {tuple(t)}")
     index = dict(zip(letters, t))
     operands, sign = [], 1
     for name in bracket:
@@ -280,16 +279,14 @@ def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     tuples in permutation order; each carries an even share of its
     group's time.  Relations whose arity exceeds n get a single
     'skipped' entry after them: they have no admissible tuples at that
-    rank, and arities ascend, so those entries come last.  F is warmed
-    over all 3-subsets before dispatch, one commutator each, so parallel
-    workers share the memoized operators instead of recomputing them.
+    rank, and arities ascend, so those entries come last.  The basis
+    holds every P and F from its construction, so forked workers inherit
+    them and only look them up.
     """
     n = basis.ctx.n
     if n < 3:
         raise ValueError("the relation sweep needs at least three factors")
     p, f, c = basis.p, basis.f, basis.c
-    for t in itertools.combinations(range(1, n + 1), 3):
-        f(*t)
 
     def check_item(group: tuple[str, list[tuple[int, ...]]]) -> list[ReportEntry]:
         rel, tuples = group

@@ -158,7 +158,7 @@ def check_q_symmetry(ctx: ReducedContext, jobs: int = 1) -> RelationReport:
 
 
 class ReducedBasis(Basis):
-    """Rescaled Casimirs of the radial realization, memoized for sweeps.
+    """Rescaled Casimirs of the radial realization, built once for sweeps.
 
     P^{ij} = C^{ij} - C^i - C^j and F^{ijk} = (1/2)[C^{ij}, C^{jk}] for
     i < j < k, signed by permutation at other orderings, as in the

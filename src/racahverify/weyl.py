@@ -48,13 +48,14 @@ row.  ``combination_group`` is the one kernel entry.  It takes shared
 terms and members, each term a product c * a * b or a bracket
 c * [a, b] with rational c, and gives for each member (sign, terms)
 sign * (the shared sum) + (its terms' sum).  It picks one layout wide
-enough for every pair of the call, sweeps the shared terms once into
-one accumulator over their common denominator lcm(den_c * den_a *
-den_b), and each member starts from a copy of that accumulator, brought
-to its own common denominator, and sweeps its terms into it.  Each sum
-is decoded and reduced once, so the intermediates that cancel are never
-built.  ``combination`` is the one-member group, every product and
-commutator a one-term ``combination``, and a relation residual a member
+enough for every pair of the call and one denominator for the whole
+call, lcm(den_c * den_a * den_b) over the shared terms and every
+member's, sweeps the shared terms once into one accumulator over it,
+and each member starts from a plain copy of that accumulator and sweeps
+its terms into it.  Each sum is decoded and reduced once, so the
+intermediates that cancel are never built.  ``combination`` is the
+one-member group, every product and commutator a one-term
+``combination``, and a relation residual a member
 whose shared term is the left-hand bracket: the relation sweep
 computes each bracket once for all the tuples that give it up to sign
 (``racah.relation_residuals``), which takes about a third off a
@@ -536,10 +537,7 @@ class Operator(_FlatTerms):
 
     @classmethod
     def constant(cls, sig: AlgebraSignature, value: CoeffLike) -> Operator:
-        c = sig.coeff(value)
-        if not c:
-            return cls(sig)
-        return cls(sig, {(0,) * (2 * sig.num_vars): c})
+        return cls(sig, {(0,) * (2 * sig.num_vars): sig.coeff(value)})
 
     @classmethod
     def monomial(
@@ -718,22 +716,20 @@ def combination_group(shared: Sequence[Term], members: Sequence[tuple[int, Seque
 
     The one kernel entry; each sign is 1 or -1 (ValueError otherwise).
     Every sweep runs at one layout wide enough for the pairs of the
-    shared terms and of every member.  The shared terms sweep once into
-    one packed accumulator over their common denominator den_s =
-    lcm(den_c * den_a * den_b), each term's numerators multiplied by
-    num_c * den_s / (den_c * den_a * den_b).  A member (sign, terms)
-    has the common denominator den = lcm(den_s, its terms' den_c *
-    den_a * den_b); it copies the accumulator times den / den_s (a plain
-    copy when that is 1, in which case the last member takes the
-    accumulator itself), sweeps its own terms times sign into the copy,
+    shared terms and of every member, and over one denominator den =
+    lcm(den_c * den_a * den_b) over those same terms, each term's
+    numerators multiplied by num_c * den / (den_c * den_a * den_b).  The
+    shared terms sweep once into one packed accumulator.  A member
+    (sign, terms) starts from a plain copy of it (the last member takes
+    the accumulator itself), sweeps its own terms times sign into it,
     and decodes sign times the sum, as sign * (x + sign * y) = sign * x
-    + y.  Only each member's sum is
-    decoded and reduced, so intermediates that cancel are never built,
-    and by bilinearity each result equals the ``combination`` of the
-    sign-scaled shared terms and the member's terms, terms and
-    denominator alike.  An empty ``shared`` raises ValueError, operands
-    in different signatures ValueError, and exponents too large for
-    64-bit packed fields OverflowError.
+    + y.  Only each member's sum is decoded and reduced to lowest terms,
+    so intermediates that cancel are never built, and by bilinearity
+    each result equals the ``combination`` of the sign-scaled shared
+    terms and the member's terms, terms and denominator alike.  An
+    empty ``shared`` raises ValueError, operands in different signatures
+    ValueError, and exponents too large for 64-bit packed fields
+    OverflowError.
     """
     if not shared:
         raise ValueError("a combination needs at least one term")
@@ -745,7 +741,7 @@ def combination_group(shared: Sequence[Term], members: Sequence[tuple[int, Seque
         first._check_sig(a)
         first._check_sig(b)
     layout = _layout_for([(a, b) for _, a, b, _ in every])
-    den = _common_den(shared)
+    den = lcm(*[c.denominator * a.den * b.den for c, a, b, _ in every])
     acc: dict[int, int] = {}
     _sweep(acc, layout, shared, den, 1)
     out = []
@@ -753,20 +749,10 @@ def combination_group(shared: Sequence[Term], members: Sequence[tuple[int, Seque
     for index, (sign, terms) in enumerate(members):
         if sign != 1 and sign != -1:
             raise ValueError(f"a member's sign must be 1 or -1, not {sign!r}")
-        member_den = lcm(den, _common_den(terms)) if terms else den
-        scale = member_den // den
-        if scale != 1:
-            member = {key: q * scale for key, q in acc.items()}
-        else:
-            member = acc if index == last else dict(acc)
-        if terms:
-            _sweep(member, layout, terms, member_den, sign)
-        out.append(Operator._make(first.sig, layout.decode(member, sign), member_den))
+        member = acc if index == last else dict(acc)
+        _sweep(member, layout, terms, den, sign)
+        out.append(Operator._make(first.sig, layout.decode(member, sign), den))
     return out
-
-
-def _common_den(terms: Sequence[Term]) -> int:
-    return lcm(*[c.denominator * a.den * b.den for c, a, b, _ in terms])
 
 
 def _sweep(acc: dict[int, int], layout: _Layout, terms: Sequence[Term], den: int, m: int) -> None:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from racahverify.coeff import ParamPoly, parse_param_poly, rational
+from racahverify.coeff import ParamPoly, parse_param_poly
 
 small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 
@@ -22,7 +22,7 @@ values2 = st.tuples(small_fractions, small_fractions)
 
 
 def test_zero_and_const():
-    z = ParamPoly.zero(3)
+    z = ParamPoly(3)
     assert z.is_zero()
     assert not z
     assert ParamPoly.const(3, 0) == z
@@ -36,7 +36,6 @@ def test_param_basics():
     a2 = ParamPoly.param(2, 2)
     assert a1 != a2
     assert not a1.is_constant()
-    assert (a1 * a2).degree() == 2
     assert a1.evaluate((Fraction(3), Fraction(7))) == 3
     with pytest.raises(ValueError):
         ParamPoly.param(2, 3)
@@ -48,7 +47,7 @@ def test_arity_mismatch_rejected():
     with pytest.raises(ValueError):
         ParamPoly.param(2, 1) + ParamPoly.param(3, 1)
     with pytest.raises(ValueError):
-        ParamPoly.param(2, 1) * ParamPoly.zero(1)
+        ParamPoly.param(2, 1) * ParamPoly(1)
 
 
 def test_scalar_coercion():
@@ -68,11 +67,6 @@ def test_constant_value_requires_constant():
     a = ParamPoly.param(1, 1)
     with pytest.raises(ValueError):
         a.constant_value()
-
-
-def test_rational_helper():
-    assert rational(3, 6) == Fraction(1, 2)
-    assert rational(5) == 5
 
 
 def test_pow():
@@ -97,7 +91,7 @@ def test_mul_associative_distributive(p, q, r):
 
 @given(polys2)
 def test_additive_inverse(p):
-    assert p + (-p) == ParamPoly.zero(2)
+    assert p + (-p) == ParamPoly(2)
     assert p - p == 0
 
 
@@ -115,7 +109,7 @@ def test_text_round_trip(p):
 def test_str_examples():
     a1 = ParamPoly.param(2, 1)
     a2 = ParamPoly.param(2, 2)
-    assert str(ParamPoly.zero(2)) == "0"
+    assert str(ParamPoly(2)) == "0"
     assert str(ParamPoly.const(2, Fraction(-3, 4))) == "-3/4"
     p = a1 * a1 * Fraction(1, 2) + a2 - 1
     assert parse_param_poly(str(p), 2) == p

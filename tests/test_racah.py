@@ -4,10 +4,11 @@ import copy
 import itertools
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from racahverify import racah
+from racahverify import racah, weyl
 from racahverify._parallel import run_tasks
 from racahverify.liealg import PairUnion, SO2nContext, casimir_CA, make_L
 from racahverify.racah import (
@@ -148,8 +149,8 @@ def test_p_symmetric_access():
 
 def test_commutant_f_is_the_bracket_of_k():
     # F is bracketed from the C2's; this is the one check that ties it to the K's.
-    # Every ordered triple at n=4, descending ones first, so some are read
-    # from the reversal memo and K is read at swapped keys.
+    # Every ordered triple at n=4, descending ones first, so the odd
+    # orderings are checked too and K is read at swapped keys.
     basis = CommutantBasis(SO2nContext(4))
     k = lambda i, j: basis.K[(min(i, j), max(i, j))]
     for i, j, l in sorted(itertools.permutations(range(1, 5), 3), reverse=True):
@@ -179,6 +180,7 @@ def test_reduced_f_is_the_bracket_at_every_ordering():
 
 @pytest.mark.parametrize("kind", ["commutant", "reduced"])
 def test_f_warm_up_takes_one_commutator_per_subset(kind, monkeypatch):
+    # F is built during construction, the one place racah brackets C2's
     calls = []
 
     def counted(a, b):
@@ -187,12 +189,35 @@ def test_f_warm_up_takes_one_commutator_per_subset(kind, monkeypatch):
 
     monkeypatch.setattr(racah, "commutator", counted)
     basis = CommutantBasis(SO2nContext(5)) if kind == "commutant" else ReducedBasis(ReducedContext(5))
+    assert len(calls) == comb(5, 3) == 10
     for t in itertools.permutations(range(1, 6), 3):
         basis.f(*t)
-    assert len(calls) == comb(5, 3) == 10
+    assert len(calls) == 10
     # the six orderings of a subset share two objects, F and -F
     orbit = {id(basis.f(*t)) for t in itertools.permutations((2, 4, 5))}
     assert len(orbit) == 2
+
+
+@pytest.mark.parametrize("kind", ["commutant", "reduced"])
+def test_fresh_basis_holds_every_p_and_f_and_looks_them_up(kind, monkeypatch):
+    basis = CommutantBasis(SO2nContext(5)) if kind == "commutant" else ReducedBasis(ReducedContext(5))
+    assert set(basis._F) == set(itertools.permutations(range(1, 6), 3))
+    assert len(basis._F) == 6 * comb(5, 3)
+    assert set(basis.P) == set(itertools.permutations(range(1, 6), 2))
+    assert all(basis.P[i, j] is basis.P[j, i] for i, j in basis.P)
+    calls = []
+    kernel = weyl.combination_group
+
+    def counted(shared, members):
+        calls.append(len(members))
+        return kernel(shared, members)
+
+    monkeypatch.setattr(weyl, "combination_group", counted)
+    for t in itertools.permutations(range(1, 6), 3):
+        basis.f(*t)
+    for t in itertools.permutations(range(1, 6), 2):
+        basis.p(*t)
+    assert calls == []
 
 
 def test_both_bases_share_one_f_in_their_own_namespace():
@@ -338,7 +363,7 @@ def test_grouped_sweep_equals_relation_residual_tuple_by_tuple(kind, bases5):
 
 def test_grouped_sweep_keeps_wrong_shift_residuals(bases5):
     # C = -G/4 + 1/4 breaks (b) and (d), the relations with C-terms; the
-    # copy shares P and the F memo, which do not read C1
+    # copy shares P and F, which were built from the right C1
     basis = copy.copy(bases5["commutant"])
     quarter = Operator.constant(basis.ctx.signature, Fraction(1, 4))
     basis.C1 = {i: g * Fraction(-1, 4) + quarter for i, g in basis.G.items()}
@@ -348,6 +373,61 @@ def test_grouped_sweep_keeps_wrong_shift_residuals(bases5):
     _assert_groups_match_per_tuple(basis, basis.c, reference)
     report = _assert_sweep_matches_per_tuple(basis, reference, 3)
     assert {e.relation for e in report.entries if not e.passed} == {"b", "d"}
+
+
+@pytest.mark.parametrize("t", [(1, 2, 3, 4), (1, 2), (1, 1, 2)])
+def test_relation_residual_refuses_a_tuple_of_wrong_length_or_repeated_indices(t):
+    message = rf"relation a needs 3 pairwise distinct indices, not \({', '.join(map(str, t))}\)"
+    with pytest.raises(ValueError, match=message):
+        bracket_key("a", t)
+    with pytest.raises(ValueError, match=message):
+        relation_residual("a", t, BASIS3.p, BASIS3.f, BASIS3.c)
+    with pytest.raises(ValueError, match=message):
+        relation_residuals("a", [(1, 2, 3), t], BASIS3.p, BASIS3.f, BASIS3.c)
+
+
+def _generator(name):
+    """"Pij" as P^{ij}, "Cj" as C^j."""
+    return f"{name[0]}^{name[1]}" if len(name) == 2 else f"{name[0]}^{{{name[1:]}}}"
+
+
+def _rendered_relations():
+    """RELATIONS as one line per relation, every product written out."""
+    lines = []
+    for rel, (_, bracket, rhs) in RELATIONS.items():
+        right = ""
+        for r, x, y in rhs:
+            sign = "-" if r < 0 else "+"
+            term = " ".join(([str(abs(r))] if abs(r) != 1 else []) + [_generator(g) for g in (x, y) if g != "1"])
+            right += f" {sign} {term}" if right else ("- " if r < 0 else "") + term
+        lines.append(f"{rel}: [{', '.join(map(_generator, bracket))}] = {right}")
+    return "\n".join(lines)
+
+
+def test_relation_lists_in_docstring_and_readme_are_the_table():
+    rendered = _rendered_relations()
+    assert "d: [F^{ijk}, F^{jkl}] = F^{jkl} P^{ij} - F^{ikl} P^{jk} - 2 F^{ikl} C^j - F^{ijk} P^{jl}" in rendered
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("4. **The quadratic relations**"):readme.index("5. **Radial reduction**")]
+    for text in (racah.__doc__, section):
+        assert rendered in "\n".join(line.strip() for line in text.splitlines())
+
+
+@pytest.mark.parametrize("kind", ["commutant", "reduced"])
+def test_only_the_p_p_of_b_and_the_f_p_of_d_are_order_sensitive(kind, bases5):
+    # the docstring's claim: swapping X Y changes a residual by r [Y, X]
+    basis = bases5[kind]
+    accessors = {"P": basis.p, "F": basis.f, "C": basis.c}
+    sensitive = set()
+    for rel, (letters, _, rhs) in RELATIONS.items():
+        index = dict(zip(letters, range(1, len(letters) + 1)))
+        for r, x, y in rhs:
+            if "1" in (x, y):
+                continue
+            left, right = (accessors[g[0]](*(index[letter] for letter in g[1:])) for g in (x, y))
+            if not commutator(left, right).is_zero():
+                sensitive.add((rel, x[0] + y[0]))
+    assert sensitive == {("b", "PP"), ("d", "FP")}
 
 
 def test_relation_residuals_refuse_tuples_with_different_brackets():
