@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 ScalarLike = Union[int, Fraction, "ParamPoly"]
 
@@ -106,19 +106,7 @@ class ParamPoly:
         e[index - 1] = 1
         return cls(nparams, {tuple(e): Fraction(1)})
 
-    @classmethod
-    def from_terms(cls, nparams: int, terms: Iterable[tuple[tuple, int | Fraction]]) -> ParamPoly:
-        """Build from (exponent tuple, coefficient) pairs, merging duplicates."""
-        acc: dict[tuple, Fraction] = {}
-        for e, c in terms:
-            e = tuple(e)
-            acc[e] = acc.get(e, Fraction(0)) + _fraction(c)
-        return cls(nparams, acc)
-
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -262,8 +250,6 @@ def read_factor(factor: str, letters: str, count: int) -> tuple[str, int, int]:
 def parse_param_poly(text: str, nparams: int) -> ParamPoly:
     """Parse the textual format produced by ``str(ParamPoly)``."""
     text = text.strip()
-    if text == "0":
-        return ParamPoly(nparams)
     acc: dict[tuple, Fraction] = {}
     for term in text.split(" + "):
         coeff = Fraction(1)

@@ -24,12 +24,16 @@ Each C^A is built once per context: casimir_CA memoizes it in
 SO2nContext.casimir_memo, and every check here first builds its table
 {A.pairs: C^A} in the calling process (casimir_table), so forked
 workers read the operators instead of rebuilding them.  The memo serves
-only the coupled-triple side of each identity; the other side is built
-independently and never reads it.  liealg.casimir_closed_form sums the
-squared rotations through rotation_squares, and the correspondence
-compares with the C1 and C2
-that racah.CommutantBasis builds from G and K.  So no check compares
-an operator with itself.
+only the coupled-triple side of the closed-form and correspondence
+checks; their other side is built independently and never reads it.
+liealg.casimir_closed_form sums the squared rotations through
+rotation_squares, and the correspondence compares with the C1 and C2
+that racah.CommutantBasis builds from G and K.  Two kinds of entry do
+compare an operator with itself, so they hold whatever C^A is:
+casimir-decomposition at a two-pair union (a, b), whose decomposition
+has weight 0 and the one pair term C^{(ab)}, the memoized C^A itself;
+and intermediate-central at A = [n], the bracket [C^{[n]}, C^{[n]}].
+That is C(n, 2) + 1 entries per run: 6 + 1 at n=4, 10 + 1 at n=5.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ The orthogonal algebra o(2n) acts on 2n oscillator variables through
 with bracket [L_{mu,nu}, L_{rho,sigma}] = delta_{nu,rho} L_{mu,sigma}
 - delta_{nu,sigma} L_{mu,rho} - delta_{mu,rho} L_{nu,sigma}
 + delta_{mu,sigma} L_{nu,rho}.  This module builds those generators,
-sweeps the bracket relations, constructs the quadratic invariant
-sum_{mu<nu} L_{mu,nu}^2 (rotation_squares sums the L^2 over any set of
-variables), and houses the su(1,1) triples: one single-variable copy
+sweeps the bracket relations over one table that holds each generator
+under both index orders (L_{nu,mu} = -L_{mu,nu}, as the formula gives),
+constructs the quadratic invariant sum_{mu<nu} L_{mu,nu}^2
+(casimir_sum at bound 2n; rotation_squares sums the L^2 over any set
+of variables), and houses the su(1,1) triples: one single-variable copy
 per variable, and their coproducts J^A over unions A of factors
 (PairUnion), whose Casimirs C^A drive everything downstream, and the
 one decomposition of a C^A into one- and two-pair Casimirs
@@ -92,20 +94,18 @@ def make_L(ctx: SO2nContext, mu: int, nu: int) -> Operator:
 
 
 def _bracket_rhs(ctx: SO2nContext, L: dict, mu: int, nu: int, rho: int, sigma: int) -> Operator:
-    """The expansion of [L_{mu,nu}, L_{rho,sigma}] over the generators L[(a, b)], a < b."""
+    """The expansion of [L_{mu,nu}, L_{rho,sigma}] over the table L, which holds both index orders.
 
-    def delta(a: int, b: int) -> int:
-        return 1 if a == b else 0
-
+    Since L_{nu,mu} = -L_{mu,nu}, the four delta terms are one term,
+    delta_{p,q} L_{a,b}, summed over the orders (a, p) of (mu, nu) and
+    (q, b) of (rho, sigma), negated once per reversed pair.  For two
+    distinct generators no term that survives has a == b.
+    """
     out = Operator.zero(ctx.signature)
-    for coeff, a, b in (
-        (delta(nu, rho), mu, sigma),
-        (-delta(nu, sigma), mu, rho),
-        (-delta(mu, rho), nu, sigma),
-        (delta(mu, sigma), nu, rho),
-    ):
-        if coeff and a != b:
-            out = out + coeff * (L[(a, b)] if a < b else -L[(b, a)])
+    for (a, p), s in (((mu, nu), 1), ((nu, mu), -1)):
+        for (q, b), t in (((rho, sigma), 1), ((sigma, rho), -1)):
+            if p == q:
+                out = out + L[a, b] if s == t else out - L[a, b]
     return out
 
 
@@ -115,10 +115,16 @@ def check_o2n_relations(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     For m = 2n variables there are m(m-1)/2 generators and
     C(m(m-1)/2, 2) pairs; each entry records the residual of
     [L_{mu,nu}, L_{rho,sigma}] minus its structure-constant expansion.
+    The generator table is built once per mu < nu and holds each
+    generator under both index orders, L[nu, mu] = -L[mu, nu], so every
+    delta term of the expansion is one signed lookup in any order.  The
+    pairs swept here have (mu, nu) < (rho, sigma), so they read only
+    ascending entries.
     """
     m = ctx.num_vars
     gens = [(mu, nu) for mu in range(1, m + 1) for nu in range(mu + 1, m + 1)]
     L = {pair: make_L(ctx, *pair) for pair in gens}
+    L |= {(nu, mu): -op for (mu, nu), op in L.items()}
     quads = [g + h for g, h in itertools.combinations(gens, 2)]
     return run_checks("o2n", quads, lambda t: commutator(L[t[:2]], L[t[2:]]) - _bracket_rhs(ctx, L, *t), jobs)
 
@@ -154,11 +160,6 @@ def casimir_sum(ctx: SO2nContext, bound: int) -> Operator:
     if not 2 <= bound <= ctx.num_vars:
         raise ValueError(f"bound must lie in 2..{ctx.num_vars}")
     return rotation_squares(ctx, range(1, bound + 1))
-
-
-def quadratic_casimir(ctx: SO2nContext) -> Operator:
-    """The central quadratic invariant: sum of all L_{mu,nu}^2, mu < nu <= 2n."""
-    return casimir_sum(ctx, ctx.num_vars)
 
 
 def check_casimir_centrality(

@@ -166,7 +166,7 @@ def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
     L12 = liealg.make_L(ctx, 1, 2)
     L13 = liealg.make_L(ctx, 1, 3)
     L23 = liealg.make_L(ctx, 2, 3)
-    cas = liealg.quadratic_casimir(ctx)
+    cas = liealg.casimir_sum(ctx, ctx.num_vars)
     union12 = liealg.PairUnion((1, 2))
     rtriple = reduction.make_reduced_J(rctx, 1)
     q12 = reduction.make_Q(rctx, 1, 2)

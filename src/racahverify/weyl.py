@@ -128,9 +128,7 @@ from math import comb, gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Callable, Mapping, Sequence, Union
 
-from .coeff import ParamPoly, _fraction, _graded, _powers, parse_param_poly, read_factor, read_rational
-
-CoeffLike = Union[int, Fraction, ParamPoly]
+from .coeff import ParamPoly, ScalarLike, _fraction, _graded, _powers, parse_param_poly, read_factor, read_rational
 
 
 @dataclass(frozen=True)
@@ -174,7 +172,7 @@ class AlgebraSignature:
                     f"negative position exponent x{i + 1}^{a} on a non-localized variable"
                 )
 
-    def coeff(self, value: CoeffLike) -> ParamPoly:
+    def coeff(self, value: ScalarLike) -> ParamPoly:
         """value as a coefficient of this signature (``ParamPoly.of``)."""
         return ParamPoly.of(self.nparams, value)
 
@@ -536,7 +534,7 @@ class Operator(_FlatTerms):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, sig: AlgebraSignature, value: CoeffLike) -> Operator:
+    def constant(cls, sig: AlgebraSignature, value: ScalarLike) -> Operator:
         return cls(sig, {(0,) * (2 * sig.num_vars): sig.coeff(value)})
 
     @classmethod
@@ -545,7 +543,7 @@ class Operator(_FlatTerms):
         sig: AlgebraSignature,
         xexp: Sequence[int],
         dexp: Sequence[int],
-        coeff: CoeffLike = 1,
+        coeff: ScalarLike = 1,
     ) -> Operator:
         if len(xexp) != len(dexp):
             raise ValueError("exponent vector length differs from num_vars")
@@ -572,30 +570,22 @@ class Operator(_FlatTerms):
         m = self.sig.num_vars
         return max((sum(mo[m:]) for mo, _ in self.terms), default=0)
 
-    def constant_value(self) -> ParamPoly:
-        """Coefficient of the identity monomial (the rest must vanish)."""
-        ident = (0,) * (2 * self.sig.num_vars)
-        coefficients = self.coefficients()
-        if any(mo != ident for mo in coefficients):
-            raise ValueError(f"operator is not a multiple of the identity: {self}")
-        return coefficients.get(ident, ParamPoly(self.sig.nparams))
-
     # -- arithmetic --------------------------------------------------------
 
     # The tracer of perfbench/spans.py wraps these two in Operator's own namespace.
     __add__ = _FlatTerms.__add__
     __neg__ = _FlatTerms.__neg__
 
-    def __mul__(self, other: Union[Operator, CoeffLike]) -> Operator:
+    def __mul__(self, other: Union[Operator, ScalarLike]) -> Operator:
         """The normal-ordered product, a one-term ``combination``; OverflowError past 64-bit fields."""
         if isinstance(other, Operator):
             return combination(((1, self, other, False),))
         return self.scale(other)
 
-    def __rmul__(self, other: CoeffLike) -> Operator:
+    def __rmul__(self, other: ScalarLike) -> Operator:
         return self.scale(other)
 
-    def scale(self, value: CoeffLike) -> Operator:
+    def scale(self, value: ScalarLike) -> Operator:
         """value * self on the numerators: c = sum_pc q_c a^pc sends (mono, pe) -> (mono, pe + pc)."""
         c = self.sig.coeff(value)
         den = lcm(*(q.denominator for q in c.terms.values()))
@@ -777,7 +767,7 @@ class Polynomial(_FlatTerms):
         super().__init__(sig, terms)
 
     @classmethod
-    def monomial(cls, sig: AlgebraSignature, xexp: Sequence[int], coeff: CoeffLike = 1) -> Polynomial:
+    def monomial(cls, sig: AlgebraSignature, xexp: Sequence[int], coeff: ScalarLike = 1) -> Polynomial:
         return cls(sig, {tuple(xexp): sig.coeff(coeff)})
 
     def evaluate(self, coords: Sequence[Fraction], params: Sequence[Fraction] = ()) -> Fraction:
@@ -797,8 +787,6 @@ class Polynomial(_FlatTerms):
         terms are the products of the numerator column with those.
         """
         point = _check_point(self.sig, coords, params)
-        if not self.terms:
-            return Fraction(0)
         cols = list(zip(*(xe + pe for xe, pe in self.terms)))
         ranges = [(min(exps), max(exps)) for exps in map(set, cols)]
         tables, num, den = _power_tables(point, ranges)
@@ -957,8 +945,6 @@ def parse_operator(text: str, sig: AlgebraSignature) -> Operator:
     included, raises ValueError.
     """
     text = text.strip()
-    if text == "0":
-        return Operator.zero(sig)
     m = sig.num_vars
     terms: dict[tuple, ParamPoly] = {}
     for term in _TERM_SEP.split(text):

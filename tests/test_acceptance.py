@@ -212,12 +212,11 @@ def test_oracle_concordance(acceptance_record):
 
 
 def _random_param_poly(rng: random.Random, nparams: int) -> ParamPoly:
-    terms = []
+    terms: dict[tuple, Fraction] = {}
     for _ in range(rng.randint(1, 4)):
         exps = tuple(rng.randint(0, 3) for _ in range(nparams))
-        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        terms.append((exps, coeff))
-    return ParamPoly.from_terms(nparams, terms)
+        terms[exps] = terms.get(exps, 0) + Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return ParamPoly(nparams, terms)
 
 
 def _random_operator(rng: random.Random, sig: AlgebraSignature) -> Operator:
@@ -245,7 +244,7 @@ def test_property_suite_coefficient_ring(acceptance_record):
         ok = ok and p * q == q * p
         ok = ok and (p * q) * r == p * (q * r)
         ok = ok and p * (q + r) == p * q + p * r
-        ok = ok and (p - p).is_zero()
+        ok = ok and not (p - p)
         vals = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), 2))
         ok = ok and (p * q + r).evaluate(vals) == p.evaluate(vals) * q.evaluate(vals) + r.evaluate(vals)
         if not ok:

@@ -300,8 +300,8 @@ def test_one_pass_subtraction_matches_negate_then_add(kind, data):
 
 
 def test_mixed_denominator_parameter_coefficients():
-    c = ParamPoly.from_terms(2, [((1, 0), Fraction(2, 3)), ((0, 2), Fraction(-5, 4)), ((0, 0), 7)])
-    d = ParamPoly.from_terms(2, [((0, 1), Fraction(1, 6)), ((1, 0), Fraction(-2, 3))])
+    c = ParamPoly(2, {(1, 0): Fraction(2, 3), (0, 2): Fraction(-5, 4), (0, 0): 7})
+    d = ParamPoly(2, {(0, 1): Fraction(1, 6), (1, 0): Fraction(-2, 3)})
     x = Operator.monomial(PSIG, (-2, 1), (1, 2), c) + Operator.monomial(PSIG, (1, 0), (0, 1), d)
     y = Operator.monomial(PSIG, (3, -1), (2, 0), d) + Operator.monomial(PSIG, (0, 2), (1, 1), c)
     got = _assert_kernels_agree(x, y)
@@ -333,8 +333,8 @@ def test_fused_commutator_matches_product_difference(kind, data):
 
 
 def test_row_sweep_with_several_active_variables_in_both_directions():
-    c = ParamPoly.from_terms(2, [((1, 0), Fraction(2, 3)), ((0, 2), -1), ((0, 0), Fraction(1, 2))])
-    d = ParamPoly.from_terms(2, [((0, 1), Fraction(-5, 4)), ((2, 0), 3)])
+    c = ParamPoly(2, {(1, 0): Fraction(2, 3), (0, 2): -1, (0, 0): Fraction(1, 2)})
+    d = ParamPoly(2, {(0, 1): Fraction(-5, 4), (2, 0): 3})
     a = Operator.monomial(SIG3P, (0, -1, 2), (2, 1, 1), c) + Operator.monomial(SIG3P, (1, 0, 0), (0, 0, 2), d)
     b = Operator.monomial(SIG3P, (1, 2, 1), (0, 1, 2), d) + Operator.monomial(SIG3P, (2, -2, 0), (1, 0, 0), c)
     # a's first monomial meets b's first on three variables one way and two the other
@@ -498,7 +498,7 @@ def _boundary_operators(e):
     among a*b, b*a and a*a has few reorder terms.  (b*b would not.)
     """
     a1 = PSIG.param(1)
-    big = ParamPoly.from_terms(2, [((e, 0), Fraction(3, 2)), ((0, 1), -1)])
+    big = ParamPoly(2, {(e, 0): Fraction(3, 2), (0, 1): -1})
     a = (
         Operator.monomial(PSIG, (e, 1), (2, 0), a1)
         + Operator.monomial(PSIG, (-e, 0), (0, 1), big)
@@ -533,7 +533,7 @@ def test_exponents_beyond_64_bit_fields_raise():
             huge * Operator.d(sig, 1)
         with pytest.raises(OverflowError):
             commutator(Operator.d(sig, 2), huge)
-    a1 = ParamPoly.from_terms(2, [((2**62, 0), 1)])
+    a1 = ParamPoly(2, {(2**62, 0): 1})
     with pytest.raises(OverflowError):
         Operator.constant(PSIG, a1) * Operator.d(PSIG, 1)
     # just inside: 2 * (2^61 + 1) < 2^63
@@ -752,6 +752,12 @@ def test_zero_polynomial_evaluates_and_applies_to_zero():
         assert (zero.terms, zero.den) == ({}, 1)
         assert Operator.d(sig, 1).apply(zero) == zero
         assert Operator.zero(sig).apply(Polynomial.monomial(sig, (1, 1))) == zero
+        value = zero.evaluate((Fraction(1, 3),) * sig.num_vars, params)
+        assert value == 0 and type(value) is Fraction
+        with pytest.raises(ValueError):
+            zero.evaluate(coords[1:], params)
+        with pytest.raises(TypeError):
+            zero.evaluate((0.5,) * sig.num_vars, params)
 
 
 def test_negative_exponent_at_a_zero_localized_coordinate_raises():

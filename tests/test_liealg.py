@@ -18,7 +18,6 @@ from racahverify.liealg import (
     make_JA,
     make_L,
     make_metaplectic,
-    quadratic_casimir,
     rotation_squares,
     sum_triples,
 )
@@ -99,8 +98,19 @@ def test_o2n_relation_sweep_builds_each_generator_once(monkeypatch):
     assert len(calls) == 28
 
 
+def test_bracket_expansion_holds_in_every_index_order():
+    """The sweep's pairs have (mu, nu) < (rho, sigma), both ascending, so it never reads a
+    reversed table entry; the expansion must hold for every order of two distinct generators."""
+    m = CTX3.num_vars
+    table = {(mu, nu): make_L(CTX3, mu, nu) for mu, nu in itertools.permutations(range(1, m + 1), 2)}
+    pairs = [(g, h) for g, h in itertools.permutations(table, 2) if set(g) != set(h)]
+    assert len(pairs) == 840
+    for g, h in pairs:
+        assert commutator(table[g], table[h]) == liealg._bracket_rhs(CTX3, table, *g, *h), (g, h)
+
+
 def test_quadratic_casimir_contains_expected_term():
-    cas = quadratic_casimir(CTX3)
+    cas = casimir_sum(CTX3, CTX3.num_vars)
     # L_{12}^2 contributes x1^2 d2^2 with coefficient 1
     mono = (2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0)
     assert cas.coefficients()[mono].constant_value() == 1
@@ -137,7 +147,7 @@ def test_rotation_squares_over_variable_sets():
     assert rotation_squares(CTX3, (1, 2)) == l12 * l12
     assert rotation_squares(CTX3, (3, 1, 2)) == l12 * l12 + l13 * l13 + l23 * l23
     assert rotation_squares(CTX3, (5,)).is_zero()
-    assert rotation_squares(CTX3, range(1, 7)) == quadratic_casimir(CTX3)
+    assert rotation_squares(CTX3, range(1, 7)) == casimir_sum(CTX3, CTX3.num_vars)
     with pytest.raises(ValueError):
         rotation_squares(CTX3, (6, 7))
 

@@ -71,7 +71,7 @@ def test_coproduct_validation():
 def test_single_casimir_is_constant():
     c = reduced_casimir_single(CTX3, 2)
     expected = (CTX3.param(2) + Fraction(3, 4)) * Fraction(-1, 4)
-    assert c.constant_value() == expected
+    assert c == Operator.constant(CTX3.signature, expected)
 
 
 def test_rotation_preserves_radius_but_not_potential():
@@ -141,7 +141,7 @@ def test_q_symmetry_parallel_matches_serial():
 def test_reduced_basis_bracket_structure():
     basis = ReducedBasis(CTX3)
     assert basis.f(1, 2, 3) == commutator(basis.p(1, 2), basis.p(2, 3)) * Fraction(1, 2)
-    assert basis.c(1).constant_value() == (CTX3.param(1) + Fraction(3, 4)) * Fraction(-1, 4)
+    assert basis.c(1) == Operator.constant(CTX3.signature, (CTX3.param(1) + Fraction(3, 4)) * Fraction(-1, 4))
 
 
 def test_reduced_relation_sweep():

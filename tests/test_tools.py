@@ -1,10 +1,13 @@
 """The repository's command-line tools."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
-SAME_REPORTS = Path(__file__).resolve().parent.parent / "tools" / "same_reports.py"
+ROOT = Path(__file__).resolve().parent.parent
+SAME_REPORTS = ROOT / "tools" / "same_reports.py"
+TRAFFIC = ROOT / "tools" / "traffic.py"
 
 LINE = '{{"relation": "a", "tuple": [1, 2, 3], "passed": true, "residual_terms": {terms}, "ms": {ms}}}\n'
 SUMMARY = '{{"summary": true, "passed": 1, "failed": 0, "elapsed_s": {elapsed}}}\n'
@@ -26,3 +29,27 @@ def test_same_reports_ignores_timing_and_sees_residual_terms(tmp_path):
     assert _same_reports(tmp_path, first, timing, timing) == 0
     assert _same_reports(tmp_path, first, timing, changed) == 1
     assert _same_reports(tmp_path, first) == 2
+
+
+def _body_lines(module: str, function: str) -> set[int]:
+    """The first lines of every statement in the body of a module-level function, its docstring left out."""
+    tree = ast.parse((ROOT / "src" / "racahverify" / module).read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    return {s.lineno for top in body for s in ast.walk(top) if isinstance(s, ast.stmt)}
+
+
+def test_traffic_lists_what_the_run_never_executes():
+    run = subprocess.run(
+        [sys.executable, str(TRAFFIC), "--n", "3", "--suite", "o2n"], capture_output=True, text=True, check=True
+    )
+    listed: dict[tuple[str, str], set[int]] = {}
+    for line in run.stdout.splitlines():
+        place, _, rest = line.partition(" ")
+        module, _, lineno = place.partition(":")
+        if lineno.isdigit():  # a statement row, not a run or module header
+            listed.setdefault((module, rest.split()[0]), set()).add(int(lineno))
+    assert run.stdout.startswith("# racah-verify --n 3 --suite o2n: exit 0\n")
+    assert listed[("reduction.py", "check_q_symmetry")] == _body_lines("reduction.py", "check_q_symmetry")
+    for function in ("check_o2n_relations", "_bracket_rhs"):
+        assert _body_lines("liealg.py", function) and ("liealg.py", function) not in listed
