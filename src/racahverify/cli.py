@@ -1,22 +1,36 @@
 """Batch verification runner: argument parsing and output.
 
-Parses the options, resolves the suite names, runs them through the
-suite registry (suites.py: engine self-checks first, then o2n, su11,
-howe, racah, reduction, oracle), streams one report line per checked
-identity instance, and finishes with a summary line.  Exit status: 0
-when every entry passed, 1 when any identity failed, 2 for usage errors.
+Parses the options (argparse reads --suite too: each value is a
+comma-separated list of suite names, "all" standing for every suite),
+runs the chosen suites through the suite registry (suites.py: engine
+self-checks first, then the registry's order), streams one report line
+per checked identity instance, and finishes with a summary line.  Exit
+status: 0 when every entry passed, 1 when any identity failed, 2 for
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
-from typing import Iterable
 
 from .report import RelationReport
 from .suites import SUITE_ORDER, run_suites
 from .suites import identity_catalog  # noqa: F401  perfbench/workloads.py imports it from here
+
+_CHOICES = f"choose from {', '.join(SUITE_ORDER)}, all"
+
+
+def _suite_names(text: str) -> list[str]:
+    """The suites one --suite value names: comma-separated, spaces stripped, "all" for every suite."""
+    names: list[str] = []
+    for name in filter(None, (part.strip() for part in text.split(","))):
+        if name not in SUITE_ORDER and name != "all":
+            raise argparse.ArgumentTypeError(f"unknown suite {name!r} ({_CHOICES})")
+        names += SUITE_ORDER if name == "all" else [name]
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,10 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--suite",
-        action="append",
+        action="extend",
+        type=_suite_names,
         metavar="NAME",
-        help="suite to run: one of o2n, su11, howe, racah, reduction, oracle, all; "
-        "repeatable or comma-separated (default: all)",
+        help=f"suite to run ({_CHOICES}); repeatable or comma-separated (default: all)",
     )
     parser.add_argument("--n", type=int, default=3, help="number of factors (default 3)")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
@@ -50,26 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_suites(raw: Iterable[str] | None, parser: argparse.ArgumentParser) -> list[str]:
-    if not raw:
-        return list(SUITE_ORDER)
-    wanted: set[str] = set()
-    for chunk in raw:
-        for name in chunk.split(","):
-            name = name.strip()
-            if not name:
-                continue
-            if name == "all":
-                wanted.update(SUITE_ORDER)
-            elif name in SUITE_ORDER:
-                wanted.add(name)
-            else:
-                parser.error(f"unknown suite {name!r} (choose from {', '.join(SUITE_ORDER)}, all)")
-    if not wanted:
-        parser.error(f"--suite names no suite (choose from {', '.join(SUITE_ORDER)}, all)")
-    return [name for name in SUITE_ORDER if name in wanted]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     config = parser.parse_args(argv)
@@ -81,31 +75,24 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be at least 1")
     if config.trials < 1:
         parser.error("--trials must be at least 1")
-    suites = _resolve_suites(config.suite, parser)
+    if config.suite == []:
+        parser.error(f"--suite names no suite ({_CHOICES})")
 
-    out = sys.stdout
     t_start = time.perf_counter()
     total = RelationReport()
-
-    def emit(report: RelationReport) -> None:
+    for report in run_suites(config.suite or SUITE_ORDER, config):
         total.merge(report)
-        for line in (report.json_lines() if config.json else report.text_lines()):
-            print(line, file=out)
-
-    for report in run_suites(suites, config):
-        emit(report)
+        for line in report.json_lines() if config.json else report.text_lines():
+            print(line)
 
     elapsed = time.perf_counter() - t_start
     counts = total.counts()
     if config.json:
-        import json as _json
-
-        print(_json.dumps({"summary": {**counts, "elapsed_s": round(elapsed, 3)}}), file=out)
+        print(json.dumps({"summary": {**counts, "elapsed_s": round(elapsed, 3)}}))
     else:
         print(
             "summary: checked={checked} passed={passed} failed={failed} "
-            "skipped={skipped} elapsed={elapsed:.2f}s".format(elapsed=elapsed, **counts),
-            file=out,
+            "skipped={skipped} elapsed={elapsed:.2f}s".format(elapsed=elapsed, **counts)
         )
     return 0 if total.all_passed() else 1
 

@@ -117,16 +117,27 @@ def check_o2n_relations(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     [L_{mu,nu}, L_{rho,sigma}] minus its structure-constant expansion.
     The generator table is built once per mu < nu and holds each
     generator under both index orders, L[nu, mu] = -L[mu, nu], so every
-    delta term of the expansion is one signed lookup in any order.  The
-    pairs swept here have (mu, nu) < (rho, sigma), so they read only
-    ascending entries.
+    delta term of the expansion is one signed lookup in any order.
+
+    Each entry is reported as the ascending tuple (mu, nu, rho, sigma),
+    (mu, nu) < (rho, sigma), but evaluated with its second generator
+    reversed, L_{sigma,rho}, when mu + nu + rho + sigma is odd.  That
+    residual is the negation of the ascending one, so the verdicts and
+    term counts are the same, while the sweep reads every delta term of
+    the expansion and the reversed half of the table: in ascending
+    order alone delta_{mu,sigma} never holds and no lookup is reversed.
     """
     m = ctx.num_vars
     gens = [(mu, nu) for mu in range(1, m + 1) for nu in range(mu + 1, m + 1)]
     L = {pair: make_L(ctx, *pair) for pair in gens}
     L |= {(nu, mu): -op for (mu, nu), op in L.items()}
     quads = [g + h for g, h in itertools.combinations(gens, 2)]
-    return run_checks("o2n", quads, lambda t: commutator(L[t[:2]], L[t[2:]]) - _bracket_rhs(ctx, L, *t), jobs)
+
+    def residual(t: tuple[int, ...]) -> Operator:
+        g, h = t[:2], (t[2:] if sum(t) % 2 == 0 else t[:1:-1])
+        return commutator(L[g], L[h]) - _bracket_rhs(ctx, L, *g, *h)
+
+    return run_checks("o2n", quads, residual, jobs)
 
 
 def rotation_squares(ctx: SO2nContext | ReducedContext, variables: Iterable[int]) -> Operator:

@@ -1,14 +1,25 @@
 """Random-evaluation cross-check of symbolic operator identities.
 
-Symbolic equality lives entirely in the normal-ordering kernel, so it
-deserves an independent witness: apply both operators to random
-(Laurent) polynomial test functions and compare exact values at random
-rational points.  Application goes through direct differentiation,
-which never invokes the multiplication kernel, so agreement here is
-evidence the kernel's reordering rule is right and not a
-self-consistent artifact.  Test functions are built directly in the
-integer-numerator form polynomials store, and every value is computed
-on integers with one Fraction at the end.
+Symbolic equality lives entirely in the normal-ordering kernel.  The
+checks here apply operators to random (Laurent) polynomial test
+functions and compare exact values at random rational points;
+application goes through direct differentiation, which never invokes
+the multiplication kernel.  What that witnesses depends on where the
+two sides come from:
+
+- ``oracle_apply_check`` is independent of the kernel: its nested side
+  A (B f) is never multiplied out, so agreement with (A * B) f is
+  evidence that the kernel's reordering rule is right and not a
+  self-consistent artifact.
+- ``oracle_equiv`` compares two operators that were both built by the
+  kernel.  For the suites' identity catalog both sides are already
+  equal as stored terms (two of them are 0 against 0), so its entries
+  show only that the evaluation is a function of the terms; they
+  cannot see a kernel fault that both sides share.
+
+Test functions are built directly in the integer-numerator form
+polynomials store, and every value is computed on integers with one
+Fraction at the end.
 
 There are two routes to (A f)(p), both direct differentiation:
 

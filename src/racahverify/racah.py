@@ -27,7 +27,10 @@ construction, so a sweep only looks them up.  CommutantBasis and
 reduction.ReducedBasis differ only in how they build C1 and C2.  The
 relations are data (``RELATIONS``), read through the basis accessors
 p(i,j), f(i,j,k), c(i), so one sweep verifies this realization and the
-dimensionally reduced one.
+dimensionally reduced one.  Every check reads the one basis of its
+run: check_commutant_property, verify_racah_relations,
+dependency_residual and verify_dependency take it as a required
+argument after the context and never build one of their own.
 
 F is antisymmetric in its three indices: C^{ij} + C^{jk} + C^{ik} =
 C^{ijk} + C^i + C^j + C^k and C^{ij} commutes with C^{ijk} (De Bie,
@@ -301,24 +304,21 @@ def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     return report
 
 
-def verify_racah_relations(
-    ctx: SO2nContext, jobs: int = 1, basis: CommutantBasis | None = None
-) -> RelationReport:
-    """Full relation sweep in the commutant realization."""
-    return sweep_relations(basis or CommutantBasis(ctx), jobs)
+def verify_racah_relations(ctx: SO2nContext, basis: CommutantBasis, jobs: int = 1) -> RelationReport:
+    """Full relation sweep in the commutant realization: sweep_relations over basis.
+
+    ctx is not read; it keeps the leading argument every entry point of
+    this module takes.
+    """
+    return sweep_relations(basis, jobs)
 
 
-def check_commutant_property(
-    ctx: SO2nContext,
-    jobs: int = 1,
-    basis: CommutantBasis | None = None,
-) -> RelationReport:
+def check_commutant_property(ctx: SO2nContext, basis: CommutantBasis, jobs: int = 1) -> RelationReport:
     """[G^i, L_{2s-1,2s}] = 0 and [K^{ij}, L_{2s-1,2s}] = 0 for every i, j, s.
 
-    G entries carry the index tuple (i, s), K entries (i, j, s).
+    G entries carry the index tuple (i, s), K entries (i, j, s), read
+    from basis, the one CommutantBasis of ctx.
     """
-    if basis is None:
-        basis = CommutantBasis(ctx)
     rotations = {s: make_L(ctx, *PairUnion((s,)).variables()) for s in range(1, ctx.n + 1)}
     invariants = {(i,): g for i, g in basis.G.items()} | basis.K
     return run_checks(
@@ -329,11 +329,7 @@ def check_commutant_property(
     )
 
 
-def dependency_residual(
-    ctx: SO2nContext,
-    subset: Sequence[int],
-    basis: CommutantBasis | None = None,
-) -> Operator:
+def dependency_residual(ctx: SO2nContext, subset: Sequence[int], basis: CommutantBasis) -> Operator:
     """The subset Casimir minus its decomposition (liealg.decomposition_sum)
     through the basis's C2^{ij} and C1^i.
 
@@ -342,10 +338,9 @@ def dependency_residual(
     ValueError, as does a subset of fewer than two factors.
     """
     union = PairUnion(subset)
-    basis = basis or CommutantBasis(ctx)
     return casimir_CA(ctx, union) - decomposition_sum(union.pairs, lambda i, j: basis.C2[(i, j)], basis.c)
 
 
-def verify_dependency(ctx: SO2nContext, subset: Sequence[int], basis: CommutantBasis | None = None) -> bool:
+def verify_dependency(ctx: SO2nContext, subset: Sequence[int], basis: CommutantBasis) -> bool:
     """Whether the dependency identity holds (its residual is zero)."""
     return dependency_residual(ctx, subset, basis).is_zero()

@@ -34,7 +34,10 @@ Casimirs satisfy the same five quadratic relations as the commutant
 invariants, with F^{ijk} = (1/2)[C^{ij}, C^{jk}] as there
 (racah.Basis).  All identities are verified with the a_i as generic
 polynomial coefficients, which subsumes every numeric choice.  Each C^A
-is built once per context (liealg.casimir_CA).
+is built once per context (liealg.casimir_CA).  The relation sweep
+reads a ReducedBasis its caller builds once and passes in
+(verify_reduced_racah), and make_Q is pair_invariant under the name the
+suites call.
 """
 from __future__ import annotations
 
@@ -134,16 +137,14 @@ def total_casimir_identity(ctx: ReducedContext) -> bool:
     return total_casimir_residual(ctx).is_zero()
 
 
-def make_Q(ctx: ReducedContext, i: int, j: int) -> Operator:
-    """The conserved quantity Q_{ij}; affinely tied to the pair Casimir:
-
-        Q_{ij} = -4 C^{ij} - (a_i + a_j + 1),
-
-    which the reduction suite reports as its ``q-affine`` entries.  Equal
-    factors raise ValueError from liealg.rotation, and factors outside
-    1..n from Operator.x.
-    """
-    return pair_invariant(ctx, i, j)
+# The conserved quantity Q_{ij}, affinely tied to the pair Casimir:
+#
+#     Q_{ij} = -4 C^{ij} - (a_i + a_j + 1),
+#
+# which the reduction suite reports as its ``q-affine`` entries.  Equal
+# factors raise ValueError from liealg.rotation, and factors outside
+# 1..n from Operator.x.
+make_Q = pair_invariant
 
 
 def check_q_symmetry(ctx: ReducedContext, jobs: int = 1) -> RelationReport:
@@ -178,8 +179,8 @@ class ReducedBasis(Basis):
         super().__init__(ctx, C1, C2)
 
 
-def verify_reduced_racah(
-    ctx: ReducedContext, jobs: int = 1, basis: ReducedBasis | None = None
-) -> RelationReport:
-    """The five quadratic relations in the radial realization, generic a_i."""
-    return sweep_relations(basis or ReducedBasis(ctx), jobs)
+def verify_reduced_racah(ctx: ReducedContext, basis: ReducedBasis, jobs: int = 1) -> RelationReport:
+    """The five quadratic relations in the radial realization, generic a_i:
+    sweep_relations over basis.  ctx is not read; it keeps the leading
+    argument of the module's other entry points."""
+    return sweep_relations(basis, jobs)

@@ -1,10 +1,14 @@
 """The suite registry: which checks each suite runs, and in what order.
 
 A run is the engine self-checks, then the chosen suites in dependency
-order (o2n, su11, howe, racah, reduction, oracle).  One SO2nContext
-serves the o2n, su11, howe and racah suites of a run, so each coupled
-Casimir C^A is built once (SO2nContext.casimir_memo) and the racah
-suite's dependency entries reuse what the howe suite built.  One
+order (o2n, su11, howe, racah, reduction, oracle).  The registry,
+_SUITE_RUNNERS, is the one list of suites and of that order:
+SUITE_ORDER is its keys, and run_suites puts any selection into it.
+
+One SO2nContext serves the o2n, su11, howe and racah suites of a run,
+so each coupled Casimir C^A is built once (SO2nContext.casimir_memo)
+and the racah suite's dependency entries reuse what the howe suite
+built.  One
 racah.CommutantBasis over it, built by the first suite that reads it,
 serves the howe and racah suites, so each G^i and K^{ij} is built
 once.  Both are made per run, never cached here: a later run in the
@@ -17,7 +21,8 @@ verdicts included, is built and timed inside report.check.
 
 Each runner takes the run (_Run: the context and the basis) and the
 run's settings (n, jobs, trials, seed; the racah-verify options) and
-returns a RelationReport.
+returns a RelationReport.  The racah and reduction runners pass their
+basis to every check that reads one; no check builds a basis of its own.
 """
 
 from __future__ import annotations
@@ -25,14 +30,12 @@ from __future__ import annotations
 import argparse
 import itertools
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Callable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Collection, Iterator
 
 from . import howe, liealg, oracle, racah, reduction
 from .report import RelationReport, check, run_checks
 from .weyl import AlgebraSignature, Operator, Polynomial, commutator, parse_operator
-
-SUITE_ORDER = ("o2n", "su11", "howe", "racah", "reduction", "oracle")
 
 
 class _Run:
@@ -130,8 +133,8 @@ def _howe_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
 
 def _racah_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     ctx, basis = run.ctx, run.basis
-    report = racah.check_commutant_property(ctx, jobs=config.jobs, basis=basis)
-    report.merge(racah.verify_racah_relations(ctx, jobs=config.jobs, basis=basis))
+    report = racah.check_commutant_property(ctx, basis, config.jobs)
+    report.merge(racah.verify_racah_relations(ctx, basis, config.jobs))
     table = howe.casimir_table(ctx, howe.all_pair_unions(ctx, 2))
     report.merge(run_checks("dependency", list(table), lambda t: racah.dependency_residual(ctx, t, basis), config.jobs))
     return report
@@ -150,7 +153,7 @@ def _reduction_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
         report.add(check("q-affine", (i, j), lambda t: reduction.make_Q(rctx, *t) + 4 * basis.C2[t] + shift))
     report.add(check("total-casimir", (rctx.n,), lambda _: reduction.total_casimir_residual(rctx)))
     report.merge(reduction.check_q_symmetry(rctx, jobs=config.jobs))
-    report.merge(reduction.verify_reduced_racah(rctx, jobs=config.jobs, basis=basis))
+    report.merge(reduction.verify_reduced_racah(rctx, basis, config.jobs))
     return report
 
 
@@ -201,22 +204,19 @@ def _oracle_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     Each check splits its trials over config.jobs workers; the verdicts do not depend on jobs.
     """
     trials, seed, jobs = config.trials, config.seed, config.jobs
-    verdicts = [
-        ("oracle", idx, name, partial(oracle.oracle_equiv, lhs, rhs, trials=trials, seed=seed + idx, jobs=jobs))
-        for idx, (name, lhs, rhs) in enumerate(identity_catalog(min(config.n, 3)), start=1)
-    ]
-    ctx3 = liealg.SO2nContext(3)
-    k12, k23 = racah.make_K(ctx3, 1, 2), racah.make_K(ctx3, 2, 3)
-    r1 = reduction.make_reduced_J(reduction.ReducedContext(2), 1)
-    verdicts += [
-        ("oracle-composition", 1, f"{10 * trials} trials",
-         partial(oracle.oracle_apply_check, k12, k23, trials=10 * trials, seed=seed, jobs=jobs)),
-        ("oracle-composition", 2, "localized with parameters",
-         partial(oracle.oracle_apply_check, r1.Jm, r1.Jp, trials=10 * trials, seed=seed + 1, jobs=jobs)),
-    ]
     report = RelationReport()
-    for relation, idx, note, verdict in verdicts:
-        report.add(check(relation, (idx,), lambda _: verdict(), note))
+    for idx, (name, lhs, rhs) in enumerate(identity_catalog(), start=1):
+        verdict = lambda _: oracle.oracle_equiv(lhs, rhs, trials, seed + idx, jobs)  # noqa: E731
+        report.add(check("oracle", (idx,), verdict, name))
+    ctx3 = liealg.SO2nContext(3)
+    r1 = reduction.make_reduced_J(reduction.ReducedContext(2), 1)
+    compositions = [
+        (f"{10 * trials} trials", racah.make_K(ctx3, 1, 2), racah.make_K(ctx3, 2, 3)),
+        ("localized with parameters", r1.Jm, r1.Jp),
+    ]
+    for idx, (note, a, b) in enumerate(compositions, start=1):
+        verdict = lambda _: oracle.oracle_apply_check(a, b, 10 * trials, seed + idx - 1, jobs)  # noqa: E731
+        report.add(check("oracle-composition", (idx,), verdict, note))
     return report
 
 
@@ -228,15 +228,17 @@ _SUITE_RUNNERS: dict[str, Callable[[_Run, argparse.Namespace], RelationReport]] 
     "reduction": _reduction_suite,
     "oracle": _oracle_suite,
 }
+SUITE_ORDER = tuple(_SUITE_RUNNERS)
 
 
-def run_suites(names: Sequence[str], config: argparse.Namespace) -> Iterator[RelationReport]:
-    """The engine self-checks, then each named suite, one report at a time.
+def run_suites(names: Collection[str], config: argparse.Namespace) -> Iterator[RelationReport]:
+    """The engine self-checks, then each named suite once, in registry order, one report at a time.
 
-    names must come from SUITE_ORDER, already in that order; config
+    names are registry keys in any order, repeats allowed; config
     carries n, jobs, trials and seed.
     """
     yield _engine_suite()
     run = _Run(config.n)
-    for name in names:
-        yield _SUITE_RUNNERS[name](run, config)
+    for name, runner in _SUITE_RUNNERS.items():
+        if name in names:
+            yield runner(run, config)

@@ -33,6 +33,7 @@ from racahverify.racah import (
     verify_racah_relations,
 )
 from racahverify.reduction import (
+    ReducedBasis,
     ReducedContext,
     check_q_symmetry,
     radial_closed_form,
@@ -92,7 +93,7 @@ def test_quadratic_relations(acceptance_record):
     }
     for n in (3, 4, 5):
         ctx = SO2nContext(n)
-        report, dt = _timed(verify_racah_relations, ctx)
+        report, dt = _timed(lambda: verify_racah_relations(ctx, CommutantBasis(ctx)))
         ok = ok and report.all_passed()
         counts: dict[str, int] = {}
         for e in report.entries:
@@ -112,7 +113,7 @@ def test_commutant_property(acceptance_record):
     ok = True
     for n in (3, 4, 5):
         ctx = SO2nContext(n)
-        report, dt = _timed(check_commutant_property, ctx)
+        report, dt = _timed(lambda: check_commutant_property(ctx, CommutantBasis(ctx)))
         expected = n * n + (n * (n - 1) // 2) * n
         ok = ok and report.all_passed() and len(report.entries) == expected
         details.append(f"n={n}: {len(report.entries)} brackets in {dt:.1f}s")
@@ -174,7 +175,7 @@ def test_superintegrability(acceptance_record):
     for n in (3, 4):
         ctx = ReducedContext(n)
         qrep, dt_q = _timed(check_q_symmetry, ctx)
-        rrep, dt_r = _timed(verify_reduced_racah, ctx)
+        rrep, dt_r = _timed(lambda: verify_reduced_racah(ctx, ReducedBasis(ctx)))
         ok = ok and qrep.all_passed() and rrep.all_passed()
         ok = ok and len(qrep.entries) == n * (n - 1) // 2
         details.append(f"n={n}: Q-symmetry {dt_q:.1f}s, relations {dt_r:.1f}s")

@@ -9,7 +9,7 @@ import pytest
 
 import racahverify.suites as suites
 from racahverify import liealg, racah
-from racahverify.cli import _resolve_suites, build_parser, main
+from racahverify.cli import build_parser, main
 from racahverify.suites import SUITE_ORDER, identity_catalog
 from racahverify.report import RelationReport, ReportEntry
 from racahverify.weyl import Operator, Polynomial
@@ -62,15 +62,38 @@ def test_large_n_gate(capsys):
     assert code == 0
 
 
-def test_suite_resolution():
+def test_suite_resolution(monkeypatch, capsys):
     parser = build_parser()
-    assert _resolve_suites(None, parser) == list(SUITE_ORDER)
-    assert _resolve_suites(["racah,su11"], parser) == ["su11", "racah"]
-    assert _resolve_suites(["all", "racah"], parser) == list(SUITE_ORDER)
-    assert _resolve_suites(["racah", "racah"], parser) == ["racah"]
-    assert _resolve_suites([" o2n , reduction "], parser) == ["o2n", "reduction"]
-    with pytest.raises(SystemExit):
-        _resolve_suites(["bogus"], parser)
+    assert parser.parse_args([]).suite is None
+    assert parser.parse_args(["--suite", "racah,su11"]).suite == ["racah", "su11"]
+    assert parser.parse_args(["--suite", " o2n , reduction "]).suite == ["o2n", "reduction"]
+    assert parser.parse_args(["--suite", "all", "--suite", "racah"]).suite == [*SUITE_ORDER, "racah"]
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["--suite", "racah,bogus"])
+    assert exc.value.code == 2
+    assert f"unknown suite 'bogus' (choose from {', '.join(SUITE_ORDER)}, all)" in capsys.readouterr().err
+
+    # main runs each chosen suite once, in registry order
+    ran = []
+    for name in SUITE_ORDER:
+        fake = lambda run, config, name=name: ran.append(name) or RelationReport()  # noqa: E731
+        monkeypatch.setitem(suites._SUITE_RUNNERS, name, fake)
+    for args, expected in (
+        ([], SUITE_ORDER),
+        (["--suite", "racah,su11"], ("su11", "racah")),
+        (["--suite", "all", "--suite", "racah"], SUITE_ORDER),
+        (["--suite", "racah", "--suite", "racah"], ("racah",)),
+        (["--suite", " o2n , reduction "], ("o2n", "reduction")),
+    ):
+        ran.clear()
+        assert main(args) == 0
+        assert tuple(ran) == expected, args
+
+
+def test_help_names_every_suite():
+    text = " ".join(build_parser().format_help().split())
+    assert f"(choose from {', '.join(SUITE_ORDER)}, all)" in text
+    assert SUITE_ORDER == tuple(suites._SUITE_RUNNERS)
 
 
 def test_text_output_shape(capsys):
@@ -184,7 +207,7 @@ def test_engine_check_that_raises_names_relation_and_tuple(monkeypatch):
 
 
 def test_dependency_failure_reports_residual_terms(monkeypatch, capsys):
-    def two_terms(ctx, subset, basis=None):
+    def two_terms(ctx, subset, basis):
         return Operator.x(ctx.signature, 1) + Operator.constant(ctx.signature, 1)
 
     monkeypatch.setattr(suites.racah, "dependency_residual", two_terms)
@@ -210,12 +233,12 @@ def test_failures_set_exit_code(monkeypatch, capsys):
 
 
 def test_q_affine_failure_reports_residual_terms(monkeypatch, capsys):
-    original = suites.reduction.pair_invariant
+    original = suites.reduction.make_Q
 
     def off_by_x1(ctx, i, j):
         return original(ctx, i, j) + Operator.x(ctx.signature, 1)
 
-    monkeypatch.setattr(suites.reduction, "pair_invariant", off_by_x1)
+    monkeypatch.setattr(suites.reduction, "make_Q", off_by_x1)
     code, lines = run_main(["--suite", "reduction", "--json"], capsys)
     assert code == 1
     rows = [json.loads(ln) for ln in lines[:-1]]

@@ -99,14 +99,32 @@ def test_o2n_relation_sweep_builds_each_generator_once(monkeypatch):
 
 
 def test_bracket_expansion_holds_in_every_index_order():
-    """The sweep's pairs have (mu, nu) < (rho, sigma), both ascending, so it never reads a
-    reversed table entry; the expansion must hold for every order of two distinct generators."""
+    """The expansion must hold for every order of two distinct generators, not only the two
+    orders of the second generator that the sweep reads."""
     m = CTX3.num_vars
     table = {(mu, nu): make_L(CTX3, mu, nu) for mu, nu in itertools.permutations(range(1, m + 1), 2)}
     pairs = [(g, h) for g, h in itertools.permutations(table, 2) if set(g) != set(h)]
     assert len(pairs) == 840
     for g, h in pairs:
         assert commutator(table[g], table[h]) == liealg._bracket_rhs(CTX3, table, *g, *h), (g, h)
+
+
+def test_o2n_sweep_sees_every_delta_term(monkeypatch):
+    """An expansion without delta_{mu,sigma} L_{nu,rho} holds for every ascending pair of
+    generators, so only the entries evaluated with a reversed second generator catch it."""
+
+    def without_mu_sigma(ctx, L, mu, nu, rho, sigma):
+        out = Operator.zero(ctx.signature)
+        if nu == rho:
+            out = out + L[mu, sigma]
+        if nu == sigma:
+            out = out - L[mu, rho]
+        if mu == rho:
+            out = out - L[nu, sigma]
+        return out
+
+    monkeypatch.setattr(liealg, "_bracket_rhs", without_mu_sigma)
+    assert not check_o2n_relations(CTX3).all_passed()
 
 
 def test_quadratic_casimir_contains_expected_term():

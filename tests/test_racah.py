@@ -255,7 +255,7 @@ def test_relation_arity_table():
 
 def test_relation_sweep_rank_two():
     ctx = SO2nContext(4)
-    report = verify_racah_relations(ctx)
+    report = verify_racah_relations(ctx, CommutantBasis(ctx))
     assert report.all_passed()
     counts = {}
     for e in report.entries:
@@ -300,8 +300,9 @@ def test_dependency_expands_to_pair_sums():
 def test_dependency_cross_checks_coupled_casimir():
     # the coupled Casimir over all four pairs, given in any factor order
     ctx = SO2nContext(4)
-    assert verify_dependency(ctx, (1, 2, 3, 4))
-    assert verify_dependency(ctx, (3, 1, 4, 2))
+    basis = CommutantBasis(ctx)
+    assert verify_dependency(ctx, (1, 2, 3, 4), basis)
+    assert verify_dependency(ctx, (3, 1, 4, 2), basis)
 
 
 def test_dependency_rejects_repeated_factors():

@@ -145,7 +145,7 @@ def test_reduced_basis_bracket_structure():
 
 
 def test_reduced_relation_sweep():
-    report = verify_reduced_racah(CTX3)
+    report = verify_reduced_racah(CTX3, ReducedBasis(CTX3))
     assert report.all_passed()
     counts = {}
     for e in report.entries:
@@ -154,7 +154,7 @@ def test_reduced_relation_sweep():
     skipped = [e for e in report.entries if e.note.startswith("skipped")]
     assert sorted(e.relation for e in skipped) == ["c", "d", "e"]
     with pytest.raises(ValueError):
-        verify_reduced_racah(CTX2)
+        verify_reduced_racah(CTX2, ReducedBasis(CTX2))
 
 
 def test_reduced_triples_share_casimir_with_direct_computation():
