@@ -13,8 +13,10 @@ point anywhere):
   * the radial reduction to n localized variables with inverse-square
     parameters, its conserved quantities, and the same five relations
     with generic parameter coefficients (reduction),
-  * everything again numerically, by applying operators to random test
-    functions at random rational points (oracle).
+  * numerically, by applying operators to random test functions at
+    random rational points (oracle): the normal-ordered product against
+    nested application in two compositions, and twelve kernel-built
+    identities, each as one residual that must vanish.
 
 The computational substrate is a sparse normal-ordered Weyl algebra
 with optional localized (Laurent) variables (weyl) over sparse

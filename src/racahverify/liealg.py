@@ -73,7 +73,7 @@ class SO2nContext:
 
     def factor_triples(self, i: int) -> list[SU11Triple]:
         """The metaplectic triples in the variables 2i-1 and 2i of factor i."""
-        return [make_metaplectic(self, mu) for mu in (2 * i - 1, 2 * i)]
+        return [make_metaplectic(self, mu) for mu in PairUnion((i,)).variables()]
 
 
 def rotation(sig: AlgebraSignature, mu: int, nu: int) -> Operator:

@@ -2,20 +2,23 @@
 
 Symbolic equality lives entirely in the normal-ordering kernel.  The
 checks here apply operators to random (Laurent) polynomial test
-functions and compare exact values at random rational points;
-application goes through direct differentiation, which never invokes
-the multiplication kernel.  What that witnesses depends on where the
-two sides come from:
+functions and evaluate exactly at random rational points; application
+goes through direct differentiation, which never invokes the
+multiplication kernel.  Each trial gives one residual value, and a
+check holds when every trial's residual is 0.  What that witnesses
+depends on where the two sides come from:
 
 - ``oracle_apply_check`` is independent of the kernel: its nested side
   A (B f) is never multiplied out, so agreement with (A * B) f is
   evidence that the kernel's reordering rule is right and not a
   self-consistent artifact.
-- ``oracle_equiv`` compares two operators that were both built by the
-  kernel.  For the suites' identity catalog both sides are already
-  equal as stored terms (two of them are 0 against 0), so its entries
-  show only that the evaluation is a function of the terms; they
-  cannot see a kernel fault that both sides share.
+- ``oracle_equiv(A, B)`` evaluates the one residual A - B, which is
+  exact: evaluation is linear, so ((A - B) f)(p) = 0 exactly when
+  (A f)(p) = (B f)(p).  Both operators were built by the kernel, and
+  for every pair of the suites' identity catalog A - B is already the
+  zero operator, so its entries show only that the evaluation is a
+  function of the terms; they cannot see a kernel fault that both
+  sides share.
 
 Test functions are built directly in the integer-numerator form
 polynomials store, and every value is computed on integers with one
@@ -25,12 +28,14 @@ There are two routes to (A f)(p), both direct differentiation:
 
 - ``weyl.evaluator(A)`` groups A's monomials by derivative exponent
   once per check and sums alpha_b(p) * (d^b f)(p) without building A f.
-  ``oracle_equiv`` uses it on both sides, and ``oracle_apply_check`` on
-  the product side.
+  ``oracle_equiv`` uses it on the residual, and ``oracle_apply_check``
+  on the product side.
 - ``A.apply(f).evaluate(p)`` builds A f and evaluates it.
-  ``oracle_apply_check`` keeps it on the nested side, A (B f), so every
-  composition trial compares two different evaluation routes and a
-  fault in the evaluator cannot hide by cancelling against itself.
+  ``oracle_apply_check`` keeps it on the nested side, A (B f), so the
+  composition check is the only one that still compares two routes:
+  each of its residuals is the difference of two different evaluation
+  routes, and a fault in the evaluator cannot hide by cancelling
+  against itself.
 
 Trial streams are deterministic: trial t of seed s uses its own
 random.Random(s * 1000003 + t), so serial and parallel runs, and
@@ -43,7 +48,6 @@ iff every slice holds, so it is the serial verdict for any jobs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
@@ -52,16 +56,6 @@ from ._parallel import run_tasks
 from .weyl import Operator, Polynomial, evaluator
 
 _STRIDE = 1_000_003
-
-
-@dataclass(frozen=True)
-class TestPoint:
-    """Rational evaluation data: one coordinate per variable, one value
-    per coefficient parameter.  All coordinates are nonzero, which keeps
-    Laurent terms over localized variables finite."""
-
-    coords: tuple[Fraction, ...]
-    params: tuple[Fraction, ...]
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:
@@ -77,11 +71,13 @@ def _small_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
 
 
-def random_point(sig, rng: random.Random) -> TestPoint:
-    """Nonzero rational coordinates plus rational parameter values."""
+def random_point(sig, rng: random.Random) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(coords, params): one rational coordinate per variable and one
+    rational value per coefficient parameter.  Every coordinate is
+    nonzero, which keeps Laurent terms over localized variables finite."""
     coords = tuple(_nonzero_rational(rng) for _ in range(sig.num_vars))
     params = tuple(_small_rational(rng) for _ in range(sig.nparams))
-    return TestPoint(coords, params)
+    return coords, params
 
 
 _MAX_TERMS = 8
@@ -104,31 +100,29 @@ def random_polynomial(sig, rng: random.Random, max_exp: int = 4) -> Polynomial:
     return Polynomial._make(sig, {(xe, pe): c.numerator * (den // c.denominator) for xe, c in acc.items()}, den)
 
 
-def _holds(
-    trial_ok: Callable[[Polynomial, TestPoint], bool], trials: int, seed: int, ops: Sequence[Operator], jobs: int
-) -> bool:
-    """True iff trial_ok(f, p) holds for every random trial (f, p) of a check on ops.
+def _holds(residual: Callable[..., Fraction], trials: int, seed: int, ops: Sequence[Operator], jobs: int) -> bool:
+    """True iff residual(f, coords, params) == 0 for every random trial of a check on ops.
 
-    Refuses operators in different signatures, and a check with no
-    trial, which has tested nothing and so must not pass.  Test
-    functions have degree one more than the largest derivative order of
-    ops, but never below the default 4; trial t draws f, then p, from
-    its own random.Random(seed * 1000003 + t).  With k =
-    min(jobs, trials), worker w of ``_parallel.run_tasks`` checks the
-    trials range(w, trials, k) in order and stops at its first failure,
-    so the verdict does not depend on jobs; k = 1 is one serial loop,
-    and ``run_tasks`` refuses jobs < 1.
+    Refuses a check with no trial, which has tested nothing and so must
+    not pass; operators in different signatures never get here, as
+    ``A - B`` and ``A * B`` refuse them.  Test functions have degree one
+    more than the largest derivative order of ops, but never below the
+    default 4; trial t draws f, then (coords, params), from its own
+    random.Random(seed * 1000003 + t).  With k = min(jobs, trials),
+    worker w of ``_parallel.run_tasks`` checks the trials
+    range(w, trials, k) in order and stops at its first failure, so the
+    verdict does not depend on jobs; k = 1 is one serial loop, and
+    ``run_tasks`` refuses jobs < 1.
     """
-    sig = ops[0].sig
-    if any(op.sig != sig for op in ops):
-        raise ValueError("operators live in different algebra signatures")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    sig = ops[0].sig
     bound = max(4, max(op.derivative_degree() for op in ops) + 1)
 
     def all_hold(ts: range) -> bool:
         rngs = (_trial_rng(seed, t) for t in ts)
-        return all(trial_ok(random_polynomial(sig, rng, max_exp=bound), random_point(sig, rng)) for rng in rngs)
+        draws = ((random_polynomial(sig, rng, max_exp=bound), *random_point(sig, rng)) for rng in rngs)
+        return all(residual(*draw) == 0 for draw in draws)
 
     k = min(jobs, trials)
     return all(run_tasks(lambda w: all_hold(range(w, trials, k)), range(k), k))
@@ -137,14 +131,13 @@ def _holds(
 def oracle_equiv(A: Operator, B: Operator, trials: int = 100, seed: int = 0, jobs: int = 1) -> bool:
     """True iff (A f)(p) = (B f)(p) for every random trial (f, p).
 
-    Both sides run on ``weyl.evaluator``; trials < 1 raises ValueError,
-    and jobs splits the trials over that many workers through
+    Evaluation is exact and linear, so that is ((A - B) f)(p) = 0, and
+    the residual A - B runs on one ``weyl.evaluator``.  A and B in
+    different signatures raise ValueError (from A - B), as do trials
+    < 1, and jobs splits the trials over that many workers through
     ``_parallel.run_tasks``, which refuses jobs < 1.
     """
-    value_a, value_b = evaluator(A), evaluator(B)
-    return _holds(
-        lambda f, p: value_a(f, p.coords, p.params) == value_b(f, p.coords, p.params), trials, seed, (A, B), jobs
-    )
+    return _holds(evaluator(A - B), trials, seed, (A, B), jobs)
 
 
 def oracle_apply_check(A: Operator, B: Operator, trials: int = 100, seed: int = 0, jobs: int = 1) -> bool:
@@ -156,15 +149,16 @@ def oracle_apply_check(A: Operator, B: Operator, trials: int = 100, seed: int = 
     only direct differentiation; pointwise agreement on every trial is
     the independent semantic validation of the reordering rule.  The
     left side is evaluated by ``weyl.evaluator``, the right side by
-    ``apply`` and ``evaluate``, which build B f and A (B f).  The two
-    routes share only the power tables and the falling factorials, so
-    each trial also checks the evaluator against the reference route;
-    with the evaluator on both sides, a fault in it could cancel.
-    trials and jobs are read as in ``oracle_equiv``.
+    ``apply`` and ``evaluate``, which build B f and A (B f), and each
+    trial's residual is their difference.  The two routes share only
+    the power tables and the falling factorials, so each trial also
+    checks the evaluator against the reference route; with the
+    evaluator on both sides, a fault in it could cancel.  trials and
+    jobs are read as in ``oracle_equiv``.
     """
     product = A * B
     value = evaluator(product)
     return _holds(
-        lambda f, p: value(f, p.coords, p.params) == A.apply(B.apply(f)).evaluate(p.coords, p.params),
+        lambda f, coords, params: value(f, coords, params) - A.apply(B.apply(f)).evaluate(coords, params),
         trials, seed, (A, B, product), jobs,
     )

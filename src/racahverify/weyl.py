@@ -833,11 +833,7 @@ def _power_tables(point: Sequence, ranges: Sequence[tuple[int, int]]) -> tuple[l
         else:
             num *= w ** -hi
         span = hi - lo
-        upow, wpow = [1], [1]
-        for _ in range(span):
-            upow.append(upow[-1] * u)
-            wpow.append(wpow[-1] * w)
-        tables.append([upow[t] * wpow[span - t] for t in range(span + 1)])
+        tables.append([u**t * w ** (span - t) for t in range(span + 1)])
     return tables, num, den
 
 

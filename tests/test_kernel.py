@@ -818,9 +818,9 @@ def test_evaluator_on_the_oracle_workload():
         sig = op.sig
         for _ in range(3):
             f = random_polynomial(sig, rng, max_exp=5)
-            pt = random_point(sig, rng)
-            assert _assert_evaluator_agrees(op, f, pt.coords, pt.params)
-            _assert_evaluator_agrees(op, f, _zero_off_localized(sig, pt.coords), (Fraction(0),) * sig.nparams)
+            coords, params = random_point(sig, rng)
+            assert _assert_evaluator_agrees(op, f, coords, params)
+            _assert_evaluator_agrees(op, f, _zero_off_localized(sig, coords), (Fraction(0),) * sig.nparams)
 
 
 def test_evaluator_of_zero_and_at_zero():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from racahverify import oracle, weyl
 from racahverify.liealg import SO2nContext, casimir_sum, make_L
@@ -17,6 +18,8 @@ from racahverify.racah import make_K
 from racahverify.reduction import ReducedContext, make_reduced_J
 from racahverify.weyl import AlgebraSignature, Operator, commutator
 
+from test_weyl import ops2, opsL, opsP
+
 SIG2 = AlgebraSignature(2)
 LOC = AlgebraSignature(2, localized=frozenset({1}), nparams=1)
 
@@ -24,10 +27,10 @@ LOC = AlgebraSignature(2, localized=frozenset({1}), nparams=1)
 def test_random_point_respects_signature():
     rng = random.Random(7)
     for _ in range(50):
-        pt = random_point(LOC, rng)
-        assert len(pt.coords) == 2
-        assert len(pt.params) == 1
-        assert all(c != 0 for c in pt.coords)
+        coords, params = random_point(LOC, rng)
+        assert len(coords) == 2
+        assert len(params) == 1
+        assert all(c != 0 for c in coords)
 
 
 def test_random_polynomial_respects_localization():
@@ -131,7 +134,7 @@ def test_composition_catches_a_broken_evaluator(monkeypatch):
 
     assert oracle_apply_check(k12, k23, trials=30)
     monkeypatch.setattr(oracle, "evaluator", first_order_dropped)
-    # both sides of an equivalence share the fault and still agree ...
+    # an equivalence evaluates only its residual, here zero, and still holds ...
     assert oracle_equiv(product, k12 * k23, trials=30)
     # ... but the composition check compares against the reference route
     assert not oracle_apply_check(k12, k23, trials=30)
@@ -142,8 +145,40 @@ def _trial_fails(A, B, seed, trial):
     draws it and evaluated on apply + evaluate."""
     rng = oracle._trial_rng(seed, trial)
     bound = max(4, A.derivative_degree() + 1, B.derivative_degree() + 1)
-    f, p = random_polynomial(A.sig, rng, max_exp=bound), random_point(A.sig, rng)
-    return A.apply(f).evaluate(p.coords, p.params) != B.apply(f).evaluate(p.coords, p.params)
+    f, (coords, params) = random_polynomial(A.sig, rng, max_exp=bound), random_point(A.sig, rng)
+    return A.apply(f).evaluate(coords, params) != B.apply(f).evaluate(coords, params)
+
+
+def _two_evaluator_verdict(A, B, trials, seed):
+    """oracle_equiv's verdict by comparing (A f)(p) with (B f)(p) on two
+    evaluators, over the oracle's trial stream.  Each trial also checks
+    that the residual's value is the difference of the two values."""
+    value_a, value_b, residual = weyl.evaluator(A), weyl.evaluator(B), weyl.evaluator(A - B)
+    bound = max(4, A.derivative_degree() + 1, B.derivative_degree() + 1)
+    verdict = True
+    for t in range(trials):
+        rng = oracle._trial_rng(seed, t)
+        f, p = random_polynomial(A.sig, rng, max_exp=bound), random_point(A.sig, rng)
+        a, b = value_a(f, *p), value_b(f, *p)
+        assert residual(f, *p) == a - b
+        verdict = verdict and a == b
+    return verdict
+
+
+@pytest.mark.parametrize("ops", [ops2, opsL, opsP], ids=["plain", "localized", "params"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_residual_gives_the_two_evaluator_verdict(ops, data):
+    x, y, z = data.draw(ops), data.draw(ops), data.draw(ops)
+    pairs = [
+        (commutator(x, y), x * y - y * x),  # equal, built two ways
+        (x * (y + z), x * y + x * z),  # equal, built two ways
+        (x * y, y * x),  # unequal unless x and y commute
+        (x, y),  # unequal unless drawn equal
+    ]
+    lhs, rhs = data.draw(st.sampled_from(pairs))
+    seed = data.draw(st.integers(0, 10**6))
+    assert oracle_equiv(lhs, rhs, trials=4, seed=seed) == _two_evaluator_verdict(lhs, rhs, 4, seed)
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
@@ -169,6 +204,7 @@ def test_a_failure_in_a_child_slice_rejects(jobs):
     d15 = d1 * d1 * d1 * d1 * d1
     lhs, rhs = x1 * d15, d15 * x1
     assert [_trial_fails(lhs, rhs, 43, t) for t in range(3)] == [False, True, False]
+    assert [_two_evaluator_verdict(lhs, rhs, trials, 43) for trials in (1, 3)] == [True, False]
     assert oracle_equiv(lhs, rhs, trials=1, seed=43, jobs=jobs)
     assert not oracle_equiv(lhs, rhs, trials=3, seed=43, jobs=jobs)
 

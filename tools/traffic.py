@@ -9,8 +9,8 @@ statement inside a function of the package (methods and nested
 functions included, docstrings left out) on none of whose lines any
 run executed code.  ``--n 3 --suite o2n`` prints, among others,
 
-    reduction.py: 34 of 34 statements never executed
-    reduction.py:151 check_q_symmetry  total = total_casimir(ctx)
+    reduction.py: 33 of 33 statements never executed
+    reduction.py:152 check_q_symmetry  total = total_casimir(ctx)
 
 A compound statement counts as executed when any line of it ran, so an
 ``if`` whose test ran but whose body did not lists the body only.  The
