@@ -71,9 +71,19 @@ class SO2nContext:
     def num_vars(self) -> int:
         return 2 * self.n
 
+    @staticmethod
+    def factor_variables(i: int) -> tuple[int, int]:
+        """The oscillator variables 2i-1 and 2i that factor i owns, in that order."""
+        return 2 * i - 1, 2 * i
+
+    @staticmethod
+    def factor_params(i: int) -> tuple[()]:
+        """The parameters factor i owns: none, the oscillator picture has none."""
+        return ()
+
     def factor_triples(self, i: int) -> list[SU11Triple]:
         """The metaplectic triples in the variables 2i-1 and 2i of factor i."""
-        return [make_metaplectic(self, mu) for mu in PairUnion((i,)).variables()]
+        return [make_metaplectic(self, mu) for mu in self.factor_variables(i)]
 
 
 def rotation(sig: AlgebraSignature, mu: int, nu: int) -> Operator:
@@ -285,7 +295,7 @@ class PairUnion:
 
     def variables(self) -> tuple[int, ...]:
         """The oscillator variables of the union, 2i-1 and 2i per factor i, ascending."""
-        return tuple(sorted(v for i in self.pairs for v in (2 * i - 1, 2 * i)))
+        return tuple(sorted(v for i in self.pairs for v in SO2nContext.factor_variables(i)))
 
 
 def make_JA(ctx: SO2nContext | ReducedContext, union: PairUnion) -> SU11Triple:

@@ -38,17 +38,26 @@ Genest, van de Vijver, Vinet, arXiv:1610.02638), so [C2^{ij}, C2^{jk}]
 = -[C2^{ij}, C2^{ik}], and the reversal flips the bracket.  Basis makes
 it antisymmetric by construction: one bracket F^{ijk} =
 (1/2)[C2^{ij}, C2^{jk}] per 3-subset i < j < k, and every other
-ordering is that operator times the sign of the permutation.  Relation
-(a), checked at every ordered triple, then certifies the antisymmetry
-against the brackets of the P's; at the four orderings other than
-(i,j,k) and (k,j,i) it rests on the identity above, not on the
-definition of F.
+ordering is that operator times the sign of the permutation.  The
+sweep's certificate (``covariant``) checks that identity exactly:
+relabelling F^{ijk} by the transposition of i and j gives the bracket
+(1/2)[C2^{ij}, C2^{ik}] of the other ordering, which must equal the
+stored -F^{ijk}.  Relation (a) then checks F against the brackets of
+the P's.
 
-The left-hand bracket of a relation is therefore the same operator, up
-to sign, at several tuples: 2 for relations a, b and c, 4 for d and 8
-for e (``bracket_key``).  The sweep groups those tuples and sweeps each
-bracket once for the group (``relation_residuals``); every residual is
-the one the tuple would give alone.
+The sweep (``sweep_relations``) rests on S_n covariance.  Relabelling
+the n factors by sigma in S_n (their variables, and the a_i of the
+radial model) is an algebra automorphism.  When it permutes the stored
+C, P and F as their indices say, the residual of a relation at
+sigma(1, ..., arity) is sigma applied to the residual at (1, ..., arity),
+with the same term count, so each relation is computed once, at its
+canonical tuple, and every other tuple's entry is derived from it.  A
+basis that is not covariant takes the direct sweep, the reference path:
+there the left-hand bracket of a relation is the same operator, up to
+sign, at several tuples: 2 for relations a, b and c, 4 for d and 8 for
+e (``bracket_key``).  It groups those tuples and sweeps each bracket
+once for the group (``relation_residuals``); every residual is the one
+the tuple would give alone.
 
 The five relations, all indices pairwise distinct:
 
@@ -69,13 +78,14 @@ commute: F with 1 in (a), and factors on disjoint index sets in (c),
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._parallel import run_tasks
 from .liealg import PairUnion, SO2nContext, casimir_CA, decomposition_sum, make_L, rotation_squares
-from .report import RelationReport, ReportEntry, check_group, run_checks
-from .weyl import Operator, combination_group, commutator
+from .report import RelationReport, ReportEntry, check, check_group, run_checks
+from .weyl import Operator, combination_group, commutator, relabel
 
 # Relations (a)-(e) as data: index letters, the left-hand bracket [A, B]
 # and the right-hand products (r, X, Y).  A generator is its letter P, F or
@@ -120,7 +130,8 @@ class Basis:
     F^{ijk} = (1/2)[C2^{ij}, C2^{jk}] and its negation, stored under all
     six orderings, the even ones as F^{ijk} and the odd ones as the one
     shared -F^{ijk}.  So C(n, 3) commutators build F, and p, c and f are
-    plain lookups.  Relation (a) checks the orderings against [P, P].
+    plain lookups.  ``covariant`` checks the orderings against each
+    other exactly, and relation (a) checks F against [P, P].
     """
 
     def __init__(self, ctx, C1: dict[int, Operator], C2: dict[tuple[int, int], Operator]):
@@ -154,7 +165,8 @@ class CommutantBasis(Basis):
     As C2^{ij} = -K^{ij}/4, F^{ijk} equals [K^{ij}, K^{jk}]/32.  F is
     bracketed from the C2's, not from the P's: the C2's have fewer
     terms, and relation (a) then checks that the C1 terms of the P's
-    drop out of the bracket, and that F is antisymmetric.
+    drop out of the bracket (``covariant`` checks that F is
+    antisymmetric).
     """
 
     # Each subclass keeps f in its own namespace: the benchmark tracer
@@ -271,33 +283,112 @@ def relation_groups(n: int) -> list[tuple[str, list[tuple[int, ...]]]]:
     return [(rel, tuples) for (rel, _), tuples in groups.items()]
 
 
+def factor_relabelling(ctx, sigma: Sequence[int]) -> Callable[[Operator], Operator]:
+    """The renaming of ctx's variables and parameters that moves factor i to factor sigma[i - 1].
+
+    Each context says which variables and parameters a factor owns
+    (``factor_variables``, ``factor_params``), in a fixed order; the
+    renaming sends the k-th of factor i's to the k-th of factor
+    sigma(i)'s, and ``weyl.relabel`` applies it.
+    """
+    sig = ctx.signature
+    variables, params = [0] * sig.num_vars, [0] * sig.nparams
+    for i, image in enumerate(sigma, 1):
+        for v, w in zip(ctx.factor_variables(i), ctx.factor_variables(image), strict=True):
+            variables[v - 1] = w
+        for a, b in zip(ctx.factor_params(i), ctx.factor_params(image), strict=True):
+            params[a - 1] = b
+    return lambda op: relabel(op, variables, params)
+
+
+def covariant(basis: Basis) -> bool:
+    """Whether relabelling the factors permutes the basis: s.C^i = C^{s(i)},
+    s.P^{ij} = P^{s(i)s(j)} and s.F^{ijk} = F^{s(i)s(j)s(k)}, exactly.
+
+    It is checked for the transposition (1 2) and the n-cycle
+    (1 2 ... n), which generate S_n, at every ordered index tuple, as
+    ``==`` of the relabelled stored operator and the stored one.  At
+    the orderings of one 3-subset this is also the exact check that F
+    is antisymmetric.  It returns False at the first mismatch, and also
+    when an accessor raises: such a basis is not certified, and the
+    direct sweep raises the error with its relation and tuple named.
+    """
+    ctx = basis.ctx
+    n = ctx.n
+    try:
+        for s in ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)):
+            move = factor_relabelling(ctx, s)
+            for arity, accessor in ((1, basis.c), (2, basis.p), (3, basis.f)):
+                for t in itertools.permutations(range(1, n + 1), arity):
+                    if move(accessor(*t)) != accessor(*(s[i - 1] for i in t)):
+                        return False
+    except Exception:
+        return False
+    return True
+
+
 def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     """Check all five relations over every tuple of pairwise distinct indices.
 
-    The tuples of each relation are grouped by their left-hand bracket
-    (``relation_groups``), and every group goes to workers in one
-    dispatch, so each bracket is swept once for all the tuples that give
-    it up to sign, and the long relation-d groups interleave with the
-    short ones across workers.  Entries come back in relation order,
-    tuples in permutation order; each carries an even share of its
-    group's time.  Relations whose arity exceeds n get a single
-    'skipped' entry after them: they have no admissible tuples at that
-    rank, and arities ascend, so those entries come last.  The basis
-    holds every P and F from its construction, so forked workers inherit
-    them and only look them up.
+    When the basis is ``covariant``, each relation's residual is
+    computed once, at its canonical tuple (1, ..., arity), and every
+    tuple's entry is derived from it.  Every injective tuple t is
+    sigma(1, ..., arity) for some sigma in S_n.  Relabelling the factors
+    by sigma is an algebra automorphism, so it maps the residual at the
+    canonical tuple to the residual built from the relabelled operands;
+    covariance on the two generators gives covariance for all of S_n (a
+    word in them relabels one generator at a time), so those operands
+    are the ones stored at t, and the residual at t is sigma applied to
+    the canonical one.  Relabelling is injective on monomials, so every
+    tuple gets the canonical verdict and ``residual_terms``.  The
+    canonical residuals go through ``relation_residual`` in one
+    dispatch, one relation per item, so an error names the relation
+    and the tuple; each derived entry carries an even share of its
+    canonical check's time.
+
+    The trade: the kernel runs only at the canonical tuples.  A kernel
+    fault that depends on which variables an operand uses would show in
+    the direct sweep; here it shows only where it breaks the covariance
+    of the basis, which the kernel built at every index.  So a basis
+    that is not covariant, or whose accessors raise, takes the direct
+    sweep, and the tests keep the direct sweep as the reference.
+
+    The direct sweep groups each relation's tuples by their left-hand
+    bracket (``relation_groups``), and every group goes to workers in
+    one dispatch, so each bracket is swept once for all the tuples that
+    give it up to sign, and the long relation-d groups interleave with
+    the short ones across workers; each entry carries an even share of
+    its group's time.
+
+    Either way entries come in relation order, tuples in permutation
+    order.  Relations whose arity exceeds n get a single 'skipped' entry
+    after them: they have no admissible tuples at that rank, and arities
+    ascend, so those entries come last.  The basis holds every P and F
+    from its construction, so forked workers inherit them and only look
+    them up.
     """
     n = basis.ctx.n
     if n < 3:
         raise ValueError("the relation sweep needs at least three factors")
     p, f, c = basis.p, basis.f, basis.c
+    if covariant(basis):
+        def canonical(rel: str) -> ReportEntry:
+            return check(rel, tuple(range(1, RELATION_ARITY[rel] + 1)), lambda t: relation_residual(rel, t, p, f, c))
 
-    def check_item(group: tuple[str, list[tuple[int, ...]]]) -> list[ReportEntry]:
-        rel, tuples = group
-        return check_group(rel, tuples, lambda ts: relation_residuals(rel, ts, p, f, c))
+        rels = [rel for rel, arity in RELATION_ARITY.items() if arity <= n]
+        report = RelationReport()
+        for entry in run_tasks(canonical, rels, jobs):
+            tuples = list(itertools.permutations(range(1, n + 1), len(entry.indices)))
+            ms = entry.ms / len(tuples)
+            report.entries += [replace(entry, indices=t, ms=ms) for t in tuples]
+    else:
+        def check_item(group: tuple[str, list[tuple[int, ...]]]) -> list[ReportEntry]:
+            rel, tuples = group
+            return check_group(rel, tuples, lambda ts: relation_residuals(rel, ts, p, f, c))
 
-    order = list(RELATIONS)
-    entries = [e for group in run_tasks(check_item, relation_groups(n), jobs) for e in group]
-    report = RelationReport(sorted(entries, key=lambda e: (order.index(e.relation), e.indices)))
+        order = list(RELATIONS)
+        entries = [e for group in run_tasks(check_item, relation_groups(n), jobs) for e in group]
+        report = RelationReport(sorted(entries, key=lambda e: (order.index(e.relation), e.indices)))
     for rel, arity in RELATION_ARITY.items():
         if arity > n:
             report.add(ReportEntry(rel, (), True, 0, 0.0, "skipped: no admissible index tuples at this rank"))
@@ -305,7 +396,9 @@ def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
 
 
 def verify_racah_relations(ctx: SO2nContext, basis: CommutantBasis, jobs: int = 1) -> RelationReport:
-    """Full relation sweep in the commutant realization: sweep_relations over basis.
+    """Full relation sweep in the commutant realization: sweep_relations over basis,
+    every tuple's entry derived from its relation's canonical tuple when
+    the basis is covariant, computed tuple by tuple otherwise.
 
     ctx is not read; it keeps the leading argument every entry point of
     this module takes.
@@ -319,7 +412,7 @@ def check_commutant_property(ctx: SO2nContext, basis: CommutantBasis, jobs: int 
     G entries carry the index tuple (i, s), K entries (i, j, s), read
     from basis, the one CommutantBasis of ctx.
     """
-    rotations = {s: make_L(ctx, *PairUnion((s,)).variables()) for s in range(1, ctx.n + 1)}
+    rotations = {s: make_L(ctx, *ctx.factor_variables(s)) for s in range(1, ctx.n + 1)}
     invariants = {(i,): g for i, g in basis.G.items()} | basis.K
     return run_checks(
         "commutant",

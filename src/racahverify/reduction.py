@@ -71,6 +71,16 @@ class ReducedContext:
     def param(self, i: int) -> ParamPoly:
         return self.signature.param(i)
 
+    @staticmethod
+    def factor_variables(i: int) -> tuple[int]:
+        """The one radial variable x_i that factor i owns."""
+        return (i,)
+
+    @staticmethod
+    def factor_params(i: int) -> tuple[int]:
+        """The one parameter a_i that factor i owns."""
+        return (i,)
+
     def factor_triples(self, i: int) -> list[SU11Triple]:
         """The radial triple in x_i, the one variable of factor i."""
         return [make_reduced_J(self, i)]
@@ -165,8 +175,9 @@ class ReducedBasis(Basis):
     i < j < k, signed by permutation at other orderings, as in the
     commutant picture.  The C^i are constants, so F^{ijk} equals
     (1/2)[P^{ij}, P^{jk}] and relation (a) holds by construction at
-    (i,j,k) and (k,j,i); at the four other orderings it checks that F
-    is antisymmetric.  Relations (b)..(e) remain contentful.
+    (i,j,k) and (k,j,i); that F is antisymmetric at the four other
+    orderings is checked by the sweep's certificate (racah.covariant).
+    Relations (b)..(e) remain contentful.
     """
 
     # See CommutantBasis.f: the tracer wraps each class's own f.
@@ -181,6 +192,8 @@ class ReducedBasis(Basis):
 
 def verify_reduced_racah(ctx: ReducedContext, basis: ReducedBasis, jobs: int = 1) -> RelationReport:
     """The five quadratic relations in the radial realization, generic a_i:
-    sweep_relations over basis.  ctx is not read; it keeps the leading
-    argument of the module's other entry points."""
+    sweep_relations over basis, where relabelling the factors also
+    permutes the a_i, so each relation is computed at its canonical
+    tuple and the other tuples follow by covariance.  ctx is not read;
+    it keeps the leading argument of the module's other entry points."""
     return sweep_relations(basis, jobs)

@@ -56,10 +56,13 @@ its terms into it.  Each sum is decoded and reduced once, so the
 intermediates that cancel are never built.  ``combination`` is the
 one-member group, every product and commutator a one-term
 ``combination``, and a relation residual a member
-whose shared term is the left-hand bracket: the relation sweep
+whose shared term is the left-hand bracket: the direct relation sweep
 computes each bracket once for all the tuples that give it up to sign
-(``racah.relation_residuals``), which takes about a third off a
-reduced-model run (BENCH_shared_brackets.json).
+(``racah.relation_residuals``).  The relation sweep of a covariant
+basis computes one residual per relation and derives every other
+tuple's entry from it; the covariance is certified with ``relabel``, a
+renaming of variables and parameters that reindexes the flat terms and
+never calls the kernel.
 
 Both pair sweeps run on packed keys: each (monomial, parameter
 exponent) key becomes one int of fixed-width offset-binary fields, field
@@ -125,7 +128,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from math import comb, gcd, lcm, prod
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Mapping, Sequence, Union
 
 from .coeff import ParamPoly, ScalarLike, _fraction, _graded, _powers, parse_param_poly, read_factor, read_rational
@@ -658,6 +661,31 @@ class Operator(_FlatTerms):
     def _factors(self, mo: tuple) -> list[str]:
         m = self.sig.num_vars
         return _powers("x", mo[:m]) + _powers("d", mo[m:])
+
+
+def relabel(op: Operator, variables: Sequence[int], params: Sequence[int] = ()) -> Operator:
+    """op with variable v renamed variables[v - 1] and parameter a_p renamed a_{params[p - 1]}.
+
+    Both maps are permutations, 1-based (ValueError otherwise), and the
+    variable map must send localized variables to localized ones.  The
+    result reindexes the flat terms of op, x_v and d_v alike, and keeps
+    its denominator: no product is taken.  Renaming is an algebra
+    automorphism of the Weyl algebra over the parameter ring, so it
+    commutes with sums, products and brackets, and it is injective on
+    monomials, so it keeps ``term_count``.
+    """
+    sig = op.sig
+    m = sig.num_vars
+    if sorted(variables) != list(range(1, m + 1)) or sorted(params) != list(range(1, sig.nparams + 1)):
+        raise ValueError(f"relabelling needs permutations of 1..{m} and 1..{sig.nparams}")
+    if {variables[v - 1] for v in sig.localized} != sig.localized:
+        raise ValueError("relabelling must send localized variables to localized ones")
+    # Position j of the result reads position source[j] of op: the inverse permutation, 0-based.
+    source = sorted(range(m), key=variables.__getitem__)
+    mono_of = itemgetter(*source, *(m + v for v in source))
+    # Fewer than two parameters have only the identity renaming.
+    pe_of = itemgetter(*sorted(range(sig.nparams), key=params.__getitem__)) if sig.nparams > 1 else tuple
+    return Operator._make(sig, {(mono_of(mono), pe_of(pe)): q for (mono, pe), q in op.terms.items()}, op.den)
 
 
 def _check_index(sig: AlgebraSignature, index: int) -> int:

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -18,7 +19,9 @@ from racahverify.racah import (
     CommutantBasis,
     bracket_key,
     check_commutant_property,
+    covariant,
     dependency_residual,
+    factor_relabelling,
     make_G,
     make_K,
     relation_groups,
@@ -348,16 +351,29 @@ def _assert_sweep_matches_per_tuple(basis, reference, jobs):
     report = sweep_relations(basis, jobs)
     order = list(RELATIONS)
     expected = sorted((order.index(rel), t, r.is_zero(), r.term_count()) for (rel, t), r in reference.items())
-    got = [(order.index(e.relation), e.indices, e.passed, e.residual_terms) for e in report.entries]
+    checked = [e for e in report.entries if not e.note.startswith("skipped")]
+    got = [(order.index(e.relation), e.indices, e.passed, e.residual_terms) for e in checked]
     assert got == expected
+    skipped = [e.relation for e in report.entries[len(checked):]]
+    assert skipped == [rel for rel, arity in RELATION_ARITY.items() if arity > basis.ctx.n]
     return report
 
 
-@pytest.mark.parametrize("kind", ["commutant", "reduced"])
-def test_grouped_sweep_equals_relation_residual_tuple_by_tuple(kind, bases5):
-    basis = bases5[kind]
+def _basis(kind, n):
+    return CommutantBasis(SO2nContext(n)) if kind == "commutant" else ReducedBasis(ReducedContext(n))
+
+
+@pytest.mark.parametrize(
+    "kind, n", [(kind, n) for kind in ("commutant", "reduced") for n in (3, 4, 5)] + [("reduced", 6)]
+)
+def test_grouped_sweep_equals_relation_residual_tuple_by_tuple(kind, n, bases5):
+    # the per-tuple residuals are the reference; the bases are covariant,
+    # so the sweep derives its entries from the canonical tuples
+    basis = bases5[kind] if n == 5 else _basis(kind, n)
+    assert covariant(basis)
     reference = _per_tuple(basis, basis.c)
-    assert len(reference) == 480 and all(r.is_zero() for r in reference.values())
+    tuples = sum(comb(n, arity) * math.factorial(arity) for arity in RELATION_ARITY.values() if arity <= n)
+    assert len(reference) == tuples and all(r.is_zero() for r in reference.values())
     _assert_groups_match_per_tuple(basis, basis.c, reference)
     assert _assert_sweep_matches_per_tuple(basis, reference, 2).all_passed()
 
@@ -455,3 +471,84 @@ def test_raising_group_names_relation_and_tuple(jobs):
     tuple_ = r"\(1, 2, 3\)" if jobs == 1 else r"\(\d, \d, \d\)"
     with pytest.raises(RuntimeError, match=rf"check b {tuple_} raised KeyError\(\d\) in a group of 2 tuples"):
         sweep_relations(basis, jobs)
+
+
+def _shifted_c1(basis):
+    """A copy of basis whose C^1 alone is shifted by 1/2: not covariant, and relations b and d see it."""
+    shifted = copy.copy(basis)
+    half = Operator.constant(basis.ctx.signature, Fraction(1, 2))
+    shifted.C1 = dict(basis.C1) | {1: basis.C1[1] + half}
+    return shifted
+
+
+@pytest.mark.parametrize("kind", ["commutant", "reduced"])
+def test_non_covariant_c_takes_the_direct_sweep(kind, bases5):
+    basis = _shifted_c1(bases5[kind])
+    assert not covariant(basis)
+    reference = _per_tuple(basis, basis.c)
+    report = _assert_sweep_matches_per_tuple(basis, reference, 1)
+    # verdicts differ inside one relation, which no canonical tuple could give
+    verdicts = {e.passed for e in report.entries if e.relation == "b"}
+    assert verdicts == {True, False}
+    assert {e.relation for e in report.entries if not e.passed} == {"b", "d"}
+
+
+@pytest.mark.parametrize("kind", ["commutant", "reduced"])
+def test_orbit_sweep_runs_the_kernel_at_the_canonical_tuples_only(kind, bases5, monkeypatch):
+    basis = bases5[kind]
+    calls = []
+    residual = racah.relation_residual
+
+    def counted(rel, t, p, f, c):
+        calls.append((rel, t))
+        return residual(rel, t, p, f, c)
+
+    monkeypatch.setattr(racah, "relation_residual", counted)
+    monkeypatch.setattr(racah, "relation_groups", None)  # the direct sweep is not taken
+    report = sweep_relations(basis, 1)
+    assert calls == [(rel, tuple(range(1, arity + 1))) for rel, arity in RELATION_ARITY.items()]
+    assert len(report.entries) == 480 and report.all_passed()
+    # each derived entry carries an even share of its canonical check's time
+    by_rel = {}
+    for e in report.entries:
+        by_rel.setdefault(e.relation, set()).add(e.ms)
+    assert all(len(times) == 1 for times in by_rel.values())
+
+
+@pytest.mark.parametrize("kind", ["commutant", "reduced"])
+def test_certificate_sees_f_that_is_not_antisymmetric_at_one_ordering(kind):
+    # every sorted triple stays covariant; only the stored F^{321} is wrong
+    basis = _basis(kind, 3)
+    assert covariant(basis)
+    basis._F[3, 2, 1] = basis.f(1, 2, 3)
+    assert not covariant(basis)
+    failed = {e.indices for e in sweep_relations(basis).entries if not e.passed}
+    assert (3, 2, 1) in failed and (1, 2, 3) not in failed
+
+
+@pytest.mark.parametrize("kind", ["commutant", "reduced"])
+def test_wrong_canonical_f_is_not_covariant(kind):
+    # the basis of test_one_wrong_term_in_canonical_f_fails_relation_a_at_six_orderings
+    basis = _basis(kind, 4)
+    wrong = basis.f(1, 2, 3) + Operator.x(basis.ctx.signature, 1)
+    for t in itertools.permutations((1, 2, 3)):
+        basis._F[t] = wrong if t in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -wrong
+    assert not covariant(basis)
+
+
+def test_covariant_is_false_when_an_accessor_raises():
+    basis = CommutantBasis(CTX3)
+    basis.C1 = {}
+    assert not covariant(basis)
+
+
+def test_factor_relabelling_moves_each_factor_with_its_variables_and_parameter():
+    ctx = ReducedContext(3)
+    basis = ReducedBasis(ctx)
+    cycle = factor_relabelling(ctx, (2, 3, 1))
+    assert cycle(basis.c(1)) == basis.c(2) and cycle(basis.p(1, 3)) == basis.p(2, 1)
+    assert cycle(basis.f(1, 2, 3)) == basis.f(2, 3, 1)
+    swap = factor_relabelling(CTX3, (2, 1, 3))
+    assert swap(make_L(CTX3, 1, 2)) == make_L(CTX3, 3, 4)
+    assert swap(make_L(CTX3, 2, 5)) == make_L(CTX3, 4, 5)
+    assert swap(BASIS3.f(1, 2, 3)) == BASIS3.f(2, 1, 3) == -BASIS3.f(1, 2, 3)

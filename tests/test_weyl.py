@@ -19,6 +19,7 @@ from racahverify.weyl import (
     commutator,
     evaluator,
     parse_operator,
+    relabel,
 )
 
 SIG2 = AlgebraSignature(2)
@@ -456,3 +457,61 @@ def test_evaluate_checks_the_parameter_count_of_the_zero_polynomial():
     with pytest.raises(ValueError, match="expected 1 parameter values, got 0"):
         Polynomial.zero(sig).evaluate(coords, ())
     assert Polynomial.zero(sig).evaluate(coords, (Fraction(2),)) == 0
+
+
+# Relabelling: plain, localized (1 and 3 localized, so 1 <-> 3 is the one
+# nontrivial renaming that keeps them) and parameter signatures.
+LOC3 = AlgebraSignature(3, localized=frozenset({1, 3}))
+RELABEL_FORMS = {
+    "plain": (SIG2, ops2),
+    "localized": (LOC3, operators(LOC3, laurent=True)),
+    "params": (PSIG, opsP),
+}
+
+
+def _renamings(sig):
+    """(variable map, parameter map) pairs that keep the localized variables localized."""
+    keeps = lambda vs: {vs[v - 1] for v in sig.localized} == sig.localized
+    variables = st.permutations(range(1, sig.num_vars + 1)).filter(keeps)
+    return st.tuples(variables, st.permutations(range(1, sig.nparams + 1)))
+
+
+def _inverse(perm):
+    out = [0] * len(perm)
+    for i, image in enumerate(perm, 1):
+        out[image - 1] = i
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(RELABEL_FORMS))
+@given(data=st.data())
+def test_relabel_is_an_automorphism_and_inverts(kind, data):
+    # the orbit sweep of racah rests on these three facts
+    sig, ops = RELABEL_FORMS[kind]
+    a, b = data.draw(ops), data.draw(ops)
+    variables, params = data.draw(_renamings(sig))
+    move = lambda op: relabel(op, variables, params)
+    assert move(a * b) == move(a) * move(b)
+    assert move(commutator(a, b)) == commutator(move(a), move(b))
+    assert relabel(move(a), _inverse(variables), _inverse(params)) == a
+    assert move(a).term_count() == a.term_count() and move(a).den == a.den
+
+
+def test_relabel_examples():
+    # x1 d2 with x1 -> x2 and x2 -> x1 is x2 d1; a1 x1^-2 with a1 <-> a2, x1 <-> x2 is a2 x2^-2
+    x1d2 = Operator.x(SIG2, 1) * Operator.d(SIG2, 2)
+    assert relabel(x1d2, (2, 1)) == Operator.x(SIG2, 2) * Operator.d(SIG2, 1)
+    assert relabel(x1d2, (1, 2)) == x1d2
+    potential = Operator.x(PSIG, 1, -2) * PSIG.param(1)
+    assert relabel(potential, (2, 1), (2, 1)) == Operator.x(PSIG, 2, -2) * PSIG.param(2)
+    assert relabel(potential, (2, 1), (1, 2)) == Operator.x(PSIG, 2, -2) * PSIG.param(1)
+
+
+@pytest.mark.parametrize(
+    "sig, variables, params",
+    [(SIG2, (1, 1), ()), (SIG2, (1,), ()), (SIG2, (1, 3), ()), (PSIG, (1, 2), (1,)), (LOC2, (2, 1), ())],
+)
+def test_relabel_refuses_maps_that_are_not_renamings(sig, variables, params):
+    # not a permutation, wrong length, or a localized variable sent to a non-localized one
+    with pytest.raises(ValueError):
+        relabel(Operator.x(sig, 1), variables, params)
