@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--allow-large-n",
         action="store_true",
-        help="permit n above 5 (relation tuple counts grow as n^5)",
+        help="permit n above 5 (the Casimir suites check all 2^n - 1 factor subsets)",
     )
     return parser
 

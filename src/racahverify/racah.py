@@ -53,11 +53,7 @@ sigma(1, ..., arity) is sigma applied to the residual at (1, ..., arity),
 with the same term count, so each relation is computed once, at its
 canonical tuple, and every other tuple's entry is derived from it.  A
 basis that is not covariant takes the direct sweep, the reference path:
-there the left-hand bracket of a relation is the same operator, up to
-sign, at several tuples: 2 for relations a, b and c, 4 for d and 8 for
-e (``bracket_key``).  It groups those tuples and sweeps each bracket
-once for the group (``relation_residuals``); every residual is the one
-the tuple would give alone.
+``relation_residual`` at every tuple, each on its own.
 
 The five relations, all indices pairwise distinct:
 
@@ -84,8 +80,8 @@ from typing import Callable, Sequence
 
 from ._parallel import run_tasks
 from .liealg import PairUnion, SO2nContext, casimir_CA, decomposition_sum, make_L, rotation_squares
-from .report import RelationReport, ReportEntry, check, check_group, run_checks
-from .weyl import Operator, combination_group, commutator, relabel
+from .report import RelationReport, ReportEntry, check, run_checks
+from .weyl import Operator, combination, commutator, relabel
 
 # Relations (a)-(e) as data: index letters, the left-hand bracket [A, B]
 # and the right-hand products (r, X, Y).  A generator is its letter P, F or
@@ -193,94 +189,28 @@ def relation_residual(
 ) -> Operator:
     """Left side minus right side of relation `rel` at the index tuple t.
 
-    The one-tuple ``relation_residuals``: the bracket [A, B] is taken at
-    t's own operands, as written, and the residual is one
-    ``weyl.combination_group`` call.
-    """
-    return relation_residuals(rel, [tuple(t)], p, f, c)[0]
-
-
-def relation_residuals(
-    rel: str,
-    tuples: Sequence[tuple[int, ...]],
-    p: PAccessor,
-    f: FAccessor,
-    c: CAccessor,
-) -> list[Operator]:
-    """relation_residual at every tuple of a group whose left-hand brackets agree up to sign.
-
     Each relation is a bracket [A, B] on the left and a sum of products
-    r * X Y on the right (``RELATIONS``).  The tuples must share the
-    canonical operand pair of ``bracket_key``, so that [A_t, B_t] = s_t
-    [A_1, B_1], with s_t the product of the two tuples' signs; other
-    tuples raise ValueError.  The bracket is swept once, at the first
-    tuple's operands, into one packed accumulator
-    (``weyl.combination_group``); each tuple's residual starts from s_t
-    times it and sweeps its own right-hand products - r * X Y into it,
-    so the right side is never built.  By bilinearity each residual is
-    the operator relation_residual would give at that tuple alone.
+    r * X Y on the right (``RELATIONS``), read at t's own operands.  The
+    residual is one ``weyl.combination`` of [A, B] and every - r * X Y,
+    swept into one packed accumulator, so the right side is never built.
+    An unknown relation, a tuple whose length is not the relation's
+    arity, and a tuple whose indices repeat raise ValueError.
     """
     if rel not in RELATIONS:
         raise ValueError(f"unknown relation {rel!r}")
     letters, bracket, rhs = RELATIONS[rel]
-    keys = [bracket_key(rel, t) for t in tuples]
-    key, first = keys[0]
-    if any(k != key for k, _ in keys):
-        raise ValueError(f"the tuples {list(tuples)} of relation {rel} do not share one left-hand bracket")
+    if len(t) != len(letters) or len(set(t)) != len(t):
+        raise ValueError(f"relation {rel} needs {len(letters)} pairwise distinct indices, not {tuple(t)}")
+    index = dict(zip(letters, t))
     accessors = {"P": p, "F": f, "C": c}
 
-    def operand(name: str, index: dict[str, int]) -> Operator:
+    def operand(name: str) -> Operator:
         if name == "1":
             return Operator.constant(left.sig, 1)
         return accessors[name[0]](*(index[letter] for letter in name[1:]))
 
-    left, right = (operand(name, dict(zip(letters, tuples[0]))) for name in bracket)
-    members = []
-    for t, (_, sign) in zip(tuples, keys):
-        index = dict(zip(letters, t))
-        members.append((sign * first, [(-r, operand(x, index), operand(y, index), False) for r, x, y in rhs]))
-    return combination_group([(1, left, right, True)], members)
-
-
-def bracket_key(rel: str, t: Sequence[int]) -> tuple[tuple, int]:
-    """The canonical operand pair of relation rel's left-hand bracket at t, and its sign.
-
-    Each operand (P^{ij} or F^{ijk}) becomes (letter, sorted indices):
-    P is symmetric, and F carries the sign of the permutation that sorts
-    its indices.  The pair is put in sorted order, which flips the sign
-    once if it swaps the operands.  So [A, B] at t is sign * [A0, B0]
-    for the canonical pair (A0, B0).  A tuple whose length is not the
-    relation's arity, or whose indices repeat, raises ValueError.
-    """
-    letters, bracket, _ = RELATIONS[rel]
-    if len(t) != len(letters) or len(set(t)) != len(t):
-        raise ValueError(f"relation {rel} needs {len(letters)} pairwise distinct indices, not {tuple(t)}")
-    index = dict(zip(letters, t))
-    operands, sign = [], 1
-    for name in bracket:
-        indices = tuple(index[letter] for letter in name[1:])
-        operands.append((name[0], tuple(sorted(indices))))
-        if name[0] == "F":
-            sign *= _parity(indices)
-    if operands[1] < operands[0]:
-        operands.reverse()
-        sign = -sign
-    return tuple(operands), sign
-
-
-def relation_groups(n: int) -> list[tuple[str, list[tuple[int, ...]]]]:
-    """Every relation's tuples of pairwise distinct indices in 1..n, grouped by ``bracket_key``.
-
-    The tuples of one group give their relation's left-hand bracket up
-    to sign: 2 per group for relations a, b and c, 4 for d and 8 for e.
-    Groups come in relation order, each relation's in the order of their
-    first tuples, and tuples in permutation order.
-    """
-    groups: dict[tuple, list[tuple[int, ...]]] = {}
-    for rel, arity in RELATION_ARITY.items():
-        for t in itertools.permutations(range(1, n + 1), arity):
-            groups.setdefault((rel, bracket_key(rel, t)[0]), []).append(t)
-    return [(rel, tuples) for (rel, _), tuples in groups.items()]
+    left, right = map(operand, bracket)
+    return combination([(1, left, right, True), *((-r, operand(x), operand(y), False) for r, x, y in rhs)])
 
 
 def factor_relabelling(ctx, sigma: Sequence[int]) -> Callable[[Operator], Operator]:
@@ -340,55 +270,50 @@ def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     word in them relabels one generator at a time), so those operands
     are the ones stored at t, and the residual at t is sigma applied to
     the canonical one.  Relabelling is injective on monomials, so every
-    tuple gets the canonical verdict and ``residual_terms``.  The
-    canonical residuals go through ``relation_residual`` in one
-    dispatch, one relation per item, so an error names the relation
-    and the tuple; each derived entry carries an even share of its
-    canonical check's time.
+    tuple gets the canonical verdict and ``residual_terms``, and an even
+    share of the canonical check's time.
 
     The trade: the kernel runs only at the canonical tuples.  A kernel
     fault that depends on which variables an operand uses would show in
     the direct sweep; here it shows only where it breaks the covariance
     of the basis, which the kernel built at every index.  So a basis
     that is not covariant, or whose accessors raise, takes the direct
-    sweep, and the tests keep the direct sweep as the reference.
+    sweep, the reference the tests keep: ``relation_residual`` at every
+    tuple on its own.
 
-    The direct sweep groups each relation's tuples by their left-hand
-    bracket (``relation_groups``), and every group goes to workers in
-    one dispatch, so each bracket is swept once for all the tuples that
-    give it up to sign, and the long relation-d groups interleave with
-    the short ones across workers; each entry carries an even share of
-    its group's time.
-
-    Either way entries come in relation order, tuples in permutation
-    order.  Relations whose arity exceeds n get a single 'skipped' entry
-    after them: they have no admissible tuples at that rank, and arities
-    ascend, so those entries come last.  The basis holds every P and F
-    from its construction, so forked workers inherit them and only look
-    them up.
+    Both sweeps dispatch their (relation, tuple) items to workers at
+    once: the canonical tuples, or every tuple.  Each item is checked by
+    ``report.check`` through ``relation_residual``, so an error names
+    the relation and the tuple.  Either way entries come in relation
+    order, tuples in permutation order.  Relations whose arity exceeds
+    n get a single 'skipped' entry after them: they have no admissible
+    tuples at that rank, and arities ascend, so those entries come
+    last.  The basis holds every P and F from its construction, so
+    forked workers inherit them and only look them up.
     """
     n = basis.ctx.n
     if n < 3:
         raise ValueError("the relation sweep needs at least three factors")
     p, f, c = basis.p, basis.f, basis.c
-    if covariant(basis):
-        def canonical(rel: str) -> ReportEntry:
-            return check(rel, tuple(range(1, RELATION_ARITY[rel] + 1)), lambda t: relation_residual(rel, t, p, f, c))
+    certified = covariant(basis)
 
-        rels = [rel for rel, arity in RELATION_ARITY.items() if arity <= n]
-        report = RelationReport()
-        for entry in run_tasks(canonical, rels, jobs):
-            tuples = list(itertools.permutations(range(1, n + 1), len(entry.indices)))
-            ms = entry.ms / len(tuples)
-            report.entries += [replace(entry, indices=t, ms=ms) for t in tuples]
-    else:
-        def check_item(group: tuple[str, list[tuple[int, ...]]]) -> list[ReportEntry]:
-            rel, tuples = group
-            return check_group(rel, tuples, lambda ts: relation_residuals(rel, ts, p, f, c))
+    def tuples(arity: int) -> list[tuple[int, ...]]:
+        return list(itertools.permutations(range(1, n + 1), arity))
 
-        order = list(RELATIONS)
-        entries = [e for group in run_tasks(check_item, relation_groups(n), jobs) for e in group]
-        report = RelationReport(sorted(entries, key=lambda e: (order.index(e.relation), e.indices)))
+    def check_item(item: tuple[str, tuple[int, ...]]) -> ReportEntry:
+        rel, t = item
+        return check(rel, t, lambda t: relation_residual(rel, t, p, f, c))
+
+    items = [
+        (rel, t)
+        for rel, arity in RELATION_ARITY.items()
+        if arity <= n
+        for t in ([tuple(range(1, arity + 1))] if certified else tuples(arity))
+    ]
+    report = RelationReport()
+    for entry in run_tasks(check_item, items, jobs):
+        orbit = tuples(len(entry.indices)) if certified else [entry.indices]
+        report.entries += [replace(entry, indices=t, ms=entry.ms / len(orbit)) for t in orbit]
     for rel, arity in RELATION_ARITY.items():
         if arity > n:
             report.add(ReportEntry(rel, (), True, 0, 0.0, "skipped: no admissible index tuples at this rank"))

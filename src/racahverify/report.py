@@ -6,9 +6,8 @@ records whether the residual vanished and how many terms survived; a
 numeric check returns a bool verdict instead, recorded as 0 surviving
 terms when it holds and -1 when it fails (there is no residual to count);
 ``run_checks`` does that for every tuple of a sweep, in input order, so
-parallel runs print identically to serial ones.  ``check_group`` does
-it for tuples whose residuals come from one call (the relation sweep's
-tuples that share a bracket), and ``check`` is its one-tuple case.
+parallel runs print identically to serial ones.  ``check`` is the one
+timed helper every sweep uses, the relation sweep included.
 """
 
 from __future__ import annotations
@@ -16,14 +15,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from ._parallel import run_tasks
 from .weyl import Operator, Polynomial
 
 Residual = Operator | Polynomial | bool
 ResidualFn = Callable[[tuple[int, ...]], Residual]
-GroupFn = Callable[[Sequence[tuple[int, ...]]], Sequence[Residual]]
 
 
 @dataclass(frozen=True)
@@ -93,32 +91,14 @@ def check(relation: str, indices: tuple[int, ...], residual_fn: ResidualFn, note
     """Time residual_fn(indices) and report the residual or verdict it returns.
 
     An exception from residual_fn is re-raised as a RuntimeError naming
-    the relation and the index tuple, also from a forked worker.  It is
-    the one-tuple ``check_group``.
-    """
-    return check_group(relation, [indices], lambda tuples: [residual_fn(indices)], note)[0]
-
-
-def check_group(
-    relation: str, tuples: Sequence[tuple[int, ...]], residuals_fn: GroupFn, note: str = ""
-) -> list[ReportEntry]:
-    """check() for tuples whose residuals one call gives: residuals_fn(tuples), one per tuple, in order.
-
-    Each entry's ms is an even share of the call's time.  An exception
-    is re-raised as a RuntimeError naming the relation and the first
-    tuple, and the size of the group when it has more than one.
+    the relation and the index tuple, also from a forked worker.
     """
     t0 = time.perf_counter()
     try:
-        residuals = residuals_fn(tuples)
+        residual = residual_fn(indices)
     except Exception as exc:
-        group = f" in a group of {len(tuples)} tuples" if len(tuples) > 1 else ""
-        raise RuntimeError(f"check {relation} {tuples[0]} raised {exc!r}{group}") from exc
-    ms = (time.perf_counter() - t0) * 1000 / len(tuples)
-    return [_entry(relation, t, residual, ms, note) for t, residual in zip(tuples, residuals, strict=True)]
-
-
-def _entry(relation: str, indices: tuple[int, ...], residual: Residual, ms: float, note: str) -> ReportEntry:
+        raise RuntimeError(f"check {relation} {indices} raised {exc!r}") from exc
+    ms = (time.perf_counter() - t0) * 1000
     if isinstance(residual, bool):
         return ReportEntry(relation, indices, residual, 0 if residual else -1, ms, note)
     return ReportEntry(relation, indices, residual.is_zero(), residual.term_count(), ms, note)

@@ -44,25 +44,19 @@ sweep.
 
 Both sweeps add m * (their numerators) into an accumulator and layout
 the caller passes in, m an integer multiplier applied once per left
-row.  ``combination_group`` is the one kernel entry.  It takes shared
-terms and members, each term a product c * a * b or a bracket
-c * [a, b] with rational c, and gives for each member (sign, terms)
-sign * (the shared sum) + (its terms' sum).  It picks one layout wide
-enough for every pair of the call and one denominator for the whole
-call, lcm(den_c * den_a * den_b) over the shared terms and every
-member's, sweeps the shared terms once into one accumulator over it,
-and each member starts from a plain copy of that accumulator and sweeps
-its terms into it.  Each sum is decoded and reduced once, so the
-intermediates that cancel are never built.  ``combination`` is the
-one-member group, every product and commutator a one-term
-``combination``, and a relation residual a member
-whose shared term is the left-hand bracket: the direct relation sweep
-computes each bracket once for all the tuples that give it up to sign
-(``racah.relation_residuals``).  The relation sweep of a covariant
-basis computes one residual per relation and derives every other
-tuple's entry from it; the covariance is certified with ``relabel``, a
-renaming of variables and parameters that reindexes the flat terms and
-never calls the kernel.
+row.  ``combination`` is the one kernel entry.  It takes terms, each a
+product c * a * b or a bracket c * [a, b] with rational c, picks one
+layout wide enough for every pair of the call and one denominator for
+the whole call, lcm(den_c * den_a * den_b) over the terms, and sweeps
+every term into one accumulator over it.  The sum is decoded and
+reduced once, so the intermediates that cancel are never built.  Every
+product and commutator is a one-term ``combination``, and a relation
+residual is the ``combination`` of its left-hand bracket and its
+negated right-hand products (``racah.relation_residual``).  The
+relation sweep of a covariant basis computes one residual per relation
+and derives every other tuple's entry from it; the covariance is
+certified with ``relabel``, a renaming of variables and parameters that
+reindexes the flat terms and never calls the kernel.
 
 Both pair sweeps run on packed keys: each (monomial, parameter
 exponent) key becomes one int of fixed-width offset-binary fields, field
@@ -223,15 +217,15 @@ class _Layout:
         self.dbits = (0,) * nvars + self.xbits
         self.fields = struct.Struct(f"<{nfields}{code}")
 
-    def decode(self, acc: dict[int, int], sign: int = 1) -> dict[tuple, int]:
-        """Packed key -> num as the nonzero (mono, pexp) -> sign * num."""
+    def decode(self, acc: dict[int, int]) -> dict[tuple, int]:
+        """Packed key -> num as the nonzero (mono, pexp) -> num."""
         bias, nbytes, unpack, split = self.bias, self.fields.size, self.fields.unpack, 2 * self.nvars
         out = {}
         for k, q in acc.items():
             if q:
                 t = unpack((k ^ bias).to_bytes(nbytes, "little"))
                 out[t[:split], t[split:]] = q
-        return out if sign == 1 else {key: -q for key, q in out.items()}
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -716,68 +710,31 @@ Term = tuple[Union[Fraction, int], Operator, Operator, bool]
 def combination(terms: Sequence[Term]) -> Operator:
     """sum c * a * b over the terms (c, a, b, False) plus c * [a, b] over the terms (c, a, b, True).
 
-    Each coefficient c must be an int or a Fraction; its ``numerator``
-    and ``denominator`` are read directly.  The result equals the sum of
-    the terms taken one at a time (``*`` and ``commutator`` are
-    one-term combinations) and added with ``+`` and ``-``, terms and
-    denominator alike.  It is the one-member ``combination_group`` of
-    the terms.
+    The one kernel entry.  Each coefficient c must be an int or a
+    Fraction; its ``numerator`` and ``denominator`` are read directly.
+    Every term is swept at one layout wide enough for all the pairs, into
+    one packed accumulator over one denominator den = lcm(den_c * den_a *
+    den_b) over the terms, its numerators multiplied by num_c * den /
+    (den_c * den_a * den_b).  Only the sum is decoded and reduced to
+    lowest terms, so it equals the sum of the terms taken one at a time
+    (``*`` and ``commutator`` are one-term combinations) and added with
+    ``+`` and ``-``, terms and denominator alike.  No terms raise
+    ValueError, operands in different signatures ValueError, and
+    exponents too large for 64-bit packed fields OverflowError.
     """
-    return combination_group(terms, _ONE_MEMBER)[0]
-
-
-_ONE_MEMBER = ((1, ()),)
-
-
-def combination_group(shared: Sequence[Term], members: Sequence[tuple[int, Sequence[Term]]]) -> list[Operator]:
-    """[sign * combination(shared) + combination(terms) for sign, terms in members], sweeping shared once.
-
-    The one kernel entry; each sign is 1 or -1 (ValueError otherwise).
-    Every sweep runs at one layout wide enough for the pairs of the
-    shared terms and of every member, and over one denominator den =
-    lcm(den_c * den_a * den_b) over those same terms, each term's
-    numerators multiplied by num_c * den / (den_c * den_a * den_b).  The
-    shared terms sweep once into one packed accumulator.  A member
-    (sign, terms) starts from a plain copy of it (the last member takes
-    the accumulator itself), sweeps its own terms times sign into it,
-    and decodes sign times the sum, as sign * (x + sign * y) = sign * x
-    + y.  Only each member's sum is decoded and reduced to lowest terms,
-    so intermediates that cancel are never built, and by bilinearity
-    each result equals the ``combination`` of the sign-scaled shared
-    terms and the member's terms, terms and denominator alike.  An
-    empty ``shared`` raises ValueError, operands in different signatures
-    ValueError, and exponents too large for 64-bit packed fields
-    OverflowError.
-    """
-    if not shared:
+    if not terms:
         raise ValueError("a combination needs at least one term")
-    every = list(shared)
-    for _, terms in members:
-        every += terms
-    first = shared[0][1]
-    for _, a, b, _ in every:
+    first = terms[0][1]
+    for _, a, b, _ in terms:
         first._check_sig(a)
         first._check_sig(b)
-    layout = _layout_for([(a, b) for _, a, b, _ in every])
-    den = lcm(*[c.denominator * a.den * b.den for c, a, b, _ in every])
+    layout = _layout_for([(a, b) for _, a, b, _ in terms])
+    den = lcm(*[c.denominator * a.den * b.den for c, a, b, _ in terms])
     acc: dict[int, int] = {}
-    _sweep(acc, layout, shared, den, 1)
-    out = []
-    last = len(members) - 1
-    for index, (sign, terms) in enumerate(members):
-        if sign != 1 and sign != -1:
-            raise ValueError(f"a member's sign must be 1 or -1, not {sign!r}")
-        member = acc if index == last else dict(acc)
-        _sweep(member, layout, terms, den, sign)
-        out.append(Operator._make(first.sig, layout.decode(member, sign), den))
-    return out
-
-
-def _sweep(acc: dict[int, int], layout: _Layout, terms: Sequence[Term], den: int, m: int) -> None:
-    """Add m * (the numerators of every term over den) to acc."""
     for c, a, b, bracket in terms:
-        factor = m * c.numerator * (den // (c.denominator * a.den * b.den))
+        factor = c.numerator * (den // (c.denominator * a.den * b.den))
         (_commutator if bracket else _product)(acc, layout, a, b, factor)
+    return Operator._make(first.sig, layout.decode(acc), den)
 
 
 class Polynomial(_FlatTerms):

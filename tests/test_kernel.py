@@ -16,9 +16,7 @@ per pair and per reorder term.  The packed sweeps must give the same
 (terms, den), at every field width the packing picks.  ``combination``,
 which sums products and brackets in one packed accumulator, must give
 the same (terms, den) as the sum taken with ``*``, ``commutator``, ``+``
-and ``-``; ``combination_group``, which sweeps shared terms once for
-several members, must give each member what its own ``combination``
-gives.
+and ``-``.
 
 ``_reference_apply`` and ``_reference_evaluate`` are ``Operator.apply``
 and ``Polynomial.evaluate`` as they were written in Fraction arithmetic
@@ -59,7 +57,6 @@ from racahverify.weyl import (
     _layout_for,
     _width,
     combination,
-    combination_group,
     commutator,
     evaluator,
 )
@@ -413,53 +410,6 @@ def test_combination_with_mixed_denominators_and_widths():
     ]
     got = _assert_combination_matches_arithmetic(terms)
     assert got.den > 1 and any(mono[0] == -2 * 2**14 for mono, _ in got.terms)
-
-
-def _assert_group_matches_combinations(shared, members):
-    got = combination_group(shared, members)
-    assert len(got) == len(members)
-    for (sign, terms), op in zip(members, got):
-        expected = combination([(sign * c, a, b, bracket) for c, a, b, bracket in shared] + list(terms))
-        assert (op.terms, op.den) == (expected.terms, expected.den)
-    return got
-
-
-@pytest.mark.parametrize("kind", sorted(STRATEGIES))
-@settings(max_examples=40)
-@given(data=st.data())
-def test_combination_group_matches_one_combination_per_member(kind, data):
-    ops = STRATEGIES[kind]
-    term = st.tuples(small_fractions, ops, ops, st.booleans())
-    shared = data.draw(st.lists(term, min_size=1, max_size=2))
-    member = st.tuples(st.sampled_from((1, -1)), st.lists(term, max_size=3))
-    _assert_group_matches_combinations(shared, data.draw(st.lists(member, min_size=1, max_size=3)))
-
-
-def test_combination_group_with_signs_denominators_and_a_wider_member():
-    a, b = _boundary_operators(2**14)
-    x, y = _boundary_operators(3)
-    assert _layout_for(((x, y),)).width == 16 and _layout_for(((a, b),)).width == 32
-    shared = [(Fraction(7, 6), y, x, True)]
-    members = [
-        (-1, [(Fraction(2, 3), x, y, False)]),
-        (1, [(Fraction(-5, 4), a, b, False), (-3, x, x, False)]),
-        (-1, []),
-        (1, [(Fraction(1, 5), x, y, True)]),
-    ]
-    got = _assert_group_matches_combinations(shared, members)
-    assert len({op.den for op in got}) > 1
-    assert any(mono[0] == -2 * 2**14 for mono, _ in got[1].terms)
-    assert got[2] == -commutator(y, x) * Fraction(7, 6)
-
-
-def test_combination_group_member_can_cancel_the_shared_sum():
-    x, y = _boundary_operators(3)
-    third = Fraction(1, 3)
-    (zero, double) = combination_group([(third, x, y, True)], [(-1, [(third, x, y, True)]), (1, [(third, x, y, True)])])
-    assert zero.is_zero() and zero.den == 1
-    assert double == commutator(x, y) * Fraction(2, 3)
-    with pytest.raises(ValueError, match="sign must be 1 or -1"):
-        combination_group([(third, x, y, True)], [(2, [])])
 
 
 def test_empty_combination_raises_value_error():

@@ -10,23 +10,19 @@ from pathlib import Path
 import pytest
 
 from racahverify import racah, weyl
-from racahverify._parallel import run_tasks
 from racahverify.liealg import PairUnion, SO2nContext, casimir_CA, make_L
 from racahverify.racah import (
     RELATION_ARITY,
     RELATIONS,
     Basis,
     CommutantBasis,
-    bracket_key,
     check_commutant_property,
     covariant,
     dependency_residual,
     factor_relabelling,
     make_G,
     make_K,
-    relation_groups,
     relation_residual,
-    relation_residuals,
     sweep_relations,
     verify_dependency,
     verify_racah_relations,
@@ -209,13 +205,13 @@ def test_fresh_basis_holds_every_p_and_f_and_looks_them_up(kind, monkeypatch):
     assert set(basis.P) == set(itertools.permutations(range(1, 6), 2))
     assert all(basis.P[i, j] is basis.P[j, i] for i, j in basis.P)
     calls = []
-    kernel = weyl.combination_group
+    kernel = weyl.combination
 
-    def counted(shared, members):
-        calls.append(len(members))
-        return kernel(shared, members)
+    def counted(terms):
+        calls.append(len(terms))
+        return kernel(terms)
 
-    monkeypatch.setattr(weyl, "combination_group", counted)
+    monkeypatch.setattr(weyl, "combination", counted)
     for t in itertools.permutations(range(1, 6), 3):
         basis.f(*t)
     for t in itertools.permutations(range(1, 6), 2):
@@ -317,34 +313,13 @@ def test_dependency_rejects_repeated_factors():
             verify_dependency(CTX3, subset, basis=BASIS3)
 
 
-def test_bracket_keys_group_two_four_and_eight_tuples():
-    sizes = {}
-    for rel, tuples in relation_groups(5):
-        sizes.setdefault(rel, set()).add(len(tuples))
-    assert sizes == {"a": {2}, "b": {2}, "c": {2}, "d": {4}, "e": {8}}
-    assert sum(1 for _ in relation_groups(5)) == 30 + 30 + 60 + 30 + 15
-    # [P^{12}, P^{23}] and [P^{32}, P^{21}] = -[P^{12}, P^{23}]
-    assert bracket_key("a", (1, 2, 3)) == ((("P", (1, 2)), ("P", (2, 3))), 1)
-    assert bracket_key("a", (3, 2, 1)) == ((("P", (1, 2)), ("P", (2, 3))), -1)
-    # [F^{213}, F^{134}] = [-F^{123}, F^{134}]
-    assert bracket_key("d", (2, 1, 3, 4)) == ((("F", (1, 2, 3)), ("F", (1, 3, 4))), -1)
-    # [P^{34}, F^{123}] is put in sorted order as -[F^{123}, P^{34}]
-    assert bracket_key("c", (1, 2, 3, 4)) == ((("F", (1, 2, 3)), ("P", (3, 4))), -1)
-
-
 def _per_tuple(basis, c):
-    return {(rel, t): relation_residual(rel, t, basis.p, basis.f, c)
-            for rel, tuples in relation_groups(basis.ctx.n) for t in tuples}
-
-
-def _assert_groups_match_per_tuple(basis, c, reference):
-    for jobs in (1, 2, 3):
-        groups = relation_groups(basis.ctx.n)
-        residuals = run_tasks(lambda g: relation_residuals(*g, basis.p, basis.f, c), groups, jobs)
-        for (rel, tuples), got in zip(groups, residuals, strict=True):
-            for t, residual in zip(tuples, got, strict=True):
-                expected = reference[rel, t]
-                assert (residual.terms, residual.den) == (expected.terms, expected.den), (rel, t, jobs)
+    """relation_residual at every tuple of every relation, each on its own: the direct sweep's reference."""
+    return {
+        (rel, t): relation_residual(rel, t, basis.p, basis.f, c)
+        for rel, arity in RELATION_ARITY.items()
+        for t in itertools.permutations(range(1, basis.ctx.n + 1), arity)
+    }
 
 
 def _assert_sweep_matches_per_tuple(basis, reference, jobs):
@@ -366,7 +341,7 @@ def _basis(kind, n):
 @pytest.mark.parametrize(
     "kind, n", [(kind, n) for kind in ("commutant", "reduced") for n in (3, 4, 5)] + [("reduced", 6)]
 )
-def test_grouped_sweep_equals_relation_residual_tuple_by_tuple(kind, n, bases5):
+def test_orbit_sweep_equals_relation_residual_tuple_by_tuple(kind, n, bases5):
     # the per-tuple residuals are the reference; the bases are covariant,
     # so the sweep derives its entries from the canonical tuples
     basis = bases5[kind] if n == 5 else _basis(kind, n)
@@ -374,11 +349,10 @@ def test_grouped_sweep_equals_relation_residual_tuple_by_tuple(kind, n, bases5):
     reference = _per_tuple(basis, basis.c)
     tuples = sum(comb(n, arity) * math.factorial(arity) for arity in RELATION_ARITY.values() if arity <= n)
     assert len(reference) == tuples and all(r.is_zero() for r in reference.values())
-    _assert_groups_match_per_tuple(basis, basis.c, reference)
     assert _assert_sweep_matches_per_tuple(basis, reference, 2).all_passed()
 
 
-def test_grouped_sweep_keeps_wrong_shift_residuals(bases5):
+def test_orbit_sweep_keeps_wrong_shift_residuals(bases5):
     # C = -G/4 + 1/4 breaks (b) and (d), the relations with C-terms; the
     # copy shares P and F, which were built from the right C1
     basis = copy.copy(bases5["commutant"])
@@ -387,7 +361,7 @@ def test_grouped_sweep_keeps_wrong_shift_residuals(bases5):
     reference = _per_tuple(basis, basis.c)
     broken = {rel for (rel, _), r in reference.items() if not r.is_zero()}
     assert broken == {"b", "d"}
-    _assert_groups_match_per_tuple(basis, basis.c, reference)
+    assert covariant(basis)
     report = _assert_sweep_matches_per_tuple(basis, reference, 3)
     assert {e.relation for e in report.entries if not e.passed} == {"b", "d"}
 
@@ -396,11 +370,7 @@ def test_grouped_sweep_keeps_wrong_shift_residuals(bases5):
 def test_relation_residual_refuses_a_tuple_of_wrong_length_or_repeated_indices(t):
     message = rf"relation a needs 3 pairwise distinct indices, not \({', '.join(map(str, t))}\)"
     with pytest.raises(ValueError, match=message):
-        bracket_key("a", t)
-    with pytest.raises(ValueError, match=message):
         relation_residual("a", t, BASIS3.p, BASIS3.f, BASIS3.c)
-    with pytest.raises(ValueError, match=message):
-        relation_residuals("a", [(1, 2, 3), t], BASIS3.p, BASIS3.f, BASIS3.c)
 
 
 def _generator(name):
@@ -447,11 +417,6 @@ def test_only_the_p_p_of_b_and_the_f_p_of_d_are_order_sensitive(kind, bases5):
     assert sensitive == {("b", "PP"), ("d", "FP")}
 
 
-def test_relation_residuals_refuse_tuples_with_different_brackets():
-    with pytest.raises(ValueError, match="do not share one left-hand bracket"):
-        relation_residuals("a", [(1, 2, 3), (2, 1, 3)], BASIS3.p, BASIS3.f, BASIS3.c)
-
-
 @pytest.mark.parametrize("kind", ["commutant", "reduced"])
 def test_one_wrong_term_in_canonical_f_fails_relation_a_at_six_orderings(kind):
     basis = CommutantBasis(SO2nContext(4)) if kind == "commutant" else ReducedBasis(ReducedContext(4))
@@ -467,9 +432,9 @@ def test_one_wrong_term_in_canonical_f_fails_relation_a_at_six_orderings(kind):
 def test_raising_group_names_relation_and_tuple(jobs):
     basis = CommutantBasis(CTX3)
     basis.C1 = {}
-    # the first failing slice in worker order wins: (1, 2, 3)'s group at one job
-    tuple_ = r"\(1, 2, 3\)" if jobs == 1 else r"\(\d, \d, \d\)"
-    with pytest.raises(RuntimeError, match=rf"check b {tuple_} raised KeyError\(\d\) in a group of 2 tuples"):
+    # the first failing slice in worker order wins: (1, 2, 3) at one job
+    tuple_, key = (r"\(1, 2, 3\)", "2") if jobs == 1 else (r"\(\d, \d, \d\)", r"\d")
+    with pytest.raises(RuntimeError, match=rf"^check b {tuple_} raised KeyError\({key}\)$"):
         sweep_relations(basis, jobs)
 
 
@@ -494,6 +459,18 @@ def test_non_covariant_c_takes_the_direct_sweep(kind, bases5):
 
 
 @pytest.mark.parametrize("kind", ["commutant", "reduced"])
+def test_direct_sweep_gives_the_same_entries_at_one_two_and_three_jobs(kind, bases5):
+    # the forked direct sweep puts every tuple's entry back in order
+    basis = _shifted_c1(bases5[kind])
+    entries = {
+        jobs: [(e.relation, e.indices, e.passed, e.residual_terms) for e in sweep_relations(basis, jobs).entries]
+        for jobs in (1, 2, 3)
+    }
+    assert len(entries[1]) == 480 and sum(not passed for _, _, passed, _ in entries[1]) == 48
+    assert entries[1] == entries[2] == entries[3]
+
+
+@pytest.mark.parametrize("kind", ["commutant", "reduced"])
 def test_orbit_sweep_runs_the_kernel_at_the_canonical_tuples_only(kind, bases5, monkeypatch):
     basis = bases5[kind]
     calls = []
@@ -504,7 +481,6 @@ def test_orbit_sweep_runs_the_kernel_at_the_canonical_tuples_only(kind, bases5, 
         return residual(rel, t, p, f, c)
 
     monkeypatch.setattr(racah, "relation_residual", counted)
-    monkeypatch.setattr(racah, "relation_groups", None)  # the direct sweep is not taken
     report = sweep_relations(basis, 1)
     assert calls == [(rel, tuple(range(1, arity + 1))) for rel, arity in RELATION_ARITY.items()]
     assert len(report.entries) == 480 and report.all_passed()
