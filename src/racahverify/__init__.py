@@ -13,10 +13,11 @@ point anywhere):
   * the radial reduction to n localized variables with inverse-square
     parameters, its conserved quantities, and the same five relations
     with generic parameter coefficients (reduction),
+  * a catalog of twelve named identities drawn from every layer, each
+    reported by its exact residual (suites.identity_catalog),
   * numerically, by applying operators to random test functions at
     random rational points (oracle): the normal-ordered product against
-    nested application in two compositions, and twelve kernel-built
-    identities, each as one residual that must vanish.
+    nested application in two compositions.
 
 The computational substrate is a sparse normal-ordered Weyl algebra
 with optional localized (Laurent) variables (weyl) over sparse

@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     parser.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
     parser.add_argument(
-        "--trials", type=int, default=100, help="oracle trials per identity (default 100)"
+        "--trials", type=int, default=100, help="each oracle composition check runs 10 x TRIALS trials (default 100)"
     )
     parser.add_argument("--json", action="store_true", help="emit JSON lines instead of text")
     parser.add_argument(

@@ -14,11 +14,13 @@ depends on where the two sides come from:
   self-consistent artifact.
 - ``oracle_equiv(A, B)`` evaluates the one residual A - B, which is
   exact: evaluation is linear, so ((A - B) f)(p) = 0 exactly when
-  (A f)(p) = (B f)(p).  Both operators were built by the kernel, and
-  for every pair of the suites' identity catalog A - B is already the
-  zero operator, so its entries show only that the evaluation is a
-  function of the terms; they cannot see a kernel fault that both
-  sides share.
+  (A f)(p) = (B f)(p).  When A and B were both built by the kernel,
+  random trials add nothing to the residual itself: A - B is the zero
+  operator exactly when the identity holds as stored terms.  So the
+  oracle suite reports each entry of its identity catalog by that
+  exact residual, counted like every symbolic check, and no run of
+  racah-verify calls ``oracle_equiv``; perfbench's oracle workload
+  does.
 
 Test functions are built directly in the integer-numerator form
 polynomials store, and every value is computed on integers with one

@@ -28,9 +28,10 @@ reduction.ReducedBasis differ only in how they build C1 and C2.  The
 relations are data (``RELATIONS``), read through the basis accessors
 p(i,j), f(i,j,k), c(i), so one sweep verifies this realization and the
 dimensionally reduced one.  Every check reads the one basis of its
-run: check_commutant_property, verify_racah_relations,
-dependency_residual and verify_dependency take it as a required
-argument after the context and never build one of their own.
+run: sweep_relations takes it as its one argument, and
+check_commutant_property, verify_racah_relations, dependency_residual
+and verify_dependency as a required argument after the context; none
+builds one of its own.
 
 F is antisymmetric in its three indices: C^{ij} + C^{jk} + C^{ik} =
 C^{ijk} + C^i + C^j + C^k and C^{ij} commutes with C^{ijk} (De Bie,
@@ -74,6 +75,7 @@ commute: F with 1 in (a), and factors on disjoint index sets in (c),
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -284,18 +286,22 @@ def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     Both sweeps dispatch their (relation, tuple) items to workers at
     once: the canonical tuples, or every tuple.  Each item is checked by
     ``report.check`` through ``relation_residual``, so an error names
-    the relation and the tuple.  Either way entries come in relation
-    order, tuples in permutation order.  Relations whose arity exceeds
-    n get a single 'skipped' entry after them: they have no admissible
-    tuples at that rank, and arities ascend, so those entries come
-    last.  The basis holds every P and F from its construction, so
+    the relation and the tuple.  The certificate's wall time is shared
+    evenly over the checked items and each item's time over its orbit,
+    so the entries' ``ms`` add up to the certificate and every check.
+    Either way entries come in relation order, tuples in permutation
+    order.  Relations whose arity exceeds n get a single 'skipped'
+    entry after them: they have no admissible tuples at that rank, and
+    arities ascend, so those entries come last.  The basis holds every P and F from its construction, so
     forked workers inherit them and only look them up.
     """
     n = basis.ctx.n
     if n < 3:
         raise ValueError("the relation sweep needs at least three factors")
     p, f, c = basis.p, basis.f, basis.c
+    t0 = time.perf_counter()
     certified = covariant(basis)
+    certificate_ms = (time.perf_counter() - t0) * 1000
 
     def tuples(arity: int) -> list[tuple[int, ...]]:
         return list(itertools.permutations(range(1, n + 1), arity))
@@ -313,7 +319,8 @@ def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     report = RelationReport()
     for entry in run_tasks(check_item, items, jobs):
         orbit = tuples(len(entry.indices)) if certified else [entry.indices]
-        report.entries += [replace(entry, indices=t, ms=entry.ms / len(orbit)) for t in orbit]
+        ms = (entry.ms + certificate_ms / len(items)) / len(orbit)
+        report.entries += [replace(entry, indices=t, ms=ms) for t in orbit]
     for rel, arity in RELATION_ARITY.items():
         if arity > n:
             report.add(ReportEntry(rel, (), True, 0, 0.0, "skipped: no admissible index tuples at this rank"))
@@ -326,7 +333,8 @@ def verify_racah_relations(ctx: SO2nContext, basis: CommutantBasis, jobs: int = 
     the basis is covariant, computed tuple by tuple otherwise.
 
     ctx is not read; it keeps the leading argument every entry point of
-    this module takes.
+    this module takes.  The racah suite calls sweep_relations itself;
+    perfbench/workloads.py calls this.
     """
     return sweep_relations(basis, jobs)
 

@@ -34,10 +34,10 @@ Casimirs satisfy the same five quadratic relations as the commutant
 invariants, with F^{ijk} = (1/2)[C^{ij}, C^{jk}] as there
 (racah.Basis).  All identities are verified with the a_i as generic
 polynomial coefficients, which subsumes every numeric choice.  Each C^A
-is built once per context (liealg.casimir_CA).  The relation sweep
-reads a ReducedBasis its caller builds once and passes in
-(verify_reduced_racah), and make_Q is pair_invariant under the name the
-suites call.
+is built once per context (liealg.casimir_CA), ReducedBasis's C^i and
+C^{ij} included.  The relation sweep (racah.sweep_relations) reads a
+ReducedBasis its caller builds once and passes in, and make_Q is
+pair_invariant under the name the suites call.
 """
 from __future__ import annotations
 
@@ -185,8 +185,8 @@ class ReducedBasis(Basis):
 
     def __init__(self, ctx: ReducedContext):
         factors = range(1, ctx.n + 1)
-        C1 = {i: reduced_casimir_single(ctx, i) for i in factors}
-        C2 = {t: reduced_casimir_pair(ctx, *t, verify=False) for t in itertools.combinations(factors, 2)}
+        C1 = {i: casimir_CA(ctx, PairUnion((i,))) for i in factors}
+        C2 = {t: casimir_CA(ctx, PairUnion(t)) for t in itertools.combinations(factors, 2)}
         super().__init__(ctx, C1, C2)
 
 
@@ -195,5 +195,7 @@ def verify_reduced_racah(ctx: ReducedContext, basis: ReducedBasis, jobs: int = 1
     sweep_relations over basis, where relabelling the factors also
     permutes the a_i, so each relation is computed at its canonical
     tuple and the other tuples follow by covariance.  ctx is not read;
-    it keeps the leading argument of the module's other entry points."""
+    it keeps the leading argument of the module's other entry points.
+    The reduction suite calls sweep_relations itself;
+    perfbench/workloads.py calls this."""
     return sweep_relations(basis, jobs)

@@ -16,13 +16,16 @@ same process, with a patched casimir_of for instance, starts from nothing.
 The reduction suite's ReducedContext memoizes its radial C^A the same
 way (liealg.casimir_CA), so each is built once there too.  Every
 expected Casimir value comes from a closed form, liealg.casimir_closed_form
-or reduction.radial_closed_form, and every entry, the oracle's bool
-verdicts included, is built and timed inside report.check.
+or reduction.radial_closed_form, and every entry, the composition
+checks' bool verdicts included, is built and timed inside report.check.
+The oracle suite reports each identity_catalog() entry by its exact
+residual; only its two composition checks draw random trials.
 
 Each runner takes the run (_Run: the context and the basis) and the
 run's settings (n, jobs, trials, seed; the racah-verify options) and
 returns a RelationReport.  The racah and reduction runners pass their
-basis to every check that reads one; no check builds a basis of its own.
+basis to every check that reads one, racah.sweep_relations included;
+no check builds a basis of its own.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ def _howe_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
 def _racah_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     ctx, basis = run.ctx, run.basis
     report = racah.check_commutant_property(ctx, basis, config.jobs)
-    report.merge(racah.verify_racah_relations(ctx, basis, config.jobs))
+    report.merge(racah.sweep_relations(basis, config.jobs))
     table = howe.casimir_table(ctx, howe.all_pair_unions(ctx, 2))
     report.merge(run_checks("dependency", list(table), lambda t: racah.dependency_residual(ctx, t, basis), config.jobs))
     return report
@@ -153,13 +156,13 @@ def _reduction_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
         report.add(check("q-affine", (i, j), lambda t: reduction.make_Q(rctx, *t) + 4 * basis.C2[t] + shift))
     report.add(check("total-casimir", (rctx.n,), lambda _: reduction.total_casimir_residual(rctx)))
     report.merge(reduction.check_q_symmetry(rctx, jobs=config.jobs))
-    report.merge(reduction.verify_reduced_racah(rctx, basis, config.jobs))
+    report.merge(racah.sweep_relations(basis, config.jobs))
     return report
 
 
 def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
-    """Representative named identities from every layer, as operator pairs
-    whose equality the oracle re-checks numerically."""
+    """Representative named identities from every layer, as (name, lhs, rhs)
+    operator pairs; the oracle suite reports each one's residual lhs - rhs."""
     ctx = liealg.SO2nContext(n)
     sig = ctx.signature
     basis = racah.CommutantBasis(ctx)
@@ -179,7 +182,7 @@ def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
          Operator.x(sig, 1) * Operator.d(sig, 1) + Operator.constant(sig, 1)),
         ("rotation-bracket", commutator(L12, L23), L13),
         ("casimir-central", commutator(cas, L12), Operator.zero(sig)),
-        ("commutant-pair-invariant", commutator(basis.K[(1, 2)], liealg.make_L(ctx, 5, 6)),
+        ("commutant-pair-invariant", commutator(basis.K[(1, 2)], liealg.make_L(ctx, *ctx.factor_variables(3))),
          Operator.zero(sig)),
         ("relation-a", commutator(basis.p(1, 2), basis.p(2, 3)), 2 * basis.f(1, 2, 3)),
         ("relation-b", commutator(basis.p(2, 3), basis.f(1, 2, 3)),
@@ -187,27 +190,29 @@ def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
          + 2 * (basis.p(1, 3) * basis.c(2)) - 2 * (basis.p(1, 2) * basis.c(3))),
         ("coupled-casimir-closed-form", liealg.casimir_CA(ctx, union12),
          liealg.casimir_closed_form(ctx, union12.variables())),
-        ("correspondence-pair", liealg.casimir_CA(ctx, union12),
-         basis.K[(1, 2)] * Fraction(-1, 4)),
+        ("correspondence-pair", liealg.casimir_CA(ctx, union12), basis.C2[(1, 2)]),
         ("dependency", liealg.casimir_CA(ctx, liealg.PairUnion((1, 2, 3))),
          liealg.decomposition_sum((1, 2, 3), lambda i, j: basis.C2[(i, j)], basis.c)),
         ("reduced-triple-bracket", commutator(rtriple.J0, rtriple.Jp), rtriple.Jp),
-        ("reduced-pair-closed-form", reduction.reduced_casimir_pair(rctx, 1, 2, verify=False),
+        ("reduced-pair-closed-form", liealg.casimir_CA(rctx, union12),
          reduction.radial_closed_form(rctx, (1, 2))),
         ("q-symmetry", q12 * rtotal, rtotal * q12),
     ]
 
 
 def _oracle_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
-    """Numeric verdicts: no symbolic residual, so a failure reports -1 terms.
+    """The catalog's exact residuals, then the numeric composition verdicts.
 
-    Each check splits its trials over config.jobs workers; the verdicts do not depend on jobs.
+    Each identity_catalog() entry reports its residual lhs - rhs, built
+    and counted like any symbolic check.  Only the two compositions draw
+    random trials, 10 * config.trials each, split over config.jobs
+    workers; the verdicts do not depend on jobs, and a failing one
+    reports -1 terms, having no residual to count.
     """
     trials, seed, jobs = config.trials, config.seed, config.jobs
     report = RelationReport()
     for idx, (name, lhs, rhs) in enumerate(identity_catalog(), start=1):
-        verdict = lambda _: oracle.oracle_equiv(lhs, rhs, trials, seed + idx, jobs)  # noqa: E731
-        report.add(check("oracle", (idx,), verdict, name))
+        report.add(check("oracle", (idx,), lambda _: lhs - rhs, name))
     ctx3 = liealg.SO2nContext(3)
     r1 = reduction.make_reduced_J(reduction.ReducedContext(2), 1)
     compositions = [

@@ -1,12 +1,15 @@
 """Command-line runner: argument handling, output formats, exit codes."""
 
+import importlib
 import json
 import multiprocessing
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import racahverify
 import racahverify.suites as suites
 from racahverify import liealg, racah
 from racahverify.cli import build_parser, main
@@ -121,8 +124,8 @@ def test_json_output_parses(capsys):
 
 def test_parallel_runs_match_serial(capsys):
     # Rank four sends the single relation dispatch and the reduced sweep
-    # through uneven strides at three workers; the oracle splits each
-    # check's trials (3 per identity, 30 per composition check).
+    # through uneven strides at three workers; the oracle splits the 30
+    # trials of each composition check (its catalog entries draw none).
     for args, worker_counts in (
         (["--suite", "racah"], ["2"]),
         (["--suite", "howe,racah"], ["2"]),
@@ -307,12 +310,54 @@ def test_su11_check_that_raises_names_relation_and_tuple(monkeypatch):
 
 
 def test_oracle_check_that_raises_names_relation_and_tuple(monkeypatch):
-    def broken(lhs, rhs, trials, seed, jobs):
+    def broken(a, b, trials, seed, jobs):
         raise ZeroDivisionError("oracle fault")
 
-    monkeypatch.setattr(suites.oracle, "oracle_equiv", broken)
-    with pytest.raises(RuntimeError, match=r"check oracle \(1,\) raised ZeroDivisionError\('oracle fault'\)"):
+    monkeypatch.setattr(suites.oracle, "oracle_apply_check", broken)
+    match = r"check oracle-composition \(1,\) raised ZeroDivisionError\('oracle fault'\)"
+    with pytest.raises(RuntimeError, match=match):
         main(["--suite", "oracle", "--trials", "1", "--json"])
+
+
+def test_false_catalog_entry_reports_its_residual_terms(monkeypatch, capsys):
+    catalog = identity_catalog()
+    name, lhs, rhs = catalog[1]
+    catalog[1] = (name, lhs, rhs + rhs)
+    monkeypatch.setattr(suites, "identity_catalog", lambda: catalog)
+    code, lines = run_main(["--suite", "oracle", "--trials", "1", "--json"], capsys)
+    assert code == 1
+    rows = [row for row in map(json.loads, lines[:-1]) if row["relation"] == "oracle"]
+    assert [row["passed"] for row in rows] == [idx != 2 for idx in range(1, 13)]
+    assert rows[1]["residual_terms"] == (lhs - rhs - rhs).term_count() > 0
+
+
+# perfbench/workloads.py calls these; racah-verify calls the core they wrap.
+_BENCHMARK_ONLY = (
+    "oracle_equiv",
+    "verify_racah_relations",
+    "verify_reduced_racah",
+    "reduced_casimir_single",
+    "reduced_casimir_pair",
+    "verify_dependency",
+    "total_casimir_identity",
+)
+
+
+def test_runs_call_no_benchmark_only_wrapper(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("racah-verify called a wrapper it does not need")
+
+    bound = set()
+    for info in pkgutil.iter_modules(racahverify.__path__):
+        module = importlib.import_module(f"racahverify.{info.name}")
+        for name in _BENCHMARK_ONLY:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+                bound.add(name)
+    assert bound == set(_BENCHMARK_ONLY)
+    monkeypatch.setattr(liealg.SU11Triple, "relation_residuals", refuse)
+    code, _ = run_main(["--n", "4", "--trials", "2", "--json"], capsys)
+    assert code == 0
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import math
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -510,6 +511,19 @@ def test_wrong_canonical_f_is_not_covariant(kind):
     for t in itertools.permutations((1, 2, 3)):
         basis._F[t] = wrong if t in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -wrong
     assert not covariant(basis)
+
+
+@pytest.mark.parametrize("certified", [True, False])
+def test_sweep_entries_carry_the_certificate_time(certified, monkeypatch):
+    # shared over the checked items on the orbit path and the direct path alike
+    def slow_certificate(basis):
+        time.sleep(0.05)
+        return certified
+
+    monkeypatch.setattr(racah, "covariant", slow_certificate)
+    report = sweep_relations(BASIS3, 1)
+    assert report.all_passed()
+    assert sum(e.ms for e in report.entries) >= 50
 
 
 def test_covariant_is_false_when_an_accessor_raises():
