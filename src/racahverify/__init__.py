@@ -15,9 +15,10 @@ point anywhere):
     with generic parameter coefficients (reduction),
   * a catalog of twelve named identities drawn from every layer, each
     reported by its exact residual (suites.identity_catalog),
-  * numerically, by applying operators to random test functions at
-    random rational points (oracle): the normal-ordered product against
-    nested application in two compositions.
+  * by applying operators to random test functions at random rational
+    points (oracle): the normal-ordered product against nested
+    application in two compositions, each reported by the exact
+    residual (A B) f - A (B f) at the earliest failing test function.
 
 The computational substrate is a sparse normal-ordered Weyl algebra
 with optional localized (Laurent) variables (weyl) over sparse

@@ -56,11 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=100, help="each oracle composition check runs 10 x TRIALS trials (default 100)"
     )
     parser.add_argument("--json", action="store_true", help="emit JSON lines instead of text")
-    parser.add_argument(
-        "--allow-large-n",
-        action="store_true",
-        help="permit n above 5 (the Casimir suites check all 2^n - 1 factor subsets)",
-    )
     return parser
 
 
@@ -69,8 +64,6 @@ def main(argv: list[str] | None = None) -> int:
     config = parser.parse_args(argv)
     if config.n < 3:
         parser.error("--n must be at least 3")
-    if config.n > 5 and not config.allow_large_n:
-        parser.error("--n above 5 requires --allow-large-n")
     if config.jobs < 1:
         parser.error("--jobs must be at least 1")
     if config.trials < 1:

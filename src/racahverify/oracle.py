@@ -8,10 +8,12 @@ multiplication kernel.  Each trial gives one residual value, and a
 check holds when every trial's residual is 0.  What that witnesses
 depends on where the two sides come from:
 
-- ``oracle_apply_check`` is independent of the kernel: its nested side
-  A (B f) is never multiplied out, so agreement with (A * B) f is
+- ``composition_residual`` is independent of the kernel: its nested
+  side A (B f) is never multiplied out, so agreement with (A * B) f is
   evidence that the kernel's reordering rule is right and not a
-  self-consistent artifact.
+  self-consistent artifact.  When a trial fails it returns the exact
+  polynomial (A * B) f - A (B f) at that trial's f, so the oracle
+  suite reports a term count like every other check.
 - ``oracle_equiv(A, B)`` evaluates the one residual A - B, which is
   exact: evaluation is linear, so ((A - B) f)(p) = 0 exactly when
   (A f)(p) = (B f)(p).  When A and B were both built by the kernel,
@@ -20,7 +22,8 @@ depends on where the two sides come from:
   oracle suite reports each entry of its identity catalog by that
   exact residual, counted like every symbolic check, and no run of
   racah-verify calls ``oracle_equiv``; perfbench's oracle workload
-  does.
+  does, as it does ``oracle_apply_check``, the bool form of
+  ``composition_residual``.
 
 Test functions are built directly in the integer-numerator form
 polynomials store, and every value is computed on integers with one
@@ -30,10 +33,10 @@ There are two routes to (A f)(p), both direct differentiation:
 
 - ``weyl.evaluator(A)`` groups A's monomials by derivative exponent
   once per check and sums alpha_b(p) * (d^b f)(p) without building A f.
-  ``oracle_equiv`` uses it on the residual, and ``oracle_apply_check``
+  ``oracle_equiv`` uses it on the residual, and ``composition_residual``
   on the product side.
 - ``A.apply(f).evaluate(p)`` builds A f and evaluates it.
-  ``oracle_apply_check`` keeps it on the nested side, A (B f), so the
+  ``composition_residual`` keeps it on the nested side, A (B f), so the
   composition check is the only one that still compares two routes:
   each of its residuals is the difference of two different evaluation
   routes, and a fault in the evaluator cannot hide by cancelling
@@ -41,10 +44,11 @@ There are two routes to (A f)(p), both direct differentiation:
 
 Trial streams are deterministic: trial t of seed s uses its own
 random.Random(s * 1000003 + t), so serial and parallel runs, and
-repeated runs, see identical test functions and points.  Both checks
-take ``jobs``: with k = min(jobs, trials) > 1, ``_parallel.run_tasks``
-gives worker w the trials range(w, trials, k) and the verdict is true
-iff every slice holds, so it is the serial verdict for any jobs.
+repeated runs, see identical test functions and points.  Every check
+takes ``jobs``: with k = min(jobs, trials) > 1, ``_parallel.run_tasks``
+gives worker w the trials range(w, trials, k), each worker names its
+first failing trial, and the earliest of those is the serial loop's
+first failure, so verdicts and residuals are the same for any jobs.
 """
 
 from __future__ import annotations
@@ -102,8 +106,10 @@ def random_polynomial(sig, rng: random.Random, max_exp: int = 4) -> Polynomial:
     return Polynomial._make(sig, {(xe, pe): c.numerator * (den // c.denominator) for xe, c in acc.items()}, den)
 
 
-def _holds(residual: Callable[..., Fraction], trials: int, seed: int, ops: Sequence[Operator], jobs: int) -> bool:
-    """True iff residual(f, coords, params) == 0 for every random trial of a check on ops.
+def _first_failure(
+    residual: Callable[..., Fraction], trials: int, seed: int, ops: Sequence[Operator], jobs: int
+) -> Polynomial | None:
+    """The test function f of the earliest trial whose residual(f, coords, params) is nonzero, or None.
 
     Refuses a check with no trial, which has tested nothing and so must
     not pass; operators in different signatures never get here, as
@@ -112,22 +118,25 @@ def _holds(residual: Callable[..., Fraction], trials: int, seed: int, ops: Seque
     default 4; trial t draws f, then (coords, params), from its own
     random.Random(seed * 1000003 + t).  With k = min(jobs, trials),
     worker w of ``_parallel.run_tasks`` checks the trials
-    range(w, trials, k) in order and stops at its first failure, so the
-    verdict does not depend on jobs; k = 1 is one serial loop, and
-    ``run_tasks`` refuses jobs < 1.
+    range(w, trials, k) in order and returns the index of its first
+    failure; the parent takes the smallest index and draws that trial's
+    f again, so the result does not depend on jobs.  k = 1 is one serial
+    loop, and ``run_tasks`` refuses jobs < 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    sig = ops[0].sig
     bound = max(4, max(op.derivative_degree() for op in ops) + 1)
 
-    def all_hold(ts: range) -> bool:
-        rngs = (_trial_rng(seed, t) for t in ts)
-        draws = ((random_polynomial(sig, rng, max_exp=bound), *random_point(sig, rng)) for rng in rngs)
-        return all(residual(*draw) == 0 for draw in draws)
+    def draw(t: int) -> tuple:
+        rng = _trial_rng(seed, t)
+        return random_polynomial(ops[0].sig, rng, max_exp=bound), *random_point(ops[0].sig, rng)
+
+    def first(ts: range) -> int | None:
+        return next((t for t in ts if residual(*draw(t)) != 0), None)
 
     k = min(jobs, trials)
-    return all(run_tasks(lambda w: all_hold(range(w, trials, k)), range(k), k))
+    failures = [t for t in run_tasks(lambda w: first(range(w, trials, k)), range(k), k) if t is not None]
+    return draw(min(failures))[0] if failures else None
 
 
 def oracle_equiv(A: Operator, B: Operator, trials: int = 100, seed: int = 0, jobs: int = 1) -> bool:
@@ -139,13 +148,16 @@ def oracle_equiv(A: Operator, B: Operator, trials: int = 100, seed: int = 0, job
     < 1, and jobs splits the trials over that many workers through
     ``_parallel.run_tasks``, which refuses jobs < 1.
     """
-    return _holds(evaluator(A - B), trials, seed, (A, B), jobs)
+    return _first_failure(evaluator(A - B), trials, seed, (A, B), jobs) is None
 
 
-def oracle_apply_check(A: Operator, B: Operator, trials: int = 100, seed: int = 0, jobs: int = 1) -> bool:
-    """Composition check on the product kernel: for random f and p,
+def composition_residual(A: Operator, B: Operator, trials: int = 100, seed: int = 0, jobs: int = 1) -> Polynomial:
+    """Composition check on the product kernel: zero when, for every random trial (f, p),
 
-        ((A * B) f)(p)  ==  (A (B f))(p).
+        ((A * B) f)(p)  ==  (A (B f))(p),
+
+    and otherwise the exact residual (A * B) f - A (B f) at the test
+    function f of the earliest failing trial.
 
     The left side exercises the normal-ordering product, the right side
     only direct differentiation; pointwise agreement on every trial is
@@ -155,12 +167,23 @@ def oracle_apply_check(A: Operator, B: Operator, trials: int = 100, seed: int = 
     trial's residual is their difference.  The two routes share only
     the power tables and the falling factorials, so each trial also
     checks the evaluator against the reference route; with the
-    evaluator on both sides, a fault in it could cancel.  trials and
-    jobs are read as in ``oracle_equiv``.
+    evaluator on both sides, a fault in it could cancel.  A failing
+    trial whose exact residual is zero is such a fault, the evaluator
+    and apply + evaluate disagreeing on A * B, and raises RuntimeError
+    rather than pass.  trials and jobs are read as in ``oracle_equiv``.
     """
     product = A * B
     value = evaluator(product)
-    return _holds(
+    f = _first_failure(
         lambda f, coords, params: value(f, coords, params) - A.apply(B.apply(f)).evaluate(coords, params),
         trials, seed, (A, B, product), jobs,
     )
+    residual = Polynomial.zero(A.sig) if f is None else product.apply(f) - A.apply(B.apply(f))
+    if f is not None and residual.is_zero():
+        raise RuntimeError("weyl.evaluator and apply + evaluate disagree on A * B: a trial failed, but (A * B) f = A (B f)")
+    return residual
+
+
+def oracle_apply_check(A: Operator, B: Operator, trials: int = 100, seed: int = 0, jobs: int = 1) -> bool:
+    """True iff ``composition_residual`` is zero; a route disagreement raises as there."""
+    return composition_residual(A, B, trials, seed, jobs).is_zero()

@@ -1,10 +1,10 @@
 """Structured results for identity sweeps, and the one way to check.
 
-A symbolic check is (relation, index tuple) -> residual operator, left
-side minus right side.  ``check`` times the residual function and
-records whether the residual vanished and how many terms survived; a
-numeric check returns a bool verdict instead, recorded as 0 surviving
-terms when it holds and -1 when it fails (there is no residual to count);
+A check is (relation, index tuple) -> residual, left side minus right
+side: an operator, or a polynomial where the check applies operators
+to a test function (the engine's action checks and the oracle's
+compositions).  ``check`` times the residual function and records
+whether the residual vanished and how many terms survived;
 ``run_checks`` does that for every tuple of a sweep, in input order, so
 parallel runs print identically to serial ones.  ``check`` is the one
 timed helper every sweep uses, the relation sweep included.
@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 from ._parallel import run_tasks
 from .weyl import Operator, Polynomial
 
-Residual = Operator | Polynomial | bool
+Residual = Operator | Polynomial
 ResidualFn = Callable[[tuple[int, ...]], Residual]
 
 
@@ -88,7 +88,7 @@ class RelationReport:
 
 
 def check(relation: str, indices: tuple[int, ...], residual_fn: ResidualFn, note: str = "") -> ReportEntry:
-    """Time residual_fn(indices) and report the residual or verdict it returns.
+    """Time residual_fn(indices) and report the residual it returns.
 
     An exception from residual_fn is re-raised as a RuntimeError naming
     the relation and the index tuple, also from a forked worker.
@@ -99,8 +99,6 @@ def check(relation: str, indices: tuple[int, ...], residual_fn: ResidualFn, note
     except Exception as exc:
         raise RuntimeError(f"check {relation} {indices} raised {exc!r}") from exc
     ms = (time.perf_counter() - t0) * 1000
-    if isinstance(residual, bool):
-        return ReportEntry(relation, indices, residual, 0 if residual else -1, ms, note)
     return ReportEntry(relation, indices, residual.is_zero(), residual.term_count(), ms, note)
 
 

@@ -16,10 +16,10 @@ same process, with a patched casimir_of for instance, starts from nothing.
 The reduction suite's ReducedContext memoizes its radial C^A the same
 way (liealg.casimir_CA), so each is built once there too.  Every
 expected Casimir value comes from a closed form, liealg.casimir_closed_form
-or reduction.radial_closed_form, and every entry, the composition
-checks' bool verdicts included, is built and timed inside report.check.
-The oracle suite reports each identity_catalog() entry by its exact
-residual; only its two composition checks draw random trials.
+or reduction.radial_closed_form, and every entry is built and timed
+inside report.check.  The oracle suite reports each identity_catalog()
+entry by its exact residual; only its two composition checks draw
+random trials, and they too report an exact residual.
 
 Each runner takes the run (_Run: the context and the basis) and the
 run's settings (n, jobs, trials, seed; the racah-verify options) and
@@ -201,13 +201,15 @@ def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
 
 
 def _oracle_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
-    """The catalog's exact residuals, then the numeric composition verdicts.
+    """The catalog's exact residuals, then the two composition residuals.
 
     Each identity_catalog() entry reports its residual lhs - rhs, built
     and counted like any symbolic check.  Only the two compositions draw
     random trials, 10 * config.trials each, split over config.jobs
-    workers; the verdicts do not depend on jobs, and a failing one
-    reports -1 terms, having no residual to count.
+    workers.  Each reports oracle.composition_residual: zero when every
+    trial holds, otherwise the exact polynomial (A * B) f - A (B f) at
+    the earliest failing trial's test function f, so neither the
+    verdict nor the term count depends on jobs.
     """
     trials, seed, jobs = config.trials, config.seed, config.jobs
     report = RelationReport()
@@ -220,8 +222,8 @@ def _oracle_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
         ("localized with parameters", r1.Jm, r1.Jp),
     ]
     for idx, (note, a, b) in enumerate(compositions, start=1):
-        verdict = lambda _: oracle.oracle_apply_check(a, b, 10 * trials, seed + idx - 1, jobs)  # noqa: E731
-        report.add(check("oracle-composition", (idx,), verdict, note))
+        residual = lambda _: oracle.composition_residual(a, b, 10 * trials, seed + idx - 1, jobs)  # noqa: E731
+        report.add(check("oracle-composition", (idx,), residual, note))
     return report
 
 

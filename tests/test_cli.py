@@ -11,7 +11,7 @@ import pytest
 
 import racahverify
 import racahverify.suites as suites
-from racahverify import liealg, racah
+from racahverify import liealg, oracle, racah
 from racahverify.cli import build_parser, main
 from racahverify.suites import SUITE_ORDER, identity_catalog
 from racahverify.report import RelationReport, ReportEntry
@@ -45,7 +45,6 @@ def _strip_times(rows):
 def test_usage_errors_exit_two():
     bad = (
         ["--n", "2"],
-        ["--n", "7"],
         ["--suite", "bogus"],
         ["--suite", ","],
         ["--suite", ""],
@@ -58,11 +57,12 @@ def test_usage_errors_exit_two():
         assert exc.value.code == 2
 
 
-def test_large_n_gate(capsys):
-    with pytest.raises(SystemExit):
-        main(["--n", "6", "--suite", "su11"])
-    code, lines = run_main(["--n", "6", "--suite", "su11", "--allow-large-n"], capsys)
+def test_large_n_runs_without_a_flag(capsys):
+    code, _ = run_main(["--n", "6", "--suite", "su11"], capsys)
     assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--n", "6", "--suite", "su11", "--allow-large-n"])
+    assert exc.value.code == 2
 
 
 def test_suite_resolution(monkeypatch, capsys):
@@ -313,7 +313,7 @@ def test_oracle_check_that_raises_names_relation_and_tuple(monkeypatch):
     def broken(a, b, trials, seed, jobs):
         raise ZeroDivisionError("oracle fault")
 
-    monkeypatch.setattr(suites.oracle, "oracle_apply_check", broken)
+    monkeypatch.setattr(suites.oracle, "composition_residual", broken)
     match = r"check oracle-composition \(1,\) raised ZeroDivisionError\('oracle fault'\)"
     with pytest.raises(RuntimeError, match=match):
         main(["--suite", "oracle", "--trials", "1", "--json"])
@@ -331,9 +331,45 @@ def test_false_catalog_entry_reports_its_residual_terms(monkeypatch, capsys):
     assert rows[1]["residual_terms"] == (lhs - rhs - rhs).term_count() > 0
 
 
+def test_failing_composition_reports_its_exact_residual_at_every_job_count(monkeypatch, capsys):
+    """A product that loses one term fails both compositions, and each
+    reports the term count of (A * B) f - A (B f) at the first trial
+    whose value is nonzero, not a stand-in for a missing residual."""
+    product = suites.Operator.__mul__
+
+    def one_term_dropped(a, b):
+        c = product(a, b)
+        if not isinstance(c, suites.Operator) or c.term_count() < 2:
+            return c
+        kept = dict(c.terms)
+        del kept[next(iter(kept))]
+        return suites.Operator._make(c.sig, kept, c.den)
+
+    monkeypatch.setattr(suites.Operator, "__mul__", one_term_dropped)
+    ctx3 = liealg.SO2nContext(3)
+    r1 = suites.reduction.make_reduced_J(suites.reduction.ReducedContext(2), 1)
+    expected = []
+    for seed, (a, b) in enumerate([(racah.make_K(ctx3, 1, 2), racah.make_K(ctx3, 2, 3)), (r1.Jm, r1.Jp)]):
+        bound = max(4, a.derivative_degree() + 1, b.derivative_degree() + 1, (a * b).derivative_degree() + 1)
+        for t in range(10):
+            rng = oracle._trial_rng(seed, t)
+            f, point = oracle.random_polynomial(a.sig, rng, max_exp=bound), oracle.random_point(a.sig, rng)
+            residual = (a * b).apply(f) - a.apply(b.apply(f))
+            if residual.evaluate(*point) != 0:
+                expected.append(residual.term_count())
+                break
+    assert len(expected) == 2 and min(expected) > 0
+    for jobs in ("1", "2", "3"):
+        code, lines = run_main(["--suite", "oracle", "--trials", "1", "--json", "--jobs", jobs], capsys)
+        assert code == 1
+        rows = [row for row in map(json.loads, lines[:-1]) if row["relation"] == "oracle-composition"]
+        assert [(row["passed"], row["residual_terms"]) for row in rows] == [(False, n) for n in expected], jobs
+
+
 # perfbench/workloads.py calls these; racah-verify calls the core they wrap.
 _BENCHMARK_ONLY = (
     "oracle_equiv",
+    "oracle_apply_check",
     "verify_racah_relations",
     "verify_reduced_racah",
     "reduced_casimir_single",

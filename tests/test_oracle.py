@@ -121,7 +121,9 @@ def test_a_check_with_no_trial_is_refused():
 
 def test_composition_catches_a_broken_evaluator(monkeypatch):
     """The nested side stays on apply + evaluate, so a fault in the
-    evaluator cannot hide behind itself."""
+    evaluator cannot hide behind itself.  The exact residual
+    (A * B) f - A (B f) is zero there, so the check names the route
+    disagreement instead of passing."""
     ctx = SO2nContext(3)
     k12, k23 = make_K(ctx, 1, 2), make_K(ctx, 2, 3)
     product = k12 * k23
@@ -137,7 +139,8 @@ def test_composition_catches_a_broken_evaluator(monkeypatch):
     # an equivalence evaluates only its residual, here zero, and still holds ...
     assert oracle_equiv(product, k12 * k23, trials=30)
     # ... but the composition check compares against the reference route
-    assert not oracle_apply_check(k12, k23, trials=30)
+    with pytest.raises(RuntimeError, match=r"weyl\.evaluator and apply \+ evaluate disagree on A \* B"):
+        oracle.composition_residual(k12, k23, trials=30)
 
 
 def _trial_fails(A, B, seed, trial):
@@ -207,6 +210,20 @@ def test_a_failure_in_a_child_slice_rejects(jobs):
     assert [_two_evaluator_verdict(lhs, rhs, trials, 43) for trials in (1, 3)] == [True, False]
     assert oracle_equiv(lhs, rhs, trials=1, seed=43, jobs=jobs)
     assert not oracle_equiv(lhs, rhs, trials=3, seed=43, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_the_earliest_failing_trial_gives_the_test_function(jobs):
+    """At seed 43 trials 1, 3, 4 and 5 of the first six fail.  At two and
+    three jobs worker 0 first fails at trial 4 or 3, so only the
+    smallest index over all workers gives trial 1's f."""
+    x1 = Operator.x(SIG2, 1)
+    d1 = Operator.d(SIG2, 1)
+    d15 = d1 * d1 * d1 * d1 * d1
+    lhs, rhs = x1 * d15, d15 * x1
+    assert [_trial_fails(lhs, rhs, 43, t) for t in range(6)] == [False, True, False, True, True, True]
+    first = oracle._first_failure(weyl.evaluator(lhs - rhs), 6, 43, (lhs, rhs), jobs)
+    assert first == random_polynomial(SIG2, oracle._trial_rng(43, 1), max_exp=6)
 
 
 def test_oracle_refuses_zero_jobs():
