@@ -26,14 +26,30 @@ SO2nContext.casimir_memo, and every check here first builds its table
 workers read the operators instead of rebuilding them.  The memo serves
 only the coupled-triple side of the closed-form and correspondence
 checks; their other side is built independently and never reads it.
-liealg.casimir_closed_form sums the squared rotations through
-rotation_squares, and the correspondence compares with the C1 and C2
-that racah.CommutantBasis builds from G and K.  Two kinds of entry do
-compare an operator with itself, so they hold whatever C^A is:
-casimir-decomposition at a two-pair union (a, b), whose decomposition
-has weight 0 and the one pair term C^{(ab)}, the memoized C^A itself;
-and intermediate-central at A = [n], the bracket [C^{[n]}, C^{[n]}].
-That is C(n, 2) + 1 entries per run: 6 + 1 at n=4, 10 + 1 at n=5.
+liealg.casimir_closed_form adds the squared rotations that
+rotation_squares stores once per context (SO2nContext.square_memo),
+and the correspondence compares with the C1 and C2 that
+racah.CommutantBasis builds from the same squares as G and K.  Two
+kinds of entry do compare an operator with itself, so they hold
+whatever C^A is: casimir-decomposition at a two-pair union (a, b),
+whose decomposition has weight 0 and the one pair term C^{(ab)}, the
+memoized C^A itself; and intermediate-central at A = [n], the bracket
+[C^{[n]}, C^{[n]}].  That is C(n, 2) + 1 entries per run: 6 + 1 at
+n=4, 10 + 1 at n=5.
+
+intermediate-central runs by S_n orbit, as racah.sweep_relations does.
+Relabelling the factors by sigma in S_n is an algebra automorphism.
+covariant_table first certifies the table it built: relabelled by the
+transposition (1 2) and by the n-cycle, each C^A must equal, by
+``==``, the stored C^{sigma A}.  Then sigma[C^A, C^{[n]}] =
+[C^{sigma A}, C^{[n]}], since sigma fixes [n], and each size k is one
+orbit: the bracket is computed at A = (1, ..., k) alone, and every
+other k-subset gets its verdict, ``residual_terms`` and an even share
+of its ``ms`` (report.run_orbits).  The representative of size n is
+still the self-comparing [C^{[n]}, C^{[n]}], so the count of
+self-comparing entries above is unchanged.  A table that is not
+covariant takes the direct path, the reference the tests keep: the
+bracket at every union.
 """
 
 from __future__ import annotations
@@ -42,8 +58,8 @@ import itertools
 from typing import Iterable
 
 from .liealg import PairUnion, SO2nContext, casimir_CA, casimir_closed_form, decomposition_sum
-from .racah import CommutantBasis
-from .report import RelationReport, run_checks
+from .racah import CommutantBasis, factor_relabelling, sn_generators
+from .report import RelationReport, run_checks, run_orbits
 from .weyl import Operator, commutator
 
 
@@ -112,13 +128,27 @@ def verify_commutant_correspondence(
     return report
 
 
+def covariant_table(ctx: SO2nContext, table: dict[tuple[int, ...], Operator]) -> bool:
+    """Whether relabelling the factors maps each stored C^A to the stored C^{sigma A}, exactly.
+
+    It is checked for the transposition (1 2) and the n-cycle, which
+    generate S_n, at every union in the table, as ``==`` of the
+    relabelled operator and the one stored at the relabelled union.  A
+    union whose image the table lacks fails it.
+    """
+    for s in sn_generators(ctx.n):
+        move = factor_relabelling(ctx, s)
+        for pairs, op in table.items():
+            if move(op) != table.get(tuple(sorted(s[i - 1] for i in pairs))):
+                return False
+    return True
+
+
 def check_intermediate_centrality(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
-    """[C^A, C^{[n]}] = 0 for every pair union A."""
+    """[C^A, C^{[n]}] = 0 for every pair union A, one bracket per size |A|
+    when the table {A: C^A} is ``covariant_table``, every A otherwise."""
     table = casimir_table(ctx, all_pair_unions(ctx))
-    total = table[tuple(range(1, ctx.n + 1))]
-    return run_checks(
-        "intermediate-central",
-        list(table),
-        lambda t: commutator(table[t], total),
-        jobs,
-    )
+    factors = range(1, ctx.n + 1)
+    total = table[tuple(factors)]
+    orbits = [("intermediate-central", list(itertools.combinations(factors, k))) for k in factors]
+    return run_orbits(orbits, lambda _, t: commutator(table[t], total), lambda: covariant_table(ctx, table), jobs)

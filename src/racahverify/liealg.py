@@ -24,6 +24,12 @@ radial triple in x_i.  make_JA sums them over a union, casimir_CA builds
 each C^A once per context (its casimir_memo), and casimir_closed_form is
 the one closed form of C^A over any set of variables, which the radial
 model extends by its potential term (reduction.radial_closed_form).
+Every sum of squares (casimir_sum, casimir_closed_form, racah's G and
+K, the radial Q_{ij}) goes through rotation_squares, which builds each
+L_{mu,nu}^2 once per context, in its square_memo under the sorted pair
+(mu, nu), and then only adds stored squares.  The squares never enter
+casimir_CA, which builds from the coupled triples, so the two sides of
+a closed-form check stay independent.
 Triples and their Casimirs are built without being checked: the su11
 and reduction suites report each triple's relations once, and
 centrality of the Casimir follows from those relations (see casimir_of).
@@ -61,6 +67,9 @@ class SO2nContext:
     # context and stays out of equality and hashing.  ReducedContext holds
     # its own the same way.
     casimir_memo: dict[tuple[int, ...], Operator] = field(init=False, default_factory=dict, compare=False, repr=False)
+    # L_{mu,nu}^2 per sorted pair (mu, nu), filled by rotation_squares the
+    # same way.
+    square_memo: dict[tuple[int, int], Operator] = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 3:
@@ -150,12 +159,27 @@ def check_o2n_relations(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     return run_checks("o2n", quads, residual, jobs)
 
 
+def rotation_square(sig: AlgebraSignature, mu: int, nu: int) -> Operator:
+    """rotation(mu, nu)^2, built afresh; rotation_squares stores each one per context."""
+    l = rotation(sig, mu, nu)
+    return l * l
+
+
 def rotation_squares(ctx: SO2nContext | ReducedContext, variables: Iterable[int]) -> Operator:
-    """sum of rotation(mu, nu)^2 over mu < nu drawn from the given variables."""
+    """sum of rotation(mu, nu)^2 over the pairs of distinct given variables.
+
+    Each square is built once per context, under its sorted pair in
+    ctx.square_memo (the square is even in the order of mu and nu), and
+    every later sum only adds stored squares.
+    """
+    memo = ctx.square_memo
     total = Operator.zero(ctx.signature)
-    for mu, nu in itertools.combinations(variables, 2):
-        l = rotation(ctx.signature, mu, nu)
-        total = total + l * l
+    for pair in itertools.combinations(variables, 2):
+        key = (min(pair), max(pair))
+        square = memo.get(key)
+        if square is None:
+            square = memo[key] = rotation_square(ctx.signature, *key)
+        total = total + square
     return total
 
 

@@ -75,14 +75,11 @@ commute: F with 1 in (a), and factors on disjoint index sets in (c),
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._parallel import run_tasks
 from .liealg import PairUnion, SO2nContext, casimir_CA, decomposition_sum, make_L, rotation_squares
-from .report import RelationReport, ReportEntry, check, run_checks
+from .report import RelationReport, ReportEntry, run_checks, run_orbits
 from .weyl import Operator, combination, commutator, relabel
 
 # Relations (a)-(e) as data: index letters, the left-hand bracket [A, B]
@@ -233,6 +230,11 @@ def factor_relabelling(ctx, sigma: Sequence[int]) -> Callable[[Operator], Operat
     return lambda op: relabel(op, variables, params)
 
 
+def sn_generators(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transposition (1 2) and the n-cycle (1 2 ... n), which generate S_n, as images of 1..n."""
+    return (2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)
+
+
 def covariant(basis: Basis) -> bool:
     """Whether relabelling the factors permutes the basis: s.C^i = C^{s(i)},
     s.P^{ij} = P^{s(i)s(j)} and s.F^{ijk} = F^{s(i)s(j)s(k)}, exactly.
@@ -248,7 +250,7 @@ def covariant(basis: Basis) -> bool:
     ctx = basis.ctx
     n = ctx.n
     try:
-        for s in ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)):
+        for s in sn_generators(n):
             move = factor_relabelling(ctx, s)
             for arity, accessor in ((1, basis.c), (2, basis.p), (3, basis.f)):
                 for t in itertools.permutations(range(1, n + 1), arity):
@@ -262,9 +264,9 @@ def covariant(basis: Basis) -> bool:
 def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     """Check all five relations over every tuple of pairwise distinct indices.
 
-    When the basis is ``covariant``, each relation's residual is
-    computed once, at its canonical tuple (1, ..., arity), and every
-    tuple's entry is derived from it.  Every injective tuple t is
+    Each relation's tuples are one orbit of S_n, led by the canonical
+    tuple (1, ..., arity), and ``report.run_orbits`` checks them under
+    the certificate ``covariant``.  Every injective tuple t is
     sigma(1, ..., arity) for some sigma in S_n.  Relabelling the factors
     by sigma is an algebra automorphism, so it maps the residual at the
     canonical tuple to the residual built from the relabelled operands;
@@ -272,8 +274,7 @@ def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     word in them relabels one generator at a time), so those operands
     are the ones stored at t, and the residual at t is sigma applied to
     the canonical one.  Relabelling is injective on monomials, so every
-    tuple gets the canonical verdict and ``residual_terms``, and an even
-    share of the canonical check's time.
+    tuple gets the canonical verdict and ``residual_terms``.
 
     The trade: the kernel runs only at the canonical tuples.  A kernel
     fault that depends on which variables an operand uses would show in
@@ -281,46 +282,25 @@ def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     of the basis, which the kernel built at every index.  So a basis
     that is not covariant, or whose accessors raise, takes the direct
     sweep, the reference the tests keep: ``relation_residual`` at every
-    tuple on its own.
+    tuple on its own, so an error names the relation and the tuple.
 
-    Both sweeps dispatch their (relation, tuple) items to workers at
-    once: the canonical tuples, or every tuple.  Each item is checked by
-    ``report.check`` through ``relation_residual``, so an error names
-    the relation and the tuple.  The certificate's wall time is shared
-    evenly over the checked items and each item's time over its orbit,
-    so the entries' ``ms`` add up to the certificate and every check.
-    Either way entries come in relation order, tuples in permutation
-    order.  Relations whose arity exceeds n get a single 'skipped'
-    entry after them: they have no admissible tuples at that rank, and
-    arities ascend, so those entries come last.  The basis holds every P and F from its construction, so
-    forked workers inherit them and only look them up.
+    Entries come in relation order, tuples in permutation order.
+    Relations whose arity exceeds n get a single 'skipped' entry after
+    them: they have no admissible tuples at that rank, and arities
+    ascend, so those entries come last.  The basis holds every P and F
+    from its construction, so forked workers inherit them and only look
+    them up.
     """
     n = basis.ctx.n
     if n < 3:
         raise ValueError("the relation sweep needs at least three factors")
     p, f, c = basis.p, basis.f, basis.c
-    t0 = time.perf_counter()
-    certified = covariant(basis)
-    certificate_ms = (time.perf_counter() - t0) * 1000
-
-    def tuples(arity: int) -> list[tuple[int, ...]]:
-        return list(itertools.permutations(range(1, n + 1), arity))
-
-    def check_item(item: tuple[str, tuple[int, ...]]) -> ReportEntry:
-        rel, t = item
-        return check(rel, t, lambda t: relation_residual(rel, t, p, f, c))
-
-    items = [
-        (rel, t)
+    orbits = [
+        (rel, list(itertools.permutations(range(1, n + 1), arity)))
         for rel, arity in RELATION_ARITY.items()
         if arity <= n
-        for t in ([tuple(range(1, arity + 1))] if certified else tuples(arity))
     ]
-    report = RelationReport()
-    for entry in run_tasks(check_item, items, jobs):
-        orbit = tuples(len(entry.indices)) if certified else [entry.indices]
-        ms = (entry.ms + certificate_ms / len(items)) / len(orbit)
-        report.entries += [replace(entry, indices=t, ms=ms) for t in orbit]
+    report = run_orbits(orbits, lambda rel, t: relation_residual(rel, t, p, f, c), lambda: covariant(basis), jobs)
     for rel, arity in RELATION_ARITY.items():
         if arity > n:
             report.add(ReportEntry(rel, (), True, 0, 0.0, "skipped: no admissible index tuples at this rank"))

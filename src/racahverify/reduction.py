@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .coeff import ParamPoly
-from .liealg import PairUnion, SU11Triple, casimir_CA, casimir_closed_form, make_metaplectic, rotation
+from .liealg import PairUnion, SU11Triple, casimir_CA, casimir_closed_form, make_metaplectic, rotation_squares
 from .racah import Basis, sweep_relations
 from .report import RelationReport, run_checks
 from .weyl import AlgebraSignature, Operator, commutator
@@ -61,6 +61,8 @@ class ReducedContext:
     signature: AlgebraSignature = field(init=False)
     # C^A per union.pairs, filled by liealg.casimir_CA (see SO2nContext).
     casimir_memo: dict[tuple[int, ...], Operator] = field(init=False, default_factory=dict, compare=False, repr=False)
+    # R_{ij}^2 per sorted pair, filled by liealg.rotation_squares.
+    square_memo: dict[tuple[int, int], Operator] = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -120,8 +122,7 @@ def reduced_casimir_single(ctx: ReducedContext, i: int) -> Operator:
 
 def pair_invariant(ctx: ReducedContext, i: int, j: int) -> Operator:
     """R_{ij}^2 + a_i x_j^2/x_i^2 + a_j x_i^2/x_j^2 (no constant part)."""
-    r = rotation(ctx.signature, i, j)
-    return r * r + _ratio(ctx, j, i) * ctx.param(i) + _ratio(ctx, i, j) * ctx.param(j)
+    return rotation_squares(ctx, (i, j)) + _ratio(ctx, j, i) * ctx.param(i) + _ratio(ctx, i, j) * ctx.param(j)
 
 
 def reduced_casimir_pair(ctx: ReducedContext, i: int, j: int, verify: bool = True) -> Operator:

@@ -7,14 +7,17 @@ compositions).  ``check`` times the residual function and records
 whether the residual vanished and how many terms survived;
 ``run_checks`` does that for every tuple of a sweep, in input order, so
 parallel runs print identically to serial ones.  ``check`` is the one
-timed helper every sweep uses, the relation sweep included.
+timed helper every sweep uses.  ``run_orbits`` serves the sweeps whose
+tuples fall into S_n orbits under a certificate (the relation sweep and
+intermediate-central): it checks one tuple per orbit and derives the
+rest, or checks every tuple when the certificate fails.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
 from ._parallel import run_tasks
@@ -107,3 +110,37 @@ def run_checks(
 ) -> RelationReport:
     """check() every index tuple in order; jobs > 1 forks workers."""
     return RelationReport(run_tasks(lambda t: check(relation, t, residual_of, note), tuples, jobs))
+
+
+def run_orbits(
+    orbits: list[tuple[str, list[tuple[int, ...]]]],
+    residual_of: Callable[[str, tuple[int, ...]], Residual],
+    certify: Callable[[], bool],
+    jobs: int = 1,
+) -> RelationReport:
+    """check() each orbit (relation, tuples) at its first tuple only when certify() holds, else at every tuple.
+
+    A certificate must prove that the residual at every tuple of an
+    orbit is the residual at its first tuple relabelled, which keeps
+    the term count, so every tuple gets the first tuple's verdict and
+    ``residual_terms``.  Otherwise each tuple is checked on its own: the
+    reference path.  The certificate's wall time is shared evenly over
+    the checked items, and each item's time over the tuples it stands
+    for, so the entries' ``ms`` add up to the certificate and every
+    check.  Either way entries come in orbit order, each orbit's tuples
+    in the order given, and the checked items go to workers at once.
+    """
+    t0 = time.perf_counter()
+    certified = certify()
+    certificate_ms = (time.perf_counter() - t0) * 1000
+    groups = orbits if certified else [(rel, [t]) for rel, tuples in orbits for t in tuples]
+
+    def check_first(group: tuple[str, list[tuple[int, ...]]]) -> ReportEntry:
+        rel, tuples = group
+        return check(rel, tuples[0], lambda t: residual_of(rel, t))
+
+    report = RelationReport()
+    for entry, (_, tuples) in zip(run_tasks(check_first, groups, jobs), groups):
+        ms = (entry.ms + certificate_ms / len(groups)) / len(tuples)
+        report.entries += [replace(entry, indices=t, ms=ms) for t in tuples]
+    return report

@@ -14,10 +14,13 @@ serves the howe and racah suites, so each G^i and K^{ij} is built
 once.  Both are made per run, never cached here: a later run in the
 same process, with a patched casimir_of for instance, starts from nothing.
 The reduction suite's ReducedContext memoizes its radial C^A the same
-way (liealg.casimir_CA), so each is built once there too.  Every
-expected Casimir value comes from a closed form, liealg.casimir_closed_form
-or reduction.radial_closed_form, and every entry is built and timed
-inside report.check.  The oracle suite reports each identity_catalog()
+way (liealg.casimir_CA), so each is built once there too.  Both
+contexts also hold each squared rotation L_{mu,nu}^2 (R_{ij}^2 in the
+radial model) once, in their square_memo (liealg.rotation_squares):
+the o2n invariant, G, K and every closed form of a run add the same
+stored squares.  Every expected Casimir value comes from a closed
+form, liealg.casimir_closed_form or reduction.radial_closed_form, and
+every entry is built and timed inside report.check.  The oracle suite reports each identity_catalog()
 entry by its exact residual; only its two composition checks draw
 random trials, and they too report an exact residual.
 

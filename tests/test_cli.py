@@ -1,6 +1,7 @@
 """Command-line runner: argument handling, output formats, exit codes."""
 
 import importlib
+import itertools
 import json
 import multiprocessing
 import pkgutil
@@ -415,6 +416,29 @@ def test_howe_and_racah_build_each_coupled_casimir_once(jobs, monkeypatch, capsy
     # entries.  Earlier runs in this process must not have left them
     # cached: each run builds its own context.
     assert calls.value == 15
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_each_rotation_square_is_built_once_per_run(jobs, monkeypatch, capsys):
+    original = liealg.rotation_square
+    # Shared memory, so squares built in forked workers are counted too.
+    calls = multiprocessing.Value("i", 0)
+    built = []
+
+    def counted(sig, mu, nu):
+        with calls.get_lock():
+            calls.value += 1
+        built.append((mu, nu))
+        return original(sig, mu, nu)
+
+    monkeypatch.setattr(liealg, "rotation_square", counted)
+    assert liealg.SO2nContext(4).square_memo == {}
+    code, _ = run_main(["--n", "4", "--suite", "o2n,howe,racah", "--json", "--jobs", jobs], capsys)
+    assert code == 0
+    # The invariant of casimir-central builds all C(8, 2) squares in this
+    # process first; G, K and every closed form only add stored ones.
+    assert built == list(itertools.combinations(range(1, 9), 2))
+    assert calls.value == 28
 
 
 def test_howe_and_racah_share_one_commutant_basis(monkeypatch, capsys):

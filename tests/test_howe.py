@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from racahverify import howe
 from racahverify.howe import (
     all_pair_unions,
+    casimir_table,
     check_casimir_forms,
     check_decompositions,
     check_intermediate_centrality,
+    covariant_table,
     decomposition_residual,
     verify_commutant_correspondence,
 )
@@ -128,6 +131,67 @@ def test_intermediate_casimirs_commute_with_total():
     report = check_intermediate_centrality(CTX3)
     assert report.all_passed()
     assert len(report.entries) == 7
+
+
+def _entries(report):
+    return [(e.relation, e.indices, e.passed, e.residual_terms) for e in report.entries]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_intermediate_centrality_by_orbit_equals_the_direct_path(n, monkeypatch):
+    ctx = SO2nContext(n)
+    assert covariant_table(ctx, casimir_table(ctx, all_pair_unions(ctx)))
+    orbit = {jobs: _entries(check_intermediate_centrality(ctx, jobs)) for jobs in (1, 2, 3)}
+    monkeypatch.setattr(howe, "covariant_table", lambda ctx, table: False)
+    direct = {jobs: _entries(check_intermediate_centrality(ctx, jobs)) for jobs in (1, 2, 3)}
+    expected = [("intermediate-central", u.pairs, True, 0) for u in all_pair_unions(ctx)]
+    assert orbit[1] == orbit[2] == orbit[3] == direct[1] == direct[2] == direct[3] == expected
+
+
+@pytest.fixture
+def bracket_calls(monkeypatch):
+    """The left operand of every commutator the howe module takes, in order."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        return commutator(a, b)
+
+    monkeypatch.setattr(howe, "commutator", counted)
+    return calls
+
+
+def test_intermediate_centrality_brackets_once_per_subset_size(bracket_calls):
+    ctx = SO2nContext(4)
+    report = check_intermediate_centrality(ctx)
+    # the representatives (1..k); at k = n the bracket is [C^{[n]}, C^{[n]}]
+    assert bracket_calls == [casimir_CA(ctx, PairUnion(range(1, k + 1))) for k in range(1, 5)]
+    assert len(report.entries) == 15 and report.all_passed()
+    # each size's entries share their representative's time evenly
+    times = {}
+    for e in report.entries:
+        times.setdefault(len(e.indices), set()).add(e.ms)
+    assert all(len(ms) == 1 for ms in times.values())
+
+
+def test_non_central_term_fails_the_table_certificate_and_its_union_only(bracket_calls):
+    ctx = SO2nContext(4)
+    sig = ctx.signature
+    table = casimir_table(ctx, all_pair_unions(ctx))
+    ctx.casimir_memo[(1, 2)] = table[(1, 2)] + Operator.x(sig, 1) * Operator.d(sig, 3)
+    assert not covariant_table(ctx, casimir_table(ctx, all_pair_unions(ctx)))
+    report = check_intermediate_centrality(ctx)
+    # the direct path: one bracket per union
+    assert len(bracket_calls) == len(report.entries) == 15
+    assert [e.indices for e in report.entries if not e.passed] == [(1, 2)]
+
+
+def test_covariant_table_needs_every_image():
+    ctx = SO2nContext(3)
+    table = casimir_table(ctx, all_pair_unions(ctx))
+    del table[(2, 3)]
+    assert not covariant_table(ctx, table)
+    assert covariant_table(ctx, {pairs: op for pairs, op in table.items() if len(pairs) != 2})
 
 
 def test_closed_form_constant_term():

@@ -168,3 +168,18 @@ def test_casimir_built_once_per_context():
     assert total_casimir(ctx) is total_casimir(ctx)
     assert set(ctx.casimir_memo) == {(1, 2), (1, 2, 3)}
     assert ctx == ReducedContext(3)
+
+
+def test_radial_squares_built_once_per_context():
+    ctx = ReducedContext(3)
+    assert ctx.square_memo == {}
+    closed = radial_closed_form(ctx, (1, 2, 3))
+    sig = ctx.signature
+    r21 = rotation(sig, 2, 1)
+    ratio12 = Operator.x(sig, 1, 2) * Operator.x(sig, 2, -2)
+    ratio21 = Operator.x(sig, 2, 2) * Operator.x(sig, 1, -2)
+    assert make_Q(ctx, 2, 1) == r21 * r21 + ratio12 * ctx.param(2) + ratio21 * ctx.param(1)
+    # the closed form stored every R_{ij}^2 under its sorted pair, and Q_{21} read R_{12}^2
+    assert set(ctx.square_memo) == {(1, 2), (1, 3), (2, 3)}
+    assert ctx.square_memo[1, 2] == r21 * r21 and radial_closed_form(ctx, (1, 2, 3)) == closed
+    assert ctx == ReducedContext(3)
