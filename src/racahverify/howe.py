@@ -27,9 +27,11 @@ workers read the operators instead of rebuilding them.  The memo serves
 only the coupled-triple side of the closed-form and correspondence
 checks; their other side is built independently and never reads it.
 liealg.casimir_closed_form adds the squared rotations that
-rotation_squares stores once per context (SO2nContext.square_memo),
-and the correspondence compares with the C1 and C2 that
-racah.CommutantBasis builds from the same squares as G and K.  Two
+rotation_squares stores once per context (SO2nContext.square_memo);
+check_casimir_forms stores them all in the calling process before it
+dispatches, so forked workers do not build them again.  The
+correspondence compares with the C1 and C2 that racah.CommutantBasis
+builds from the same squares as G and K.  Two
 kinds of entry do compare an operator with itself, so they hold
 whatever C^A is: casimir-decomposition at a two-pair union (a, b),
 whose decomposition has weight 0 and the one pair term C^{(ab)}, the
@@ -57,7 +59,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .liealg import PairUnion, SO2nContext, casimir_CA, casimir_closed_form, decomposition_sum
+from .liealg import PairUnion, SO2nContext, casimir_CA, casimir_closed_form, decomposition_sum, rotation_squares
 from .racah import CommutantBasis, factor_relabelling, sn_generators
 from .report import RelationReport, run_checks, run_orbits
 from .weyl import Operator, commutator
@@ -90,6 +92,8 @@ def decomposition_residual(ctx: SO2nContext, union: PairUnion) -> Operator:
 def check_casimir_forms(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     """Closed form against the directly computed Casimir, every pair union."""
     table = casimir_table(ctx, all_pair_unions(ctx))
+    # Store every squared rotation the closed forms add before run_checks forks.
+    rotation_squares(ctx, range(1, ctx.num_vars + 1))
     return run_checks(
         "casimir-closed-form",
         list(table),

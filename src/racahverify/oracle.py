@@ -165,9 +165,9 @@ def composition_residual(A: Operator, B: Operator, trials: int = 100, seed: int 
     left side is evaluated by ``weyl.evaluator``, the right side by
     ``apply`` and ``evaluate``, which build B f and A (B f), and each
     trial's residual is their difference.  The two routes share only
-    the power tables and the falling factorials, so each trial also
-    checks the evaluator against the reference route; with the
-    evaluator on both sides, a fault in it could cancel.  A failing
+    the power tables, so each trial also checks the evaluator against
+    the reference route; with the evaluator on both sides, a fault in
+    it could cancel.  A failing
     trial whose exact residual is zero is such a fault, the evaluator
     and apply + evaluate disagreeing on A * B, and raises RuntimeError
     rather than pass.  trials and jobs are read as in ``oracle_equiv``.

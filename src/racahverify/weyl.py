@@ -103,9 +103,16 @@ on the same power tables, again by direct differentiation.  All three
 work on the exponent columns of the polynomial (one column per variable
 over its terms, ``list(zip(*keys))``), not on its terms one variable at
 a time: each operator entry, alpha_b and (d^b f)(p) is a C-level map,
-zip and ``math.prod`` over whole columns.  The two routes, apply + evaluate and
-the evaluator, share only ``_power_tables`` and ``_falling``, and
-neither uses the kernel's packed keys.
+zip and ``math.prod`` over whole columns.  ``apply`` likewise groups
+the operator once, on its first call: its plan (``_apply_plan``, cached
+on the operator like the packed view and left out of pickles) gathers
+the entries that move a term by the same net shift a - b with the same
+parameter exponent, so each call sums one numerator column per group
+and shifts the position columns once per group, not once per entry;
+its falling factorials are products of shifted exponent columns.  The
+two routes, apply + evaluate and the evaluator, share only
+``_power_tables``, and neither uses the kernel's packed keys, layouts
+or ``combination``.
 
 ``parse_operator`` reads the text ``str(Operator)`` prints: terms joined
 by " + ", factors by " * ", both split only outside parentheses (the
@@ -514,10 +521,12 @@ class Operator(_FlatTerms):
     The keys of ``terms`` are (monomial, parameter exponent), the
     monomial being the position exponents followed by the derivative
     exponents.  ``_packed`` caches the packed view the pair sweeps read
-    (unset until the first product or commutator); pickles leave it out.
+    (unset until the first product or commutator), and ``_plan`` the
+    grouping ``apply`` reads (unset until the first ``apply``); pickles
+    leave both out.
     """
 
-    __slots__ = ("_packed",)
+    __slots__ = ("_packed", "_plan")
 
     def __init__(self, sig: AlgebraSignature, terms: Mapping[tuple, ParamPoly] | None = None):
         m = sig.num_vars
@@ -616,45 +625,86 @@ class Operator(_FlatTerms):
         semantic oracle the normal-ordering rule is checked against.  It
         runs on integers: d^b x^k = falling(k, b) x^(k-b), so each output
         numerator accumulates num_op * num_f * (product of falling
-        factorials), over den_op * den_f reduced once by a gcd.  It works
-        on the columns of f (one per variable, over f's terms): each
-        operator entry scales f's numerator column by its own numerator
-        and by one falling-factorial column per differentiated variable
-        i of order b (built once per (i, b) per call), and shifts only
-        the exponent columns its monomial moves.  The output keys are
-        zipped back from the columns and accumulated in the order of the
-        operator's entries, then f's terms, skipping zero products; a
-        parameter exponent of zero on either side is reused rather than
-        added.
+        factorials), over den_op * den_f reduced once by a gcd.
+
+        The operator's entries are grouped once, on the first call, by
+        (net shift a - b, parameter exponent) (``_apply_plan``, cached
+        in ``_plan``): the entries of a group send each term of f to the
+        same key.  Each call splits f's terms by parameter exponent and
+        works on the columns of each part (one per variable, over its
+        terms).  A group's numerator column is the sum, by C-level maps,
+        of its entries' numerators times f's numerators times, for each
+        differentiated variable i of order b, the falling factorial
+        k_i (k_i - 1) ... (k_i - b + 1), a product of shifted columns of
+        k_i (built once per set of (i, b) per part).  The position
+        columns are shifted once per group, and a zero-shift group
+        reuses f's own keys.  The group's terms are added, zero products
+        skipped, into one dict of position tuples per output parameter
+        exponent, which the first group to reach it fills with one
+        ``dict`` call; the dicts are flattened to (position exponents,
+        parameter exponent) keys at the end.
         """
         if self.sig != f.sig:
             raise ValueError("operator and polynomial signatures differ")
-        m = self.sig.num_vars
-        zero = (0,) * self.sig.nparams
-        xcols = list(zip(*(xe for xe, _ in f.terms))) or [()] * m
-        pes = [pe for _, pe in f.terms]
-        nums = list(f.terms.values())
-        fallings: dict[tuple[int, int], list[int]] = {}
-        acc: dict[tuple, int] = {}
-        acc_get = acc.get
-        for (mo, pa), na in self.terms.items():
-            col = [na * nb for nb in nums]
-            for i, b in enumerate(mo[m:]):
-                if b:
-                    if (i, b) not in fallings:
-                        fallings[i, b] = list(map(_falling, xcols[i], repeat(b)))
-                    col = list(map(mul, col, fallings[i, b]))
-            shifted = [map(add, xc, repeat(a - b)) if a != b else xc for xc, a, b in zip(xcols, mo, mo[m:])]
-            pecol = pes if pa == zero else [pa if pb == zero else tuple(map(add, pa, pb)) for pb in pes]
-            for key, q in compress(zip(zip(zip(*shifted), pecol), col), col):
-                acc[key] = acc_get(key, 0) + q
-        return Polynomial._make(self.sig, {key: q for key, q in acc.items() if q}, self.den * f.den)
+        plan = getattr(self, "_plan", None)
+        if plan is None:
+            plan = self._plan = _apply_plan(self)
+        parts: dict[tuple, list] = {}
+        for (xe, pb), q in f.terms.items():
+            parts.setdefault(pb, []).append((xe, q))
+        out: dict[tuple, dict[tuple, int]] = {}
+        for pb, items in parts.items():
+            xes, nums = zip(*items)
+            xcols = list(zip(*xes))
+            # nums times falling(k_i, b) = k_i (k_i - 1) ... (k_i - b + 1) over each derivs set.
+            columns: dict[tuple, list[int]] = {(): nums}
+            for (shift, pa), entries in plan:
+                col = None
+                for na, derivs in entries:
+                    scaled = columns.get(derivs)
+                    if scaled is None:
+                        scaled = nums
+                        for i, b in derivs:
+                            for t in range(b):
+                                scaled = map(mul, scaled, map(sub, xcols[i], repeat(t)) if t else xcols[i])
+                        scaled = columns[derivs] = list(scaled)
+                    term = map(mul, scaled, repeat(na))
+                    col = term if col is None else map(add, col, term)
+                col = list(col)
+                keys = xes
+                if any(shift):
+                    keys = zip(*[map(add, xc, repeat(s)) if s else xc for xc, s in zip(xcols, shift)])
+                pe = tuple(map(add, pa, pb))
+                acc = out.get(pe)
+                if acc is None:
+                    out[pe] = dict(zip(keys, col))
+                else:
+                    acc_get = acc.get
+                    for key, q in compress(zip(keys, col), col):
+                        acc[key] = acc_get(key, 0) + q
+        terms = {(xe, pe): q for pe, acc in out.items() for xe, q in acc.items() if q}
+        return Polynomial._make(self.sig, terms, self.den * f.den)
 
     # -- printing ------------------------------------------------------------
 
     def _factors(self, mo: tuple) -> list[str]:
         m = self.sig.num_vars
         return _powers("x", mo[:m]) + _powers("d", mo[m:])
+
+
+def _apply_plan(op: Operator) -> list[tuple[tuple[tuple, tuple], list[tuple[int, tuple]]]]:
+    """op's entries grouped for ``Operator.apply``: ((net shift a - b, parameter exponent), entries).
+
+    Each entry is (numerator, the (i, b) pairs of its nonzero derivative
+    exponents); the entries of one group move a test function's terms to
+    the same keys.
+    """
+    m = op.sig.num_vars
+    groups: dict[tuple, list[tuple[int, tuple]]] = {}
+    for (mo, pa), na in op.terms.items():
+        derivs = tuple((i, b) for i, b in enumerate(mo[m:]) if b)
+        groups.setdefault((tuple(map(sub, mo[:m], mo[m:])), pa), []).append((na, derivs))
+    return list(groups.items())
 
 
 def relabel(op: Operator, variables: Sequence[int], params: Sequence[int] = ()) -> Operator:

@@ -439,6 +439,14 @@ def test_each_rotation_square_is_built_once_per_run(jobs, monkeypatch, capsys):
     # process first; G, K and every closed form only add stored ones.
     assert built == list(itertools.combinations(range(1, 9), 2))
     assert calls.value == 28
+    # Without o2n, check_casimir_forms stores them all before it forks, so
+    # no worker builds a square its closed forms need again.
+    built.clear()
+    calls.value = 0
+    code, _ = run_main(["--n", "4", "--suite", "howe", "--json", "--jobs", jobs], capsys)
+    assert code == 0
+    assert built == list(itertools.combinations(range(1, 9), 2))
+    assert calls.value == 28
 
 
 def test_howe_and_racah_share_one_commutant_basis(monkeypatch, capsys):

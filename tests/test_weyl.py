@@ -1,5 +1,6 @@
 """The operator engine: normal ordering, action, printing, axioms."""
 
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -8,6 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from racahverify import weyl
 from racahverify.coeff import ParamPoly
 from racahverify.liealg import SO2nContext
 from racahverify.oracle import random_polynomial
@@ -153,6 +155,103 @@ def test_apply_laurent():
     d1 = Operator.d(LOC1, 1)
     f = Polynomial.monomial(LOC1, (-1,))
     assert d1.apply(f) == Polynomial.monomial(LOC1, (-2,), -1)
+
+
+def _reference_apply(op, f):
+    """op f one (operator term, polynomial term) pair at a time, on ParamPoly
+    coefficients: d^b x^k = falling(k, b) x^(k-b) per variable."""
+    m = op.sig.num_vars
+    out = {}
+    for mono, c in op.coefficients().items():
+        for xe, g in f.coefficients().items():
+            factor = 1
+            for k, b in zip(xe, mono[m:]):
+                for t in range(b):
+                    factor *= k - t
+            if factor:
+                key = tuple(k + a - b for k, a, b in zip(xe, mono[:m], mono[m:]))
+                term = c * g * factor
+                out[key] = out[key] + term if key in out else term
+    return Polynomial(op.sig, {key: c for key, c in out.items() if c})
+
+
+def _shared_shift_ops(sig, laurent=False, coeffs=small_fractions):
+    """Operators whose entries come in groups of one net shift a - b."""
+    m = sig.num_vars
+
+    def group(shift, dexps, cs):
+        return [(tuple(b + s for b, s in zip(de, shift)), de, c) for de, c in zip(dexps, cs)]
+
+    def valid(term):
+        xe = term[0]
+        return all(e >= _min_exp(sig, i, laurent) for i, e in enumerate(xe))
+
+    shift = st.tuples(*[st.integers(-2, 2)] * m)
+    dexps = st.lists(st.tuples(*[st.integers(0, 3)] * m), min_size=1, max_size=3)
+    groups = st.builds(group, shift, dexps, st.lists(coeffs, min_size=3, max_size=3))
+    return st.lists(groups, max_size=3).map(lambda gs: _mk_op(sig, [t for g in gs for t in g if valid(t)]))
+
+
+APPLY_FORMS = {
+    "plain": (SIG2, False, small_fractions, polys2),
+    "localized": (LOC2, True, small_fractions, polysL),
+    "params": (PSIG, True, param_polys(PSIG.nparams), polysP),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(APPLY_FORMS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_apply_matches_the_term_by_term_reference(kind, data):
+    sig, laurent, coeffs, polys = APPLY_FORMS[kind]
+    a = data.draw(st.one_of(_shared_shift_ops(sig, laurent, coeffs), operators(sig, laurent, coeffs)))
+    f = data.draw(polys)
+    for op, g in ((a, f), (a, f - f), (a - a, f), (Operator.zero(sig), Polynomial.zero(sig))):
+        assert op.apply(g) == _reference_apply(op, g)
+
+
+def test_apply_cancels_within_a_shift_group():
+    # x1 d1 - 2 and a1 x1 d1 - 2 a1 share the net shift 0 and kill x1^2
+    x1, d1 = Operator.x(PSIG, 1), Operator.d(PSIG, 1)
+    a1 = PSIG.param(1)
+    euler = x1 * d1 - Operator.constant(PSIG, 2)
+    square = Polynomial.monomial(PSIG, (2, 0))
+    assert euler.apply(square).is_zero()
+    assert euler.scale(a1).apply(Polynomial.monomial(PSIG, (2, 1), a1)).is_zero()
+    assert euler.apply(square + Polynomial.monomial(PSIG, (3, 0), a1)) == Polynomial.monomial(PSIG, (3, 0), a1)
+    # d1 x1 = x1 d1 + 1, both entries of net shift 0: on x1^-1 they cancel
+    assert (d1 * x1).apply(Polynomial.monomial(PSIG, (-1, 0))).is_zero()
+
+
+def test_apply_plan_is_built_once_and_never_pickled(monkeypatch):
+    built = []
+    original = weyl._apply_plan
+    monkeypatch.setattr(weyl, "_apply_plan", lambda op: built.append(op) or original(op))
+    op = Operator.x(PSIG, 1) * Operator.d(PSIG, 2) - Operator.x(PSIG, 2, -1) * Operator.d(PSIG, 1) * PSIG.param(2)
+    f = Polynomial.monomial(PSIG, (1, 2), PSIG.param(1))
+    assert getattr(op, "_plan", None) is None
+    first = op.apply(f)
+    plan = op._plan
+    assert op.apply(f) == first and op.apply(f + f) == _reference_apply(op, f + f)
+    assert built == [op] and op._plan is plan
+    clone = pickle.loads(pickle.dumps(op))
+    assert clone == op and getattr(clone, "_plan", None) is None
+    assert clone.apply(f) == first
+
+
+def test_apply_never_reaches_the_product_kernel(monkeypatch):
+    op = commutator(Operator.x(PSIG, 1, -1) * Operator.d(PSIG, 2), Operator.x(PSIG, 2, 2) * PSIG.param(1))
+    op = op * op + Operator.d(PSIG, 1, 2)
+    f = random_polynomial(PSIG, random.Random(3)) + Polynomial.monomial(PSIG, (1, -1), PSIG.param(2))
+    expected = _reference_apply(op, f)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("apply reached the product kernel")
+
+    monkeypatch.setattr(weyl, "combination", refuse)
+    monkeypatch.setattr(weyl, "_view", refuse)
+    assert op.apply(f) == expected
+    assert op.apply(op.apply(f)) == _reference_apply(op, expected)
 
 
 def test_signature_mismatch_rejected():
