@@ -29,18 +29,22 @@ Test functions are built directly in the integer-numerator form
 polynomials store, and every value is computed on integers with one
 Fraction at the end.
 
-There are two routes to (A f)(p), both direct differentiation:
+There are two routes to (A f)(p), both direct differentiation, and
+neither builds A f:
 
 - ``weyl.evaluator(A)`` groups A's monomials by derivative exponent
-  once per check and sums alpha_b(p) * (d^b f)(p) without building A f.
-  ``oracle_equiv`` uses it on the residual, and ``composition_residual``
-  on the product side.
-- ``A.apply(f).evaluate(p)`` builds A f and evaluates it.
-  ``composition_residual`` keeps it on the nested side, A (B f), so the
-  composition check is the only one that still compares two routes:
-  each of its residuals is the difference of two different evaluation
-  routes, and a fault in the evaluator cannot hide by cancelling
-  against itself.
+  once per check and sums alpha_b(p) * (d^b f)(p).  ``oracle_equiv``
+  uses it on the residual, and ``composition_residual`` on the product
+  side.
+- ``A.apply_at(g, p)`` reads A's apply plan, the one ``Operator.apply``
+  builds, and sums the plan's falling-factorial columns over g's terms
+  at p.  ``composition_residual`` uses it on the nested side,
+  A.apply_at(B.apply(f), p), so B f is built but A (B f) is not, and
+  no trial calls ``Polynomial.evaluate``.  The composition check is
+  the only one that compares two routes: each of its residuals is the
+  difference of two different evaluation routes, which share only the
+  power tables, so a fault in either cannot hide by cancelling against
+  itself.
 
 Trial streams are deterministic: trial t of seed s uses its own
 random.Random(s * 1000003 + t), so serial and parallel runs, and
@@ -163,19 +167,24 @@ def composition_residual(A: Operator, B: Operator, trials: int = 100, seed: int 
     only direct differentiation; pointwise agreement on every trial is
     the independent semantic validation of the reordering rule.  The
     left side is evaluated by ``weyl.evaluator``, the right side by
-    ``apply`` and ``evaluate``, which build B f and A (B f), and each
-    trial's residual is their difference.  The two routes share only
-    the power tables, so each trial also checks the evaluator against
-    the reference route; with the evaluator on both sides, a fault in
-    it could cancel.  A failing
-    trial whose exact residual is zero is such a fault, the evaluator
-    and apply + evaluate disagreeing on A * B, and raises RuntimeError
-    rather than pass.  trials and jobs are read as in ``oracle_equiv``.
+    ``B.apply(f)`` and then ``A.apply_at``, which reads A (B f) at the
+    point from A's apply plan without building it; each trial's
+    residual is their difference.  The two routes share only the power
+    tables, so each trial also checks the evaluator against the apply
+    plans; with the evaluator on both sides, a fault in it could
+    cancel.  Both plans are built here, before ``_first_failure`` forks,
+    so no worker builds them again.  The exact residual of a failing
+    trial is built by ``apply`` alone.  A failing trial whose exact
+    residual is zero is a fault of one route, the evaluator and the
+    apply plans disagreeing on A * B, and raises RuntimeError rather
+    than pass.  trials and jobs are read as in ``oracle_equiv``.
     """
     product = A * B
     value = evaluator(product)
+    A.apply_plan()
+    B.apply_plan()
     f = _first_failure(
-        lambda f, coords, params: value(f, coords, params) - A.apply(B.apply(f)).evaluate(coords, params),
+        lambda f, coords, params: value(f, coords, params) - A.apply_at(B.apply(f), coords, params),
         trials, seed, (A, B, product), jobs,
     )
     residual = Polynomial.zero(A.sig) if f is None else product.apply(f) - A.apply(B.apply(f))

@@ -9,9 +9,10 @@ One SO2nContext serves the o2n, su11, howe and racah suites of a run,
 so each coupled Casimir C^A is built once (SO2nContext.casimir_memo)
 and the racah suite's dependency entries reuse what the howe suite
 built.  One
-racah.CommutantBasis over it, built by the first suite that reads it,
-serves the howe and racah suites, so each G^i and K^{ij} is built
-once.  Both are made per run, never cached here: a later run in the
+racah.CommutantBasis over it serves the howe and racah suites, so each
+G^i and K^{ij} is built once.  The first suite that reads either
+builds it, so a run of the reduction or oracle suite alone builds
+neither.  Both are made per run, never cached here: a later run in the
 same process, with a patched casimir_of for instance, starts from nothing.
 The reduction suite's ReducedContext memoizes its radial C^A the same
 way (liealg.casimir_CA), so each is built once there too.  Both
@@ -21,8 +22,11 @@ the o2n invariant, G, K and every closed form of a run add the same
 stored squares.  Every expected Casimir value comes from a closed
 form, liealg.casimir_closed_form or reduction.radial_closed_form, and
 every entry is built and timed inside report.check.  The oracle suite reports each identity_catalog()
-entry by its exact residual; only its two composition checks draw
-random trials, and they too report an exact residual.
+entry by its exact residual, each identity built inside its own check
+(_IDENTITIES, over the contexts and basis of one _CatalogParts, each
+built once, by the first check that reads it); only its two
+composition checks draw random trials, and they too report an exact
+residual.
 
 Each runner takes the run (_Run: the context and the basis) and the
 run's settings (n, jobs, trials, seed; the racah-verify options) and
@@ -37,6 +41,7 @@ import argparse
 import itertools
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 from typing import Callable, Collection, Iterator
 
 from . import howe, liealg, oracle, racah, reduction
@@ -45,10 +50,14 @@ from .weyl import AlgebraSignature, Operator, Polynomial, commutator, parse_oper
 
 
 class _Run:
-    """What the suites of one run share: the context, and its basis once read."""
+    """What the suites of one run share: the context and its basis, each built when first read."""
 
     def __init__(self, n: int):
-        self.ctx = liealg.SO2nContext(n)
+        self.n = n
+
+    @cached_property
+    def ctx(self) -> liealg.SO2nContext:
+        return liealg.SO2nContext(self.n)
 
     @cached_property
     def basis(self) -> racah.CommutantBasis:
@@ -163,65 +172,96 @@ def _reduction_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     return report
 
 
+class _CatalogParts(_Run):
+    """What the catalog's identities share, each built once, on its first use:
+    a run's context and basis, and the reduced model's context and total Casimir."""
+
+    @cached_property
+    def rctx(self) -> reduction.ReducedContext:
+        return reduction.ReducedContext(self.n)
+
+    @cached_property
+    def rtotal(self) -> Operator:
+        return reduction.total_casimir(self.rctx)
+
+    @property
+    def sig(self) -> AlgebraSignature:
+        return self.ctx.signature
+
+    def L(self, mu: int, nu: int) -> Operator:
+        return liealg.make_L(self.ctx, mu, nu)
+
+
+_PAIR12 = liealg.PairUnion((1, 2))
+
+
+def _reduced_triple_bracket(c: _CatalogParts) -> tuple[Operator, Operator]:
+    triple = reduction.make_reduced_J(c.rctx, 1)
+    return commutator(triple.J0, triple.Jp), triple.Jp
+
+
+def _q_symmetry(c: _CatalogParts) -> tuple[Operator, Operator]:
+    q12 = reduction.make_Q(c.rctx, 1, 2)
+    return q12 * c.rtotal, c.rtotal * q12
+
+
+# (name, build): build(parts) gives the identity's (lhs, rhs) operator pair.
+_IDENTITIES: list[tuple[str, Callable[[_CatalogParts], tuple[Operator, Operator]]]] = [
+    ("derivative-past-position", lambda c: (
+        Operator.d(c.sig, 1) * Operator.x(c.sig, 1),
+        Operator.x(c.sig, 1) * Operator.d(c.sig, 1) + Operator.constant(c.sig, 1))),
+    ("rotation-bracket", lambda c: (commutator(c.L(1, 2), c.L(2, 3)), c.L(1, 3))),
+    ("casimir-central", lambda c: (
+        commutator(liealg.casimir_sum(c.ctx, c.ctx.num_vars), c.L(1, 2)), Operator.zero(c.sig))),
+    ("commutant-pair-invariant", lambda c: (
+        commutator(c.basis.K[(1, 2)], c.L(*c.ctx.factor_variables(3))), Operator.zero(c.sig))),
+    ("relation-a", lambda c: (commutator(c.basis.p(1, 2), c.basis.p(2, 3)), 2 * c.basis.f(1, 2, 3))),
+    ("relation-b", lambda c: (
+        commutator(c.basis.p(2, 3), c.basis.f(1, 2, 3)),
+        c.basis.p(1, 3) * c.basis.p(2, 3) - c.basis.p(2, 3) * c.basis.p(1, 2)
+        + 2 * (c.basis.p(1, 3) * c.basis.c(2)) - 2 * (c.basis.p(1, 2) * c.basis.c(3)))),
+    ("coupled-casimir-closed-form", lambda c: (
+        liealg.casimir_CA(c.ctx, _PAIR12), liealg.casimir_closed_form(c.ctx, _PAIR12.variables()))),
+    ("correspondence-pair", lambda c: (liealg.casimir_CA(c.ctx, _PAIR12), c.basis.C2[(1, 2)])),
+    ("dependency", lambda c: (
+        liealg.casimir_CA(c.ctx, liealg.PairUnion((1, 2, 3))),
+        liealg.decomposition_sum((1, 2, 3), lambda i, j: c.basis.C2[(i, j)], c.basis.c))),
+    ("reduced-triple-bracket", _reduced_triple_bracket),
+    ("reduced-pair-closed-form", lambda c: (
+        liealg.casimir_CA(c.rctx, _PAIR12), reduction.radial_closed_form(c.rctx, (1, 2)))),
+    ("q-symmetry", _q_symmetry),
+]
+
+
 def identity_catalog(n: int = 3) -> list[tuple[str, Operator, Operator]]:
     """Representative named identities from every layer, as (name, lhs, rhs)
     operator pairs; the oracle suite reports each one's residual lhs - rhs."""
-    ctx = liealg.SO2nContext(n)
-    sig = ctx.signature
-    basis = racah.CommutantBasis(ctx)
-    rctx = reduction.ReducedContext(n)
-    rtotal = reduction.total_casimir(rctx)
-
-    L12 = liealg.make_L(ctx, 1, 2)
-    L13 = liealg.make_L(ctx, 1, 3)
-    L23 = liealg.make_L(ctx, 2, 3)
-    cas = liealg.casimir_sum(ctx, ctx.num_vars)
-    union12 = liealg.PairUnion((1, 2))
-    rtriple = reduction.make_reduced_J(rctx, 1)
-    q12 = reduction.make_Q(rctx, 1, 2)
-
-    return [
-        ("derivative-past-position", Operator.d(sig, 1) * Operator.x(sig, 1),
-         Operator.x(sig, 1) * Operator.d(sig, 1) + Operator.constant(sig, 1)),
-        ("rotation-bracket", commutator(L12, L23), L13),
-        ("casimir-central", commutator(cas, L12), Operator.zero(sig)),
-        ("commutant-pair-invariant", commutator(basis.K[(1, 2)], liealg.make_L(ctx, *ctx.factor_variables(3))),
-         Operator.zero(sig)),
-        ("relation-a", commutator(basis.p(1, 2), basis.p(2, 3)), 2 * basis.f(1, 2, 3)),
-        ("relation-b", commutator(basis.p(2, 3), basis.f(1, 2, 3)),
-         basis.p(1, 3) * basis.p(2, 3) - basis.p(2, 3) * basis.p(1, 2)
-         + 2 * (basis.p(1, 3) * basis.c(2)) - 2 * (basis.p(1, 2) * basis.c(3))),
-        ("coupled-casimir-closed-form", liealg.casimir_CA(ctx, union12),
-         liealg.casimir_closed_form(ctx, union12.variables())),
-        ("correspondence-pair", liealg.casimir_CA(ctx, union12), basis.C2[(1, 2)]),
-        ("dependency", liealg.casimir_CA(ctx, liealg.PairUnion((1, 2, 3))),
-         liealg.decomposition_sum((1, 2, 3), lambda i, j: basis.C2[(i, j)], basis.c)),
-        ("reduced-triple-bracket", commutator(rtriple.J0, rtriple.Jp), rtriple.Jp),
-        ("reduced-pair-closed-form", liealg.casimir_CA(rctx, union12),
-         reduction.radial_closed_form(rctx, (1, 2))),
-        ("q-symmetry", q12 * rtotal, rtotal * q12),
-    ]
+    parts = _CatalogParts(n)
+    return [(name, *build(parts)) for name, build in _IDENTITIES]
 
 
 def _oracle_suite(run: _Run, config: argparse.Namespace) -> RelationReport:
     """The catalog's exact residuals, then the two composition residuals.
 
     Each identity_catalog() entry reports its residual lhs - rhs, built
-    and counted like any symbolic check.  Only the two compositions draw
-    random trials, 10 * config.trials each, split over config.jobs
-    workers.  Each reports oracle.composition_residual: zero when every
-    trial holds, otherwise the exact polynomial (A * B) f - A (B f) at
-    the earliest failing trial's test function f, so neither the
-    verdict nor the term count depends on jobs.
+    and counted like any symbolic check: the identity itself is built
+    inside its check, so its kernel work shows in the entry's ms.  The
+    K^{12} K^{23} composition shares the catalog's SO2nContext(3).
+    Only the two compositions draw random trials, 10 * config.trials
+    each, split over config.jobs workers.  Each reports
+    oracle.composition_residual: zero when every trial holds, otherwise
+    the exact polynomial (A * B) f - A (B f) at the earliest failing
+    trial's test function f, so neither the verdict nor the term count
+    depends on jobs.
     """
     trials, seed, jobs = config.trials, config.seed, config.jobs
     report = RelationReport()
-    for idx, (name, lhs, rhs) in enumerate(identity_catalog(), start=1):
-        report.add(check("oracle", (idx,), lambda _: lhs - rhs, name))
-    ctx3 = liealg.SO2nContext(3)
+    parts = _CatalogParts(3)
+    for idx, (name, build) in enumerate(_IDENTITIES, start=1):
+        report.add(check("oracle", (idx,), lambda _, b=build: sub(*b(parts)), name))
     r1 = reduction.make_reduced_J(reduction.ReducedContext(2), 1)
     compositions = [
-        (f"{10 * trials} trials", racah.make_K(ctx3, 1, 2), racah.make_K(ctx3, 2, 3)),
+        (f"{10 * trials} trials", racah.make_K(parts.ctx, 1, 2), racah.make_K(parts.ctx, 2, 3)),
         ("localized with parameters", r1.Jm, r1.Jp),
     ]
     for idx, (note, a, b) in enumerate(compositions, start=1):

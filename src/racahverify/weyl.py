@@ -95,24 +95,33 @@ multiplication kernel, so the two can cross-check each other.  It and
 ``Polynomial.evaluate`` run on integers too: apply multiplies numerators
 by falling factorials over den_op * den_f, and evaluate sums integer
 terms built from cached powers of each coordinate's numerator and
-denominator (``_power_tables``), building one Fraction at the end.
-``evaluator(op)`` gives the value (op f)(p) without building op f: it
-groups op's monomials by derivative exponent b once, as
-op = sum_b alpha_b(x) d^b, and each call sums alpha_b(p) * (d^b f)(p)
-on the same power tables, again by direct differentiation.  All three
-work on the exponent columns of the polynomial (one column per variable
-over its terms, ``list(zip(*keys))``), not on its terms one variable at
-a time: each operator entry, alpha_b and (d^b f)(p) is a C-level map,
-zip and ``math.prod`` over whole columns.  ``apply`` likewise groups
-the operator once, on its first call: its plan (``_apply_plan``, cached
-on the operator like the packed view and left out of pickles) gathers
-the entries that move a term by the same net shift a - b with the same
-parameter exponent, so each call sums one numerator column per group
-and shifts the position columns once per group, not once per entry;
-its falling factorials are products of shifted exponent columns.  The
-two routes, apply + evaluate and the evaluator, share only
-``_power_tables``, and neither uses the kernel's packed keys, layouts
-or ``combination``.
+denominator (``_power_tables``, read through ``_term_values``),
+building one Fraction at the end.  Two routes give the value (op f)(p)
+without building op f, both again by direct differentiation:
+
+- ``evaluator(op)`` groups op's monomials by derivative exponent b
+  once, as op = sum_b alpha_b(x) d^b, and each call sums
+  alpha_b(p) * (d^b f)(p) on the same power tables.
+- ``Operator.apply_at(f, coords, params)`` reads apply's plan and
+  factors each output power as p^(k + s) = p^k * p^s over f's term k
+  and a plan group's net shift s, so it needs every coordinate nonzero
+  (ZeroDivisionError otherwise).
+
+All of them work on the exponent columns of the polynomial (one column
+per variable over its terms, ``list(zip(*keys))``), not on its terms
+one variable at a time: each operator entry, alpha_b and (d^b f)(p) is
+a C-level map, zip and ``math.prod`` over whole columns.  ``apply``
+groups the operator once, on its first call: its plan (``_apply_plan``,
+cached on the operator like the packed view and left out of pickles)
+gathers the entries that move a term by the same net shift a - b with
+the same parameter exponent, so each call sums one numerator column per
+group and shifts the position columns once per group, not once per
+entry.  Its falling factorials are products of shifted exponent
+columns (``_FallingColumns``), and ``apply_at`` sums the same columns,
+weighted by f's terms at p, once per set of differentiated variables.
+The evaluator shares only ``_power_tables`` with apply_at and with
+apply + evaluate, so a fault in one route shows against the other; none
+of them uses the kernel's packed keys, layouts or ``combination``.
 
 ``parse_operator`` reads the text ``str(Operator)`` prints: terms joined
 by " + ", factors by " * ", both split only outside parentheses (the
@@ -130,7 +139,7 @@ from functools import lru_cache
 from itertools import compress, repeat
 from math import comb, gcd, lcm, prod
 from operator import add, itemgetter, mul, sub
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .coeff import ParamPoly, ScalarLike, _fraction, _graded, _powers, parse_param_poly, read_factor, read_rational
 
@@ -646,9 +655,7 @@ class Operator(_FlatTerms):
         """
         if self.sig != f.sig:
             raise ValueError("operator and polynomial signatures differ")
-        plan = getattr(self, "_plan", None)
-        if plan is None:
-            plan = self._plan = _apply_plan(self)
+        plan = self.apply_plan()
         parts: dict[tuple, list] = {}
         for (xe, pb), q in f.terms.items():
             parts.setdefault(pb, []).append((xe, q))
@@ -656,19 +663,11 @@ class Operator(_FlatTerms):
         for pb, items in parts.items():
             xes, nums = zip(*items)
             xcols = list(zip(*xes))
-            # nums times falling(k_i, b) = k_i (k_i - 1) ... (k_i - b + 1) over each derivs set.
-            columns: dict[tuple, list[int]] = {(): nums}
+            columns = _FallingColumns(nums, xcols)
             for (shift, pa), entries in plan:
                 col = None
                 for na, derivs in entries:
-                    scaled = columns.get(derivs)
-                    if scaled is None:
-                        scaled = nums
-                        for i, b in derivs:
-                            for t in range(b):
-                                scaled = map(mul, scaled, map(sub, xcols[i], repeat(t)) if t else xcols[i])
-                        scaled = columns[derivs] = list(scaled)
-                    term = map(mul, scaled, repeat(na))
+                    term = map(mul, columns[derivs], repeat(na))
                     col = term if col is None else map(add, col, term)
                 col = list(col)
                 keys = xes
@@ -684,6 +683,48 @@ class Operator(_FlatTerms):
                         acc[key] = acc_get(key, 0) + q
         terms = {(xe, pe): q for pe, acc in out.items() for xe, q in acc.items() if q}
         return Polynomial._make(self.sig, terms, self.den * f.den)
+
+    def apply_at(self, f: Polynomial, coords: Sequence[Fraction], params: Sequence[Fraction] = ()) -> Fraction:
+        """(self f)(p) at the point p = (coords, params), without building self f.
+
+        Equal in value and type to ``self.apply(f).evaluate(coords,
+        params)`` wherever every coordinate is nonzero; a zero coordinate
+        raises ZeroDivisionError, zero parameter values are fine.  It
+        reads the same plan as ``apply`` and factors each output power as
+        p^(k + s) = p^k * p^s, k a term of f and s a group's net shift
+        (parameter exponents alike, and never negative).  Over f's terms
+        it builds the column w = num * p^k (``_term_values``), and for
+        each distinct set of differentiated (i, b) pairs the sum S of w
+        times the falling factorials, with the columns ``apply`` builds
+        (``_FallingColumns``).  Each group then contributes p^s times
+        the sum of its entries' numerators times their S, again one
+        ``_term_values`` over the groups' (shift, parameter exponent)
+        columns.  Direct differentiation like ``apply``: it never calls
+        the product kernel or ``evaluator``.
+        """
+        if self.sig != f.sig:
+            raise ValueError("operator and polynomial signatures differ")
+        point = _check_point(self.sig, coords, params)
+        if not all(point[: self.sig.num_vars]):
+            raise ZeroDivisionError("apply_at needs every coordinate nonzero")
+        plan = self.apply_plan()
+        if not (plan and f.terms):
+            return Fraction(0)
+        cols = list(zip(*(xe + pe for xe, pe in f.terms)))
+        weights, num, den = _term_values(point, cols, f.terms.values())
+        columns = _FallingColumns(weights, cols)
+        sums = {derivs: sum(columns[derivs]) for derivs in {d for _, entries in plan for _, d in entries}}
+        group_sums = [sum(na * sums[derivs] for na, derivs in entries) for _, entries in plan]
+        gcols = list(zip(*(shift + pa for (shift, pa), _ in plan)))
+        values, gnum, gden = _term_values(point, gcols, group_sums)
+        return Fraction(sum(values) * num * gnum, den * gden * self.den * f.den)
+
+    def apply_plan(self) -> list[tuple[tuple[tuple, tuple], list[tuple[int, tuple]]]]:
+        """The grouping ``apply`` and ``apply_at`` read (``_apply_plan``), built on the first call and kept in ``_plan``."""
+        plan = getattr(self, "_plan", None)
+        if plan is None:
+            plan = self._plan = _apply_plan(self)
+        return plan
 
     # -- printing ------------------------------------------------------------
 
@@ -705,6 +746,30 @@ def _apply_plan(op: Operator) -> list[tuple[tuple[tuple, tuple], list[tuple[int,
         derivs = tuple((i, b) for i, b in enumerate(mo[m:]) if b)
         groups.setdefault((tuple(map(sub, mo[:m], mo[m:])), pa), []).append((na, derivs))
     return list(groups.items())
+
+
+class _FallingColumns(dict):
+    """derivs -> nums times falling(k_i, b) = k_i (k_i - 1) ... (k_i - b + 1)
+    for each (i, b) of derivs, k_i running over the exponent column cols[i].
+
+    Each column is built on its first lookup, as the column of derivs
+    without its last pair times shifted exponent columns, so sets that
+    share a prefix share its products; ``apply`` and ``apply_at`` both
+    read them.
+    """
+
+    def __init__(self, nums: Sequence[int], cols: Sequence[Sequence[int]]):
+        super().__init__({(): nums})
+        self.cols = cols
+
+    def __missing__(self, derivs: tuple) -> list[int]:
+        scaled = self[derivs[:-1]]
+        i, b = derivs[-1]
+        col = self.cols[i]
+        for t in range(b):
+            scaled = map(mul, scaled, map(sub, col, repeat(t)) if t else col)
+        scaled = self[derivs] = list(scaled)
+        return scaled
 
 
 def relabel(op: Operator, variables: Sequence[int], params: Sequence[int] = ()) -> Operator:
@@ -814,24 +879,15 @@ class Polynomial(_FlatTerms):
 
         Runs on integers: each term is its numerator times one entry of
         each variable's power table over the range of its exponents
-        (``_power_tables``), and the integer sum times the tables' common
+        (``_term_values``), and the integer sum times the tables' common
         factor over den is one Fraction built at the end
         (ZeroDivisionError when a negative exponent meets a zero
-        coordinate).  The sum runs over columns: every exponent column
-        whose range is not one value is looked up in its table, and the
-        terms are the products of the numerator column with those.
+        coordinate).
         """
         point = _check_point(self.sig, coords, params)
         cols = list(zip(*(xe + pe for xe, pe in self.terms)))
-        ranges = [(min(exps), max(exps)) for exps in map(set, cols)]
-        tables, num, den = _power_tables(point, ranges)
-        looked_up = [
-            map(table.__getitem__, map(sub, col, repeat(lo)) if lo else col)
-            for col, (lo, hi), table in zip(cols, ranges, tables)
-            if lo != hi
-        ]
-        total = sum(map(prod, zip(self.terms.values(), *looked_up)))
-        return Fraction(total * num, den * self.den)
+        values, num, den = _term_values(point, cols, self.terms.values())
+        return Fraction(sum(values) * num, den * self.den)
 
     def _factors(self, xe: tuple) -> list[str]:
         return _powers("x", xe)
@@ -870,6 +926,26 @@ def _power_tables(point: Sequence, ranges: Sequence[tuple[int, int]]) -> tuple[l
         span = hi - lo
         tables.append([u**t * w ** (span - t) for t in range(span + 1)])
     return tables, num, den
+
+
+def _term_values(point: Sequence, cols: Sequence[Sequence[int]], nums: Iterable[int]) -> tuple[list[int], int, int]:
+    """The terms with numerators nums and exponent columns cols (one per
+    coordinate of point) at point: integers v_t and num, den with term t
+    equal to v_t * num / den.
+
+    The sum runs over columns: each v_t is its numerator times one entry
+    of each column's power table (``_power_tables``), looked up with
+    C-level maps; a column whose range is one value is never looked up,
+    its power being in num / den.
+    """
+    ranges = [(min(exps), max(exps)) for exps in map(set, cols)]
+    tables, num, den = _power_tables(point, ranges)
+    looked_up = [
+        map(table.__getitem__, map(sub, col, repeat(lo)) if lo else col)
+        for col, (lo, hi), table in zip(cols, ranges, tables)
+        if lo != hi
+    ]
+    return list(map(prod, zip(nums, *looked_up))), num, den
 
 
 def evaluator(op: Operator) -> Callable[..., Fraction]:

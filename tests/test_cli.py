@@ -321,15 +321,58 @@ def test_oracle_check_that_raises_names_relation_and_tuple(monkeypatch):
 
 
 def test_false_catalog_entry_reports_its_residual_terms(monkeypatch, capsys):
-    catalog = identity_catalog()
-    name, lhs, rhs = catalog[1]
-    catalog[1] = (name, lhs, rhs + rhs)
-    monkeypatch.setattr(suites, "identity_catalog", lambda: catalog)
+    # The suite builds each identity inside its own check, from its (name, build) row.
+    identities = list(suites._IDENTITIES)
+    name, build = identities[1]
+    lhs, rhs = build(suites._CatalogParts(3))
+    identities[1] = (name, lambda parts: (lhs, rhs + rhs))
+    monkeypatch.setattr(suites, "_IDENTITIES", identities)
     code, lines = run_main(["--suite", "oracle", "--trials", "1", "--json"], capsys)
     assert code == 1
     rows = [row for row in map(json.loads, lines[:-1]) if row["relation"] == "oracle"]
     assert [row["passed"] for row in rows] == [idx != 2 for idx in range(1, 13)]
     assert rows[1]["residual_terms"] == (lhs - rhs - rhs).term_count() > 0
+
+
+def test_each_catalog_identity_is_built_inside_its_check(monkeypatch, capsys):
+    """The catalog's kernel work shows in its entries' ms: each identity,
+    and the contexts and basis they share, is built while its check runs."""
+    running = []
+    original_check = suites.check
+
+    def traced_check(relation, indices, residual_fn, note=""):
+        running.append((relation, indices))
+        try:
+            return original_check(relation, indices, residual_fn, note)
+        finally:
+            running.pop()
+
+    built = []
+
+    def traced(name, build):
+        return name, lambda parts: built.append((name, list(running))) or build(parts)
+
+    def refuse(*args):
+        raise AssertionError("the oracle suite built the whole catalog at once")
+
+    monkeypatch.setattr(suites, "check", traced_check)
+    monkeypatch.setattr(suites, "_IDENTITIES", [traced(*row) for row in suites._IDENTITIES])
+    monkeypatch.setattr(suites, "identity_catalog", refuse)
+    contexts = []
+
+    class TracedContext(suites.liealg.SO2nContext):
+        def __init__(self, n):
+            contexts.append(list(running))
+            super().__init__(n)
+
+    monkeypatch.setattr(suites.liealg, "SO2nContext", TracedContext)
+    code, _ = run_main(["--suite", "oracle", "--trials", "1", "--json"], capsys)
+    assert code == 0
+    names = [name for name, _ in suites._IDENTITIES]
+    assert built == [(name, [("oracle", (idx,))]) for idx, name in enumerate(names, start=1)]
+    # one SO2nContext(3) for the catalog and the compositions, made in the
+    # first entry's check; the run's own context is never read
+    assert contexts == [[("oracle", (1,))]]
 
 
 def test_failing_composition_reports_its_exact_residual_at_every_job_count(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Random-evaluation oracle: determinism, sensitivity, concordance."""
 
+import multiprocessing
 import random
 from fractions import Fraction
 
@@ -254,3 +255,58 @@ def test_composition_catches_a_broken_apply(monkeypatch):
     monkeypatch.setattr(Operator, "apply", first_order_dropped)
     assert oracle_equiv(commutator(k12, k23), k12 * k23 - k23 * k12, trials=30)
     assert not oracle_apply_check(k12, k23, trials=30)
+
+
+def test_a_passing_composition_never_evaluates_a_polynomial(monkeypatch):
+    """The nested side reads A (B f) at the point from A's apply plan, so
+    no trial of a passing check builds A (B f) or calls Polynomial.evaluate."""
+    ctx = SO2nContext(3)
+    k12, k23 = make_K(ctx, 1, 2), make_K(ctx, 2, 3)
+    r1 = make_reduced_J(ReducedContext(2), 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a composition trial evaluated a polynomial")
+
+    monkeypatch.setattr(weyl.Polynomial, "evaluate", refuse)
+    for a, b in ((k12, k23), (r1.Jm, r1.Jp)):
+        assert oracle.composition_residual(a, b, trials=30).is_zero()
+
+
+def test_composition_catches_a_broken_apply_at(monkeypatch):
+    """The mirror of the broken evaluator: a fault in apply_at fails the
+    trials, and the exact residual, built by apply alone, is zero, so the
+    check names the route disagreement instead of passing."""
+    ctx = SO2nContext(3)
+    k12, k23 = make_K(ctx, 1, 2), make_K(ctx, 2, 3)
+    m = ctx.signature.num_vars
+    assert any(sum(mono[m:]) == 1 for mono, _ in k12.terms)
+    apply_at = Operator.apply_at
+
+    def first_order_dropped(op, f, coords, params=()):
+        kept = {key: q for key, q in op.terms.items() if sum(key[0][m:]) != 1}
+        return apply_at(Operator._make(op.sig, kept, op.den), f, coords, params)
+
+    assert oracle_apply_check(k12, k23, trials=30)
+    monkeypatch.setattr(Operator, "apply_at", first_order_dropped)
+    assert oracle_equiv(commutator(k12, k23), k12 * k23 - k23 * k12, trials=30)
+    with pytest.raises(RuntimeError, match=r"weyl\.evaluator and apply \+ evaluate disagree on A \* B"):
+        oracle.composition_residual(k12, k23, trials=30)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_apply_plans_are_built_before_the_fork(jobs, monkeypatch):
+    """A and B get their apply plans in this process, so no forked worker
+    builds them again: two plans at any jobs for a passing check."""
+    original = weyl._apply_plan
+    # Shared memory, so plans built in forked workers are counted too.
+    calls = multiprocessing.Value("i", 0)
+
+    def counted(op):
+        with calls.get_lock():
+            calls.value += 1
+        return original(op)
+
+    monkeypatch.setattr(weyl, "_apply_plan", counted)
+    ctx = SO2nContext(3)
+    assert oracle.composition_residual(make_K(ctx, 1, 2), make_K(ctx, 2, 3), trials=4, jobs=jobs).is_zero()
+    assert calls.value == 2

@@ -233,7 +233,9 @@ def test_apply_plan_is_built_once_and_never_pickled(monkeypatch):
     first = op.apply(f)
     plan = op._plan
     assert op.apply(f) == first and op.apply(f + f) == _reference_apply(op, f + f)
-    assert built == [op] and op._plan is plan
+    point = ((Fraction(2), Fraction(-1, 3)), (Fraction(1, 2), Fraction(0)))
+    assert op.apply_at(f, *point) == first.evaluate(*point)
+    assert built == [op] and op._plan is plan and op.apply_plan() is plan
     clone = pickle.loads(pickle.dumps(op))
     assert clone == op and getattr(clone, "_plan", None) is None
     assert clone.apply(f) == first
@@ -252,6 +254,65 @@ def test_apply_never_reaches_the_product_kernel(monkeypatch):
     monkeypatch.setattr(weyl, "_view", refuse)
     assert op.apply(f) == expected
     assert op.apply(op.apply(f)) == _reference_apply(op, expected)
+
+
+nonzero_fractions = small_fractions.filter(bool)
+
+
+@pytest.mark.parametrize("kind", sorted(APPLY_FORMS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_apply_at_matches_apply_then_evaluate(kind, data):
+    sig, laurent, coeffs, polys = APPLY_FORMS[kind]
+    a = data.draw(st.one_of(_shared_shift_ops(sig, laurent, coeffs), operators(sig, laurent, coeffs)))
+    f = data.draw(polys)
+    coords = data.draw(st.tuples(*[nonzero_fractions] * sig.num_vars))
+    # zero parameter values included
+    params = data.draw(st.tuples(*[small_fractions] * sig.nparams))
+    for op, g in ((a, f), (a, f - f), (a - a, f), (a, a.apply(f)), (a * a, f)):
+        value = op.apply_at(g, coords, params)
+        expected = op.apply(g).evaluate(coords, params)
+        assert value == expected and type(value) is type(expected) is Fraction
+
+
+def test_apply_at_on_shared_shifts_zero_parameters_and_zero_coordinates():
+    x1, d1, d2 = Operator.x(PSIG, 1), Operator.d(PSIG, 1), Operator.d(PSIG, 2)
+    a1 = PSIG.param(1)
+    # x1 d1 - 2 and d1 x1 share the net shift 0, d1 and x1 d1^2 the shift -1 in x1
+    op = x1 * d1 - Operator.constant(PSIG, 2) + (x1 * d1).scale(a1) + d1 * x1 + d1 + x1 * d1 * d1
+    assert len(op.apply_plan()) < len(op.terms)
+    f = Polynomial.monomial(PSIG, (2, 1), a1) + Polynomial.monomial(PSIG, (-1, 3), Fraction(-3, 2))
+    for coords, params in (((Fraction(1, 2), Fraction(-3)), (Fraction(0), Fraction(0))),
+                           ((Fraction(-2, 3), Fraction(5)), (Fraction(3, 4), Fraction(0)))):
+        assert op.apply_at(f, coords, params) == op.apply(f).evaluate(coords, params)
+        assert op.apply_at(Polynomial.zero(PSIG), coords, params) == 0
+        assert Operator.zero(PSIG).apply_at(f, coords, params) == 0
+    # every coordinate must be nonzero, localized or not, even where op f is a polynomial
+    for coords in ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))):
+        with pytest.raises(ZeroDivisionError):
+            d2.apply_at(Polynomial.monomial(PSIG, (1, 1)), coords, (Fraction(1), Fraction(1)))
+        with pytest.raises(ZeroDivisionError):
+            Operator.zero(SIG2).apply_at(Polynomial.monomial(SIG2, (1, 1)), coords)
+    with pytest.raises(ValueError):
+        d1.apply_at(Polynomial.monomial(SIG2, (1, 1)), (Fraction(1), Fraction(1)))
+    with pytest.raises(ValueError):
+        d1.apply_at(f, (Fraction(1), Fraction(1)), (Fraction(1),))
+
+
+def test_apply_at_never_reaches_the_product_kernel_or_the_evaluator(monkeypatch):
+    op = commutator(Operator.x(PSIG, 1, -1) * Operator.d(PSIG, 2), Operator.x(PSIG, 2, 2) * PSIG.param(1))
+    op = op * op + Operator.d(PSIG, 1, 2)
+    f = random_polynomial(PSIG, random.Random(3)) + Polynomial.monomial(PSIG, (1, -1), PSIG.param(2))
+    point = ((Fraction(-3, 2), Fraction(2, 5)), (Fraction(0), Fraction(7, 3)))
+    expected = op.apply(f).evaluate(*point)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("apply_at reached the product kernel or the evaluator")
+
+    for name in ("combination", "_view", "evaluator"):
+        monkeypatch.setattr(weyl, name, refuse)
+    monkeypatch.setattr(Polynomial, "evaluate", refuse)
+    assert op.apply_at(f, *point) == expected
 
 
 def test_signature_mismatch_rejected():
