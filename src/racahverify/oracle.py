@@ -33,9 +33,11 @@ There are two routes to (A f)(p), both direct differentiation, and
 neither builds A f:
 
 - ``weyl.evaluator(A)`` groups A's monomials by derivative exponent
-  once per check and sums alpha_b(p) * (d^b f)(p).  ``oracle_equiv``
-  uses it on the residual, and ``composition_residual`` on the product
-  side.
+  once per check and sums alpha_b(p) * (d^b f)(p), walking two prefix
+  tries it builds from A alone: one over the entries' exponents, for
+  the alpha_b(p), and one over the derivative exponents b, once per
+  term of f.  ``oracle_equiv`` uses it on the residual, and
+  ``composition_residual`` on the product side.
 - ``A.apply_at(g, p)`` reads A's apply plan, the one ``Operator.apply``
   builds, and sums the plan's falling-factorial columns over g's terms
   at p.  ``composition_residual`` uses it on the nested side,
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Sequence
 
 from ._parallel import run_tasks
@@ -91,23 +92,28 @@ def random_point(sig, rng: random.Random) -> tuple[tuple[Fraction, ...], tuple[F
 
 
 _MAX_TERMS = 8
+_DEN = 6  # the lcm of the coefficient denominators 1, 2 and 3
 
 
 def random_polynomial(sig, rng: random.Random, max_exp: int = 4) -> Polynomial:
     """A random test function: up to _MAX_TERMS monomials with exponents in
-    [-2, max_exp] on localized variables and [0, max_exp] otherwise."""
-    acc: dict[tuple[int, ...], Fraction] = {}
+    [-2, max_exp] on localized variables and [0, max_exp] otherwise.
+
+    Coefficients are summed as integer numerators over 6, and
+    ``Polynomial._make`` reduces them to lowest terms, so no Fraction is
+    built; an f whose terms all cancel is the constant 1."""
+    acc: dict[tuple[int, ...], int] = {}
     for _ in range(rng.randint(1, _MAX_TERMS)):
         xe = tuple(
             rng.randint(-2 if (i + 1) in sig.localized else 0, max_exp)
             for i in range(sig.num_vars)
         )
-        c = Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3))
-        acc[xe] = acc.get(xe, Fraction(0)) + c
-    acc = {xe: c for xe, c in acc.items() if c} or {(0,) * sig.num_vars: Fraction(1)}
-    den = lcm(*(c.denominator for c in acc.values()))
+        # The coefficient num / d, d in 1..3, as a numerator over 6.
+        num = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+        acc[xe] = acc.get(xe, 0) + num * (_DEN // rng.randint(1, 3))
     pe = (0,) * sig.nparams
-    return Polynomial._make(sig, {(xe, pe): c.numerator * (den // c.denominator) for xe, c in acc.items()}, den)
+    terms = {(xe, pe): q for xe, q in acc.items() if q} or {((0,) * sig.num_vars, pe): _DEN}
+    return Polynomial._make(sig, terms, _DEN)
 
 
 def _first_failure(
@@ -117,9 +123,10 @@ def _first_failure(
 
     Refuses a check with no trial, which has tested nothing and so must
     not pass; operators in different signatures never get here, as
-    ``A - B`` and ``A * B`` refuse them.  Test functions have degree one
-    more than the largest derivative order of ops, but never below the
-    default 4; trial t draws f, then (coords, params), from its own
+    ``A - B`` and ``A * B`` refuse them.  Each variable's exponent in a
+    test function is capped at bound = max(4, d + 1), d the largest
+    total derivative degree of ops (``derivative_degree``); trial t
+    draws f, then (coords, params), from its own
     random.Random(seed * 1000003 + t).  With k = min(jobs, trials),
     worker w of ``_parallel.run_tasks`` checks the trials
     range(w, trials, k) in order and returns the index of its first

@@ -101,16 +101,19 @@ without building op f, both again by direct differentiation:
 
 - ``evaluator(op)`` groups op's monomials by derivative exponent b
   once, as op = sum_b alpha_b(x) d^b, and each call sums
-  alpha_b(p) * (d^b f)(p) on the same power tables.
+  alpha_b(p) * (d^b f)(p) on the same power tables, walking two prefix
+  tries built from op alone (``_prefix_trie``): one over the entries'
+  exponents, one over the b.
 - ``Operator.apply_at(f, coords, params)`` reads apply's plan and
   factors each output power as p^(k + s) = p^k * p^s over f's term k
   and a plan group's net shift s, so it needs every coordinate nonzero
   (ZeroDivisionError otherwise).
 
-All of them work on the exponent columns of the polynomial (one column
-per variable over its terms, ``list(zip(*keys))``), not on its terms
-one variable at a time: each operator entry, alpha_b and (d^b f)(p) is
-a C-level map, zip and ``math.prod`` over whole columns.  ``apply``
+All of them work on whole columns with C-level maps, not on terms one
+variable at a time: apply, apply_at and evaluate on the exponent
+columns of the polynomial (one column per variable over its terms,
+``list(zip(*keys))``), the evaluator on one level of a trie at a time
+(``_walk``), so that products shared by a prefix are taken once.  ``apply``
 groups the operator once, on its first call: its plan (``_apply_plan``,
 cached on the operator like the packed view and left out of pickles)
 gathers the entries that move a term by the same net shift a - b with
@@ -948,23 +951,59 @@ def _term_values(point: Sequence, cols: Sequence[Sequence[int]], nums: Iterable[
     return list(map(prod, zip(nums, *looked_up))), num, den
 
 
+def _prefix_trie(keys: Iterable[tuple]) -> tuple[list[tuple[list[int], list[int]]], dict[tuple, int]]:
+    """The prefix trie of keys, tuples of one width w, level by level.
+
+    Level l (1 <= l <= w) lists the distinct prefixes of length l in
+    sorted order as two columns: each prefix's parent, the index on level
+    l - 1 of the prefix without its last entry (level 0 being the empty
+    prefix), and that last entry.  Returns the levels and each key's
+    index on level w, which is its index among the sorted distinct keys.
+    """
+    keys = set(keys)
+    width = len(next(iter(keys), ()))
+    index = {(): 0}
+    levels = []
+    for depth in range(1, width + 1):
+        prefixes = sorted({key[:depth] for key in keys})
+        levels.append(([index[p[:-1]] for p in prefixes], [p[-1] for p in prefixes]))
+        index = {p: t for t, p in enumerate(prefixes)}
+    return levels, index
+
+
+def _walk(levels: Sequence[tuple[list[int], list[int]]], root: int, rows: Iterable[Sequence[int]]) -> list[int]:
+    """The values of a ``_prefix_trie``'s last level: root times, along
+    each path, the entry of each level's row at the node's label; one
+    C-level map per level."""
+    values = [root]
+    for (parents, labels), row in zip(levels, rows):
+        values = list(map(mul, map(values.__getitem__, parents), map(row.__getitem__, labels)))
+    return values
+
+
 def evaluator(op: Operator) -> Callable[..., Fraction]:
     """value(f, coords, params) = (op f)(p), without building op f.
 
     Write op as sum_b alpha_b(x) d^b, alpha_b collecting the monomials
     with derivative exponent b; then (op f)(p) = sum_b alpha_b(p) *
-    (d^b f)(p).  The grouping is done once, here: op's entries are laid
-    out group by group, as a numerator column and one table-index
-    column per varying exponent.  Each call evaluates every entry of
-    every alpha_b with one product over those columns, and each
-    alpha_b(p) is the sum of its group's slice.  It then builds, over
-    the test function's terms, the column of numerators times their
-    undifferentiated factors at p and, for each differentiated variable
-    i and order b, the column falling(k_i, b) * x_i^(k_i - b) at p;
-    (d^b f)(p) is one sum of products over the columns b picks.  Like
-    ``Operator.apply`` it is direct differentiation and never calls the
-    product kernel.  It runs on integers through ``_power_tables`` and
-    builds one Fraction at the end.
+    (d^b f)(p).  Everything that depends on op alone is laid out once,
+    here, as two prefix tries (``_prefix_trie``).  The first runs over
+    the table indices of op's entries in their varying exponent columns
+    (positions and parameters): each call walks it (``_walk``) through
+    the point's power tables, one C-level map per column, so entries that
+    share a prefix of exponents share its products.  Each entry is its
+    numerator times its leaf, and alpha_b(p) the sum of its class's
+    entries.  The second trie runs over the classes b, one level per
+    differentiated variable.  Over the test function's terms, each call
+    builds the numerators times their undifferentiated factors at p and,
+    for each differentiated variable i, the row over b of falling(k_i,
+    b) * x_i^(k_i - b) at p (one row per distinct k_i).  Walking the
+    classes' trie from a term's numerator through its rows gives that
+    term's part of every (d^b f)(p), and the dot product with the
+    alpha_b(p) its part of the value.  Like ``Operator.apply`` it is
+    direct differentiation and never calls the product kernel.  It runs
+    on integers through ``_power_tables`` and builds one Fraction at the
+    end.
 
     The value and its type equal ``op.apply(f).evaluate(coords,
     params)`` whenever every localized coordinate is nonzero, zero
@@ -982,17 +1021,20 @@ def evaluator(op: Operator) -> Callable[..., Fraction]:
     keys = [mono[:m] + pe for mono, pe in op.terms]
     ranges = [(min(exps), max(exps)) for exps in zip(*keys)]
     varying = [j for j, (lo, hi) in enumerate(ranges) if lo != hi]
-    # alpha_b's entries, group by group, and each group's slice (b on dvars, start, stop).
-    groups: dict[tuple, list[int]] = {}
-    for t, (mono, _) in enumerate(op.terms):
-        groups.setdefault(tuple(mono[m + i] for i in dvars), []).append(t)
-    order = [t for ts in groups.values() for t in ts]
-    nums = list(op.terms.values())
-    qnums = [nums[t] for t in order]
-    indices = [(j, [keys[t][j] - ranges[j][0] for t in order]) for j in varying]
-    bounds = list(itertools.accumulate(map(len, groups.values()), initial=0))
-    slices = list(zip(groups, bounds, bounds[1:]))
-    getitem = list.__getitem__
+    # alpha_b's entries as (numerator, table indices in the varying columns), class by class in sorted b.
+    classes: dict[tuple, list[tuple[int, tuple]]] = {}
+    for ((mono, _), q), key in zip(op.terms.items(), keys):
+        b = tuple(mono[m + i] for i in dvars)
+        classes.setdefault(b, []).append((q, tuple(key[j] - ranges[j][0] for j in varying)))
+    classes = dict(sorted(classes.items()))
+    entries = [entry for group in classes.values() for entry in group]
+    qnums = [q for q, _ in entries]
+    alpha_levels, leaf = _prefix_trie(idx for _, idx in entries)
+    leaves = [leaf[idx] for _, idx in entries]
+    bounds = list(itertools.accumulate(map(len, classes.values()), initial=0))
+    spans = list(zip(bounds, bounds[1:]))
+    # Its last level lists the classes in sorted order, as alphas does.
+    class_levels, _ = _prefix_trie(classes)
 
     def value(f: Polynomial, coords: Sequence[Fraction], params: Sequence[Fraction] = ()) -> Fraction:
         if f.sig != sig:
@@ -1003,8 +1045,9 @@ def evaluator(op: Operator) -> Callable[..., Fraction]:
         if not (op.terms and f.terms):
             return Fraction(0)
         tables, num, den = _power_tables(point, ranges)
-        entries = list(map(prod, zip(qnums, *(map(tables[j].__getitem__, idx) for j, idx in indices))))
-        alphas = [(b, alpha) for b, start, stop in slices if (alpha := sum(entries[start:stop]))]
+        paths = _walk(alpha_levels, 1, [tables[j] for j in varying])
+        values = list(map(mul, qnums, map(paths.__getitem__, leaves)))
+        alphas = [sum(values[start:stop]) for start, stop in spans]
         # x_i^(k_i - b) over the test function.  Entries with
         # falling(k_i, b) = 0 are never looked up; every other entry of a
         # non-localized variable has k_i >= b, so its range starts at 0 or above.
@@ -1019,15 +1062,17 @@ def evaluator(op: Operator) -> Callable[..., Fraction]:
             for j in undifferentiated
             if franges[j][0] != franges[j][1]
         )
-        qs = list(map(prod, zip(f.terms.values(), *fixed)))
-        # dcols[d][b] is the column of variable dvars[d] differentiated b times.
-        dcols = []
+        qs = map(prod, zip(f.terms.values(), *fixed))
+        # drows[d] yields, term by term, the row over b of variable dvars[d].
+        drows = []
         for i, top in dtops:
             table, lo = ftables[i], franges[i][0]
-            dcols.append(
-                [[c * table[k - b - lo] if (c := _falling(k, b)) else 0 for k in fcols[i]] for b in range(top + 1)]
-            )
-        total = sum(alpha * sum(map(prod, zip(qs, *map(getitem, dcols, b)))) for b, alpha in alphas)
+            rows = {
+                k: [c * table[k - b - lo] if (c := _falling(k, b)) else 0 for b in range(top + 1)]
+                for k in set(fcols[i])
+            }
+            drows.append(map(rows.__getitem__, fcols[i]))
+        total = sum(sum(map(mul, alphas, _walk(class_levels, q, rows))) for q, *rows in zip(qs, *drows))
         return Fraction(total * num * fnum, den * fden * op.den * f.den)
 
     return value

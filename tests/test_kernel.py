@@ -44,7 +44,7 @@ from typing import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racahverify import racah, reduction
+from racahverify import racah, reduction, weyl
 from racahverify._parallel import run_tasks
 from racahverify.suites import identity_catalog
 from racahverify.coeff import ParamPoly
@@ -771,6 +771,65 @@ def test_evaluator_on_the_oracle_workload():
             coords, params = random_point(sig, rng)
             assert _assert_evaluator_agrees(op, f, coords, params)
             _assert_evaluator_agrees(op, f, _zero_off_localized(sig, coords), (Fraction(0),) * sig.nparams)
+
+
+def _test_function(sig, count, rng):
+    """A test function of exactly count monomials, Laurent on localized
+    variables, with parameter coefficients where sig has parameters."""
+    monos = set()
+    while len(monos) < count:
+        monos.add(tuple(rng.randint(-2 if i + 1 in sig.localized else 0, 5) for i in range(sig.num_vars)))
+    terms = {}
+    for mono in sorted(monos):
+        c = sig.coeff(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+        if sig.nparams and rng.random() < 0.5:
+            c = c + sig.param(rng.randint(1, sig.nparams)) * rng.randint(1, 2)
+        terms[mono] = c
+    return Polynomial(sig, terms)
+
+
+def test_one_evaluator_across_changing_test_functions():
+    ctx = SO2nContext(3)
+    triple = reduction.make_reduced_J(reduction.ReducedContext(2), 1)
+    ops = {
+        "K12*K23": racah.make_K(ctx, 1, 2) * racah.make_K(ctx, 2, 3),
+        "relation-b": identity_catalog(3)[5][1],
+        "J-*J+": triple.Jm * triple.Jp,
+        "no differentiated variable": Operator.x(PSIG, 1, -2) * PSIG.param(1) + Operator.x(PSIG, 2, 3) + Operator.constant(PSIG, 4),
+        "no varying position column": Operator.d(SIG2, 2, 3),
+        "no varying column, two classes": Operator.d(LOC2, 1) * 2 + Operator.d(LOC2, 2, 2),
+        "constant": Operator.constant(PSIG, Fraction(-7, 2)),
+    }
+    rng = random.Random(11)
+    for name, op in ops.items():
+        sig = op.sig
+        value = evaluator(op)
+        counts = list(range(1, 9)) * 2
+        rng.shuffle(counts)
+        for t, count in enumerate(counts):
+            f = _test_function(sig, count, rng)
+            assert f.term_count() == count
+            coords, params = random_point(sig, rng)
+            if t % 4 == 3:
+                coords, params = _zero_off_localized(sig, coords), (Fraction(0),) * sig.nparams
+            got = value(f, coords, params)
+            assert (got, type(got)) == (_assert_evaluator_agrees(op, f, coords, params), Fraction), (name, count)
+
+
+def test_the_evaluator_never_reaches_the_helpers_of_apply(monkeypatch):
+    ctx = SO2nContext(3)
+    product = racah.make_K(ctx, 1, 2) * racah.make_K(ctx, 2, 3)
+    rng = random.Random(2)
+    trials = [(random_polynomial(product.sig, rng, max_exp=5), *random_point(product.sig, rng)) for _ in range(8)]
+    expected = [product.apply(f).evaluate(coords, params) for f, coords, params in trials]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the evaluator reached a helper of apply")
+
+    for name in ("_apply_plan", "_FallingColumns", "_term_values"):
+        monkeypatch.setattr(weyl, name, refuse)
+    value = evaluator(product)
+    assert [value(*trial) for trial in trials] == expected
 
 
 def test_evaluator_of_zero_and_at_zero():

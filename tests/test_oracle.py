@@ -3,6 +3,7 @@
 import multiprocessing
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from racahverify.oracle import (
 )
 from racahverify.racah import make_K
 from racahverify.reduction import ReducedContext, make_reduced_J
-from racahverify.weyl import AlgebraSignature, Operator, commutator
+from racahverify.weyl import AlgebraSignature, Operator, Polynomial, commutator
 
 from test_weyl import ops2, opsL, opsP
 
@@ -41,6 +42,44 @@ def test_random_polynomial_respects_localization():
         for xe in f.coefficients():
             assert xe[0] >= -2
             assert xe[1] >= 0
+
+
+def _fraction_draw(sig, rng, max_exp=4):
+    """random_polynomial as it was built in Fraction arithmetic, kept
+    verbatim as a reference, and whether every drawn term cancelled."""
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for _ in range(rng.randint(1, oracle._MAX_TERMS)):
+        xe = tuple(
+            rng.randint(-2 if (i + 1) in sig.localized else 0, max_exp)
+            for i in range(sig.num_vars)
+        )
+        c = Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3))
+        acc[xe] = acc.get(xe, Fraction(0)) + c
+    cancelled = not any(acc.values())
+    acc = {xe: c for xe, c in acc.items() if c} or {(0,) * sig.num_vars: Fraction(1)}
+    den = lcm(*(c.denominator for c in acc.values()))
+    pe = (0,) * sig.nparams
+    return Polynomial._make(sig, {(xe, pe): c.numerator * (den // c.denominator) for xe, c in acc.items()}, den), cancelled
+
+
+@pytest.mark.parametrize(
+    "sig, max_exp",
+    [(AlgebraSignature(3), 4), (LOC, 5), (AlgebraSignature(2, nparams=2), 4), (AlgebraSignature(1), 0)],
+    ids=["plain", "localized", "params", "constant"],
+)
+def test_random_polynomial_matches_its_fraction_reference(sig, max_exp):
+    cancelled = 0
+    for seed in range(500):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        f = random_polynomial(sig, rng, max_exp)
+        reference, fell_back = _fraction_draw(sig, reference_rng, max_exp)
+        assert (f.terms, f.den) == (reference.terms, reference.den)
+        assert list(f.terms) == list(reference.terms)
+        # the same calls on the generator, so the trial's point is the same too
+        assert rng.getstate() == reference_rng.getstate()
+        cancelled += fell_back
+    # at max_exp=0 every term lands on x^0, and some seeds cancel to the constant-1 fallback
+    assert cancelled or max_exp
 
 
 def test_oracle_accepts_true_identity():
