@@ -30,6 +30,9 @@ L_{mu,nu}^2 once per context, in its square_memo under the sorted pair
 (mu, nu), and then only adds stored squares.  The squares never enter
 casimir_CA, which builds from the coupled triples, so the two sides of
 a closed-form check stay independent.
+Each L_{mu,nu}, R_{ij} and metaplectic triple is written from its terms
+(_key gives a term's key), not through the product kernel: their x-d
+products have no reorder term, so the kernel would verify nothing.
 Triples and their Casimirs are built without being checked: the su11
 and reduction suites report each triple's relations once, and
 centrality of the Casimir follows from those relations (see casimir_of).
@@ -50,7 +53,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .report import RelationReport, run_checks
-from .weyl import AlgebraSignature, Operator, commutator
+from .weyl import AlgebraSignature, Operator, _check_index, commutator
 
 if TYPE_CHECKING:
     from .reduction import ReducedContext
@@ -95,20 +98,37 @@ class SO2nContext:
         return [make_metaplectic(self, mu) for mu in self.factor_variables(i)]
 
 
+def _key(sig: AlgebraSignature, x: dict[int, int], d: dict[int, int], param: int = 0) -> tuple[tuple, tuple]:
+    """The terms key (monomial, parameter exponent) of prod x_v^x[v] prod d_v^d[v], times a_param if param.
+
+    Every variable index goes through weyl._check_index, x before d, so
+    one outside 1..sig.num_vars raises ValueError.
+    """
+    mono = [0] * (2 * sig.num_vars)
+    for offset, powers in ((0, x), (sig.num_vars, d)):
+        for v, p in powers.items():
+            mono[offset + _check_index(sig, v) - 1] = p
+    return tuple(mono), tuple(int(k == param) for k in range(1, sig.nparams + 1))
+
+
 def rotation(sig: AlgebraSignature, mu: int, nu: int) -> Operator:
     """The rotation x_mu d_nu - x_nu d_mu (1-based indices), in either realization.
 
-    The formula is antisymmetric in (mu, nu), so swapped indices return
-    the negated rotation; equal indices raise ValueError, and so do
-    indices outside 1..sig.num_vars (from Operator.x and Operator.d).
+    Written from its two terms, x_mu d_nu then x_nu d_mu with numerators
+    1 and -1 over denominator 1: an x-d product has no reorder term, so
+    the product kernel would add nothing.  The formula is antisymmetric
+    in (mu, nu), so swapped indices return the negated rotation.  Equal
+    indices raise ValueError here; an index outside 1..sig.num_vars
+    raises ValueError from weyl._check_index (through _key).
     """
     if mu == nu:
         raise ValueError("rotation generator needs two distinct indices")
-    return Operator.x(sig, mu) * Operator.d(sig, nu) - Operator.x(sig, nu) * Operator.d(sig, mu)
+    return Operator._make(sig, {_key(sig, {mu: 1}, {nu: 1}): 1, _key(sig, {nu: 1}, {mu: 1}): -1}, 1)
 
 
 def make_L(ctx: SO2nContext, mu: int, nu: int) -> Operator:
-    """The o(2n) generator L_{mu,nu}: the rotation in the oscillator variables."""
+    """The o(2n) generator L_{mu,nu}: the rotation in the oscillator variables,
+    with rotation's ValueError for equal or out-of-range indices."""
     return rotation(ctx.signature, mu, nu)
 
 
@@ -273,15 +293,16 @@ def make_metaplectic(ctx: SO2nContext | ReducedContext, mu: int) -> SU11Triple:
 
         J+ = x_mu^2 / 2,  J- = d_mu^2 / 2,  J0 = (1/2)(1/2 + x_mu d_mu).
 
-    Only ctx.signature is read, so the radial triple builds on it too
-    (reduction.make_reduced_J).  An index outside 1..num_vars raises
-    ValueError, from Operator.x.
+    Each generator is written from its terms (J0 as 1 and 2 x_mu d_mu
+    over 4), without the product kernel.  Only ctx.signature is read, so
+    the radial triple builds on it too (reduction.make_reduced_J).  An
+    index outside 1..num_vars raises ValueError from weyl._check_index
+    (through _key).
     """
     sig = ctx.signature
-    half = Fraction(1, 2)
-    jp = Operator.x(sig, mu, 2) * half
-    jm = Operator.d(sig, mu, 2) * half
-    j0 = (Operator.constant(sig, half) + Operator.x(sig, mu) * Operator.d(sig, mu)) * half
+    jp = Operator._make(sig, {_key(sig, {mu: 2}, {}): 1}, 2)
+    jm = Operator._make(sig, {_key(sig, {}, {mu: 2}): 1}, 2)
+    j0 = Operator._make(sig, {_key(sig, {}, {}): 1, _key(sig, {mu: 1}, {mu: 1}): 2}, 4)
     return SU11Triple(jp, jm, j0)
 
 

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .coeff import ParamPoly
-from .liealg import PairUnion, SU11Triple, casimir_CA, casimir_closed_form, make_metaplectic, rotation_squares
+from .liealg import PairUnion, SU11Triple, _key, casimir_CA, casimir_closed_form, make_metaplectic, rotation_squares
 from .racah import Basis, sweep_relations
 from .report import RelationReport, run_checks
 from .weyl import AlgebraSignature, Operator, commutator
@@ -92,10 +92,14 @@ def make_reduced_J(ctx: ReducedContext, i: int) -> SU11Triple:
     """The parameter-dependent triple in the single variable x_i: the
     metaplectic triple in x_i with a_i / (2 x_i^2) added to J-.
 
-    An index outside 1..n raises ValueError, from Operator.x.
+    J- is written from its terms, d_i^2 and then x_i^-2 at parameter
+    exponent e_i, each with numerator 1 over J-'s denominator 2, without
+    the product kernel.  An index outside 1..n raises ValueError from
+    weyl._check_index, through make_metaplectic.
     """
     t = make_metaplectic(ctx, i)
-    return SU11Triple(t.Jp, t.Jm + Operator.x(ctx.signature, i, -2) * (ctx.param(i) * Fraction(1, 2)), t.J0)
+    sig = ctx.signature
+    return SU11Triple(t.Jp, Operator._make(sig, {**t.Jm.terms, _key(sig, {i: -2}, {}, i): 1}, t.Jm.den), t.J0)
 
 
 def _ratio(ctx: ReducedContext, num: int, den: int) -> Operator:
@@ -154,7 +158,7 @@ def total_casimir_identity(ctx: ReducedContext) -> bool:
 #
 # which the reduction suite reports as its ``q-affine`` entries.  Equal
 # factors raise ValueError from liealg.rotation, and factors outside
-# 1..n from Operator.x.
+# 1..n from weyl._check_index (through liealg.rotation).
 make_Q = pair_invariant
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import multiprocessing
 import pkgutil
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 import racahverify
 import racahverify.suites as suites
-from racahverify import liealg, oracle, racah
+from racahverify import liealg, oracle, racah, reduction
 from racahverify.cli import build_parser, main
 from racahverify.suites import SUITE_ORDER, identity_catalog
 from racahverify.report import RelationReport, ReportEntry
@@ -282,6 +283,69 @@ def test_bad_metaplectic_triple_reports_residual_terms(monkeypatch, capsys):
         assert rows[("su11", (mu, 1))]["passed"] and rows[("su11", (mu, 2))]["passed"]
         assert not rows[("su11", (mu, 3))]["passed"]
         assert rows[("su11", (mu, 3))]["residual_terms"] == 1
+
+
+def _failures(lines):
+    """(relation, tuple, residual_terms) of each failing report line, in report order."""
+    rows = map(json.loads, lines[:-1])
+    return [(row["relation"], tuple(row["tuple"]), row["residual_terms"]) for row in rows if not row["passed"]]
+
+
+def test_rotation_with_one_coefficient_doubled_fails_o2n(monkeypatch, capsys):
+    original = liealg.rotation
+
+    def doubled(sig, mu, nu):
+        op = original(sig, mu, nu)
+        (key, q), *rest = op.terms.items()
+        return Operator._make(sig, {key: 2 * q, **dict(rest)}, op.den)
+
+    # make_L and rotation_square call the name liealg binds.
+    monkeypatch.setattr(liealg, "rotation", doubled)
+    code, lines = run_main(["--suite", "o2n", "--n", "3", "--json"], capsys)
+    assert code == 1
+    failures = _failures(lines)
+    assert Counter((relation, terms) for relation, _, terms in failures) == {("o2n", 1): 60, ("casimir-central", 8): 15}
+
+
+def test_metaplectic_j0_constant_doubled_fails_the_cartan_bracket(monkeypatch, capsys):
+    original = liealg.make_metaplectic
+
+    def half_constant(ctx, mu):
+        t = original(ctx, mu)
+        return liealg.SU11Triple(t.Jp, t.Jm, t.J0 + Operator.constant(ctx.signature, Fraction(1, 4)))
+
+    monkeypatch.setattr(liealg, "make_metaplectic", half_constant)
+    code, lines = run_main(["--suite", "su11", "--json"], capsys)
+    assert code == 1
+    rows = {(row["relation"], tuple(row["tuple"])): row for row in map(json.loads, lines[:-1])}
+    assert rows[("su11", (1, 3))]["note"] == "[J+, J-] + 2*J0"
+    assert _failures(lines) == [
+        entry for mu in range(1, 7) for entry in (("su11", (mu, 3), 1), ("su11-casimir", (mu,), 2))
+    ]
+
+
+def test_radial_potential_without_its_parameter_fails_the_closed_forms(monkeypatch, capsys):
+    original = reduction.make_reduced_J
+
+    def unit_potential(ctx, i):
+        t = original(ctx, i)
+        zero = (0,) * ctx.signature.nparams
+        jm = Operator._make(ctx.signature, {(mono, zero): q for (mono, _), q in t.Jm.terms.items()}, t.Jm.den)
+        return liealg.SU11Triple(t.Jp, jm, t.J0)
+
+    # The suite and ReducedContext.factor_triples call the name reduction binds.
+    monkeypatch.setattr(reduction, "make_reduced_J", unit_potential)
+    code, lines = run_main(["--suite", "reduction", "--json"], capsys)
+    assert code == 1
+    # J- = (d_i^2 + c x_i^-2)/2 closes for every constant c, so the
+    # reduced-su11 entries and the relation sweep (the model at a_i = 1)
+    # pass; only the entries that compare with a closed form in the a_i fail.
+    assert _failures(lines) == [
+        *(("reduced-casimir-single", (i,), 1) for i in (1, 2, 3)),
+        *(entry for t in ((1, 2), (1, 3), (2, 3)) for entry in (("reduced-casimir-pair", t, 3), ("q-affine", t, 3))),
+        ("total-casimir", (3,), 7),
+        *(("q-symmetry", t, 21) for t in ((1, 2), (1, 3), (2, 3))),
+    ]
 
 
 def test_reduction_suite_builds_each_casimir_once(monkeypatch, capsys):

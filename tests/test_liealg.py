@@ -21,7 +21,7 @@ from racahverify.liealg import (
     rotation_squares,
     sum_triples,
 )
-from racahverify import liealg, reduction
+from racahverify import liealg, reduction, weyl
 from racahverify.weyl import Operator, commutator
 
 CTX3 = SO2nContext(3)
@@ -53,7 +53,9 @@ def test_make_L_examples():
         make_L(CTX3, 1, 1)
     with pytest.raises(ValueError):
         make_L(CTX3, 0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^variable index 0 out of range 1\.\.6$"):
+        make_L(CTX3, 0, 1)
+    with pytest.raises(ValueError, match=r"^variable index 7 out of range 1\.\.6$"):
         make_L(CTX3, 1, 7)
 
 
@@ -177,10 +179,9 @@ def test_metaplectic_triple():
     assert t.Jm == Operator.d(sig, 1, 2) * Fraction(1, 2)
     assert commutator(t.J0, t.Jp) == t.Jp
     assert commutator(t.Jp, t.Jm) == -2 * t.J0
-    with pytest.raises(ValueError):
-        make_metaplectic(CTX3, 0)
-    with pytest.raises(ValueError):
-        make_metaplectic(CTX3, 7)
+    for mu in (0, 7, -1):
+        with pytest.raises(ValueError, match=rf"^variable index {mu} out of range 1\.\.6$"):
+            make_metaplectic(CTX3, mu)
 
 
 def test_metaplectic_copies_commute():
@@ -250,3 +251,53 @@ def test_triple_sum_relations_hold(kind):
 def test_sum_triples_empty_rejected():
     with pytest.raises(ValueError):
         sum_triples([])
+
+
+def _kernel_rotation(sig, mu, nu):
+    """rotation's former construction through the product kernel, kept as its reference."""
+    return Operator.x(sig, mu) * Operator.d(sig, nu) - Operator.x(sig, nu) * Operator.d(sig, mu)
+
+
+def _kernel_metaplectic(sig, mu):
+    """make_metaplectic's former construction, as (J+, J-, J0)."""
+    half = Fraction(1, 2)
+    jp = Operator.x(sig, mu, 2) * half
+    jm = Operator.d(sig, mu, 2) * half
+    j0 = (Operator.constant(sig, half) + Operator.x(sig, mu) * Operator.d(sig, mu)) * half
+    return jp, jm, j0
+
+
+def _kernel_reduced_J(ctx, i):
+    """reduction.make_reduced_J's former construction, as (J+, J-, J0)."""
+    jp, jm, j0 = _kernel_metaplectic(ctx.signature, i)
+    return jp, jm + Operator.x(ctx.signature, i, -2) * (ctx.param(i) * Fraction(1, 2)), j0
+
+
+def test_generators_store_what_their_kernel_construction_stores(monkeypatch):
+    """Keys, numerators, den and insertion order of every L_{mu,nu}, radial R_ij
+    and triple equal the kernel construction's, and no builder reaches
+    weyl.combination."""
+
+    def refuse(*_):
+        raise AssertionError("a generator builder reached weyl.combination")
+
+    cases = []  # (built generators, their kernel construction, deferred)
+    with monkeypatch.context() as patch:
+        patch.setattr(weyl, "combination", refuse)
+        for ctx in [SO2nContext(n) for n in (3, 4, 5)] + [reduction.ReducedContext(n) for n in (2, 3, 4, 5)]:
+            sig, m = ctx.signature, ctx.signature.num_vars
+            for mu, nu in itertools.permutations(range(1, m + 1), 2):
+                built = make_L(ctx, mu, nu) if isinstance(ctx, SO2nContext) else liealg.rotation(sig, mu, nu)
+                cases.append(([built], lambda sig=sig, mu=mu, nu=nu: [_kernel_rotation(sig, mu, nu)]))
+            for mu in range(1, m + 1):
+                t = make_metaplectic(ctx, mu)
+                cases.append(([t.Jp, t.Jm, t.J0], lambda sig=sig, mu=mu: _kernel_metaplectic(sig, mu)))
+                if isinstance(ctx, reduction.ReducedContext):
+                    t = reduction.make_reduced_J(ctx, mu)
+                    cases.append(([t.Jp, t.Jm, t.J0], lambda ctx=ctx, mu=mu: _kernel_reduced_J(ctx, mu)))
+    assert len(cases) == (30 + 56 + 90) + (6 + 8 + 10) + (2 + 6 + 12 + 20) + 2 * (2 + 3 + 4 + 5)
+    for built, reference in cases:
+        expected = reference()
+        assert [(op.sig, list(op.terms.items()), op.den) for op in built] == [
+            (op.sig, list(op.terms.items()), op.den) for op in expected
+        ]

@@ -40,8 +40,9 @@ def test_triple_members():
     half = Fraction(1, 2)
     expected_jm = (Operator.d(sig, 1, 2) + Operator.x(sig, 1, -2) * CTX2.param(1)) * half
     assert t.Jm == expected_jm
-    with pytest.raises(ValueError):
-        make_reduced_J(CTX2, 3)
+    for i in (3, 0, -1):
+        with pytest.raises(ValueError, match=rf"^variable index {i} out of range 1\.\.2$"):
+            make_reduced_J(CTX2, i)
 
 
 def test_triple_relations_hold_with_parameters():
@@ -81,10 +82,11 @@ def test_rotation_preserves_radius_but_not_potential():
     pot = Operator.x(sig, 1, -2) * CTX3.param(1) + Operator.x(sig, 2, -2) * CTX3.param(2)
     assert commutator(r, radius).is_zero()
     assert not commutator(r, pot).is_zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rotation generator needs two distinct indices$"):
         rotation(CTX3.signature, 2, 2)
-    with pytest.raises(ValueError):
-        rotation(CTX3.signature, 1, 4)
+    for mu, nu, bad in ((1, 4, 4), (0, 1, 0), (1, -1, -1)):
+        with pytest.raises(ValueError, match=rf"^variable index {bad} out of range 1\.\.3$"):
+            rotation(CTX3.signature, mu, nu)
 
 
 def test_pair_casimir_closed_form_checked_on_build():
