@@ -4,15 +4,18 @@ Parses the options (argparse reads --suite too: each value is a
 comma-separated list of suite names, "all" standing for every suite),
 runs the chosen suites through the suite registry (suites.py: engine
 self-checks first, then the registry's order), streams one report line
-per checked identity instance, and finishes with a summary line.  Exit
-status: 0 when every entry passed, 1 when any identity failed, 2 for
-usage errors.
+per checked identity instance, and finishes with a summary line.
+--jobs is capped at the CPUs this process may use (its affinity mask,
+or the CPU count where there is none), so a large value forks no more
+workers than there are CPUs to run them.  Exit status: 0 when every
+entry passed, 1 when any identity failed, 2 for usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -50,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"suite to run ({_CHOICES}); repeatable or comma-separated (default: all)",
     )
     parser.add_argument("--n", type=int, default=3, help="number of factors (default 3)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel workers, at most the usable CPUs (default 1)")
     parser.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
     parser.add_argument(
         "--trials", type=int, default=100, help="each oracle composition check runs 10 x TRIALS trials (default 100)"
@@ -70,6 +73,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--trials must be at least 1")
     if config.suite == []:
         parser.error(f"--suite names no suite ({_CHOICES})")
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    config.jobs = min(config.jobs, len(cpus))  # one worker per CPU this process may use, at most
 
     t_start = time.perf_counter()
     total = RelationReport()

@@ -41,8 +41,9 @@ n=4, 10 + 1 at n=5.
 
 intermediate-central runs by S_n orbit, as racah.sweep_relations does.
 Relabelling the factors by sigma in S_n is an algebra automorphism.
-covariant_table first certifies the table it built: relabelled by the
-transposition (1 2) and by the n-cycle, each C^A must equal, by
+Its certificate is the relation sweep's, racah.covariant, given the
+table it built, each image stored at its sorted subset: relabelled by
+the transposition (1 2) and by the n-cycle, each C^A must equal, by
 ``==``, the stored C^{sigma A}.  Then sigma[C^A, C^{[n]}] =
 [C^{sigma A}, C^{[n]}], since sigma fixes [n], and each size k is one
 orbit: the bracket is computed at A = (1, ..., k) alone, and every
@@ -60,7 +61,7 @@ import itertools
 from typing import Iterable
 
 from .liealg import PairUnion, SO2nContext, casimir_CA, casimir_closed_form, decomposition_sum, rotation_squares
-from .racah import CommutantBasis, factor_relabelling, sn_generators
+from .racah import CommutantBasis, covariant
 from .report import RelationReport, run_checks, run_orbits
 from .weyl import Operator, commutator
 
@@ -132,27 +133,13 @@ def verify_commutant_correspondence(
     return report
 
 
-def covariant_table(ctx: SO2nContext, table: dict[tuple[int, ...], Operator]) -> bool:
-    """Whether relabelling the factors maps each stored C^A to the stored C^{sigma A}, exactly.
-
-    It is checked for the transposition (1 2) and the n-cycle, which
-    generate S_n, at every union in the table, as ``==`` of the
-    relabelled operator and the one stored at the relabelled union.  A
-    union whose image the table lacks fails it.
-    """
-    for s in sn_generators(ctx.n):
-        move = factor_relabelling(ctx, s)
-        for pairs, op in table.items():
-            if move(op) != table.get(tuple(sorted(s[i - 1] for i in pairs))):
-                return False
-    return True
-
-
 def check_intermediate_centrality(ctx: SO2nContext, jobs: int = 1) -> RelationReport:
     """[C^A, C^{[n]}] = 0 for every pair union A, one bracket per size |A|
-    when the table {A: C^A} is ``covariant_table``, every A otherwise."""
+    when the table {A: C^A} is ``racah.covariant`` (images at sorted
+    subsets), every A otherwise."""
     table = casimir_table(ctx, all_pair_unions(ctx))
     factors = range(1, ctx.n + 1)
     total = table[tuple(factors)]
     orbits = [("intermediate-central", list(itertools.combinations(factors, k))) for k in factors]
-    return run_orbits(orbits, lambda _, t: commutator(table[t], total), lambda: covariant_table(ctx, table), jobs)
+    certify = lambda: covariant(ctx, table, key=lambda t: tuple(sorted(t)))  # noqa: E731
+    return run_orbits(orbits, lambda _, t: commutator(table[t], total), certify, jobs)

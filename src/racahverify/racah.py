@@ -56,6 +56,13 @@ canonical tuple, and every other tuple's entry is derived from it.  A
 basis that is not covariant takes the direct sweep, the reference path:
 ``relation_residual`` at every tuple, each on its own.
 
+``covariant`` is the package's one S_n certificate.  It takes a table
+from index tuples to operators and checks, for the transposition (1 2)
+and the n-cycle, that each relabelled entry equals the entry stored at
+the relabelled tuple.  The sweep gives it the stored C, P and F at
+every ordered tuple; howe's intermediate-central sweep gives it the
+table {A: C^A}, its images stored at sorted subsets.
+
 The five relations, all indices pairwise distinct:
 
     a: [P^{ij}, P^{jk}] = 2 F^{ijk}
@@ -76,7 +83,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .liealg import PairUnion, SO2nContext, casimir_CA, decomposition_sum, make_L, rotation_squares
 from .report import RelationReport, ReportEntry, run_checks, run_orbits
@@ -230,34 +237,22 @@ def factor_relabelling(ctx, sigma: Sequence[int]) -> Callable[[Operator], Operat
     return lambda op: relabel(op, variables, params)
 
 
-def sn_generators(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The transposition (1 2) and the n-cycle (1 2 ... n), which generate S_n, as images of 1..n."""
-    return (2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)
+def covariant(ctx, table: dict[tuple[int, ...], Operator], key: Callable[[Iterable[int]], tuple] = tuple) -> bool:
+    """Whether relabelling the factors permutes the table: sigma.table[t] == table[key(sigma(t))], exactly.
 
-
-def covariant(basis: Basis) -> bool:
-    """Whether relabelling the factors permutes the basis: s.C^i = C^{s(i)},
-    s.P^{ij} = P^{s(i)s(j)} and s.F^{ijk} = F^{s(i)s(j)s(k)}, exactly.
-
-    It is checked for the transposition (1 2) and the n-cycle
-    (1 2 ... n), which generate S_n, at every ordered index tuple, as
-    ``==`` of the relabelled stored operator and the stored one.  At
-    the orderings of one 3-subset this is also the exact check that F
-    is antisymmetric.  It returns False at the first mismatch, and also
-    when an accessor raises: such a basis is not certified, and the
-    direct sweep raises the error with its relation and tuple named.
+    The table maps tuples of factor indices to operators.  It is checked
+    for the transposition (1 2) and the n-cycle (1 2 ... n), which
+    generate S_n, at every entry, as ``==`` of the relabelled operator
+    and the one stored at the image; a table with no entry at an image
+    is not certified.  key says where an image is stored: at the tuple
+    itself for the ordered tuples of a relation basis, at its sorted
+    form for a table of subsets.  An error raised on the way propagates.
     """
-    ctx = basis.ctx
-    n = ctx.n
-    try:
-        for s in sn_generators(n):
-            move = factor_relabelling(ctx, s)
-            for arity, accessor in ((1, basis.c), (2, basis.p), (3, basis.f)):
-                for t in itertools.permutations(range(1, n + 1), arity):
-                    if move(accessor(*t)) != accessor(*(s[i - 1] for i in t)):
-                        return False
-    except Exception:
-        return False
+    for s in ((2, 1, *range(3, ctx.n + 1)), (*range(2, ctx.n + 1), 1)):
+        move = factor_relabelling(ctx, s)
+        for t, op in table.items():
+            if move(op) != table.get(key(s[i - 1] for i in t)):
+                return False
     return True
 
 
@@ -266,7 +261,9 @@ def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
 
     Each relation's tuples are one orbit of S_n, led by the canonical
     tuple (1, ..., arity), and ``report.run_orbits`` checks them under
-    the certificate ``covariant``.  Every injective tuple t is
+    the certificate ``covariant``, given the stored C^i (under (i,)),
+    P^{ij} and F^{ijk} at every ordered tuple as one table, built when
+    the certificate runs.  Every injective tuple t is
     sigma(1, ..., arity) for some sigma in S_n.  Relabelling the factors
     by sigma is an algebra automorphism, so it maps the residual at the
     canonical tuple to the residual built from the relabelled operands;
@@ -280,9 +277,11 @@ def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
     fault that depends on which variables an operand uses would show in
     the direct sweep; here it shows only where it breaks the covariance
     of the basis, which the kernel built at every index.  So a basis
-    that is not covariant, or whose accessors raise, takes the direct
-    sweep, the reference the tests keep: ``relation_residual`` at every
-    tuple on its own, so an error names the relation and the tuple.
+    that is not covariant, or that lacks an image (a C1 without some
+    factor), takes the direct sweep, the reference the tests keep:
+    ``relation_residual`` at every tuple on its own, so an error names
+    the relation and the tuple.  An error raised inside the certificate
+    propagates.
 
     Entries come in relation order, tuples in permutation order.
     Relations whose arity exceeds n get a single 'skipped' entry after
@@ -300,7 +299,9 @@ def sweep_relations(basis: Basis, jobs: int = 1) -> RelationReport:
         for rel, arity in RELATION_ARITY.items()
         if arity <= n
     ]
-    report = run_orbits(orbits, lambda rel, t: relation_residual(rel, t, p, f, c), lambda: covariant(basis), jobs)
+    # the stored C (under (i,)), P and F, read when the certificate runs
+    certify = lambda: covariant(basis.ctx, {(i,): op for i, op in basis.C1.items()} | basis.P | basis._F)  # noqa: E731
+    report = run_orbits(orbits, lambda rel, t: relation_residual(rel, t, p, f, c), certify, jobs)
     for rel, arity in RELATION_ARITY.items():
         if arity > n:
             report.add(ReportEntry(rel, (), True, 0, 0.0, "skipped: no admissible index tuples at this rank"))

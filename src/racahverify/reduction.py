@@ -181,7 +181,8 @@ class ReducedBasis(Basis):
     commutant picture.  The C^i are constants, so F^{ijk} equals
     (1/2)[P^{ij}, P^{jk}] and relation (a) holds by construction at
     (i,j,k) and (k,j,i); that F is antisymmetric at the four other
-    orderings is checked by the sweep's certificate (racah.covariant).
+    orderings is checked by the sweep's certificate, racah.covariant,
+    the package's one S_n certificate, on the stored C, P and F.
     Relations (b)..(e) remain contentful.
     """
 

@@ -9,7 +9,8 @@ whether the residual vanished and how many terms survived;
 parallel runs print identically to serial ones.  ``check`` is the one
 timed helper every sweep uses.  ``run_orbits`` serves the sweeps whose
 tuples fall into S_n orbits under a certificate (the relation sweep and
-intermediate-central): it checks one tuple per orbit and derives the
+intermediate-central, both certified by the one ``racah.covariant`` on
+their stored tables): it checks one tuple per orbit and derives the
 rest, or checks every tuple when the certificate fails.
 """
 

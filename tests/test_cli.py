@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import multiprocessing
+import os
 import pkgutil
 from collections import Counter
 from fractions import Fraction
@@ -28,6 +29,11 @@ def run_main(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out.splitlines()
+
+
+def _usable_cpus(monkeypatch, count):
+    """Let the runner see count usable CPUs, whatever this machine has: --jobs is capped there."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def _strip_times(rows):
@@ -124,10 +130,11 @@ def test_json_output_parses(capsys):
         assert row["residual_terms"] == 0
 
 
-def test_parallel_runs_match_serial(capsys):
+def test_parallel_runs_match_serial(monkeypatch, capsys):
     # Rank four sends the single relation dispatch and the reduced sweep
     # through uneven strides at three workers; the oracle splits the 30
     # trials of each composition check (its catalog entries draw none).
+    _usable_cpus(monkeypatch, 3)
     for args, worker_counts in (
         (["--suite", "racah"], ["2"]),
         (["--suite", "howe,racah"], ["2"]),
@@ -140,6 +147,26 @@ def test_parallel_runs_match_serial(capsys):
             code2, lines2 = run_main([*args, "--json", "--jobs", jobs], capsys)
             assert code1 == code2 == 0
             assert _strip_times(json.loads(ln) for ln in lines2) == serial
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_jobs_is_capped_at_the_usable_cpus(affinity, monkeypatch, capsys):
+    # one usable CPU, from the affinity mask or, where there is none, the
+    # CPU count: a huge --jobs forks nothing and prints the --jobs 1 lines
+    code1, lines1 = run_main(["--suite", "o2n", "--json", "--jobs", "1"], capsys)
+    if affinity:
+        _usable_cpus(monkeypatch, 1)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+    def no_fork():
+        raise AssertionError("forked a worker with one usable CPU")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    code2, lines2 = run_main(["--suite", "o2n", "--json", "--jobs", "1000000"], capsys)
+    assert code1 == code2 == 0
+    assert _strip_times(map(json.loads, lines2)) == _strip_times(map(json.loads, lines1))
 
 
 def test_rank_four_covers_quartic_relations(capsys):
@@ -467,6 +494,7 @@ def test_failing_composition_reports_its_exact_residual_at_every_job_count(monke
                 expected.append(residual.term_count())
                 break
     assert len(expected) == 2 and min(expected) > 0
+    _usable_cpus(monkeypatch, 3)
     for jobs in ("1", "2", "3"):
         code, lines = run_main(["--suite", "oracle", "--trials", "1", "--json", "--jobs", jobs], capsys)
         assert code == 1

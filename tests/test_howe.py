@@ -11,7 +11,6 @@ from racahverify.howe import (
     check_casimir_forms,
     check_decompositions,
     check_intermediate_centrality,
-    covariant_table,
     decomposition_residual,
     verify_commutant_correspondence,
 )
@@ -24,10 +23,15 @@ from racahverify.liealg import (
     make_L,
     make_metaplectic,
 )
-from racahverify.racah import make_G, make_K
+from racahverify.racah import covariant, make_G, make_K
 from racahverify.weyl import Operator, commutator
 
 CTX3 = SO2nContext(3)
+
+
+def _subset(t):
+    """Where a table of subsets stores an image: at the sorted subset."""
+    return tuple(sorted(t))
 
 
 def test_pair_union_validation():
@@ -140,9 +144,9 @@ def _entries(report):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_intermediate_centrality_by_orbit_equals_the_direct_path(n, monkeypatch):
     ctx = SO2nContext(n)
-    assert covariant_table(ctx, casimir_table(ctx, all_pair_unions(ctx)))
+    assert covariant(ctx, casimir_table(ctx, all_pair_unions(ctx)), key=_subset)
     orbit = {jobs: _entries(check_intermediate_centrality(ctx, jobs)) for jobs in (1, 2, 3)}
-    monkeypatch.setattr(howe, "covariant_table", lambda ctx, table: False)
+    monkeypatch.setattr(howe, "covariant", lambda ctx, table, key=tuple: False)
     direct = {jobs: _entries(check_intermediate_centrality(ctx, jobs)) for jobs in (1, 2, 3)}
     expected = [("intermediate-central", u.pairs, True, 0) for u in all_pair_unions(ctx)]
     assert orbit[1] == orbit[2] == orbit[3] == direct[1] == direct[2] == direct[3] == expected
@@ -179,7 +183,7 @@ def test_non_central_term_fails_the_table_certificate_and_its_union_only(bracket
     sig = ctx.signature
     table = casimir_table(ctx, all_pair_unions(ctx))
     ctx.casimir_memo[(1, 2)] = table[(1, 2)] + Operator.x(sig, 1) * Operator.d(sig, 3)
-    assert not covariant_table(ctx, casimir_table(ctx, all_pair_unions(ctx)))
+    assert not covariant(ctx, casimir_table(ctx, all_pair_unions(ctx)), key=_subset)
     report = check_intermediate_centrality(ctx)
     # the direct path: one bracket per union
     assert len(bracket_calls) == len(report.entries) == 15
@@ -190,8 +194,8 @@ def test_covariant_table_needs_every_image():
     ctx = SO2nContext(3)
     table = casimir_table(ctx, all_pair_unions(ctx))
     del table[(2, 3)]
-    assert not covariant_table(ctx, table)
-    assert covariant_table(ctx, {pairs: op for pairs, op in table.items() if len(pairs) != 2})
+    assert not covariant(ctx, table, key=_subset)
+    assert covariant(ctx, {pairs: op for pairs, op in table.items() if len(pairs) != 2}, key=_subset)
 
 
 def test_closed_form_constant_term():

@@ -339,6 +339,11 @@ def _basis(kind, n):
     return CommutantBasis(SO2nContext(n)) if kind == "commutant" else ReducedBasis(ReducedContext(n))
 
 
+def _covariant(basis):
+    """The relation sweep's certificate: covariant on the stored C (under (i,)), P and F."""
+    return covariant(basis.ctx, {(i,): op for i, op in basis.C1.items()} | basis.P | basis._F)
+
+
 @pytest.mark.parametrize(
     "kind, n", [(kind, n) for kind in ("commutant", "reduced") for n in (3, 4, 5)] + [("reduced", 6)]
 )
@@ -346,7 +351,7 @@ def test_orbit_sweep_equals_relation_residual_tuple_by_tuple(kind, n, bases5):
     # the per-tuple residuals are the reference; the bases are covariant,
     # so the sweep derives its entries from the canonical tuples
     basis = bases5[kind] if n == 5 else _basis(kind, n)
-    assert covariant(basis)
+    assert _covariant(basis)
     reference = _per_tuple(basis, basis.c)
     tuples = sum(comb(n, arity) * math.factorial(arity) for arity in RELATION_ARITY.values() if arity <= n)
     assert len(reference) == tuples and all(r.is_zero() for r in reference.values())
@@ -362,7 +367,7 @@ def test_orbit_sweep_keeps_wrong_shift_residuals(bases5):
     reference = _per_tuple(basis, basis.c)
     broken = {rel for (rel, _), r in reference.items() if not r.is_zero()}
     assert broken == {"b", "d"}
-    assert covariant(basis)
+    assert _covariant(basis)
     report = _assert_sweep_matches_per_tuple(basis, reference, 3)
     assert {e.relation for e in report.entries if not e.passed} == {"b", "d"}
 
@@ -450,7 +455,7 @@ def _shifted_c1(basis):
 @pytest.mark.parametrize("kind", ["commutant", "reduced"])
 def test_non_covariant_c_takes_the_direct_sweep(kind, bases5):
     basis = _shifted_c1(bases5[kind])
-    assert not covariant(basis)
+    assert not _covariant(basis)
     reference = _per_tuple(basis, basis.c)
     report = _assert_sweep_matches_per_tuple(basis, reference, 1)
     # verdicts differ inside one relation, which no canonical tuple could give
@@ -496,9 +501,9 @@ def test_orbit_sweep_runs_the_kernel_at_the_canonical_tuples_only(kind, bases5, 
 def test_certificate_sees_f_that_is_not_antisymmetric_at_one_ordering(kind):
     # every sorted triple stays covariant; only the stored F^{321} is wrong
     basis = _basis(kind, 3)
-    assert covariant(basis)
+    assert _covariant(basis)
     basis._F[3, 2, 1] = basis.f(1, 2, 3)
-    assert not covariant(basis)
+    assert not _covariant(basis)
     failed = {e.indices for e in sweep_relations(basis).entries if not e.passed}
     assert (3, 2, 1) in failed and (1, 2, 3) not in failed
 
@@ -510,13 +515,13 @@ def test_wrong_canonical_f_is_not_covariant(kind):
     wrong = basis.f(1, 2, 3) + Operator.x(basis.ctx.signature, 1)
     for t in itertools.permutations((1, 2, 3)):
         basis._F[t] = wrong if t in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -wrong
-    assert not covariant(basis)
+    assert not _covariant(basis)
 
 
 @pytest.mark.parametrize("certified", [True, False])
 def test_sweep_entries_carry_the_certificate_time(certified, monkeypatch):
     # shared over the checked items on the orbit path and the direct path alike
-    def slow_certificate(basis):
+    def slow_certificate(ctx, table, key=tuple):
         time.sleep(0.05)
         return certified
 
@@ -526,10 +531,33 @@ def test_sweep_entries_carry_the_certificate_time(certified, monkeypatch):
     assert sum(e.ms for e in report.entries) >= 50
 
 
-def test_covariant_is_false_when_an_accessor_raises():
+def test_covariant_is_false_when_an_image_is_missing():
+    # without C^2 the image of C^1 under (1 2) is missing: the direct
+    # sweep runs and names the first check that reads C^2
     basis = CommutantBasis(CTX3)
-    basis.C1 = {}
-    assert not covariant(basis)
+    del basis.C1[2]
+    assert not _covariant(basis)
+    with pytest.raises(RuntimeError, match=r"^check b \(1, 2, 3\) raised KeyError\(2\)$"):
+        sweep_relations(basis)
+
+
+@pytest.mark.parametrize("kind", ["commutant", "reduced"])
+def test_certificate_reads_p_under_both_index_orders(kind):
+    # only the stored P^{21} is wrong, so the table must hold both orders
+    basis = _basis(kind, 3)
+    basis.P[2, 1] = basis.p(1, 2) + Operator.x(basis.ctx.signature, 1)
+    assert not _covariant(basis)
+    failed = {(e.relation, e.indices) for e in sweep_relations(basis).entries if not e.passed}
+    assert ("a", (2, 1, 3)) in failed and ("a", (1, 2, 3)) not in failed
+
+
+def test_an_error_inside_the_certificate_propagates(monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("relabel failed")
+
+    monkeypatch.setattr(racah, "relabel", broken)
+    with pytest.raises(ZeroDivisionError, match="relabel failed"):
+        sweep_relations(BASIS3)
 
 
 def test_factor_relabelling_moves_each_factor_with_its_variables_and_parameter():

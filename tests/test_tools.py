@@ -1,7 +1,9 @@
 """The repository's command-line tools."""
 
 import ast
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -41,20 +43,48 @@ def _body_lines(module: str, function: str) -> set[int]:
     return {s.lineno for top in body for s in ast.walk(top) if isinstance(s, ast.stmt)}
 
 
-def test_traffic_lists_what_the_run_never_executes():
-    run = subprocess.run(
-        [sys.executable, str(TRAFFIC), "--n", "3", "--suite", "o2n"], capture_output=True, text=True, check=True
-    )
+def _listed(stdout: str) -> dict[tuple[str, str], set[int]]:
+    """The statement rows traffic printed, as {(module, function): line numbers}."""
     listed: dict[tuple[str, str], set[int]] = {}
-    for line in run.stdout.splitlines():
+    for line in stdout.splitlines():
         place, _, rest = line.partition(" ")
         module, _, lineno = place.partition(":")
         if lineno.isdigit():  # a statement row, not a run or module header
             listed.setdefault((module, rest.split()[0]), set()).add(int(lineno))
+    return listed
+
+
+def test_traffic_lists_what_the_run_never_executes():
+    run = subprocess.run(
+        [sys.executable, str(TRAFFIC), "--n", "3", "--suite", "o2n"], capture_output=True, text=True, check=True
+    )
+    listed = _listed(run.stdout)
     assert run.stdout.startswith("# racah-verify --n 3 --suite o2n: exit 0\n")
     assert listed[("reduction.py", "check_q_symmetry")] == _body_lines("reduction.py", "check_q_symmetry")
     for function in ("check_o2n_relations", "_bracket_rhs"):
         assert _body_lines("liealg.py", function) and ("liealg.py", function) not in listed
+
+
+def test_traffic_sees_the_parents_fork_loop_in_a_two_job_run(monkeypatch, capsys):
+    # in this process, with two usable CPUs, so the runner keeps --jobs 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # traffic puts src first
+    spec = importlib.util.spec_from_file_location("traffic", TRAFFIC)
+    traffic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traffic)
+    tree = ast.parse((ROOT / "src" / "racahverify" / "_parallel.py").read_text())
+    (run_tasks,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_tasks"]
+    (loop,) = [n for n in ast.walk(run_tasks) if isinstance(n, ast.For) and ast.unparse(n.iter) == "range(1, workers)"]
+    tries = [s for s in loop.body if isinstance(s, ast.Try)]
+    fork_loop = {loop.lineno} | {s.lineno for s in loop.body} | {s.lineno for t in tries for s in t.body}
+
+    def listed(*argv):
+        assert traffic.main(list(argv)) == 0
+        return _listed(capsys.readouterr().out).get(("_parallel.py", "run_tasks"), set())
+
+    serial = ["--n", "3", "--suite", "o2n"]
+    assert fork_loop <= listed(*serial)
+    assert fork_loop.isdisjoint(listed(*serial, "--", *serial, "--jobs", "2"))
 
 
 def _bench(parent: float, change: float, workload: str = "oracle-n3") -> str:

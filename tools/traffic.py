@@ -15,8 +15,12 @@ run executed code.  ``--n 3 --suite o2n`` prints, among others,
 A compound statement counts as executed when any line of it ran, so an
 ``if`` whose test ran but whose body did not lists the body only.  The
 package imported and traced is the one in this checkout's ``src``.
-Forked workers are not traced, so the runs are meant for ``--jobs 1``
-(the default); at more jobs, what only workers execute is listed too.
+Forked workers are not traced: at more than one job, what only workers
+execute is listed too, and what only the parent of a fork pool executes
+is listed unless a run uses more jobs.  So ``--n 3 --trials 2 -- --n 3
+--trials 2 --jobs 2`` lists neither the serial path nor the parent's
+fork loop (racah-verify caps --jobs at the usable CPUs, so the second
+run forks only where there are two).
 The exit status is the largest of the runs' exit statuses.
 """
 
