@@ -51,10 +51,12 @@ neither builds A f:
 Trial streams are deterministic: trial t of seed s uses its own
 random.Random(s * 1000003 + t), so serial and parallel runs, and
 repeated runs, see identical test functions and points.  Every check
-takes ``jobs``: with k = min(jobs, trials) > 1, ``_parallel.run_tasks``
-gives worker w the trials range(w, trials, k), each worker names its
-first failing trial, and the earliest of those is the serial loop's
-first failure, so verdicts and residuals are the same for any jobs.
+takes ``jobs``: with k = min(jobs, trials) > 1, every trial is its own
+item of ``_parallel.run_tasks``, which checks trials in order in the
+parent until its budget is spent and then splits the rest over k
+workers; the earliest failing trial over all of them is the serial
+loop's first failure, so verdicts and residuals are the same for any
+jobs.
 """
 
 from __future__ import annotations
@@ -127,12 +129,17 @@ def _first_failure(
     test function is capped at bound = max(4, d + 1), d the largest
     total derivative degree of ops (``derivative_degree``); trial t
     draws f, then (coords, params), from its own
-    random.Random(seed * 1000003 + t).  With k = min(jobs, trials),
-    worker w of ``_parallel.run_tasks`` checks the trials
-    range(w, trials, k) in order and returns the index of its first
-    failure; the parent takes the smallest index and draws that trial's
-    f again, so the result does not depend on jobs.  k = 1 is one serial
-    loop, and ``run_tasks`` refuses jobs < 1.
+    random.Random(seed * 1000003 + t).  The trials go to
+    ``_parallel.run_tasks`` in c strided chunks, chunk i checking
+    range(i, trials, c) in order up to its first failure: at
+    k = min(jobs, trials) = 1 one chunk, the serial loop that stops at
+    the first failing trial; at k > 1 one chunk per trial, so the
+    serial head that ``run_tasks`` runs before it forks ends within a
+    trial of its budget and the rest splits evenly over the k workers,
+    at the price that a failing check there runs every trial.  The
+    parent takes the smallest failing index and draws that trial's
+    f again, so the result does not depend on jobs.  ``run_tasks``
+    refuses jobs < 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -146,7 +153,8 @@ def _first_failure(
         return next((t for t in ts if residual(*draw(t)) != 0), None)
 
     k = min(jobs, trials)
-    failures = [t for t in run_tasks(lambda w: first(range(w, trials, k)), range(k), k) if t is not None]
+    c = 1 if k == 1 else trials
+    failures = [t for t in run_tasks(lambda i: first(range(i, trials, c)), range(c), k) if t is not None]
     return draw(min(failures))[0] if failures else None
 
 

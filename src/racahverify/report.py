@@ -109,7 +109,7 @@ def check(relation: str, indices: tuple[int, ...], residual_fn: ResidualFn, note
 def run_checks(
     relation: str, tuples: Iterable[tuple[int, ...]], residual_of: ResidualFn, jobs: int = 1, note: str = ""
 ) -> RelationReport:
-    """check() every index tuple in order; jobs > 1 forks workers."""
+    """check() every index tuple in order; jobs > 1 forks workers once the sweep outlasts run_tasks' serial head."""
     return RelationReport(run_tasks(lambda t: check(relation, t, residual_of, note), tuples, jobs))
 
 

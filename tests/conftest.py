@@ -1,5 +1,7 @@
 import pytest
 
+from racahverify import _parallel
+
 _acceptance_lines: list[str] = []
 
 
@@ -14,6 +16,13 @@ def acceptance_record():
         _acceptance_lines.append(f"{name}: {status}{suffix}")
 
     return record
+
+
+@pytest.fixture
+def fork_at_once(monkeypatch):
+    """run_tasks with no serial head: at jobs > 1 every dispatch forks
+    at once, so a test of the fork map or of a worker's slice runs it."""
+    monkeypatch.setattr(_parallel, "HEAD_S", 0)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

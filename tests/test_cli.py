@@ -533,7 +533,7 @@ def test_runs_call_no_benchmark_only_wrapper(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_howe_and_racah_build_each_coupled_casimir_once(jobs, monkeypatch, capsys):
+def test_howe_and_racah_build_each_coupled_casimir_once(jobs, monkeypatch, capsys, fork_at_once):
     original = liealg.casimir_of
     # Shared memory, so calls made in forked workers are counted too.
     calls = multiprocessing.Value("i", 0)
@@ -554,7 +554,7 @@ def test_howe_and_racah_build_each_coupled_casimir_once(jobs, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_each_rotation_square_is_built_once_per_run(jobs, monkeypatch, capsys):
+def test_each_rotation_square_is_built_once_per_run(jobs, monkeypatch, capsys, fork_at_once):
     original = liealg.rotation_square
     # Shared memory, so squares built in forked workers are counted too.
     calls = multiprocessing.Value("i", 0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from racahverify import oracle, weyl
+from racahverify._parallel import run_tasks
 from racahverify.liealg import SO2nContext, casimir_sum, make_L
 from racahverify.oracle import (
     oracle_apply_check,
@@ -237,7 +238,7 @@ def test_oracle_verdicts_do_not_depend_on_jobs(jobs):
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
-def test_a_failure_in_a_child_slice_rejects(jobs):
+def test_a_failure_in_a_child_slice_rejects(jobs, fork_at_once):
     """x1 d1^5 and d1^5 x1 differ by 5 d1^4, which kills every term of
     x1-degree below 4, so some trials pass.  At seed 43 only trial 1 of
     the first three fails; with two or three workers it is in worker
@@ -253,7 +254,7 @@ def test_a_failure_in_a_child_slice_rejects(jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_the_earliest_failing_trial_gives_the_test_function(jobs):
+def test_the_earliest_failing_trial_gives_the_test_function(jobs, fork_at_once):
     """At seed 43 trials 1, 3, 4 and 5 of the first six fail.  At two and
     three jobs worker 0 first fails at trial 4 or 3, so only the
     smallest index over all workers gives trial 1's f."""
@@ -264,6 +265,25 @@ def test_the_earliest_failing_trial_gives_the_test_function(jobs):
     assert [_trial_fails(lhs, rhs, 43, t) for t in range(6)] == [False, True, False, True, True, True]
     first = oracle._first_failure(weyl.evaluator(lhs - rhs), 6, 43, (lhs, rhs), jobs)
     assert first == random_polynomial(SIG2, oracle._trial_rng(43, 1), max_exp=6)
+
+
+@pytest.mark.parametrize("jobs, items", [(1, [1]), (2, [6]), (3, [6])])
+def test_trials_are_one_chunk_at_one_job_and_one_item_each_otherwise(jobs, items, monkeypatch):
+    """One chunk at one job, stopping at the first failure; more items
+    than workers otherwise, so the serial head before a fork ends within
+    a trial of its budget."""
+    seen = []
+
+    def recorded(fn, work, k):
+        work = list(work)
+        seen.append(len(work))
+        return run_tasks(fn, work, k)
+
+    monkeypatch.setattr(oracle, "run_tasks", recorded)
+    x1 = Operator.x(SIG2, 1)
+    d1 = Operator.d(SIG2, 1)
+    assert oracle._first_failure(weyl.evaluator(x1 * d1 - d1 * x1), 6, 43, (x1, d1), jobs) is not None
+    assert seen == items
 
 
 def test_oracle_refuses_zero_jobs():
@@ -333,7 +353,7 @@ def test_composition_catches_a_broken_apply_at(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_apply_plans_are_built_before_the_fork(jobs, monkeypatch):
+def test_apply_plans_are_built_before_the_fork(jobs, monkeypatch, fork_at_once):
     """A and B get their apply plans in this process, so no forked worker
     builds them again: two plans at any jobs for a passing check."""
     original = weyl._apply_plan

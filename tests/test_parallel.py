@@ -3,13 +3,18 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from racahverify import _parallel
 from racahverify._parallel import run_tasks
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# The mechanism tests below fork at once; the serial-head tests set their own budget.
+pytestmark = pytest.mark.usefixtures("fork_at_once")
 
 
 def _no_child_left():
@@ -121,7 +126,9 @@ def test_failed_fork_reaps_the_started_child_and_closes_its_pipes(monkeypatch):
 def test_text_buffered_before_the_fork_is_printed_once():
     code = (
         "import sys\n"
+        "from racahverify import _parallel\n"
         "from racahverify._parallel import run_tasks\n"
+        "_parallel.HEAD_S = 0\n"
         "sys.stdout.write('before the fork\\n')\n"
         "assert run_tasks(abs, [-1, -2, -3], jobs=3) == [1, 2, 3]\n"
     )
@@ -139,3 +146,45 @@ def test_package_does_not_import_multiprocessing():
 def test_jobs_must_be_positive():
     with pytest.raises(ValueError):
         run_tasks(abs, [1], jobs=0)
+
+
+def _refuse_fork():
+    raise AssertionError("forked inside the budget")
+
+
+def test_a_dispatch_inside_the_budget_forks_nothing(monkeypatch):
+    monkeypatch.setattr(_parallel, "HEAD_S", 60)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert run_tasks(lambda x: (x * x, os.getpid()), range(50), jobs=2) == [(x * x, os.getpid()) for x in range(50)]
+
+
+def test_past_the_budget_a_child_computes_the_strided_rest(monkeypatch):
+    monkeypatch.setattr(_parallel, "HEAD_S", 0.01)
+
+    def fn(x):
+        if x == 0:
+            time.sleep(0.02)  # the head ends after this item
+        return x * x, os.getpid()
+
+    results = run_tasks(fn, range(5), jobs=2)
+    assert [r for r, _ in results] == [x * x for x in range(5)]
+    # the parent computes the head, items[0], and then rest[0::2] = items 1 and 3
+    pids = [pid for _, pid in results]
+    assert pids[0] == pids[1] == pids[3] == os.getpid()
+    assert pids[2] == pids[4] != os.getpid()
+    _no_child_left()
+
+
+def test_an_exception_in_the_head_is_raised_unchanged_before_any_fork(monkeypatch):
+    monkeypatch.setattr(_parallel, "HEAD_S", 60)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    failure = Unpicklable()
+
+    def fn(x):
+        if x == 1:
+            raise failure
+        return x
+
+    with pytest.raises(Unpicklable) as info:
+        run_tasks(fn, range(6), jobs=2)
+    assert info.value is failure

@@ -465,7 +465,7 @@ def test_non_covariant_c_takes_the_direct_sweep(kind, bases5):
 
 
 @pytest.mark.parametrize("kind", ["commutant", "reduced"])
-def test_direct_sweep_gives_the_same_entries_at_one_two_and_three_jobs(kind, bases5):
+def test_direct_sweep_gives_the_same_entries_at_one_two_and_three_jobs(kind, bases5, fork_at_once):
     # the forked direct sweep puts every tuple's entry back in order
     basis = _shifted_c1(bases5[kind])
     entries = {

@@ -22,7 +22,7 @@ def test_check_records_residual_terms():
     assert bad.ms >= 0
 
 
-def test_run_checks_keeps_tuple_order():
+def test_run_checks_keeps_tuple_order(fork_at_once):
     tuples = [(1, 1), (3, 1), (2, 2), (1, 3)]
     serial = run_checks("demo", tuples, residual_of)
     parallel = run_checks("demo", tuples, residual_of, jobs=2)
@@ -32,6 +32,6 @@ def test_run_checks_keeps_tuple_order():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_failing_check_names_relation_and_tuple(jobs):
+def test_failing_check_names_relation_and_tuple(jobs, fork_at_once):
     with pytest.raises(RuntimeError, match=r"demo \(2, 1\).*ZeroDivisionError\('boom'\)"):
         run_checks("demo", [(1, 1), (2, 1), (3, 3)], residual_of, jobs=jobs)

@@ -65,8 +65,9 @@ def test_traffic_lists_what_the_run_never_executes():
         assert _body_lines("liealg.py", function) and ("liealg.py", function) not in listed
 
 
-def test_traffic_sees_the_parents_fork_loop_in_a_two_job_run(monkeypatch, capsys):
-    # in this process, with two usable CPUs, so the runner keeps --jobs 2
+def test_traffic_sees_the_parents_fork_loop_in_a_two_job_run(monkeypatch, capsys, fork_at_once):
+    # in this process, with two usable CPUs, so the runner keeps --jobs 2,
+    # and with no serial head (fork_at_once), so every sweep of it forks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(sys, "path", list(sys.path))  # traffic puts src first
     spec = importlib.util.spec_from_file_location("traffic", TRAFFIC)

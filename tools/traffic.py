@@ -20,7 +20,9 @@ execute is listed too, and what only the parent of a fork pool executes
 is listed unless a run uses more jobs.  So ``--n 3 --trials 2 -- --n 3
 --trials 2 --jobs 2`` lists neither the serial path nor the parent's
 fork loop (racah-verify caps --jobs at the usable CPUs, so the second
-run forks only where there are two).
+run forks only where there are two, and then only in the sweeps that
+outlast the fork map's 0.01 s serial head: under tracing, two to four
+of them on a 2-CPU host).
 The exit status is the largest of the runs' exit statuses.
 """
 
