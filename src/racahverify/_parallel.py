@@ -8,10 +8,17 @@ while the run's ten dispatches took 0.1-15 ms each serially.  So
 ``run_tasks`` rents before it buys, the rule of Karlin, Manasse, Rudolph
 and Sleator ("Competitive snoopy caching", Algorithmica 3, 1988): with
 jobs = k > 1 the parent computes the items in input order, a serial
-head, until the dispatch has run for ``HEAD_S`` = 0.01 s, a few forks'
-worth.  A dispatch that ends inside the budget forks nothing; one that
-outlasts it has lost at most the budget to running serially.  An
-exception from the head is raised before any fork.
+head, until the dispatch has run for ``HEAD_S`` = 0.05 s.  A dispatch
+that ends inside the budget forks nothing; one that outlasts it has
+lost at most the budget to running serially.  An exception from the
+head is raised before any fork.
+
+The budget is ten or so forks' worth, not one, because a fork also
+adds a child whose peak memory is about the parent's, and because a
+dispatch whose serial time is near the budget forks or not by host
+speed.  The largest dispatch of that n=4 run took 7-17 ms serially on
+the same host, so at 0.01 s some runs forked and others did not; at
+0.05 s it stays a factor of three below the budget.
 
 Only when the budget is spent and items remain does the parent fork,
 for the rest: with k' = min(k, remaining) workers it forks k' - 1
@@ -41,7 +48,7 @@ from typing import Callable, Iterable, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-HEAD_S = 0.01  # seconds a dispatch at jobs > 1 runs serially before it may fork
+HEAD_S = 0.05  # seconds a dispatch at jobs > 1 runs serially before it may fork
 
 
 def run_tasks(fn: Callable[[T], R], items: Iterable[T], jobs: int = 1) -> list[R]:

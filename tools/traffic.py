@@ -18,11 +18,12 @@ package imported and traced is the one in this checkout's ``src``.
 Forked workers are not traced: at more than one job, what only workers
 execute is listed too, and what only the parent of a fork pool executes
 is listed unless a run uses more jobs.  So ``--n 3 --trials 2 -- --n 3
---trials 2 --jobs 2`` lists neither the serial path nor the parent's
+--trials 10 --jobs 2`` lists neither the serial path nor the parent's
 fork loop (racah-verify caps --jobs at the usable CPUs, so the second
-run forks only where there are two, and then only in the sweeps that
-outlast the fork map's 0.01 s serial head: under tracing, two to four
-of them on a 2-CPU host).
+run forks only where there are two, and then only in the dispatches
+that outlast the fork map's 0.05 s serial head: under tracing, the two
+oracle checks of ten trials on a 2-CPU host, where two trials would
+leave at most one trial after the head and so fork nothing).
 The exit status is the largest of the runs' exit statuses.
 """
 
